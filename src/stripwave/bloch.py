@@ -10,6 +10,16 @@ so the d = 1 pipeline on the lattice 2*pi*Z at k = 0 reproduces the
 one-dimensional eigensolver exactly.  Band structures sample a k path;
 the Brillouin-zone convergence table measures the worst eigenvalue error
 over sampled k against a reference cutoff and fits its exponential rate.
+
+A potential stores its coefficients as one dense complex array on the
+symmetric integer box [-reach, reach]^d.  The fiber matrix takes all of
+V_{G-G'} in one gather from that box, zero-padded to the basis's
+difference range, at the flat offsets of int_coords[:, None] -
+int_coords[None, :], and keeps the arithmetic of the entrywise
+definition, so it is bit-identical to an entry-by-entry assembly.  The
+basis enumeration tests the whole integer box at once and settles the
+points within rounding of the sphere with the single-point test, so it
+selects the same planewaves in the same order as a point-by-point scan.
 """
 
 from __future__ import annotations
@@ -87,24 +97,32 @@ class PlanewaveBasis:
 
 def basis_set(lattice: Lattice, k_point, cutoff: float) -> PlanewaveBasis:
     """Enumerate the reciprocal-lattice vectors with |G + k| <= cutoff."""
-    if cutoff <= 0:
-        raise InvalidParameterError("cutoff must be positive")
+    if not (cutoff > 0 and math.isfinite(cutoff)):
+        raise InvalidParameterError("cutoff must be positive and finite")
     k = np.asarray(k_point, dtype=float)
     d = lattice.dimension
     if k.shape != (d,):
         raise InvalidParameterError(f"k point must have {d} components")
+    if not np.all(np.isfinite(k)):
+        raise InvalidParameterError(f"k point {k.tolist()} must be finite")
     recip = reciprocal(lattice)
     reach = cutoff + float(np.linalg.norm(k))
     # |m_n| = |(G . a_n)|/(2*pi) <= |G| |a_n| / (2*pi) bounds the integer box.
     box = [int(math.floor(reach * np.linalg.norm(lattice.basis[n]) / (2.0 * np.pi))) + 1
            for n in range(d)]
-    coords = []
-    for tup in itertools.product(*[range(-b, b + 1) for b in box]):
-        G = np.asarray(tup, dtype=float) @ recip.basis
-        if np.linalg.norm(G + k) <= cutoff:
-            coords.append(tup)
-    coords.sort()
-    ints = np.asarray(coords, dtype=int).reshape(len(coords), d)
+    # the box in lexicographic order, last coordinate fastest
+    grids = np.meshgrid(*[np.arange(-b, b + 1) for b in box], indexing="ij")
+    candidates = np.stack(grids, axis=-1).reshape(-1, d)
+    norms = np.linalg.norm(candidates @ recip.basis + k, axis=1)
+    inside = norms <= cutoff
+    # A batched product may round differently from a single row's, so the
+    # points within rounding of the sphere are decided by the per-row test.
+    slack = 1e-10 * (cutoff + np.abs(candidates) @ np.abs(recip.basis).sum(axis=1)
+                     + np.abs(k).sum())
+    for i in np.flatnonzero(np.abs(norms - cutoff) <= slack):
+        G = candidates[i].astype(float) @ recip.basis
+        inside[i] = np.linalg.norm(G + k) <= cutoff
+    ints = candidates[inside]
     return PlanewaveBasis(
         lattice=lattice,
         k_point=k,
@@ -115,29 +133,50 @@ def basis_set(lattice: Lattice, k_point, cutoff: float) -> PlanewaveBasis:
 
 
 class FourierSeriesD:
-    """Lattice-periodic function as a map {integer tuple: coefficient} over
-    the reciprocal lattice, with the cell-normalized planewaves
-    e_G = exp(i G.x)/sqrt(|cell|).  Missing coefficients are exactly zero."""
+    """Lattice-periodic function with coefficients over the reciprocal
+    lattice, for the cell-normalized planewaves e_G = exp(i G.x)/sqrt(|cell|).
+
+    Built from a map {integer tuple: coefficient} and stored as the dense
+    complex array `dense` on the box [-reach, reach]^d, where reach is the
+    largest |component| of a key; dense[m + reach] is the coefficient of
+    the integer coordinates m.  Coefficients not given, inside or outside
+    the box, are exactly zero."""
 
     def __init__(self, lattice: Lattice, coeffs: dict):
         self.lattice = lattice
-        self.coeffs = {tuple(int(i) for i in key): complex(val)
-                       for key, val in coeffs.items()}
-        for key in self.coeffs:
-            if len(key) != lattice.dimension:
+        d = lattice.dimension
+        entries = {tuple(int(i) for i in key): complex(val)
+                   for key, val in coeffs.items()}
+        for key in entries:
+            if len(key) != d:
                 raise InvalidParameterError(
                     f"coefficient key {key} does not match dimension")
+        keys = np.array(list(entries), dtype=int).reshape(len(entries), d)
+        self.reach = int(np.abs(keys).max(initial=0))
+        dense = np.zeros((2 * self.reach + 1,) * d, dtype=complex)
+        dense[tuple((keys + self.reach).T)] = list(entries.values())
+        dense.flags.writeable = False
+        self.dense = dense
+
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients as {integer tuple: complex}, in
+        lexicographic order."""
+        return {tuple((idx - self.reach).tolist()): complex(self.dense[tuple(idx)])
+                for idx in np.argwhere(self.dense != 0)}
 
     def coefficient(self, key) -> complex:
-        return self.coeffs.get(tuple(int(i) for i in key), 0.0 + 0.0j)
+        idx = tuple(int(i) + self.reach for i in key)
+        if len(idx) != self.dense.ndim or not all(0 <= i <= 2 * self.reach for i in idx):
+            return 0.0 + 0.0j
+        return complex(self.dense[idx])
 
     def is_real_valued(self, tol: float = 1e-12) -> bool:
-        scale = 1.0 + max((abs(v) for v in self.coeffs.values()), default=0.0)
-        for key, val in self.coeffs.items():
-            mirrored = self.coefficient(tuple(-i for i in key))
-            if abs(val - np.conj(mirrored)) > tol * scale:
-                return False
-        return True
+        """Whether c_{-G} = conj(c_G) for all G, to within tol * (1 + max |c|)."""
+        scale = 1.0 + float(np.abs(self.dense).max())
+        # flipping every axis of the symmetric box maps G to -G
+        mismatch = np.abs(self.dense - np.conj(np.flip(self.dense)))
+        return not np.any(mismatch > tol * scale)
 
 
 def series1d_to_lattice(u: FourierSeries1D) -> tuple[Lattice, FourierSeriesD]:
@@ -152,23 +191,36 @@ def assemble_bloch(V: FourierSeriesD, basis: PlanewaveBasis) -> np.ndarray:
     """Hermitian fiber matrix |G+k|^2 delta + V_{G-G'}/sqrt(|cell|)."""
     if not V.is_real_valued():
         raise PreconditionError("potential must be real-valued")
-    n = basis.dimension
+    d = basis.lattice.dimension
     scale = 1.0 / math.sqrt(basis.lattice.unit_cell_volume)
-    H = np.zeros((n, n), dtype=complex)
     ints = basis.int_coords
-    for a in range(n):
-        for b in range(a, n):
-            diff = tuple(ints[a] - ints[b])
-            H[a, b] = scale * V.coefficient(diff)
+    # V's box padded with zeros to hold every difference G - G' of the basis;
+    # in flat C order the offset of G - G' is flat(G) - flat(G') + flat(reach).
+    reach = max(V.reach, 2 * int(np.abs(ints).max(initial=0)))
+    padded = np.zeros((2 * reach + 1,) * d, dtype=complex)
+    padded[(slice(reach - V.reach, reach + V.reach + 1),) * d] = V.dense
+    strides = (2 * reach + 1) ** np.arange(d - 1, -1, -1)
+    flat = ints @ strides
+    H = padded.ravel()[np.subtract.outer(flat + reach * int(strides.sum()), flat)]
+    H *= scale
+    H[np.tri(len(flat), k=-1, dtype=bool)] = 0.0
+    # a new array, not in place: numpy lays the sum out in C or Fortran
+    # order by size, and the later matvecs round according to that layout
     H = H + np.conj(H.T)
     shifted = basis.wavevectors + basis.k_point
     H[np.diag_indices_from(H)] = np.sum(shifted * shifted, axis=1) \
-        + scale * np.real(V.coefficient((0,) * basis.lattice.dimension))
+        + scale * np.real(V.coefficient((0,) * d))
     return H
 
 
-def _fiber_eigenvalues(V: FourierSeriesD, basis: PlanewaveBasis, n_bands: int,
+def _fiber_eigenvalues(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands: int,
                        polish: bool = True) -> np.ndarray:
+    """Lowest n_bands eigenvalues of the fiber at k on the planewaves within cutoff."""
+    basis = basis_set(V.lattice, k, cutoff)
+    if basis.dimension < n_bands:
+        raise InvalidParameterError(
+            f"basis at k = {k.tolist()}, cutoff {cutoff} has only {basis.dimension} "
+            f"planewaves; cannot produce {n_bands} bands")
     H = assemble_bloch(V, basis)
     vals, vecs = np.linalg.eigh(H)
     if not polish:
@@ -191,12 +243,7 @@ def band_structure(V: FourierSeriesD, k_path, cutoff: float,
     k_path = np.atleast_2d(np.asarray(k_path, dtype=float))
     rows = []
     for k in k_path:
-        basis = basis_set(V.lattice, k, cutoff)
-        if basis.dimension < n_bands:
-            raise InvalidParameterError(
-                f"basis at k = {k.tolist()} has only {basis.dimension} planewaves; "
-                f"cannot produce {n_bands} bands")
-        rows.append(_fiber_eigenvalues(V, basis, n_bands))
+        rows.append(_fiber_eigenvalues(V, k, cutoff, n_bands))
     deltas = np.linalg.norm(np.diff(k_path, axis=0), axis=1)
     param = np.concatenate([[0.0], np.cumsum(deltas)])
     return BandStructure(k_path=k_path, path_parameter=param,
@@ -223,18 +270,12 @@ def bz_convergence(V: FourierSeriesD, k_samples, cutoffs, reference_cutoff: floa
         raise InvalidParameterError(
             "reference cutoff must be at least twice the largest study cutoff")
     k_samples = np.atleast_2d(np.asarray(k_samples, dtype=float))
-    refs = []
-    for k in k_samples:
-        basis = basis_set(V.lattice, k, reference_cutoff)
-        refs.append(_fiber_eigenvalues(V, basis, band)[band - 1])
+    refs = [_fiber_eigenvalues(V, k, reference_cutoff, band)[band - 1]
+            for k in k_samples]
     errors = np.empty((len(cutoffs), len(k_samples)))
     for i, n in enumerate(cutoffs):
         for j, k in enumerate(k_samples):
-            basis = basis_set(V.lattice, k, n)
-            if basis.dimension < band:
-                raise InvalidParameterError(
-                    f"basis at k = {k.tolist()}, cutoff {n} too small for band {band}")
-            errors[i, j] = _fiber_eigenvalues(V, basis, band)[band - 1] - refs[j]
+            errors[i, j] = _fiber_eigenvalues(V, k, n, band)[band - 1] - refs[j]
     worst = errors.max(axis=1)
     return BZConvergenceTable(
         cutoffs=np.asarray(cutoffs),
@@ -264,6 +305,8 @@ def gaussian_potential(lattice: Lattice, centers, widths, amplitudes,
     if not (len(centers) == len(widths) == len(amplitudes)):
         raise InvalidParameterError("centers, widths, amplitudes must align")
     d = lattice.dimension
+    if centers.ndim != 2 or centers.shape[1] != d:
+        raise InvalidParameterError(f"each center must have {d} components")
     basis = basis_set(lattice, np.zeros(d), cutoff)
     vol = lattice.unit_cell_volume
     coeffs = {}

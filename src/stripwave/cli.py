@@ -104,6 +104,15 @@ def _validate_range(cfg: dict, location: str = "config", **conditions):
                               "documented range", location=f"{location}.{key}")
 
 
+def _points(value, location: str) -> np.ndarray:
+    """A list of points (or numbers) as a float array; ragged or
+    non-numeric lists are configuration errors."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("expected a rectangular list of numbers", location=location)
+
+
 def _ascending_cutoffs(values):
     return len(values) > 0 and all(a < b for a, b in zip(values, values[1:])) \
         and values[0] > 0
@@ -182,7 +191,8 @@ def _build_lattice_potential(cfg: dict, location: str):
                                    "amplitudes": "float_list",
                                    "cutoff": "float"}, {},
                             f"{location}.potential")
-        return lattice, gaussian_potential(lattice, sub["centers"], sub["widths"],
+        centers = _points(sub["centers"], f"{location}.potential.centers")
+        return lattice, gaussian_potential(lattice, centers, sub["widths"],
                                            sub["amplitudes"], sub["cutoff"])
     if name == "embed-1d":
         sub = _require_keys(spec, {"name": "str", "potential": "dict"}, {},
@@ -292,8 +302,9 @@ def _run_bands(cfg: dict, out):
                         {}, "config")
     _validate_range(cfg, N=lambda n: n > 0, n_bands=lambda n: n >= 1,
                     k_path=lambda p: len(p) >= 1)
+    k_path = _points(cfg["k_path"], "config.k_path")
     _, V = _build_lattice_potential(cfg, "config")
-    bs = band_structure(V, cfg["k_path"], cfg["N"], cfg["n_bands"])
+    bs = band_structure(V, k_path, cfg["N"], cfg["n_bands"])
     out.csv("bands.csv", lambda p: write_bands_csv(bs, p))
 
 
@@ -308,7 +319,7 @@ def _run_bz(cfg: dict, out):
                     N_ref=lambda n: n >= 2 * max(cfg["N_list"]))
     lattice, V = _build_lattice_potential(cfg, "config")
     if cfg["k_samples"] is not None:
-        samples = np.asarray(cfg["k_samples"], dtype=float)
+        samples = _points(cfg["k_samples"], "config.k_samples")
         if samples.ndim == 1:
             samples = samples[:, None]
     else:

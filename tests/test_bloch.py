@@ -19,6 +19,50 @@ CUBIC_2D = Lattice(2.0 * np.pi * np.eye(2))
 TWO_PI_LINE = Lattice(np.array([[2.0 * np.pi]]))
 
 
+def product_basis(lattice, k, cutoff):
+    """Reference enumeration: every point of the integer box, one at a time,
+    in itertools.product order."""
+    recip = reciprocal(lattice)
+    reach = cutoff + float(np.linalg.norm(k))
+    box = [int(math.floor(reach * np.linalg.norm(a) / (2.0 * np.pi))) + 1
+           for a in lattice.basis]
+    coords = [tup for tup in itertools.product(*[range(-b, b + 1) for b in box])
+              if np.linalg.norm(np.asarray(tup, dtype=float) @ recip.basis + k)
+              <= cutoff]
+    return np.asarray(coords, dtype=int).reshape(len(coords), lattice.dimension)
+
+
+def loop_assembly(coeffs, basis):
+    """Reference fiber matrix, entry by entry from the coefficient dict."""
+    n = basis.dimension
+    scale = 1.0 / math.sqrt(basis.lattice.unit_cell_volume)
+    H = np.zeros((n, n), dtype=complex)
+    ints = basis.int_coords
+    for a in range(n):
+        for b in range(a, n):
+            H[a, b] = scale * complex(coeffs.get(tuple(ints[a] - ints[b]), 0.0))
+    H = H + np.conj(H.T)
+    shifted = basis.wavevectors + basis.k_point
+    zero = (0,) * basis.lattice.dimension
+    H[np.diag_indices_from(H)] = np.sum(shifted * shifted, axis=1) \
+        + scale * np.real(complex(coeffs.get(zero, 0.0)))
+    return H
+
+
+def sparse_real_coeffs(rng, d, reach, fill):
+    """Coefficients c_{-m} = conj(c_m) on a random part of [-reach, reach]^d."""
+    coeffs = {}
+    for m in itertools.product(range(-reach, reach + 1), repeat=d):
+        if m not in coeffs and rng.uniform() < fill:
+            c = complex(rng.normal(), rng.normal())
+            coeffs[m] = c
+            coeffs[tuple(-i for i in m)] = c.conjugate()
+    zero = (0,) * d
+    if zero in coeffs:
+        coeffs[zero] = coeffs[zero].real
+    return coeffs
+
+
 class TestLattice:
     def test_cubic_reciprocal(self):
         rec = reciprocal(Lattice(3.0 * np.eye(3)))
@@ -96,6 +140,35 @@ class TestBasisSet:
         coords = [tuple(row) for row in basis.int_coords]
         assert coords == sorted(coords)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("cutoff", [math.sqrt(2.0), 2.5, math.sqrt(5.0)])
+    def test_shell_boundaries_match_product(self, d, cutoff):
+        # integer shells lie exactly on these spheres at k = 0 and k = b/2
+        lat = Lattice(2.0 * np.pi * np.eye(d))
+        rec = reciprocal(lat)
+        for k in (np.zeros(d), 0.5 * rec.basis[0], 0.5 * rec.basis.sum(axis=0)):
+            got = basis_set(lat, k, cutoff).int_coords
+            assert np.array_equal(got, product_basis(lat, k, cutoff))
+
+    def test_oblique_lattices_match_product(self):
+        # a cutoff equal to the norm of one G + k puts that point on the
+        # sphere, where a batched norm can round to the other side
+        rng = np.random.RandomState(11)
+        for trial in range(40):
+            d = 2 + trial % 2
+            lat = Lattice(2.0 * np.pi * (np.eye(d) + 0.3 * rng.normal(size=(d, d))))
+            rec = reciprocal(lat)
+            k = rng.uniform(-0.5, 0.5, d) @ rec.basis
+            on_sphere = rng.randint(-2, 3, size=d).astype(float) @ rec.basis + k
+            for cutoff in (rng.uniform(1.0, 4.0), np.linalg.norm(on_sphere)):
+                got = basis_set(lat, k, cutoff).int_coords
+                assert np.array_equal(got, product_basis(lat, k, cutoff))
+
+    def test_rejects_nonfinite_k(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                basis_set(CUBIC_2D, [0.0, bad], 2.0)
+
 
 class TestAssembleBloch:
     def test_free_diagonal(self):
@@ -129,6 +202,39 @@ class TestAssembleBloch:
         H = assemble_bloch(V, basis)
         assert np.max(np.abs(H - np.conj(H.T))) < 1e-14
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_loop(self, d):
+        rng = np.random.RandomState(20 + d)
+        lat = Lattice(2.0 * np.pi * np.eye(d) + 0.3 * rng.normal(size=(d, d)))
+        k = rng.uniform(-0.5, 0.5, d) @ reciprocal(lat).basis
+        # order 241 in 1D: there H + conj(H.T) comes out in Fortran order
+        basis = basis_set(lat, k, {1: 120.0, 2: 3.5, 3: 2.2}[d])
+        widest = int(np.abs(basis.int_coords).max())
+        # holes in the box; a box narrower and one wider than the differences
+        for reach, fill in ((widest, 0.5), (1, 1.0), (2 * widest + 3, 0.3)):
+            coeffs = sparse_real_coeffs(rng, d, reach, fill)
+            H = assemble_bloch(FourierSeriesD(lat, coeffs), basis)
+            ref = loop_assembly(coeffs, basis)
+            assert H.tobytes() == ref.tobytes()
+            # the layout sets how later matvecs round
+            assert H.strides == ref.strides
+        H0 = assemble_bloch(FourierSeriesD(lat, {}), basis)
+        assert H0.tobytes() == loop_assembly({}, basis).tobytes()
+
+    def test_one_coefficient_lookup_per_assembly(self, monkeypatch):
+        V = gaussian_potential(CUBIC_2D, [[0.5, 1.0]], [0.7], [1.0], 4.0)
+        basis = basis_set(CUBIC_2D, [0.1, 0.2], 4.0)
+        calls = []
+        lookup = FourierSeriesD.coefficient
+
+        def counted(self, key):
+            calls.append(key)
+            return lookup(self, key)
+
+        monkeypatch.setattr(FourierSeriesD, "coefficient", counted)
+        assemble_bloch(V, basis)
+        assert len(calls) <= 1
+
     def test_eigenvalues_invariant_under_reordering(self):
         V = gaussian_potential(CUBIC_2D, [[0.0, 0.0]], [0.9], [1.0], 4.0)
         basis = basis_set(CUBIC_2D, [0.2, 0.0], 3.0)
@@ -141,6 +247,29 @@ class TestAssembleBloch:
         Hp = assemble_bloch(V, permuted)
         np.testing.assert_allclose(np.linalg.eigvalsh(Hp), np.linalg.eigvalsh(H),
                                     atol=1e-12)
+
+
+class TestFourierSeriesD:
+    def test_coefficients_round_trip(self):
+        coeffs = {(0, 0): 1.5, (2, -1): 0.5 - 0.25j, (-2, 1): 0.5 + 0.25j}
+        V = FourierSeriesD(CUBIC_2D, coeffs)
+        assert V.coeffs == {key: complex(val) for key, val in coeffs.items()}
+        assert V.coefficient((2, -1)) == 0.5 - 0.25j
+        assert V.coefficient((1, 1)) == 0.0
+        assert V.coefficient((5, 0)) == 0.0
+
+    def test_missing_mirror_is_not_real(self):
+        assert not FourierSeriesD(CUBIC_2D, {(1, 0): 0.5}).is_real_valued()
+        assert FourierSeriesD(CUBIC_2D, {(1, 0): 0.5j, (-1, 0): -0.5j}).is_real_valued()
+
+    def test_real_within_scaled_tolerance(self):
+        # the tolerance is tol * (1 + max |c|): 3e-12 here
+        near = FourierSeriesD(CUBIC_2D, {(1, 0): 2.0, (-1, 0): 2.0 + 1.5e-12})
+        far = FourierSeriesD(CUBIC_2D, {(1, 0): 2.0, (-1, 0): 2.0 + 6e-12})
+        assert near.is_real_valued()
+        assert not far.is_real_valued()
+        tiny = FourierSeriesD(CUBIC_2D, {(1, 0): 0.0, (-1, 0): 5e-13})
+        assert tiny.is_real_valued()
 
 
 class TestBandStructure:
@@ -200,6 +329,11 @@ class TestBzConvergence:
             bz_convergence(FourierSeriesD(TWO_PI_LINE, {}), [[0.0]], [4], 6.0,
                            1, 1.0)
 
+    def test_reference_basis_too_small(self):
+        with pytest.raises(InvalidParameterError, match="cutoff 0.4"):
+            bz_convergence(FourierSeriesD(TWO_PI_LINE, {}), [[0.0]], [0.2], 0.4,
+                           3, 1.0)
+
 
 class TestGaussianPotential:
     def test_origin_centered_coefficients(self):
@@ -247,6 +381,8 @@ class TestGaussianPotential:
             gaussian_potential(CUBIC_2D, [[0.0, 0.0]], [-1.0], [1.0], 2.0)
         with pytest.raises(InvalidParameterError):
             gaussian_potential(CUBIC_2D, [[0.0, 0.0]], [1.0, 2.0], [1.0], 2.0)
+        with pytest.raises(InvalidParameterError, match="2 components"):
+            gaussian_potential(CUBIC_2D, [[0.0, 0.0, 0.0]], [1.0], [1.0], 2.0)
 
 
 class TestBzSampleGrid:

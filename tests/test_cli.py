@@ -172,3 +172,42 @@ def test_strip_estimate_recovers_kernel_width(tmp_path):
     est = json.loads((out_dir / "estimate.json").read_text())
     import math
     assert est["half_width"] == pytest.approx(math.acosh(2.0), rel=1e-9)
+
+
+SQUARE = {"cubic": {"dimension": 2, "a": 6.283185307179586}}
+
+
+@pytest.mark.parametrize("experiment, config", [
+    ("bands", dict(CONFIGS["bands"],
+                   potential={"name": "gaussian-sum", "centers": [[0.0, 0.0, 0.0]],
+                              "widths": [0.5], "amplitudes": [1.0], "cutoff": 3.0})),
+    ("bands", dict(CONFIGS["bands"], k_path=[[0.0, 0.0], [float("nan"), 0.0]])),
+    ("bz-convergence", {"lattice": {"rows": [[6.283185307179586]]},
+                        "potential": {"name": "zero"}, "N_list": [0.2],
+                        "N_ref": 0.4, "n": 3, "A_claim": 1.0,
+                        "k_samples": [0.0]}),
+], ids=["center-dimension", "nonfinite-k", "reference-basis-too-small"])
+def test_invalid_bloch_parameter_exits_3(tmp_path, capsys, experiment, config):
+    code, _ = run_cli(tmp_path, experiment, config)
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numeric"
+    assert err["type"] == "InvalidParameterError"
+
+
+@pytest.mark.parametrize("experiment, config, location", [
+    ("bands", dict(CONFIGS["bands"], k_path=[[0, 0], [0.5]]), "config.k_path"),
+    ("bz-convergence", dict(CONFIGS["bz-convergence"], lattice=SQUARE,
+                            potential={"name": "zero"},
+                            k_samples=[[0, 0], [0.5]]), "config.k_samples"),
+    ("bands", dict(CONFIGS["bands"],
+                   potential={"name": "gaussian-sum", "centers": [[0.0, 0.0], [1.0]],
+                              "widths": [0.5, 0.5], "amplitudes": [1.0, 1.0],
+                              "cutoff": 3.0}), "config.potential.centers"),
+], ids=["k_path", "k_samples", "centers"])
+def test_ragged_point_list_exits_2(tmp_path, capsys, experiment, config, location):
+    code, _ = run_cli(tmp_path, experiment, config)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["location"] == location
