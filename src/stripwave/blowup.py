@@ -23,12 +23,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (InvalidParameterError, NoCrossingError, PreconditionError,
                      StiffnessError)
@@ -115,6 +113,7 @@ class BlowupReport:
     energy_constant_ok: bool      # C(eta) >= 1/4
     convex_after_branch: bool
     lower_bound_verified: bool
+    trajectory: OdeTrajectory = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -142,6 +141,7 @@ class AxisRealnessReport:
 def _integrate(rhs, y_span, state0, threshold, rtol, atol, stop_component,
                max_step=math.inf):
     """Shared adaptive RK45 driver with threshold stop and bisection refine."""
+    from scipy.integrate import solve_ivp  # deferred: only ODE studies pay its import
 
     if isinstance(stop_component, tuple):
         i, j = stop_component
@@ -249,6 +249,7 @@ def locate_crossings(traj: OdeTrajectory, after: float, eta: float) -> tuple[flo
     """
     if eta < 0:
         raise InvalidParameterError("eta must be nonnegative")
+    from scipy.optimize import brentq  # deferred, like scipy.integrate
 
     end = traj.blowup_time if traj.blowup_time is not None else traj.y_end
     grid = np.linspace(max(after, traj.y_start), end, 4097)
@@ -375,7 +376,8 @@ def blowup_report(epsilon: float, mu: float, eta: float, initial_slope: float,
 
     The initial slope is the derivative at the origin of the computed
     spectral solution (it is an input here so the ODE layer stays
-    independent of the spectral solver).
+    independent of the spectral solver).  The integrated trajectory is
+    returned on the report, so callers never integrate the ODE again.
     """
     from .cubic import branch_point_height
 
@@ -413,6 +415,7 @@ def blowup_report(epsilon: float, mu: float, eta: float, initial_slope: float,
         energy_constant_ok=c_eta >= 0.25,
         convex_after_branch=convex,
         lower_bound_verified=bound.verified,
+        trajectory=traj,
     )
 
 

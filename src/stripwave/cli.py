@@ -21,8 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .blowup import (blowup_report, integrate_psi, write_blowup_json,
-                     write_trajectory_csv)
+from .blowup import blowup_report, write_blowup_json, write_trajectory_csv
 from .bloch import (FourierSeriesD, Lattice, band_structure, bz_convergence,
                     bz_sample_grid, gaussian_potential, series1d_to_lattice,
                     write_bands_csv, write_bz_csv)
@@ -285,13 +284,10 @@ def _run_blowup(cfg: dict, out):
     report = blowup_report(cfg["epsilon"], cfg["mu"], cfg["eta"],
                            gp.u_prime_at_zero, y_max=cfg["y_max"],
                            threshold=cfg["threshold"], rtol=cfg["rtol"])
-    traj = integrate_psi(cfg["epsilon"], cfg["mu"], gp.u_prime_at_zero,
-                         y_max=cfg["y_max"], threshold=cfg["threshold"],
-                         rtol=cfg["rtol"])
     out.csv("report.json", lambda p: write_blowup_json(report, p))
     out.csv("trajectory.csv",
-            lambda p: write_trajectory_csv(traj, p, epsilon=cfg["epsilon"],
-                                           eta=cfg["eta"],
+            lambda p: write_trajectory_csv(report.trajectory, p,
+                                           epsilon=cfg["epsilon"], eta=cfg["eta"],
                                            y_level=report.level_crossing))
 
 

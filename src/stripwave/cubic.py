@@ -9,6 +9,17 @@ on the modes |k| <= N is solved by Newton iteration with the exact
 coefficient-space cubic term (intermediate cutoffs are never aliased),
 and the analyticity strip of the computed solution is estimated from
 its coefficient decay.
+
+Newton runs on the odd sine subspace u_k = i*b_k, u_{-k} = -i*b_k with
+real b_k, k = 1..N.  That restriction is exact for sine forcing: the
+map u -> -eps*u'' + u + u^3 sends odd real functions to odd real
+functions, mu*sin is one of them, and the Galerkin residual and its
+Jacobian keep the subspace invariant, so Newton started in it never
+leaves it.  On the subspace the Jacobian is a real symmetric
+positive-definite matrix of order N (multiplication by 3u^2 >= 0 plus
+eps*k^2 + 1 > 0), and each step is one Cholesky solve in place of a
+complex solve of order 2N + 1.  The residual and its norm are still
+formed on all |k| <= N.
 """
 
 from __future__ import annotations
@@ -101,11 +112,27 @@ def cardano_root(mu: float, z, branches: CardanoBranches = DEFAULT_BRANCHES):
     return complex(out) if out.ndim == 0 else out
 
 
-def _cubic_coeffs(u: np.ndarray, cutoff: int) -> np.ndarray:
-    """Coefficients of u^3 projected to |k| <= cutoff, exactly (cutoffs 2N then N)."""
-    series = FourierSeries1D(cutoff, u)
-    sq = multiply(series, series, 2 * cutoff)
-    return multiply(sq, series, cutoff).coeffs
+def _odd_imaginary(c: np.ndarray, cutoff: int) -> np.ndarray:
+    """The b_k, k = 1..cutoff, of the projection u_k = i*b_k, u_{-k} = -i*b_k."""
+    return 0.5 * (c[cutoff + 1:].imag - c[cutoff - 1::-1].imag)
+
+
+def _odd_jacobian(sq: np.ndarray, cutoff: int, lin: np.ndarray) -> np.ndarray:
+    """Real Jacobian of the Galerkin residual on the odd-imaginary subspace.
+
+    sq holds the coefficients (u^2)_m, |m| <= 2*cutoff.  With
+    s_m = Re (u^2)_m, the complex Jacobian diag(eps*k^2 + 1) +
+    3 * (multiplication by u^2) maps i*d_k, -i*d_k to i*(J d)_k, -i*(J d)_k
+    with J[k, j] = lin_k delta_kj + 3/sqrt(2 pi) (s_|k-j| - s_{k+j}),
+    k, j = 1..cutoff.  It is symmetric positive definite: u^2 >= 0 on the
+    real line makes the multiplication positive semidefinite.
+    """
+    s = sq.real[2 * cutoff:]
+    jac = 3.0 / SQRT_2PI * (scipy.linalg.toeplitz(s[:cutoff])
+                            - scipy.linalg.hankel(s[2:cutoff + 2],
+                                                  s[cutoff + 1:2 * cutoff + 1]))
+    jac[np.diag_indices_from(jac)] += lin
+    return jac
 
 
 def _newton(epsilon: float, mu: float, cutoff: int, u0: np.ndarray,
@@ -114,25 +141,32 @@ def _newton(epsilon: float, mu: float, cutoff: int, u0: np.ndarray,
     lin = epsilon * k.astype(float) ** 2 + 1.0
     fhat = sine(mu)._padded(cutoff) if mu != 0.0 else np.zeros(2 * cutoff + 1,
                                                                dtype=complex)
-    u = u0.astype(complex)
+    pos, neg = slice(cutoff + 1, None), slice(cutoff - 1, None, -1)
+    b = _odd_imaginary(u0, cutoff)
+    u = np.zeros(2 * cutoff + 1, dtype=complex)
+    u[pos], u[neg] = 1j * b, -1j * b
     history = []
     for it in range(max_iter + 1):
-        residual = lin * u + _cubic_coeffs(u, cutoff) - fhat
+        # u^3 projected to |k| <= cutoff exactly: cutoffs 2N, then N
+        series = FourierSeries1D(cutoff, u)
+        sq = multiply(series, series, 2 * cutoff)
+        residual = lin * u + multiply(sq, series, cutoff).coeffs - fhat
         rnorm = float(np.linalg.norm(residual))
         history.append(rnorm)
         if rnorm <= tol:
             return u, it, history
         if it == max_iter:
             break
-        sq = multiply(FourierSeries1D(cutoff, u), FourierSeries1D(cutoff, u),
-                      2 * cutoff).coeffs
-        # Jacobian: diag(eps*k^2 + 1) + 3 * multiplication by u^2.
-        n2 = 2 * cutoff
-        col = sq[n2: n2 + 2 * cutoff + 1]
-        row = sq[n2::-1][: 2 * cutoff + 1]
-        jac = 3.0 / SQRT_2PI * scipy.linalg.toeplitz(col, row)
-        jac[np.diag_indices_from(jac)] += lin
-        u = u - np.linalg.solve(jac, residual)
+        jac = _odd_jacobian(sq.coeffs, cutoff, lin[pos])
+        try:
+            step = scipy.linalg.solve(jac, _odd_imaginary(residual, cutoff),
+                                      assume_a="pos")
+        except np.linalg.LinAlgError as exc:
+            raise NonconvergenceError(
+                f"Newton Jacobian lost positive definiteness: {exc}",
+                residual_history=history) from exc
+        u[pos] -= 1j * step
+        u[neg] += 1j * step
     raise NonconvergenceError(
         f"Newton did not reach {tol:g} within {max_iter} iterations",
         residual_history=history)

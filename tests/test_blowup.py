@@ -229,6 +229,13 @@ class TestBlowupReport:
         assert rep.comparison_blowup - rep.level_crossing == pytest.approx(
             math.sqrt(EPS / 2.0) * math.log(1.0 + 2.0 / ETA), rel=1e-12)
 
+    def test_carries_the_integrated_trajectory(self, gp_slope, trajectory):
+        rep = blowup_report(EPS, MU, ETA, gp_slope)
+        assert rep.trajectory.blowup_time == rep.blowup_time
+        # the same integration the standalone call performs
+        assert rep.trajectory.nodes.tobytes() == trajectory.nodes.tobytes()
+        assert rep.trajectory.psi.tobytes() == trajectory.psi.tobytes()
+
 
 def test_forcing_region_boundary():
     # v - v^3 = 0 at v = 1, so the convexity region touches y = 0 there

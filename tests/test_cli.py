@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,15 +95,18 @@ def byte_mismatches(golden_dir, out_dir):
             or (out_dir / golden.name).read_bytes() != golden.read_bytes()]
 
 
-# gp-solve goes through BLAS zdotu (np.convolve) and LAPACK zgesv, so its
-# last bits follow the BLAS kernel.  Relative spreads against the golden
-# files, measured over OPENBLAS_CORETYPE in {SkylakeX, Haswell,
-# Sandybridge, Prescott} x OPENBLAS_NUM_THREADS in {1, 2}: odd-k
-# abs_coeff 2.70e-14 (the 7.3e-18 tail entry on Sandybridge),
-# u_prime_at_zero 0, B_eps_estimate 1.13e-15, residual 2.33e-5 (Prescott).
-# Each tolerance is 4 times its spread, the spread taken as at least one
-# ulp (2**-52).  Even-k coefficients vanish in exact arithmetic and must
-# stay rounding noise: at most eps * max|u_k| on both sides.
+# gp-solve goes through BLAS zdotu (np.convolve) and the LAPACK Cholesky
+# solve of its real Newton step, so its last bits follow the BLAS kernel.
+# Relative spreads against the golden files, measured over
+# OPENBLAS_CORETYPE in {SkylakeX, Haswell, Sandybridge, Prescott} x
+# OPENBLAS_NUM_THREADS in {1, 2} when the step was a complex LU solve
+# (zgesv): odd-k abs_coeff 2.70e-14 (the 7.3e-18 tail entry on
+# Sandybridge), u_prime_at_zero 0, B_eps_estimate 1.13e-15, residual
+# 2.33e-5 (Prescott).  With the Cholesky step the same sweep gives
+# 5.40e-14, 0, 1.13e-15 and 4.64e-5 (Prescott).  Each tolerance is 4
+# times the first spread, the spread taken as at least one ulp (2**-52).
+# Even-k coefficients vanish in exact arithmetic and must stay rounding
+# noise: at most eps * max|u_k| on both sides.
 EPS = 2.0**-52
 GP_RTOL = {"abs_coeff": 4 * 2.70e-14, "u_prime_at_zero": 4 * EPS,
            "B_eps_estimate": 4 * 1.13e-15, "residual": 4 * 2.33e-5}
@@ -170,6 +175,37 @@ def test_blowup_report_content(tmp_path):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["lower_bound_verified"] is True
     assert report["Y_eps"] <= report["Y_eps_eta"]
+
+
+def test_blowup_integrates_once(tmp_path, monkeypatch):
+    import stripwave.blowup
+    import stripwave.cli
+
+    calls = []
+    integrate = stripwave.blowup.integrate_psi
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    # also where the CLI could have bound its own copy of the name
+    for module in (stripwave.blowup, stripwave.cli):
+        monkeypatch.setattr(module, "integrate_psi", counted, raising=False)
+    code, out_dir = run_cli(tmp_path, "blowup", CONFIGS["blowup"])
+    assert code == 0
+    assert len(calls) == 1
+    assert byte_mismatches(GOLDEN_ROOT / "blowup", out_dir) == []
+
+
+def test_import_leaves_ode_modules_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, stripwave.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -4,16 +4,56 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from stripwave.cubic import (DEFAULT_BRANCHES, branch_point_height,
-                             cardano_discriminant, cardano_root,
-                             estimate_solution_strip, solve_gp)
+from stripwave import cubic
+from stripwave.cubic import (DEFAULT_BRANCHES, _odd_jacobian,
+                             branch_point_height, cardano_discriminant,
+                             cardano_root, estimate_solution_strip, solve_gp)
 from stripwave.errors import (BranchPointWarning, InvalidParameterError,
                               NonconvergenceError)
-from stripwave.fourier import FourierSeries1D, grid_values, l2_norm, multiply
+from stripwave.fourier import (SQRT_2PI, FourierSeries1D, grid_values, l2_norm,
+                               multiply)
 from stripwave.cubic import GpSolveResult
+from stripwave.potentials import sine
 
 SQRT3 = math.sqrt(3.0)
+EPS = 2.0**-52
+
+
+def square(u, cutoff):
+    return multiply(FourierSeries1D(cutoff, u), FourierSeries1D(cutoff, u),
+                    2 * cutoff).coeffs
+
+
+def complex_jacobian(u, cutoff, lin):
+    """Jacobian diag(eps*k^2 + 1) + 3 * (multiplication by u^2) on |k| <= cutoff."""
+    sq = square(u, cutoff)
+    n2 = 2 * cutoff
+    col = sq[n2: n2 + 2 * cutoff + 1]
+    row = sq[n2::-1][: 2 * cutoff + 1]
+    jac = 3.0 / SQRT_2PI * scipy.linalg.toeplitz(col, row)
+    jac[np.diag_indices_from(jac)] += lin
+    return jac
+
+
+def complex_newton(epsilon, mu, cutoff, tol=1e-12, max_iter=50):
+    """Reference Newton on the full complex system of order 2N+1, started
+    from the unprojected Cardano guess."""
+    k = np.arange(-cutoff, cutoff + 1)
+    lin = epsilon * k.astype(float) ** 2 + 1.0
+    fhat = sine(mu)._padded(cutoff)
+    u = FourierSeries1D.from_callable(
+        lambda x: np.real(cardano_root(mu, x)), cutoff,
+        n_grid=4 * cutoff + 1).coeffs
+    for it in range(max_iter + 1):
+        series = FourierSeries1D(cutoff, u)
+        cube = multiply(multiply(series, series, 2 * cutoff), series, cutoff)
+        residual = lin * u + cube.coeffs - fhat
+        if np.linalg.norm(residual) <= tol:
+            return u, it
+        u = u - np.linalg.solve(complex_jacobian(u, cutoff, lin), residual)
+    raise AssertionError("reference Newton did not converge")
 
 
 class TestBranches:
@@ -159,6 +199,83 @@ class TestSolveGp:
         with pytest.raises(NonconvergenceError) as info:
             solve_gp(0.1, 0.5, 32, tol=1e-30, max_iter=2)
         assert len(info.value.residual_history) > 0
+
+
+PARAMS = [(0.1, 0.5), (0.2, 2.0), (0.05, 1.0), (1.0, 0.1)]
+
+
+class TestOddNewton:
+    @pytest.mark.parametrize("cutoff", [16, 24, 64])
+    @pytest.mark.parametrize("epsilon, mu", PARAMS)
+    def test_matches_complex_newton(self, cutoff, epsilon, mu):
+        res = solve_gp(epsilon, mu, cutoff)
+        ref, iters = complex_newton(epsilon, mu, cutoff)
+        assert res.newton_iters == iters
+        odd = (np.arange(-cutoff, cutoff + 1) % 2).astype(bool)
+        c = res.solution.coeffs
+        np.testing.assert_allclose(c[odd], ref[odd], rtol=0,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("epsilon, mu", PARAMS)
+    def test_solution_stays_odd_and_imaginary(self, epsilon, mu):
+        cutoff = 24
+        c = solve_gp(epsilon, mu, cutoff).solution.coeffs
+        assert np.all(c.real == 0.0)
+        assert c[cutoff] == 0.0
+        assert np.array_equal(c[cutoff + 1:], -c[cutoff - 1::-1])
+        # even k vanish in exact arithmetic; only the guess's FFT noise,
+        # far below one ulp of the largest coefficient, is left there
+        even = np.arange(-cutoff, cutoff + 1) % 2 == 0
+        assert np.max(np.abs(c[even])) <= EPS * np.max(np.abs(c))
+
+    @pytest.mark.parametrize("cutoff", [16, 40])
+    def test_real_jacobian_acts_like_complex(self, cutoff):
+        epsilon = 0.1
+        u = solve_gp(epsilon, 0.5, cutoff).solution.coeffs
+        k = np.arange(-cutoff, cutoff + 1)
+        lin = epsilon * k.astype(float) ** 2 + 1.0
+        jac = _odd_jacobian(square(u, cutoff), cutoff, lin[cutoff + 1:])
+        assert np.array_equal(jac, jac.T)
+        assert np.min(np.linalg.eigvalsh(jac)) >= 1.0 - 1e-12
+        d = np.random.RandomState(3).randn(cutoff)
+        v = np.zeros(2 * cutoff + 1, dtype=complex)
+        v[cutoff + 1:], v[cutoff - 1::-1] = 1j * d, -1j * d
+        got = complex_jacobian(u, cutoff, lin) @ v
+        jd = jac @ d
+        scale = np.max(np.abs(jd))
+        np.testing.assert_allclose(got[cutoff + 1:], 1j * jd, rtol=0,
+                                   atol=1e-14 * scale)
+        np.testing.assert_allclose(got[cutoff - 1::-1], -1j * jd, rtol=0,
+                                   atol=1e-14 * scale)
+        assert abs(got[cutoff]) <= 1e-14 * scale
+
+    def test_failed_cholesky_falls_back_to_continuation(self, monkeypatch):
+        direct = solve_gp(0.1, 0.5, 32)
+        solve = scipy.linalg.solve
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            calls.append(kwargs.get("assume_a"))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cubic.scipy.linalg, "solve", fail_first)
+        res = solve_gp(0.1, 0.5, 32)
+        assert calls[0] == "pos"
+        assert len(calls) > 1  # the continuation ran
+        assert res.residual_l2 <= 1e-12
+        np.testing.assert_allclose(res.solution.coeffs, direct.solution.coeffs,
+                                   rtol=0, atol=1e-13)
+
+    def test_failed_cholesky_raises_nonconvergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(cubic.scipy.linalg, "solve", fail)
+        with pytest.raises(NonconvergenceError) as info:
+            solve_gp(0.1, 0.5, 32)
+        assert len(info.value.residual_history) == 1
 
 
 class TestStripOfSolution:
