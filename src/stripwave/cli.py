@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -73,6 +74,8 @@ def _coerce(value, kind, location):
         if kind == "float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError
+            if not math.isfinite(value):  # NaN and +-Infinity are valid JSON here
+                raise ConfigError("number must be finite", location=location)
             return float(value)
         if kind == "str":
             if not isinstance(value, str):
@@ -90,7 +93,9 @@ def _coerce(value, kind, location):
             if not isinstance(value, dict):
                 raise TypeError
             return value
-    except (TypeError, ValueError):
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"key has wrong type, expected {kind}", location=location)
     raise ConfigError(f"unhandled kind {kind}", location=location)
 
@@ -377,10 +382,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallelism hint, recorded in the manifest")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved; no stochastic component currently")
     args = parser.parse_args(argv)
 
     out_dir = args.out
@@ -420,8 +421,6 @@ def main(argv=None) -> int:
         "code_version": __version__,
         "wall_time_s": time.perf_counter() - started,
         "outputs": sorted(out.written),
-        "threads": args.threads,
-        "seed": args.seed,
     }
     out.json("manifest.json", manifest)
     return 0

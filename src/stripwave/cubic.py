@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BranchPointWarning, InvalidParameterError, NonconvergenceError
 from .fourier import (SQRT_2PI, AnalyticityEstimate, FourierSeries1D,
@@ -128,15 +128,17 @@ def _odd_jacobian(sq: np.ndarray, cutoff: int, lin: np.ndarray) -> np.ndarray:
     real line makes the multiplication positive semidefinite.
     """
     s = sq.real[2 * cutoff:]
-    jac = 3.0 / SQRT_2PI * (scipy.linalg.toeplitz(s[:cutoff])
-                            - scipy.linalg.hankel(s[2:cutoff + 2],
-                                                  s[cutoff + 1:2 * cutoff + 1]))
+    sym = np.concatenate((s[cutoff - 1:0:-1], s[:cutoff]))  # s_|d|, |d| < cutoff
+    # strided views: Toeplitz [k, j] = s_|k-j|, Hankel [k, j] = s_{k+j}
+    jac = 3.0 / SQRT_2PI * (sliding_window_view(sym, cutoff)[:, ::-1]
+                            - sliding_window_view(s[2:2 * cutoff + 1], cutoff))
     jac[np.diag_indices_from(jac)] += lin
     return jac
 
 
 def _newton(epsilon: float, mu: float, cutoff: int, u0: np.ndarray,
             tol: float, max_iter: int):
+    import scipy.linalg  # deferred: only the Newton step needs it
     k = np.arange(-cutoff, cutoff + 1)
     lin = epsilon * k.astype(float) ** 2 + 1.0
     fhat = sine(mu)._padded(cutoff) if mu != 0.0 else np.zeros(2 * cutoff + 1,

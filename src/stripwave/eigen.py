@@ -1,7 +1,12 @@
 """Planewave Galerkin eigenproblem for -d2/dx2 + V and convergence studies.
 
-Eigenpairs come from a dense Hermitian eigendecomposition of the matrix
-with entries k^2 delta_{kk'} + V_{k-k'} / sqrt(2*pi).  Eigenvalues are
+The Galerkin matrix has entries k^2 delta_{kk'} + V_{k-k'} / sqrt(2*pi)
+in the exponentials.  For real V it is real symmetric in the cosine/sine
+basis of `galerkin`, and for even V it splits there into a cosine block
+of order N + 1 and a sine block of order N; eigenpairs come from dense
+real symmetric eigendecompositions of those blocks (of the one coupled
+matrix of order 2N + 1 when V has an odd part), and only the eigenvectors
+that are used are rotated back to the exponentials.  Eigenvalues are
 polished by an exactly-summed Rayleigh quotient, which removes the
 O(eps * ||H||) noise of the backward-stable decomposition.
 
@@ -12,8 +17,9 @@ fall far below double precision within a few dozen modes, so they are
 computed in extended precision: the target eigenpairs of each assembled
 double matrix are refined by mixed-precision iterative refinement
 (Ogita & Aishima, Japan J. Indust. Appl. Math. 35, 2018), with
-double-double residuals on the matrix's Toeplitz band and corrections
-from the double eigendecomposition, and the eigenvalue difference is
+double-double residuals on the complex matrix's Toeplitz band and
+corrections from the real block eigendecompositions, so the refined
+value does not depend on the eigensolver, and the eigenvalue difference is
 rounded to double once.  Since every study matrix is a principal
 submatrix of the reference matrix, the exact errors are nonnegative.
 """
@@ -30,7 +36,8 @@ import numpy as np
 from .errors import DegeneracyError, InvalidParameterError
 from .extended import band_residual, dd_add
 from .fourier import FourierSeries1D, multiplier_norm_bound, strip_norm, strip_weight
-from .galerkin import assemble_dense
+from .galerkin import (assemble_dense, coefficient_column, from_modes,
+                       real_blocks, to_modes)
 
 # Default fit floor for errors computed in double precision, as the Bloch
 # zone errors are; convergence_study passes a floor set by its extended
@@ -56,11 +63,18 @@ class GalerkinMatrix:
 
 @dataclass(frozen=True)
 class _DenseSpectrum:
-    """Every eigenpair of an assembled matrix, with the matrix's band."""
+    """Every eigenpair of an assembled matrix, with the matrix's band.
 
-    values: np.ndarray  # ascending, as the decomposition returns them
-    vectors: np.ndarray  # columns, L2-normalized
-    diag: np.ndarray  # real diagonal of the matrix
+    The eigenvectors stay real, block by block, in the basis
+    [phi_0, c_1..c_N, s_1..s_N] of galerkin.real_blocks.  Block b covers
+    the same index range of that basis and of the concatenated block
+    spectrum, so the concatenation acts as one block-diagonal matrix.
+    """
+
+    spectrum: np.ndarray  # the block eigenvalues, concatenated
+    order: np.ndarray  # ascending order of the spectrum
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]  # (eigenvalues, vectors)
+    diag: np.ndarray  # real diagonal of the complex matrix
     lower: np.ndarray  # constant subdiagonals: lower[d-1] = H[i+d, i]
 
 
@@ -116,27 +130,70 @@ def _rayleigh_polish(H: np.ndarray, vec: np.ndarray) -> float:
     return num / den
 
 
+def _locate(blocks, index: int):
+    """Block number, column and row offset of a concatenated eigenpair index."""
+    start = 0
+    for b, (values, _) in enumerate(blocks):
+        if index < start + len(values):
+            return b, index - start, start
+        start += len(values)
+    raise IndexError(index)
+
+
+def _real_columns(blocks, indices) -> np.ndarray:
+    """Eigenvectors at concatenated indices as real-basis columns."""
+    dim = sum(len(values) for values, _ in blocks)
+    out = np.zeros((dim, len(indices)))
+    for col, index in enumerate(indices):
+        b, j, start = _locate(blocks, index)
+        vecs = blocks[b][1]
+        out[start:start + len(vecs), col] = vecs[:, j]
+    return out
+
+
+def _block_product(blocks, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Q x (or Q^T x) for the block-diagonal eigenvector matrix Q."""
+    out, start = [], 0
+    for _, vecs in blocks:
+        stop = start + len(vecs)
+        out.append((vecs.T if transpose else vecs) @ x[start:stop])
+        start = stop
+    return np.concatenate(out)
+
+
 def solve_eig(V: FourierSeries1D, cutoff: int, n_pairs: int) -> EigenResult:
     """Lowest n_pairs eigenpairs of the Galerkin operator, ascending.
 
-    Eigenvectors are L2-normalized; eigenvector phase and the basis of
-    degenerate clusters are whatever the backend returns.
+    The real blocks of galerkin.real_blocks are decomposed by a dense
+    symmetric eigensolver: the cosine and sine blocks separately for
+    even V, the coupled matrix otherwise.  Only the returned pairs are
+    rotated back to the exponentials.  Eigenvectors are L2-normalized;
+    eigenvector sign and the basis of degenerate clusters are whatever
+    the backend returns.
     """
     dim = 2 * cutoff + 1
     if n_pairs < 1 or n_pairs > dim:
         raise InvalidParameterError(
             f"n_pairs must lie in 1..{dim} for cutoff {cutoff}")
-    H = assemble_dense(V, cutoff)
-    values, vecs = np.linalg.eigh(H)
-    polished = np.array([_rayleigh_polish(H, vecs[:, j]) for j in range(n_pairs)])
-    order = np.argsort(polished, kind="stable")
-    eigvals = polished[order]
-    series = [FourierSeries1D(cutoff, vecs[:, j] / np.linalg.norm(vecs[:, j]))
-              for j in order]
+    column = coefficient_column(V, cutoff)
+    mats = real_blocks(column)
+    blocks = tuple(np.linalg.eigh(mat) for mat in mats)
+    spectrum = np.concatenate([values for values, _ in blocks])
+    order = np.argsort(spectrum, kind="stable")
+    polished = []
+    for index in order[:n_pairs]:
+        b, j, _ = _locate(blocks, index)
+        polished.append(_rayleigh_polish(mats[b], blocks[b][1][:, j]))
+    polished = np.array(polished)
+    ranked = np.argsort(polished, kind="stable")
+    modes = to_modes(_real_columns(blocks, order[:n_pairs][ranked]))
+    series = [FourierSeries1D(cutoff, u / np.linalg.norm(u)) for u in modes.T]
     band = min(V.cutoff, dim - 1)
-    dense = _DenseSpectrum(values, vecs, H.diagonal().real.copy(),
-                           H[1:band + 1, 0].copy())
-    return EigenResult(eigenvalues=eigvals, eigenvectors=series, _dense=dense)
+    k = np.arange(-cutoff, cutoff + 1)
+    dense = _DenseSpectrum(spectrum, order, blocks, column[0].real + k * k,
+                           column[1:band + 1].copy())
+    return EigenResult(eigenvalues=polished[ranked], eigenvectors=series,
+                       _dense=dense)
 
 
 def _extended_eigenvalue(dense: _DenseSpectrum, index: int, gap: float):
@@ -145,37 +202,39 @@ def _extended_eigenvalue(dense: _DenseSpectrum, index: int, gap: float):
 
     The eigenvectors of the cluster around `index` (neighbours closer
     than `gap`) are refined together: each step forms the residual
-    (H - lambda_k) x_k in double-double (rounded to double), removes its components outside
-    the cluster with the double decomposition (divided by mu_j -
-    lambda_k), and moves each shift lambda_k to its Rayleigh quotient.
+    (H - lambda_k) x_k in double-double (rounded to double) on the
+    complex band, removes its components outside the cluster with the
+    real block decomposition (divided by mu_j - lambda_k), and moves
+    each shift lambda_k to its Rayleigh quotient.
     The eigenvalues of the refined cluster are then the Ritz values
     Lambda + G^-1 X^H R (G = X^H X), whose correction term needs only
     double precision; for a cluster of several they are taken with
     mpmath at _MP_PREC bits.
     """
-    values, vecs = dense.values, dense.vectors
+    spectrum = dense.spectrum
+    values = spectrum[dense.order]
     first, stop = index, index + 1
     while first > 0 and values[first] - values[first - 1] <= gap:
         first -= 1
     while stop < len(values) and values[stop] - values[stop - 1] <= gap:
         stop += 1
-    cluster = slice(first, stop)
-    x_hi = vecs[:, cluster].copy()
+    cluster = dense.order[first:stop]  # positions in the block spectra
+    x_hi = to_modes(_real_columns(dense.blocks, cluster))
     x_lo = np.zeros_like(x_hi)
-    lam_hi = values[cluster].copy()
+    lam_hi = values[first:stop].copy()
     lam_lo = np.zeros_like(lam_hi)
     previous = math.inf
     for step in range(_REFINE_STEPS + 1):
         r = band_residual(dense.diag, dense.lower, lam_hi, lam_lo, x_hi, x_lo)
         if step == _REFINE_STEPS:
             break
-        coef = np.conj(np.conj(r.T) @ vecs).T  # Q^H r without conjugating Q
+        coef = _block_product(dense.blocks, from_modes(r), transpose=True)
         coef[cluster] = 0.0
-        denom = values[:, None] - lam_hi[None, :]
+        denom = spectrum[:, None] - lam_hi[None, :]
         denom[cluster] = 1.0
         # the eigenvalue shift this correction would still bring, to second order
-        pending = np.sum(np.abs(coef) ** 2 / np.abs(denom), axis=0)
-        correction = vecs @ (coef / denom)
+        pending = np.sum(coef**2 / np.abs(denom), axis=0)
+        correction = to_modes(_block_product(dense.blocks, coef / denom))
         size = float(np.max(np.abs(correction)))
         if np.all(pending <= 2.0**-110 * np.abs(lam_hi)) or size > 0.5 * previous:
             break

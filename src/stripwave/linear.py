@@ -2,9 +2,11 @@
 
 The solve is a dense Hermitian system on the modes |k| <= N.  Alongside
 the solution the module evaluates the a-priori L2 bound through the
-lowest Galerkin eigenvalue, and the low/high-frequency tail bounds that
-control the strip norm of the solution: splitting u = u_low + u_high at
-a cutoff M with M^2 above the multiplier norm of V, the low part obeys
+lowest Galerkin eigenvalue, taken from the real cosine/sine blocks of
+the operator (galerkin.real_blocks), and the low/high-frequency tail
+bounds that control the strip norm of the solution: splitting
+u = u_low + u_high at a cutoff M with M^2 above the multiplier norm of
+V, the low part obeys
 
     ||u_low||_A <= ||f||_L2 / alpha * sqrt(cosh(2*A*M)),
 
@@ -20,12 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import PreconditionError, SolverFailureError
 from .fourier import (FourierSeries1D, grid_values, h1_norm, l2_norm, multiply,
                       multiplier_norm_bound, project, strip_norm, strip_weight)
-from .galerkin import assemble_dense
+from .galerkin import assemble_dense, coefficient_column, real_blocks
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,7 @@ def solve_linear(V: FourierSeries1D, f: FourierSeries1D, cutoff: int) -> LinearS
     Requires V real-valued with V >= 1 (checked on a 4*cutoff+1 grid).
     The right-hand side is projected onto the trial space.
     """
+    import scipy.linalg  # deferred: studies without a linear solve never load it
     _check_invertibility(V, cutoff)
     H = assemble_dense(V, cutoff)
     rhs = project(f, cutoff)._padded(cutoff)
@@ -83,7 +85,8 @@ def solve_linear(V: FourierSeries1D, f: FourierSeries1D, cutoff: int) -> LinearS
     if not np.all(np.isfinite(u)):
         raise SolverFailureError("Galerkin solve produced non-finite values")
     residual = float(np.linalg.norm(H @ u - rhs))
-    alpha = float(scipy.linalg.eigvalsh(H)[0])
+    alpha = min(float(np.linalg.eigvalsh(block)[0])
+                for block in real_blocks(coefficient_column(V, cutoff)))
     return LinearSolveResult(
         solution=FourierSeries1D(cutoff, u),
         residual_l2=residual,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -146,7 +147,61 @@ def gp_solve_mismatches(golden_dir, out_dir):
     return problems
 
 
-GOLDEN_COMPARISON = {"gp-solve": gp_solve_mismatches}
+# eig-convergence: lambda_err is rounded once from extended precision and
+# matches 60-digit eigenvalues, so it is compared exactly, as are the
+# echoed N, j, N_ref and A_claim.  h1_dist comes from double eigenvectors
+# and follows the BLAS kernel and the eigensolver.  Relative spreads
+# against the golden files, measured over OPENBLAS_CORETYPE in {SkylakeX,
+# Haswell, Sandybridge, Prescott} x OPENBLAS_NUM_THREADS in {1, 2} with
+# the complex Hermitian eigensolver the golden files were made with:
+# h1_dist 8.10e-12 (N = 4, Haswell), fitted_rate_eigenvector 5.92e-12
+# (Haswell), fitted_rate_eigenvalue 1 ulp (Sandybridge, Prescott; the
+# np.polyfit least squares).  Each tolerance is 4 times its spread.
+EIG_RTOL = {"h1_dist": 4 * 8.10e-12, "fitted_rate_eigenvector": 4 * 5.92e-12}
+EIG_RATE_ULPS = 4
+EIG_EXACT_KEYS = ("j", "N_ref", "A_claim")
+
+
+def eig_convergence_mismatches(golden_dir, out_dir):
+    """Differences of an eig-convergence run from its golden files beyond
+    the stated tolerances."""
+    problems = []
+    with open(golden_dir / "convergence.csv", newline="") as fh:
+        want = list(csv.DictReader(fh))
+    with open(out_dir / "convergence.csv", newline="") as fh:
+        got = list(csv.DictReader(fh))
+    if [r["N"] for r in got] != [r["N"] for r in want]:
+        problems.append("convergence.csv: N column differs")
+    else:
+        for g, w in zip(got, want):
+            if g["lambda_err"] != w["lambda_err"]:
+                problems.append(f"convergence.csv: lambda_err at N={w['N']}: "
+                                f"{g['lambda_err']} vs {w['lambda_err']}")
+            h_got, h_want = float(g["h1_dist"]), float(w["h1_dist"])
+            if abs(h_got - h_want) > EIG_RTOL["h1_dist"] * h_want:
+                problems.append(f"convergence.csv: h1_dist at N={w['N']}: "
+                                f"{h_got!r} vs {h_want!r}")
+    want = json.loads((golden_dir / "convergence.json").read_text())
+    got = json.loads((out_dir / "convergence.json").read_text())
+    if sorted(got) != sorted(want):
+        problems.append("convergence.json: keys differ")
+        return problems
+    for key in EIG_EXACT_KEYS:
+        if got[key] != want[key]:
+            problems.append(f"convergence.json: {key} = {got[key]!r} vs {want[key]!r}")
+    rate, rate_want = got["fitted_rate_eigenvalue"], want["fitted_rate_eigenvalue"]
+    if abs(rate - rate_want) > EIG_RATE_ULPS * math.ulp(rate_want):
+        problems.append(f"convergence.json: fitted_rate_eigenvalue = {rate!r} "
+                        f"vs {rate_want!r}")
+    rate, rate_want = got["fitted_rate_eigenvector"], want["fitted_rate_eigenvector"]
+    if abs(rate - rate_want) > EIG_RTOL["fitted_rate_eigenvector"] * abs(rate_want):
+        problems.append(f"convergence.json: fitted_rate_eigenvector = {rate!r} "
+                        f"vs {rate_want!r}")
+    return problems
+
+
+GOLDEN_COMPARISON = {"gp-solve": gp_solve_mismatches,
+                     "eig-convergence": eig_convergence_mismatches}
 
 
 @pytest.mark.parametrize("experiment", sorted(CONFIGS))
@@ -168,6 +223,18 @@ def test_gp_solve_comparison_rejects_other_runs(tmp_path, change):
     problems = gp_solve_mismatches(GOLDEN_ROOT / "gp-solve", out_dir)
     # the computed values are rejected, not only the echoed parameters
     assert any(p.startswith("decay.csv") for p in problems), problems
+
+
+@pytest.mark.parametrize("change", [
+    {"potential": dict(CONFIGS["eig-convergence"]["potential"], c=2.0 * (1 + 1e-9))},
+    {"N_ref": 10},
+], ids=["c", "N_ref"])
+def test_eig_convergence_comparison_rejects_other_runs(tmp_path, change):
+    _, out_dir = run_cli(tmp_path, "eig-convergence",
+                         dict(CONFIGS["eig-convergence"], **change))
+    problems = eig_convergence_mismatches(GOLDEN_ROOT / "eig-convergence", out_dir)
+    # the toleranced column rejects them, not only the exact ones
+    assert any("h1_dist" in p for p in problems), problems
 
 
 def test_blowup_report_content(tmp_path):
@@ -198,11 +265,12 @@ def test_blowup_integrates_once(tmp_path, monkeypatch):
 
 
 def test_import_leaves_ode_modules_unloaded():
+    # scipy.linalg too: only the linear and Newton solves import it
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, stripwave.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
+            "'scipy.linalg') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
@@ -238,6 +306,41 @@ def test_out_of_range_parameter_exits_2(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["location"] == "config.epsilon"
+
+
+@pytest.mark.parametrize("experiment, raw, location", [
+    ("linsolve", '{"potential": {"name": "cosine", "mean": 2.0}, '
+                 '"source": {"name": "sine", "amplitude": NaN}, '
+                 '"N_list": [4, 6], "N_ref": 12}', "config.source.amplitude"),
+    ("gp-solve", '{"epsilon": 0.1, "mu": Infinity, "N": 24}', "config.mu"),
+    ("eig-convergence", '{"potential": {"name": "poisson-kernel", "c": 2.0, '
+                        '"shift": NaN, "cutoff": 30}, "N_list": [2, 3, 4], '
+                        '"N_ref": 8, "j": 1, "A_claim": 1.0}',
+     "config.potential.shift"),
+    ("bz-convergence", '{"lattice": {"rows": [[6.283185307179586]]}, '
+                       '"potential": {"name": "zero"}, "N_list": [3, -Infinity], '
+                       '"N_ref": 10, "n": 1, "A_claim": 1.0}', "config.N_list"),
+    ("gp-solve", '{"epsilon": 0.1, "mu": 1' + '0' * 400 + ', "N": 24}', "config.mu"),
+], ids=["nan-amplitude", "infinite-mu", "nan-shift", "infinite-list-entry",
+        "int-beyond-float"])
+def test_nonfinite_number_exits_2(tmp_path, capsys, experiment, raw, location):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(raw)
+    code = main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["location"] == location
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+def test_inert_flags_are_gone(tmp_path, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIGS["strip-estimate"]))
+    with pytest.raises(SystemExit) as exc:
+        main(["strip-estimate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+              flag, "1"])
+    assert exc.value.code == 2
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stripwave import cubic
 from stripwave.cubic import (DEFAULT_BRANCHES, _odd_jacobian,
                              branch_point_height, cardano_discriminant,
                              cardano_root, estimate_solution_strip, solve_gp)
@@ -249,6 +248,20 @@ class TestOddNewton:
                                    atol=1e-14 * scale)
         assert abs(got[cutoff]) <= 1e-14 * scale
 
+    @pytest.mark.parametrize("cutoff", [1, 2, 16, 257])
+    def test_real_jacobian_matches_toeplitz_hankel(self, cutoff):
+        rng = np.random.RandomState(cutoff)
+        sq = rng.randn(4 * cutoff + 1) + 1j * rng.randn(4 * cutoff + 1)
+        lin = 1.0 + rng.rand(cutoff)
+        s = sq.real[2 * cutoff:]
+        want = 3.0 / SQRT_2PI * (scipy.linalg.toeplitz(s[:cutoff])
+                                 - scipy.linalg.hankel(s[2:cutoff + 2],
+                                                       s[cutoff + 1:2 * cutoff + 1]))
+        want[np.diag_indices_from(want)] += lin
+        got = _odd_jacobian(sq, cutoff, lin)
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
+
     def test_failed_cholesky_falls_back_to_continuation(self, monkeypatch):
         direct = solve_gp(0.1, 0.5, 32)
         solve = scipy.linalg.solve
@@ -260,7 +273,7 @@ class TestOddNewton:
                 raise np.linalg.LinAlgError("not positive definite")
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(cubic.scipy.linalg, "solve", fail_first)
+        monkeypatch.setattr(scipy.linalg, "solve", fail_first)
         res = solve_gp(0.1, 0.5, 32)
         assert calls[0] == "pos"
         assert len(calls) > 1  # the continuation ran
@@ -272,7 +285,7 @@ class TestOddNewton:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
 
-        monkeypatch.setattr(cubic.scipy.linalg, "solve", fail)
+        monkeypatch.setattr(scipy.linalg, "solve", fail)
         with pytest.raises(NonconvergenceError) as info:
             solve_gp(0.1, 0.5, 32)
         assert len(info.value.residual_history) == 1

@@ -5,15 +5,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stripwave.errors import DegeneracyError, InvalidParameterError
-from stripwave.eigen import (assemble_hamiltonian, convergence_study,
-                             eigenvector_strip_check, fit_log_rate, h1_distance,
-                             solve_eig)
+from stripwave.eigen import (_rayleigh_polish, assemble_hamiltonian,
+                             convergence_study, eigenvector_strip_check,
+                             fit_log_rate, h1_distance, solve_eig)
 from stripwave.fourier import (FourierSeries1D, h1_norm, l2_norm, strip_norm,
                                strip_weight)
-from stripwave.potentials import (constant, cosine, mathieu, poisson_kernel,
-                                  poisson_kernel_half_width, sine)
+from stripwave.galerkin import assemble_dense, from_modes, to_modes
+from stripwave.potentials import (constant, cosine, gaussian_bump, mathieu,
+                                  poisson_kernel, poisson_kernel_half_width, sine)
 
 ZERO = constant(0.0)
 # Known characteristic value of the Mathieu operator -u'' + 2 cos(2x) u
@@ -86,6 +88,88 @@ class TestSolveEig:
     def test_rejects_too_many_pairs(self):
         with pytest.raises(InvalidParameterError):
             solve_eig(ZERO, 2, 6)
+
+
+def complex_solve_eig(V, cutoff, n_pairs):
+    """The complex Hermitian eigensolve of order 2N+1 that the real blocks
+    replaced: polished eigenvalues and their eigenvectors as columns."""
+    H = assemble_dense(V, cutoff)
+    values, vecs = np.linalg.eigh(H)
+    polished = np.array([_rayleigh_polish(H, vecs[:, j]) for j in range(n_pairs)])
+    order = np.argsort(polished, kind="stable")
+    return polished[order], vecs[:, order], values
+
+
+REAL_PATH_CASES = {
+    # even V: a cosine block and a sine block
+    "poisson-kernel": poisson_kernel(2.0, shift=2.0, cutoff=30),
+    "cosine": cosine(amplitude=1.5, mean=2.0),
+    # exactly degenerate cos/sin pairs, one in each block
+    "constant": constant(0.7),
+    # V with an odd part: one coupled real matrix
+    "off-centre-gaussian": gaussian_bump(1.0, 0.5, 0.7, 20),
+    "imaginary-coefficients": cosine(mean=3.0) + sine(0.5, 2),
+}
+
+
+class TestRealBlocks:
+    @pytest.mark.parametrize("name", sorted(REAL_PATH_CASES))
+    @pytest.mark.parametrize("cutoff, n_pairs", [(0, 1), (1, 3), (12, 7), (40, 9)])
+    def test_matches_complex_eigensolve(self, name, cutoff, n_pairs):
+        V = REAL_PATH_CASES[name]
+        res = solve_eig(V, cutoff, n_pairs)
+        want, want_vecs, spectrum = complex_solve_eig(V, cutoff, n_pairs)
+        scale = 1.0 + cutoff**2
+        np.testing.assert_allclose(res.eigenvalues, want, rtol=0, atol=1e-13 * scale)
+        got_vecs = np.column_stack([v.coeffs for v in res.eigenvectors])
+        # eigenspaces cluster by cluster (degenerate pairs as one space),
+        # each within the perturbation bound eps * ||H|| / gap
+        start = 0
+        while start < n_pairs:
+            stop = start + 1
+            while stop < len(spectrum) and spectrum[stop] - spectrum[stop - 1] <= 1e-8:
+                stop += 1
+            gap = min(spectrum[start] - spectrum[start - 1] if start else np.inf,
+                      spectrum[stop] - spectrum[stop - 1] if stop < len(spectrum)
+                      else np.inf)
+            angles = scipy.linalg.subspace_angles(got_vecs[:, start:stop],
+                                                  want_vecs[:, start:stop])
+            assert np.max(angles) <= 1e-13 * scale / gap, (start, stop, angles, gap)
+            start = stop
+
+    def test_eigh_sees_only_real_blocks(self, monkeypatch):
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            seen.append((np.asarray(a).dtype.kind, np.shape(a)))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        even = REAL_PATH_CASES["poisson-kernel"]
+        solve_eig(even, 12, 3)
+        assert seen == [("f", (13, 13)), ("f", (12, 12))]
+        seen.clear()
+        solve_eig(even, 0, 1)
+        assert seen == [("f", (1, 1))]
+        seen.clear()
+        solve_eig(REAL_PATH_CASES["off-centre-gaussian"], 12, 3)
+        assert seen == [("f", (25, 25))]
+        seen.clear()
+        convergence_study(even, [2, 3, 4], 8, 1, 1.0)
+        assert sorted(shape for _, shape in seen) == sorted(
+            (n + extra, n + extra) for n in (2, 3, 4, 8) for extra in (0, 1))
+        assert {kind for kind, _ in seen} == {"f"}
+
+    def test_rotation_round_trip(self):
+        rng = np.random.default_rng(5)
+        q = rng.standard_normal((2 * 6 + 1, 3))
+        u = to_modes(q)
+        # conjugate-symmetric coefficients: real functions
+        np.testing.assert_array_equal(u[::-1], np.conj(u))
+        np.testing.assert_allclose(from_modes(u), q, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(u, axis=0),
+                                   np.linalg.norm(q, axis=0), rtol=1e-15)
 
 
 class TestH1Distance:
@@ -175,7 +259,9 @@ class TestConvergenceStudy:
         (poisson_kernel(3.0, mu=0.05, cutoff=40), 3, 1e-2),
         # imaginary coefficients: a complex Hermitian band
         (cosine(mean=3.0) + sine(0.5, 2), 1, 1e-8),
-    ], ids=["golden", "cluster-lower", "cluster-upper", "complex"])
+        (gaussian_bump(1.0, 0.5, 0.7, 20), 2, 1e-8),
+    ], ids=["golden", "cluster-lower", "cluster-upper", "complex",
+            "off-centre-gaussian"])
     def test_eigenvalue_errors_match_60_digit_eigenvalues(self, V, band, gap):
         table = convergence_study(V, [2, 3, 4], 8, band, 1.0, cluster_gap=gap)
         mp = mpmath.MPContext()

@@ -50,6 +50,15 @@ class TestSolveLinear:
         res = solve_linear(V, f, 32)
         assert l2_norm(res.solution) <= l2_norm(f) / res.lowest_eigenvalue + 1e-8
 
+    @pytest.mark.parametrize("V", [cosine(mean=2.0), cosine(mean=3.0) + sine(0.5, 2)],
+                             ids=["even", "odd-part"])
+    @pytest.mark.parametrize("cutoff", [0, 1, 12])
+    def test_lowest_eigenvalue_of_the_complex_matrix(self, V, cutoff):
+        res = solve_linear(V, sine(), cutoff)
+        want = np.linalg.eigvalsh(assemble_dense(V, cutoff))[0]
+        assert res.lowest_eigenvalue == pytest.approx(want, rel=0,
+                                                      abs=1e-13 * (1 + cutoff**2))
+
     def test_rejects_small_potential(self):
         with pytest.raises(PreconditionError, match="V >= 1"):
             solve_linear(constant(0.5), sine(1.0), 8)
