@@ -12,7 +12,7 @@ from .blowup import (AxisRealnessReport, BlowupReport, EnergyDriftReport,
                      blowup_report, comparison_blowup_time, comparison_solution,
                      energy_drift_check, forcing_region_boundary,
                      integrate_comparison, integrate_psi, locate_crossings,
-                     verify_lower_bound)
+                     trajectory_diagnostics, verify_lower_bound)
 from .bloch import (BandStructure, BZConvergenceTable, FourierSeriesD, Lattice,
                     PlanewaveBasis, assemble_bloch, band_structure, basis_set,
                     bz_convergence, bz_sample_grid, gaussian_potential,
@@ -29,8 +29,8 @@ from .errors import (BranchPointWarning, ConfigError, DegeneracyError,
                      NoCrossingError, NonconvergenceError, PreconditionError,
                      SolverFailureError, StiffnessError, StripwaveError)
 from .fourier import (AnalyticityEstimate, FourierSeries1D, derivative,
-                      estimate_strip, evaluate, grid_values, h1_norm, l2_inner,
-                      l2_norm, multiplier_norm_bound, multiply, project,
+                      estimate_strip, evaluate, grid_values, h1_norm, l2_norm,
+                      multiplier_norm_bound, multiply, project,
                       series_from_json, series_to_json, strip_norm,
                       strip_weight, write_decay_csv)
 from .linear import (LinearSolveResult, TailBoundReport, refinement_study,

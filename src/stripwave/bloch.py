@@ -33,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, PreconditionError
-from .eigen import _rayleigh_polish, fit_log_rate
+from .eigen import fit_log_rate
 from .fourier import FourierSeries1D
+from .galerkin import rayleigh_polish
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ def _fiber_eigenvalues(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands:
     vals, vecs = np.linalg.eigh(H)
     if not polish:
         return vals[:n_bands]
-    out = np.array([_rayleigh_polish(H, vecs[:, j]) for j in range(n_bands)])
+    out = np.array([rayleigh_polish(H, vecs[:, j]) for j in range(n_bands)])
     return np.sort(out)
 
 

@@ -6,11 +6,17 @@ stays purely imaginary, u(i*y) = i*psi(y), and psi solves
     eps * psi'' = mu*sinh(y) - psi + psi^3,   psi(0) = 0,  psi'(0) = u'(0).
 
 If psi blows up at a finite Y, the analyticity strip of u cannot exceed
-Y.  This module integrates that ODE with an adaptive embedded
-Runge-Kutta pair (5th order, 4th-order error estimate), detects the
-blow-up time by a threshold plus bisection, locates the level crossings
-psi = 1 and psi = 1 + eta, and compares the trajectory against the
-closed-form solution of the reduced comparison ODE
+Y.  The right-hand side is a polynomial in psi plus an entire forcing,
+so the Taylor coefficients of psi about any point follow from
+Cauchy-product recurrences (automatic differentiation of the vector
+field: Corliss & Chang, ACM TOMS 8 (1982)).  This module integrates the
+ODE with one fixed-order Taylor method, the order and step chosen as in
+Jorba & Zou, Experiment. Math. 14 (2005).  The step polynomials are the
+dense output: the blow-up time (|psi| reaching a threshold), the level
+crossings psi = 1 and psi = 1 + eta, and the checks below are all
+evaluated on them, and the last step's coefficient ratio locates the
+pole itself.  The trajectory is compared against the closed-form
+solution of the reduced comparison ODE
 
     xi' = (xi^2 - 1) / sqrt(2*eps),   xi(y_eta) = 1 + eta,
 
@@ -23,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,18 +38,20 @@ import numpy as np
 from .errors import (InvalidParameterError, NoCrossingError, PreconditionError,
                      StiffnessError)
 
+TAYLOR_ORDER = 30     # degree of every step polynomial
 MIN_STEP = 1e-14
-BISECTION_WIDTH = 1e-9
+CHECK_SAMPLES = 2048  # dense-output samples of the energy and realness checks
 
 
 @dataclass(frozen=True)
 class OdeTrajectory:
-    """Adaptive-integrator output on [y_start, y_end] with dense evaluation.
+    """Integrator output on [y_start, y_end] with dense evaluation.
 
     `interpolant` maps y (scalar or array) to the stacked (value,
-    derivative) pair; nodes/psi/psi_prime are the accepted steps.  When
-    the integration was stopped by the threshold, blowup_time holds the
-    bisected crossing of |psi| = blowup_threshold.
+    derivative) pair; nodes/psi/psi_prime are the step boundaries.
+    When the integration was stopped by the threshold, blowup_time
+    holds the crossing of |psi| = blowup_threshold, and pole_estimate
+    the pole the last step's coefficients point to.
     """
 
     epsilon: float
@@ -54,6 +63,7 @@ class OdeTrajectory:
     blowup_time: float | None
     blowup_threshold: float
     interpolant: Callable
+    pole_estimate: float | None = None
 
     @property
     def y_start(self) -> float:
@@ -138,52 +148,184 @@ class AxisRealnessReport:
     y_end: float
 
 
-def _integrate(rhs, y_span, state0, threshold, rtol, atol, stop_component,
-               max_step=math.inf):
-    """Shared adaptive RK45 driver with threshold stop and bisection refine."""
-    from scipy.integrate import solve_ivp  # deferred: only ODE studies pay its import
+class TaylorDense:
+    """Piecewise-polynomial dense output of the Taylor integrator.
 
-    if isinstance(stop_component, tuple):
-        i, j = stop_component
+    On [nodes[i], nodes[i+1]] the solution is sum_k coeffs[i, k] tau^k
+    with tau = (y - nodes[i]) / scales[i]; outside [nodes[0], nodes[-1]]
+    the first or last polynomial is extended.
+    """
 
-        def event(y, s):
-            return math.hypot(s[i], s[j]) - threshold
-    else:
-        def event(y, s):
-            return abs(s[stop_component]) - threshold
+    def __init__(self, nodes: np.ndarray, scales: np.ndarray, coeffs: np.ndarray):
+        self.nodes, self.scales, self.coeffs = nodes, scales, coeffs
 
-    event.terminal = True
-    event.direction = 1
-    sol = solve_ivp(rhs, y_span, state0, method="RK45", rtol=rtol, atol=atol,
-                    max_step=max_step, dense_output=True, events=event)
-    if sol.status == -1:
-        steps = np.diff(sol.t)
-        raise StiffnessError(
-            f"integrator failed: {sol.message}",
-            diagnostics={"last_y": float(sol.t[-1]),
-                         "last_step": float(steps[-1]) if len(steps) else math.nan,
-                         "min_step": float(np.min(steps)) if len(steps) else math.nan})
-    if len(sol.t) > 1 and float(np.min(np.diff(sol.t))) < MIN_STEP:
-        raise StiffnessError("step size underflow before any stop condition",
-                             diagnostics={"min_step": float(np.min(np.diff(sol.t)))})
+    def __call__(self, y):
+        y = np.asarray(y, dtype=float)
+        i = np.clip(np.searchsorted(self.nodes, y, side="right") - 1,
+                    0, len(self.scales) - 1)
+        scale = self.scales[i]
+        tau = (y - self.nodes[i]) / scale
+        columns = self.coeffs.T[:, i]
+        value, deriv = columns[-1], np.zeros_like(columns[-1])
+        for c in columns[-2::-1]:
+            deriv = deriv * tau + value
+            value = value * tau + c
+        return np.stack([value, deriv / scale])
 
+
+def _fdot(x, y) -> float:
+    """Correctly rounded sum of x_j * y_j over the shorter sequence."""
+    return math.fsum(map(operator.mul, x, y))
+
+
+def _cdot(x, y) -> complex:
+    """Complex sum of x_j * y_j, real and imaginary parts summed exactly."""
+    terms = list(map(operator.mul, x, y))
+    return complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms))
+
+
+def _taylor_coefficients(y0, value, slope, scale, epsilon, mu) -> list:
+    """Scaled Taylor coefficients b_k = psi^(k)(y0) scale^k / k!,
+    k = 0..TAYLOR_ORDER, of eps*psi'' = mu*sinh(y) - psi + psi^3 with
+    psi(y0) = value and psi'(y0) = slope.
+
+    Matching powers of tau = (y - y0)/scale gives
+
+        eps (k+2)(k+1) b_{k+2} = scale^2 (mu s_k - b_k + (b*b*b)_k),
+
+    where s_k is sinh(y0) (k even) or cosh(y0) (k odd) times scale^k/k!.
+    The cube is two Cauchy products, each coefficient an exactly rounded
+    sum (no BLAS), so the coefficients do not depend on the BLAS kernel.
+    A complex value and slope carry the complex equation.
+    """
+    dot = _cdot if isinstance(value, complex) else _fdot
+    b = [value, slope * scale]
+    square = []
+    even, odd = (mu * math.sinh(y0), mu * math.cosh(y0)) if mu else (0.0, 0.0)
+    gain = scale * scale / epsilon
+    power = 1.0  # scale^k / k!
+    for k in range(TAYLOR_ORDER - 1):
+        tail = b[k::-1]
+        square.append(dot(b, tail))
+        cube = dot(square, tail)
+        forcing = (even if k % 2 == 0 else odd) * power
+        b.append(gain * (forcing - b[k] + cube) / ((k + 2) * (k + 1)))
+        power *= scale / (k + 1)
+    return b
+
+
+def _horner(b, tau):
+    """Value and tau-derivative of sum_k b_k tau^k."""
+    value, deriv = b[-1], 0.0
+    for c in b[-2::-1]:
+        deriv = deriv * tau + value
+        value = value * tau + c
+    return value, deriv
+
+
+def _reach(tol: float, coeff, k: int) -> float:
+    """Largest tau with |coeff| tau^k <= tol."""
+    return (tol / abs(coeff)) ** (1.0 / k) if coeff else math.inf
+
+
+def _first_root(f, lo: float, hi: float) -> float:
+    """Root of f on [lo, hi] with f(lo) < 0 <= f(hi); f returns the value
+    and derivative.
+
+    Newton steps from hi, kept inside the shrinking bracket, with
+    bisection where a step would leave it.  Ends when Newton no longer
+    moves or the bracket is two adjacent doubles (then at its upper end).
+    """
+    y = hi
+    for _ in range(200):
+        g, dg = f(y)
+        if g >= 0.0:
+            hi = y
+        else:
+            lo = y
+        nxt = y - g / dg if dg else math.nan
+        if nxt == y:
+            return y
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return hi
+        y = nxt
+    return y
+
+
+def _stiffness(message: str, nodes: list, y: float, step: float) -> StiffnessError:
+    return StiffnessError(message, diagnostics={
+        "last_y": y, "last_step": step,
+        "min_step": float(min(np.diff(nodes), default=step))})
+
+
+def _integrate(epsilon, mu, y_start, y_end, value, slope, threshold, rtol,
+               atol, max_step=math.inf) -> OdeTrajectory:
+    """Fixed-order Taylor integration of eps*psi'' = mu*sinh(y) - psi + psi^3
+    from y_start to y_end, stopped where |psi| reaches the threshold.
+
+    Each step expands psi about its start, in units of the previous step
+    so the coefficients stay near the size of psi.  The step is the
+    largest h with |b_k| (h/scale)^k <= tol for the last two orders k,
+    capped by max_step, where tol = max(atol, rtol*|psi|) / TAYLOR_ORDER:
+    the slope's series is the value's differentiated, so its last terms
+    are up to TAYLOR_ORDER times larger per unit of tau.  A step whose
+    end reaches the threshold is cut at the crossing, found on its
+    polynomial.
+    """
+    if not y_end > y_start:
+        raise InvalidParameterError("the integration must end after it starts")
+    nodes, values, slopes = [y_start], [value], [slope]
+    scales, rows = [], []
+    y, scale = y_start, min(max_step, y_end - y_start, 1.0)
     blowup = None
-    if sol.status == 1:  # threshold event fired; refine on the final step
-        lo = sol.t[-2] if len(sol.t) > 1 else y_span[0]
-        hi = sol.t_events[0][0]
+    while y < y_end and blowup is None:
+        try:
+            b = _taylor_coefficients(y, value, slope, scale, epsilon, mu)
+        except OverflowError:  # sinh(y) or an exact sum beyond the double range
+            raise _stiffness("Taylor coefficients overflow", nodes, y, scale)
+        tol = max(atol, rtol * abs(value)) / TAYLOR_ORDER
+        h = min(scale * min(_reach(tol, b[-2], TAYLOR_ORDER - 1),
+                            _reach(tol, b[-1], TAYLOR_ORDER)), max_step)
+        if h >= y_end - y:
+            h, y_next = y_end - y, y_end
+        elif h >= MIN_STEP:
+            y_next = y + h
+        else:
+            raise _stiffness("step size underflow before any stop condition",
+                             nodes, y, h)
+        tau = h / scale
+        end_value, end_deriv = _horner(b, tau)
+        rows.append(b)
+        scales.append(scale)
+        if abs(end_value) >= threshold > abs(value):
+            def excess(t):
+                p, dp = _horner(b, t)
+                size = abs(p)
+                return size - threshold, \
+                    (p.conjugate() * dp).real / size if size else math.nan
+            tau = _first_root(excess, 0.0, tau)
+            end_value, end_deriv = _horner(b, tau)
+            y_next = blowup = y + scale * tau
+        y, value, slope = y_next, end_value, end_deriv / scale
+        nodes.append(y)
+        values.append(value)
+        slopes.append(slope)
+        scale = h
 
-        def excess(y):
-            return event(y, sol.sol(y))
-
-        if excess(lo) < 0.0:
-            while hi - lo > BISECTION_WIDTH:
-                midpoint = 0.5 * (lo + hi)
-                if excess(midpoint) >= 0.0:
-                    hi = midpoint
-                else:
-                    lo = midpoint
-        blowup = float(0.5 * (lo + hi))
-    return sol, blowup
+    pole = None
+    if blowup is not None and rows[-1][-1]:
+        pole = nodes[-2] + scales[-1] * abs(rows[-1][-2] / rows[-1][-1])
+    nodes = np.array(nodes)
+    return OdeTrajectory(
+        epsilon=epsilon, mu=mu, initial_slope=slopes[0],
+        nodes=nodes, psi=np.array(values), psi_prime=np.array(slopes),
+        blowup_time=blowup, blowup_threshold=threshold,
+        interpolant=TaylorDense(nodes, np.array(scales), np.array(rows)),
+        pole_estimate=pole,
+    )
 
 
 def integrate_psi(epsilon: float, mu: float, initial_slope: float, y_max: float,
@@ -193,29 +335,15 @@ def integrate_psi(epsilon: float, mu: float, initial_slope: float, y_max: float,
     """Integrate eps*psi'' = mu*sinh(y) - psi + psi^3 from psi(0) = 0.
 
     Stops at y_max or when |psi| reaches the threshold; in the latter
-    case the crossing is refined by bisection on the dense output and
-    reported as blowup_time.  Capping max_step tightens the dense output
-    between nodes (the interpolant is one order below the integrator).
+    case the crossing is located on the last step polynomial and
+    reported as blowup_time.  max_step caps every step.
     """
     if epsilon <= 0 or mu < 0:
         raise InvalidParameterError("epsilon must be positive and mu nonnegative")
     if rtol < 1e-13:
         raise InvalidParameterError("rtol below 1e-13 is not resolvable")
-    if atol is None:
-        atol = rtol
-
-    def rhs(y, s):
-        return (s[1], (mu * math.sinh(y) - s[0] + s[0] ** 3) / epsilon)
-
-    sol, blowup = _integrate(rhs, (0.0, y_max), (0.0, initial_slope),
-                             threshold, rtol, atol, stop_component=0,
-                             max_step=max_step)
-    return OdeTrajectory(
-        epsilon=epsilon, mu=mu, initial_slope=initial_slope,
-        nodes=sol.t, psi=sol.y[0], psi_prime=sol.y[1],
-        blowup_time=blowup, blowup_threshold=threshold,
-        interpolant=sol.sol,
-    )
+    return _integrate(epsilon, mu, 0.0, y_max, 0.0, float(initial_slope),
+                      threshold, rtol, rtol if atol is None else atol, max_step)
 
 
 def integrate_comparison(epsilon: float, y_start: float, value: float,
@@ -225,31 +353,29 @@ def integrate_comparison(epsilon: float, y_start: float, value: float,
     """Integrate the unforced comparison dynamics eps*phi'' = -phi + phi^3."""
     if epsilon <= 0:
         raise InvalidParameterError("epsilon must be positive")
-    if atol is None:
-        atol = rtol
+    return _integrate(epsilon, 0.0, y_start, y_max, float(value), float(slope),
+                      threshold, rtol, rtol if atol is None else atol)
 
-    def rhs(y, s):
-        return (s[1], (-s[0] + s[0] ** 3) / epsilon)
 
-    sol, blowup = _integrate(rhs, (y_start, y_max), (value, slope),
-                             threshold, rtol, atol, stop_component=0)
-    return OdeTrajectory(
-        epsilon=epsilon, mu=0.0, initial_slope=slope,
-        nodes=sol.t, psi=sol.y[0], psi_prime=sol.y[1],
-        blowup_time=blowup, blowup_threshold=threshold,
-        interpolant=sol.sol,
-    )
+def trajectory_diagnostics(traj: OdeTrajectory) -> dict:
+    """What the integrator did, for the run record: step count, Taylor
+    order, smallest node spacing and the pole estimate (None without a
+    blow-up)."""
+    return {"ode_steps": len(traj.nodes) - 1,
+            "taylor_order": TAYLOR_ORDER,
+            "min_step": float(np.min(np.diff(traj.nodes))),
+            "pole_estimate": traj.pole_estimate}
 
 
 def locate_crossings(traj: OdeTrajectory, after: float, eta: float) -> tuple[float, float]:
     """First crossings of the levels 1 and 1 + eta at or after `after`.
 
-    Root-bracketed on the dense output to 1e-10.  Raises NoCrossingError
-    if a level is never reached.
+    Bracketed on a grid of the dense output, then refined on it by
+    safeguarded Newton to the last bit.  Raises NoCrossingError if a
+    level is never reached.
     """
     if eta < 0:
         raise InvalidParameterError("eta must be nonnegative")
-    from scipy.optimize import brentq  # deferred, like scipy.integrate
 
     end = traj.blowup_time if traj.blowup_time is not None else traj.y_end
     grid = np.linspace(max(after, traj.y_start), end, 4097)
@@ -262,8 +388,12 @@ def locate_crossings(traj: OdeTrajectory, after: float, eta: float) -> tuple[flo
         idx = int(np.argmax(above))
         if idx == 0:
             return float(grid[0])
-        return float(brentq(lambda y: float(traj.value(y)) - level,
-                            grid[idx - 1], grid[idx], xtol=1e-10))
+
+        def excess(y):
+            value, slope = traj.interpolant(y)
+            return float(value) - level, float(slope)
+
+        return _first_root(excess, float(grid[idx - 1]), float(grid[idx]))
 
     y_unit = first(1.0)
     y_level = y_unit if eta == 0.0 else first(1.0 + eta)
@@ -321,11 +451,18 @@ def verify_lower_bound(traj: OdeTrajectory, epsilon: float, eta: float,
     )
 
 
+def _check_grid(traj: OdeTrajectory) -> np.ndarray:
+    """CHECK_SAMPLES evenly spaced points on [y_start, y_end] and every node."""
+    return np.union1d(np.linspace(traj.y_start, traj.y_end, CHECK_SAMPLES),
+                      traj.nodes)
+
+
 def energy_drift_check(epsilon: float, traj: OdeTrajectory) -> EnergyDriftReport:
     """Drift of the conserved energy eps/2 * phi'^2 - phi^4/4 + phi^2/2 of
-    the unforced comparison dynamics along a computed trajectory."""
-    e = (0.5 * epsilon * traj.psi_prime**2
-         - 0.25 * traj.psi**4 + 0.5 * traj.psi**2)
+    the unforced comparison dynamics along a computed trajectory, sampled
+    on its dense output."""
+    phi, dphi = traj.interpolant(_check_grid(traj))
+    e = 0.5 * epsilon * dphi**2 - 0.25 * phi**4 + 0.5 * phi**2
     drift = float(np.max(np.abs(e - e[0])))
     scale = max(abs(float(e[0])), 1e-30)
     return EnergyDriftReport(initial_energy=float(e[0]), max_drift=drift,
@@ -338,28 +475,23 @@ def axis_decoupling_check(epsilon: float, mu: float, initial_slope: float,
                           initial_real: float = 0.0) -> AxisRealnessReport:
     """Integrate the full complex ODE eps*phi'' + phi + phi^3 = i*mu*sinh
     with phi(0) = initial_real, phi'(0) = i*initial_slope, and measure how
-    purely imaginary phi stays.
+    purely imaginary phi stays on the dense output.
 
-    With initial_real = 0 the real part is an invariant of the dynamics
-    and must remain at numerical zero; a nonzero initial_real is the
-    negative control.
+    The state is carried as psi = -i*phi, which solves the psi equation
+    with complex values: its real parts are Im phi and Im phi', its
+    imaginary parts -Re phi and -Re phi'.  With initial_real = 0 the real
+    part of phi is an invariant of the dynamics and must remain at
+    numerical zero; a nonzero initial_real is the negative control.
     """
     if epsilon <= 0:
         raise InvalidParameterError("epsilon must be positive")
-
-    def rhs(y, s):
-        a, b, da, db = s  # phi = a + i*b
-        return (da, db,
-                (-a - (a**3 - 3.0 * a * b * b)) / epsilon,
-                (mu * math.sinh(y) - b - (3.0 * a * a * b - b**3)) / epsilon)
-
-    sol, _ = _integrate(rhs, (0.0, y_max), (initial_real, 0.0, 0.0, initial_slope),
-                        threshold, rtol, rtol, stop_component=(0, 1))
-    ratio = np.abs(sol.y[0]) / (1.0 + np.abs(sol.y[1]))
-    worst = float(np.max(ratio))
+    traj = _integrate(epsilon, mu, 0.0, y_max, complex(0.0, -initial_real),
+                      complex(initial_slope), threshold, rtol, rtol)
+    psi = traj.value(_check_grid(traj))
+    worst = float(np.max(np.abs(psi.imag) / (1.0 + np.abs(psi.real))))
     return AxisRealnessReport(max_real_ratio=worst,
                               decoupled=worst <= 1e-9,
-                              y_end=float(sol.t[-1]))
+                              y_end=traj.y_end)
 
 
 def forcing_region_boundary(mu: float, values) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Experiment driver: every study as a subcommand with JSON configs.
 
 Each run writes its CSV/JSON artifacts plus a manifest (config hash,
-code version, wall time) into the output directory.  Exit codes: 0 on
-success, 2 on configuration errors, 3 on numeric failures; both error
-paths emit a machine-readable JSON object on stderr.  Files are written
+code version, wall time, and for `blowup` the integrator's diagnostics)
+into the output directory.  Exit codes: 0 on success, 2 on
+configuration errors, 3 on numeric failures; both error paths emit a
+machine-readable JSON object on stderr.  Files are written
 atomically (temp + rename) and floats are formatted with the shortest
 round-trip representation, so identical configs produce identical CSV
 bytes.
@@ -22,7 +23,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .blowup import blowup_report, write_blowup_json, write_trajectory_csv
+from .blowup import (blowup_report, trajectory_diagnostics, write_blowup_json,
+                     write_trajectory_csv)
 from .bloch import (FourierSeriesD, Lattice, band_structure, bz_convergence,
                     bz_sample_grid, gaussian_potential, series1d_to_lattice,
                     write_bands_csv, write_bz_csv)
@@ -294,6 +296,7 @@ def _run_blowup(cfg: dict, out):
             lambda p: write_trajectory_csv(report.trajectory, p,
                                            epsilon=cfg["epsilon"], eta=cfg["eta"],
                                            y_level=report.level_crossing))
+    out.diagnostics.update(trajectory_diagnostics(report.trajectory))
 
 
 @_experiment("bands")
@@ -340,6 +343,7 @@ class _OutputDir:
     def __init__(self, root: str):
         self.root = root
         self.written = []
+        self.diagnostics = {}  # manifest only, never in the artifacts
         os.makedirs(root, exist_ok=True)
 
     def path(self, name: str) -> str:
@@ -422,6 +426,8 @@ def main(argv=None) -> int:
         "wall_time_s": time.perf_counter() - started,
         "outputs": sorted(out.written),
     }
+    if out.diagnostics:
+        manifest["diagnostics"] = out.diagnostics
     out.json("manifest.json", manifest)
     return 0
 

@@ -37,7 +37,7 @@ from .errors import DegeneracyError, InvalidParameterError
 from .extended import band_residual, dd_add
 from .fourier import FourierSeries1D, multiplier_norm_bound, strip_norm, strip_weight
 from .galerkin import (assemble_dense, coefficient_column, from_modes,
-                       real_blocks, to_modes)
+                       rayleigh_polish, real_blocks, to_modes)
 
 # Default fit floor for errors computed in double precision, as the Bloch
 # zone errors are; convergence_study passes a floor set by its extended
@@ -122,14 +122,6 @@ def assemble_hamiltonian(V: FourierSeries1D, cutoff: int) -> GalerkinMatrix:
     return GalerkinMatrix(cutoff, assemble_dense(V, cutoff))
 
 
-def _rayleigh_polish(H: np.ndarray, vec: np.ndarray) -> float:
-    # Exactly-summed Rayleigh quotient: quadratic in the eigenvector error.
-    hv = H @ vec
-    num = math.fsum((np.conj(vec) * hv).real)
-    den = math.fsum(np.abs(vec) ** 2)
-    return num / den
-
-
 def _locate(blocks, index: int):
     """Block number, column and row offset of a concatenated eigenpair index."""
     start = 0
@@ -183,7 +175,7 @@ def solve_eig(V: FourierSeries1D, cutoff: int, n_pairs: int) -> EigenResult:
     polished = []
     for index in order[:n_pairs]:
         b, j, _ = _locate(blocks, index)
-        polished.append(_rayleigh_polish(mats[b], blocks[b][1][:, j]))
+        polished.append(rayleigh_polish(mats[b], blocks[b][1][:, j]))
     polished = np.array(polished)
     ranked = np.argsort(polished, kind="stable")
     modes = to_modes(_real_columns(blocks, order[:n_pairs][ranked]))

@@ -172,11 +172,6 @@ def l2_norm(u: FourierSeries1D) -> float:
     return norm2(u.coeffs)
 
 
-def l2_inner(u: FourierSeries1D, v: FourierSeries1D) -> complex:
-    n = max(u.cutoff, v.cutoff)
-    return complex(np.vdot(u._padded(n), v._padded(n)))
-
-
 def h1_norm(u: FourierSeries1D) -> float:
     k = u.wavenumbers()
     return float(np.sqrt(np.sum((1.0 + k * k) * np.abs(u.coeffs) ** 2)))

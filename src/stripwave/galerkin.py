@@ -123,3 +123,12 @@ def from_modes(r: np.ndarray) -> np.ndarray:
     up, down = r[n + 1:], r[:n][::-1]  # k = 1..N and k = -1..-N
     return np.concatenate((r[n:n + 1].real, (up.real + down.real) / SQRT2,
                            (down.imag - up.imag) / SQRT2))
+
+
+def rayleigh_polish(H: np.ndarray, vec: np.ndarray) -> float:
+    """Exactly-summed Rayleigh quotient of vec: quadratic in its error as an
+    eigenvector of the Hermitian matrix H."""
+    hv = H @ vec
+    num = math.fsum((np.conj(vec) * hv).real)
+    den = math.fsum(np.abs(vec) ** 2)
+    return num / den

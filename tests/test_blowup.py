@@ -3,6 +3,7 @@ closed-form comparison bound."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -49,9 +50,10 @@ class TestIntegratePsi:
 
     def test_ode_residual_of_dense_output(self):
         # First-order system residual of the interpolant by central finite
-        # differences.  The step cap keeps the quartic dense interpolant
-        # resolved (it is one order below the integrator, so at natural
-        # step sizes its defect is ~100x rtol between nodes).
+        # differences.  The dense output is each step's own Taylor
+        # polynomial; the step cap keeps its truncation error, and so the
+        # jump between neighbouring step polynomials that a difference may
+        # straddle, far below rtol.
         rtol = 1e-6
         traj = integrate_psi(EPS, MU, 0.43, y_max=1.2, rtol=rtol, max_step=0.01)
         h = 1e-4
@@ -75,6 +77,84 @@ class TestIntegratePsi:
             integrate_psi(-1.0, 0.5, 0.4, y_max=1.0)
         with pytest.raises(InvalidParameterError):
             integrate_psi(0.1, 0.5, 0.4, y_max=1.0, rtol=1e-14)
+
+
+Y_SWITCH = 1.3  # psi ~ 1.2 there; the pole of psi is near 1.75
+
+
+def mpmath_reference(slope, ys_psi, ys_w, threshold):
+    """psi and psi' from mpmath.odefun (20 digits) at ys_psi and ys_w, and
+    the threshold crossing of |psi|.
+
+    odefun integrates psi itself up to Y_SWITCH, then w = 1/psi, which
+    solves eps*w'' = (2*eps*w'^2 - 1)/w + w - mu*sinh(y)*w^2 and is
+    regular at the pole of psi; the crossing is psi = threshold, i.e.
+    w = 1/threshold, solved by Newton on w.
+    """
+    with mpmath.workdps(20):
+        eps, mu = mpmath.mpf(EPS), mpmath.mpf(MU)
+        psi = mpmath.odefun(
+            lambda y, s: [s[1], (mu * mpmath.sinh(y) - s[0] + s[0] ** 3) / eps],
+            0, [mpmath.mpf(0), mpmath.mpf(slope)])
+        below = [tuple(float(v) for v in psi(y)) for y in ys_psi]
+        p, dp = psi(Y_SWITCH)
+        w = mpmath.odefun(
+            lambda y, s: [s[1], ((2 * eps * s[1] ** 2 - 1) / s[0] + s[0]
+                                 - mu * mpmath.sinh(y) * s[0] ** 2) / eps],
+            Y_SWITCH, [1 / p, -dp / p ** 2])
+        above = []
+        for y in ys_w:
+            v, dv = w(y)
+            above.append((float(1 / v), float(-dv / v ** 2)))
+        y = mpmath.mpf(ys_w[-1])
+        for _ in range(30):
+            v, dv = w(y)
+            step = (v - 1 / mpmath.mpf(threshold)) / dv
+            y -= step
+            if abs(step) < mpmath.mpf(10) ** -18:
+                break
+        return below, above, float(y)
+
+
+class TestMpmathReference:
+    """The Taylor integrator against an independent arbitrary-precision one
+    at eps = 0.1, mu = 0.5 and the solve_gp slope at N = 128."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        slope = solve_gp(EPS, MU, 128).u_prime_at_zero
+        traj = integrate_psi(EPS, MU, slope, y_max=10.0)
+        b0 = branch_point_height(MU)
+        _, y_eta = locate_crossings(traj, b0, ETA)
+        gap = traj.blowup_time - y_eta
+        ys_psi = [0.2, 0.45, b0]
+        ys_w = [y_eta, y_eta + gap / 3.0, y_eta + gap / 2.0]
+        below, above, crossing = mpmath_reference(slope, ys_psi, ys_w,
+                                                  traj.blowup_threshold)
+        return traj, list(zip(ys_psi + ys_w, below + above)), crossing
+
+    def test_values_and_slopes(self, case):
+        traj, points, _ = case
+        for y, (value, slope) in points:
+            got_value, got_slope = traj.interpolant(y)
+            assert got_value == pytest.approx(value, rel=1e-10), y
+            assert got_slope == pytest.approx(slope, rel=1e-10), y
+
+    def test_blowup_time(self, case):
+        traj, _, crossing = case
+        assert traj.blowup_time == pytest.approx(crossing, rel=1e-10)
+
+    def test_pole_from_coefficient_ratio(self, case):
+        # psi ~ sqrt(2*eps)/(Y_pole - y) near the simple pole, so it reaches
+        # the threshold sqrt(2*eps)/threshold before the pole
+        traj, _, _ = case
+        offset = math.sqrt(2.0 * EPS) / traj.blowup_threshold
+        assert traj.pole_estimate == pytest.approx(traj.blowup_time + offset,
+                                                   abs=1e-10)
+
+    def test_few_steps(self, case):
+        traj, _, _ = case
+        assert len(traj.nodes) <= 100
 
 
 class TestLocateCrossings:

@@ -264,7 +264,7 @@ def test_blowup_integrates_once(tmp_path, monkeypatch):
     assert byte_mismatches(GOLDEN_ROOT / "blowup", out_dir) == []
 
 
-def test_import_leaves_ode_modules_unloaded():
+def test_import_leaves_ode_modules_unloaded(tmp_path):
     # scipy.linalg too: only the linear and Newton solves import it
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -274,6 +274,33 @@ def test_import_leaves_ode_modules_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+    # the blowup study integrates and root-finds without scipy
+    cfg = tmp_path / "blowup.json"
+    cfg.write_text(json.dumps(CONFIGS["blowup"]))
+    argv = ["blowup", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = ("import sys; from stripwave.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_blowup_manifest_diagnostics(tmp_path):
+    _, out_dir = run_cli(tmp_path, "blowup", CONFIGS["blowup"])
+    diagnostics = json.loads((out_dir / "manifest.json").read_text())["diagnostics"]
+    assert set(diagnostics) == {"ode_steps", "taylor_order", "min_step",
+                                "pole_estimate"}
+    report = json.loads((out_dir / "report.json").read_text())
+    assert 0 < diagnostics["ode_steps"] <= 100
+    assert 0.0 < diagnostics["min_step"]
+    assert report["Y_eps"] < diagnostics["pole_estimate"] < report["Y_eps"] + 1e-6
+    # run records stay out of the byte-compared artifacts
+    assert "pole_estimate" not in (out_dir / "report.json").read_text()
+    _, gp_dir = run_cli(tmp_path, "gp-solve", CONFIGS["gp-solve"], subdir="gp")
+    assert "diagnostics" not in json.loads((gp_dir / "manifest.json").read_text())
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -8,12 +8,13 @@ import pytest
 import scipy.linalg
 
 from stripwave.errors import DegeneracyError, InvalidParameterError
-from stripwave.eigen import (_rayleigh_polish, assemble_hamiltonian,
-                             convergence_study, eigenvector_strip_check,
-                             fit_log_rate, h1_distance, solve_eig)
+from stripwave.eigen import (assemble_hamiltonian, convergence_study,
+                             eigenvector_strip_check, fit_log_rate,
+                             h1_distance, solve_eig)
 from stripwave.fourier import (FourierSeries1D, h1_norm, l2_norm, strip_norm,
                                strip_weight)
-from stripwave.galerkin import assemble_dense, from_modes, to_modes
+from stripwave.galerkin import (assemble_dense, from_modes, rayleigh_polish,
+                                to_modes)
 from stripwave.potentials import (constant, cosine, gaussian_bump, mathieu,
                                   poisson_kernel, poisson_kernel_half_width, sine)
 
@@ -95,7 +96,7 @@ def complex_solve_eig(V, cutoff, n_pairs):
     replaced: polished eigenvalues and their eigenvectors as columns."""
     H = assemble_dense(V, cutoff)
     values, vecs = np.linalg.eigh(H)
-    polished = np.array([_rayleigh_polish(H, vecs[:, j]) for j in range(n_pairs)])
+    polished = np.array([rayleigh_polish(H, vecs[:, j]) for j in range(n_pairs)])
     order = np.argsort(polished, kind="stable")
     return polished[order], vecs[:, order], values
 
