@@ -32,7 +32,7 @@ from .fourier import (AnalyticityEstimate, FourierSeries1D, derivative,
                       estimate_strip, evaluate, grid_values, h1_norm, l2_norm,
                       multiplier_norm_bound, multiply, project,
                       series_from_json, series_to_json, strip_norm,
-                      strip_weight, write_decay_csv)
+                      strip_weight)
 from .linear import (LinearSolveResult, TailBoundReport, refinement_study,
                      solve_linear, tail_bound_check)
 from . import potentials

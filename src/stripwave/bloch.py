@@ -24,9 +24,7 @@ selects the same planewaves in the same order as a point-by-point scan.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -214,8 +212,8 @@ def assemble_bloch(V: FourierSeriesD, basis: PlanewaveBasis) -> np.ndarray:
     return H
 
 
-def _fiber_eigenvalues(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands: int,
-                       polish: bool = True) -> np.ndarray:
+def _fiber_eigenvalues(V: FourierSeriesD, k: np.ndarray, cutoff: float,
+                       n_bands: int) -> np.ndarray:
     """Lowest n_bands eigenvalues of the fiber at k on the planewaves within cutoff."""
     basis = basis_set(V.lattice, k, cutoff)
     if basis.dimension < n_bands:
@@ -223,9 +221,7 @@ def _fiber_eigenvalues(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands:
             f"basis at k = {k.tolist()}, cutoff {cutoff} has only {basis.dimension} "
             f"planewaves; cannot produce {n_bands} bands")
     H = assemble_bloch(V, basis)
-    vals, vecs = np.linalg.eigh(H)
-    if not polish:
-        return vals[:n_bands]
+    _, vecs = np.linalg.eigh(H)
     out = np.array([rayleigh_polish(H, vecs[:, j]) for j in range(n_bands)])
     return np.sort(out)
 
@@ -341,35 +337,3 @@ def bz_sample_grid(lattice: Lattice, n_per_dim: int) -> np.ndarray:
         k = k - shifts[int(np.argmin(dists))]
         points.append(k)
     return np.asarray(points)
-
-
-def write_bands_csv(bs: BandStructure, path) -> None:
-    d = bs.k_path.shape[1]
-    n_bands = bs.bands.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["path_parameter"] + [f"k{i + 1}" for i in range(d)] \
-            + [f"band{j + 1}" for j in range(n_bands)]
-        writer.writerow(header)
-        for t, k, row in zip(bs.path_parameter, bs.k_path, bs.bands):
-            writer.writerow([repr(float(t))] + [repr(float(c)) for c in k]
-                            + [repr(float(v)) for v in row])
-
-
-def write_bz_csv(table: BZConvergenceTable, csv_path, sidecar_path=None) -> None:
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "max_lambda_err"])
-        for n, e in zip(table.cutoffs, table.max_errors):
-            writer.writerow([repr(float(n)), repr(float(e))])
-    if sidecar_path is not None:
-        sidecar = {
-            "n": table.band,
-            "N_ref": table.reference_cutoff,
-            "A_claim": table.claimed_half_width,
-            "fitted_rate": table.fitted_rate,
-            "k_samples": table.k_samples.tolist(),
-        }
-        with open(sidecar_path, "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")

@@ -1,18 +1,20 @@
 """Experiment driver: every study as a subcommand with JSON configs.
 
-Each run writes its CSV/JSON artifacts plus a manifest (config hash,
-code version, wall time, and for `blowup` the integrator's diagnostics)
-into the output directory.  Exit codes: 0 on success, 2 on
-configuration errors, 3 on numeric failures; both error paths emit a
-machine-readable JSON object on stderr.  Files are written
-atomically (temp + rename) and floats are formatted with the shortest
-round-trip representation, so identical configs produce identical CSV
-bytes.
+The numerics modules return data; this module alone renders it.  Each
+run writes its CSV/JSON artifacts plus a manifest (config hash, code
+version, wall time, and for `blowup` the integrator's diagnostics) into
+the output directory, every file through `write_csv` or `write_json`:
+atomically (temp + rename), with floats in the shortest round-trip
+representation, so identical configs produce identical bytes.  Exit
+codes: 0 on success, 2 on configuration errors, 3 on numeric failures;
+both error paths emit a machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import hashlib
 import json
 import math
@@ -23,16 +25,14 @@ import time
 import numpy as np
 
 from . import __version__
-from .blowup import (blowup_report, trajectory_diagnostics, write_blowup_json,
-                     write_trajectory_csv)
+from .blowup import blowup_report, trajectory_diagnostics, trajectory_samples
 from .bloch import (FourierSeriesD, Lattice, band_structure, bz_convergence,
-                    bz_sample_grid, gaussian_potential, series1d_to_lattice,
-                    write_bands_csv, write_bz_csv)
-from .cubic import estimate_solution_strip, solve_gp, write_gp_json
-from .eigen import convergence_study, write_convergence_csv
-from .errors import ConfigError, StripwaveError
-from .fourier import series_from_json, write_decay_csv
-from .linear import refinement_study, write_refinement_csv
+                    bz_sample_grid, gaussian_potential, series1d_to_lattice)
+from .cubic import estimate_solution_strip, solve_gp
+from .eigen import convergence_study
+from .errors import ConfigError, InvalidParameterError, StripwaveError
+from .fourier import series_from_json
+from .linear import refinement_study
 from . import potentials
 
 ENV_OUT_DIR = "STRIPWAVE_OUT"
@@ -52,6 +52,8 @@ def _experiment(name):
 
 def _require_keys(cfg: dict, required: dict, optional: dict, location: str):
     """Validate presence and type of keys; unknown keys are rejected."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("expected an object", location=location)
     for key in cfg:
         if key not in required and key not in optional:
             raise ConfigError(f"unknown key '{key}'", location=f"{location}.{key}")
@@ -119,13 +121,46 @@ def _points(value, location: str) -> np.ndarray:
         raise ConfigError("expected a rectangular list of numbers", location=location)
 
 
+def _k_points(value, dimension: int, location: str) -> np.ndarray:
+    """k points as an (n, d) array; on a 1-D lattice a flat list holds
+    one point per number."""
+    points = _points(value, location)
+    if points.ndim == 1 and dimension == 1:
+        points = points[:, None]
+    if len(points) == 0 or points.ndim != 2 or points.shape[1] != dimension:
+        raise ConfigError(f"expected one or more k points of {dimension} "
+                          "components", location=location)
+    return points
+
+
 def _ascending_cutoffs(values):
     return len(values) > 0 and all(a < b for a, b in zip(values, values[1:])) \
         and values[0] > 0
 
 
+# Builtin 1D potentials: config name -> (factory in `potentials`, required
+# keys, optional keys).  Absent optional keys are not passed, so their
+# defaults live in `potentials` alone.  The factory is looked up by name
+# at call time, so a wrapper installed on the `potentials` module (as
+# perfbench/tracing.py does) sees the call.
+POTENTIALS_1D = {
+    "constant": ("constant", {"value": "float"}, {}),
+    "cosine": ("cosine", {}, {"amplitude": "float", "harmonic": "int",
+                              "mean": "float"}),
+    "sine": ("sine", {}, {"amplitude": "float", "harmonic": "int"}),
+    "mathieu": ("mathieu", {}, {"q": "float"}),
+    "poisson-kernel": ("poisson_kernel", {"c": "float"},
+                       {"mu": "float", "shift": "float", "cutoff": "int"}),
+    "gaussian-sum": ("gaussian_bump", {}, {"amplitude": "float", "width": "float",
+                                           "center": "float", "cutoff": "int"}),
+}
+
+
 def build_potential_1d(spec: dict, location: str = "potential"):
-    """Build one of the named builtin 1D potentials, or load one from file."""
+    """Build one of the named builtin 1D potentials, or load one from file.
+
+    Every argument of a factory comes from the spec, so a factory's
+    InvalidParameterError is a configuration error at `location`."""
     if not isinstance(spec, dict):
         raise ConfigError("potential spec must be an object", location=location)
     if "file" in spec:
@@ -133,41 +168,23 @@ def build_potential_1d(spec: dict, location: str = "potential"):
         try:
             with open(cfg["file"]) as fh:
                 return series_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot load series file: {exc}", location=location)
     if "name" not in spec:
         raise ConfigError("potential spec needs 'name' or 'file'", location=location)
     name = spec["name"]
-    if name == "constant":
-        cfg = _require_keys(spec, {"name": "str", "value": "float"}, {}, location)
-        return potentials.constant(cfg["value"])
-    if name == "cosine":
-        cfg = _require_keys(spec, {"name": "str"},
-                            {"amplitude": ("float", 1.0), "harmonic": ("int", 1),
-                             "mean": ("float", 0.0)}, location)
-        return potentials.cosine(cfg["amplitude"], cfg["harmonic"], cfg["mean"])
-    if name == "sine":
-        cfg = _require_keys(spec, {"name": "str"},
-                            {"amplitude": ("float", 1.0), "harmonic": ("int", 1)},
-                            location)
-        return potentials.sine(cfg["amplitude"], cfg["harmonic"])
-    if name == "mathieu":
-        cfg = _require_keys(spec, {"name": "str"}, {"q": ("float", 1.0)}, location)
-        return potentials.mathieu(cfg["q"])
-    if name == "poisson-kernel":
-        cfg = _require_keys(spec, {"name": "str", "c": "float"},
-                            {"mu": ("float", 1.0), "shift": ("float", 0.0),
-                             "cutoff": ("int", 80)}, location)
-        return potentials.poisson_kernel(cfg["c"], cfg["mu"], cfg["shift"],
-                                         cfg["cutoff"])
-    if name == "gaussian-sum":
-        cfg = _require_keys(spec, {"name": "str"},
-                            {"amplitude": ("float", 1.0), "width": ("float", 0.5),
-                             "center": ("float", 0.0), "cutoff": ("int", 40)},
-                            location)
-        return potentials.gaussian_bump(cfg["amplitude"], cfg["width"],
-                                        cfg["center"], cfg["cutoff"])
-    raise ConfigError(f"unknown potential '{name}'", location=location)
+    if not isinstance(name, str) or name not in POTENTIALS_1D:
+        raise ConfigError(f"unknown potential '{name}'", location=location)
+    factory, required, optional = POTENTIALS_1D[name]
+    cfg = _require_keys(spec, {"name": "str", **required},
+                        {key: (kind, None) for key, kind in optional.items()},
+                        location)
+    kwargs = {key: value for key, value in cfg.items()
+              if key != "name" and value is not None}
+    try:
+        return getattr(potentials, factory)(**kwargs)
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc), location=location)
 
 
 def _build_lattice(spec, location: str):
@@ -175,10 +192,11 @@ def _build_lattice(spec, location: str):
         raise ConfigError("lattice spec must be an object", location=location)
     if "rows" in spec:
         cfg = _require_keys(spec, {"rows": "list"}, {}, location)
-        return Lattice(np.asarray(cfg["rows"], dtype=float))
+        return Lattice(_points(cfg["rows"], f"{location}.rows"))
     if "cubic" in spec:
         sub = _require_keys(spec["cubic"], {"dimension": "int", "a": "float"},
                             {}, f"{location}.cubic")
+        _validate_range(sub, f"{location}.cubic", dimension=lambda d: 1 <= d <= 3)
         return Lattice(sub["a"] * np.eye(sub["dimension"]))
     raise ConfigError("lattice spec needs 'rows' or 'cubic'", location=location)
 
@@ -224,7 +242,8 @@ def _run_linsolve(cfg: dict, out):
     V = build_potential_1d(cfg["potential"], "config.potential")
     f = build_potential_1d(cfg["source"], "config.source")
     rows = refinement_study(V, f, cfg["N_list"], cfg["N_ref"])
-    out.csv("linsolve.csv", lambda p: write_refinement_csv(rows, p))
+    write_csv(out, "linsolve.csv",
+              ["N", "residual_l2", "err_vs_ref_l2", "err_vs_ref_h1"], rows)
 
 
 @_experiment("eig-convergence")
@@ -232,15 +251,28 @@ def _run_eig_convergence(cfg: dict, out):
     cfg = _require_keys(cfg, {"potential": "dict", "N_list": "int_list",
                               "N_ref": "int", "j": "int", "A_claim": "float"},
                         {}, "config")
-    _validate_range(cfg, N_list=_ascending_cutoffs, j=lambda j: j >= 1,
+    # j must index a pair of the smallest study basis, of order 2N + 1
+    _validate_range(cfg, N_list=_ascending_cutoffs,
+                    j=lambda j: 1 <= j <= 2 * min(cfg["N_list"]) + 1,
                     A_claim=lambda a: a > 0,
                     N_ref=lambda n: n >= 2 * max(cfg["N_list"]))
     V = build_potential_1d(cfg["potential"], "config.potential")
     table = convergence_study(V, cfg["N_list"], cfg["N_ref"], cfg["j"],
                               cfg["A_claim"])
-    out.csv("convergence.csv",
-            lambda p: write_convergence_csv(table, p, out.path("convergence.json")))
-    out.record("convergence.json")
+    write_csv(out, "convergence.csv", ["N", "lambda_err", "h1_dist"],
+              zip(table.cutoffs, table.eigenvalue_errors, table.eigenvector_errors))
+    write_json(out, "convergence.json", {
+        "j": table.band,
+        "N_ref": table.reference_cutoff,
+        "A_claim": table.claimed_half_width,
+        "fitted_rate_eigenvalue": table.fitted_rate_eigenvalue,
+        "fitted_rate_eigenvector": table.fitted_rate_eigenvector,
+    })
+
+
+def _decay_rows(u):
+    """(k, |u_k|) rows for coefficient-decay plots."""
+    return ((k, abs(c)) for k, c in zip(u.wavenumbers(), u.coeffs))
 
 
 @_experiment("gp-solve")
@@ -253,8 +285,16 @@ def _run_gp_solve(cfg: dict, out):
                     noise_floor=lambda f: f > 0)
     result = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], tol=cfg["tol"])
     strip = estimate_solution_strip(result, noise_floor=cfg["noise_floor"])
-    out.csv("decay.csv", lambda p: write_decay_csv(result.solution, p))
-    out.csv("report.json", lambda p: write_gp_json(result, p, strip))
+    write_csv(out, "decay.csv", ["k", "abs_coeff"], _decay_rows(result.solution))
+    write_json(out, "report.json", {
+        "epsilon": result.epsilon,
+        "mu": result.mu,
+        "N": result.solution.cutoff,
+        "newton_iters": result.newton_iters,
+        "residual": result.residual_l2,
+        "u_prime_at_zero": result.u_prime_at_zero,
+        "B_eps_estimate": strip.half_width,
+    })
 
 
 @_experiment("strip-estimate")
@@ -265,15 +305,14 @@ def _run_strip_estimate(cfg: dict, out):
     _validate_range(cfg, noise_floor=lambda f: f > 0)
     series = build_potential_1d(cfg["potential"], "config.potential")
     est = estimate_strip(series, noise_floor=cfg["noise_floor"])
-    payload = {
+    write_csv(out, "decay.csv", ["k", "abs_coeff"], _decay_rows(series))
+    write_json(out, "estimate.json", {
         "half_width": est.half_width,
         "prefactor": est.prefactor,
         "fit_window": list(est.fit_window),
         "residual": est.residual,
         "stride": est.stride,
-    }
-    out.csv("decay.csv", lambda p: write_decay_csv(series, p))
-    out.json("estimate.json", payload)
+    })
 
 
 @_experiment("blowup")
@@ -291,11 +330,25 @@ def _run_blowup(cfg: dict, out):
     report = blowup_report(cfg["epsilon"], cfg["mu"], cfg["eta"],
                            gp.u_prime_at_zero, y_max=cfg["y_max"],
                            threshold=cfg["threshold"], rtol=cfg["rtol"])
-    out.csv("report.json", lambda p: write_blowup_json(report, p))
-    out.csv("trajectory.csv",
-            lambda p: write_trajectory_csv(report.trajectory, p,
-                                           epsilon=cfg["epsilon"], eta=cfg["eta"],
-                                           y_level=report.level_crossing))
+    write_json(out, "report.json", {
+        "epsilon": report.epsilon,
+        "mu": report.mu,
+        "eta": report.eta,
+        "B0": report.branch_height,
+        "psi_at_B0": report.psi_at_branch,
+        "psi_prime_at_B0": report.psi_prime_at_branch,
+        "y0": report.first_unit_crossing,
+        "y_eta": report.level_crossing,
+        "Y_eps": report.blowup_time,
+        "Y_eps_eta": report.comparison_blowup,
+        "C_eta": report.energy_constant,
+        "C_eta_ok": report.energy_constant_ok,
+        "convex_after_B0": report.convex_after_branch,
+        "lower_bound_verified": report.lower_bound_verified,
+    })
+    write_csv(out, "trajectory.csv", ["y", "psi", "psi_prime", "xi"],
+              trajectory_samples(report.trajectory, cfg["epsilon"], cfg["eta"],
+                                 report.level_crossing))
     out.diagnostics.update(trajectory_diagnostics(report.trajectory))
 
 
@@ -304,12 +357,15 @@ def _run_bands(cfg: dict, out):
     cfg = _require_keys(cfg, {"lattice": "dict", "potential": "dict",
                               "k_path": "list", "N": "float", "n_bands": "int"},
                         {}, "config")
-    _validate_range(cfg, N=lambda n: n > 0, n_bands=lambda n: n >= 1,
-                    k_path=lambda p: len(p) >= 1)
-    k_path = _points(cfg["k_path"], "config.k_path")
-    _, V = _build_lattice_potential(cfg, "config")
+    _validate_range(cfg, N=lambda n: n > 0, n_bands=lambda n: n >= 1)
+    lattice, V = _build_lattice_potential(cfg, "config")
+    k_path = _k_points(cfg["k_path"], lattice.dimension, "config.k_path")
     bs = band_structure(V, k_path, cfg["N"], cfg["n_bands"])
-    out.csv("bands.csv", lambda p: write_bands_csv(bs, p))
+    header = ["path_parameter"] + [f"k{i + 1}" for i in range(lattice.dimension)] \
+        + [f"band{j + 1}" for j in range(cfg["n_bands"])]
+    write_csv(out, "bands.csv", header,
+              ([t, *k, *row] for t, k, row in zip(bs.path_parameter, bs.k_path,
+                                                  bs.bands)))
 
 
 @_experiment("bz-convergence")
@@ -323,48 +379,70 @@ def _run_bz(cfg: dict, out):
                     N_ref=lambda n: n >= 2 * max(cfg["N_list"]))
     lattice, V = _build_lattice_potential(cfg, "config")
     if cfg["k_samples"] is not None:
-        samples = _points(cfg["k_samples"], "config.k_samples")
-        if samples.ndim == 1:
-            samples = samples[:, None]
+        samples = _k_points(cfg["k_samples"], lattice.dimension, "config.k_samples")
     else:
         samples = bz_sample_grid(lattice, cfg["n_k"])
     table = bz_convergence(V, samples, cfg["N_list"], cfg["N_ref"], cfg["n"],
                            cfg["A_claim"])
-    out.csv("bz.csv", lambda p: write_bz_csv(table, p, out.path("bz.json")))
-    out.record("bz.json")
+    write_csv(out, "bz.csv", ["N", "max_lambda_err"],
+              zip(table.cutoffs, table.max_errors))
+    write_json(out, "bz.json", {
+        "n": table.band,
+        "N_ref": table.reference_cutoff,
+        "A_claim": table.claimed_half_width,
+        "fitted_rate": table.fitted_rate,
+        "k_samples": table.k_samples.tolist(),
+    })
 
 
 # -- output handling -----------------------------------------------------------
 
 
 class _OutputDir:
-    """Atomic artifact writing into the run directory."""
+    """The run directory, the artifact names written into it so far, and
+    the run diagnostics that go to the manifest only."""
 
     def __init__(self, root: str):
         self.root = root
         self.written = []
-        self.diagnostics = {}  # manifest only, never in the artifacts
+        self.diagnostics = {}
         os.makedirs(root, exist_ok=True)
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.root, name)
 
-    def record(self, name: str) -> None:
-        self.written.append(name)
+@contextlib.contextmanager
+def _replacing(out: _OutputDir, name: str):
+    """A text file at a temp path, renamed to `name` once written."""
+    tmp = os.path.join(out.root, name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
+        yield fh
+    os.replace(tmp, os.path.join(out.root, name))
+    out.written.append(name)
 
-    def csv(self, name: str, writer_fn) -> None:
-        tmp = self.path(name + ".tmp")
-        writer_fn(tmp)
-        os.replace(tmp, self.path(name))
-        self.record(name)
 
-    def json(self, name: str, payload: dict) -> None:
-        tmp = self.path(name + ".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, self.path(name))
-        self.record(name)
+def _cell(value) -> str:
+    """Integers as such, floats in shortest round-trip form, None empty."""
+    if isinstance(value, float):  # numpy's float64 too; the common case first
+        return float.__repr__(value)
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def write_csv(out: _OutputDir, name: str, header, rows) -> None:
+    """A header line and one CSV line per row of cells, written atomically."""
+    with _replacing(out, name) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(map(_cell, row) for row in rows)
+
+
+def write_json(out: _OutputDir, name: str, payload: dict) -> None:
+    """Indented JSON with sorted keys, written atomically."""
+    with _replacing(out, name) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _error_json(kind: str, exc: Exception) -> str:
@@ -428,7 +506,7 @@ def main(argv=None) -> int:
     }
     if out.diagnostics:
         manifest["diagnostics"] = out.diagnostics
-    out.json("manifest.json", manifest)
+    write_json(out, "manifest.json", manifest)
     return 0
 
 

@@ -24,7 +24,6 @@ formed on all |k| <= N.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -224,25 +223,3 @@ def estimate_solution_strip(result: GpSolveResult,
     coefficients vanish and the detected stride is 2.
     """
     return estimate_strip(result.solution, noise_floor=noise_floor)
-
-
-def gp_report(result: GpSolveResult, strip: AnalyticityEstimate | None = None) -> dict:
-    """JSON-ready summary of a nonlinear solve."""
-    out = {
-        "epsilon": result.epsilon,
-        "mu": result.mu,
-        "N": result.solution.cutoff,
-        "newton_iters": result.newton_iters,
-        "residual": result.residual_l2,
-        "u_prime_at_zero": result.u_prime_at_zero,
-    }
-    if strip is not None:
-        out["B_eps_estimate"] = strip.half_width
-    return out
-
-
-def write_gp_json(result: GpSolveResult, path,
-                  strip: AnalyticityEstimate | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(gp_report(result, strip), fh, indent=2, sort_keys=True)
-        fh.write("\n")

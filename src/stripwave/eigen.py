@@ -26,8 +26,6 @@ submatrix of the reference matrix, the exact errors are nonnegative.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -318,6 +316,10 @@ def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
             "reference cutoff must be at least twice the largest study cutoff")
     if band < 1:
         raise InvalidParameterError("band index is 1-based")
+    if band > 2 * min(cutoffs) + 1:
+        raise InvalidParameterError(
+            f"band {band} exceeds the {2 * min(cutoffs) + 1} pairs of the "
+            "smallest study cutoff")
     n_ref = min(2 * reference_cutoff + 1, band + 8)
     ref = solve_eig(V, reference_cutoff, n_ref)
     lam_ref = ref.eigenvalues[band - 1]
@@ -371,24 +373,3 @@ def eigenvector_strip_check(V: FourierSeries1D, cutoff: int, band: int,
         eigenvalue=lam,
         multiplier_norm=vnorm,
     )
-
-
-def write_convergence_csv(table: ConvergenceTable, csv_path, sidecar_path=None) -> None:
-    """CSV rows (N, lambda_err, h1_dist) plus an optional JSON sidecar."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "lambda_err", "h1_dist"])
-        for n, le, ve in zip(table.cutoffs, table.eigenvalue_errors,
-                             table.eigenvector_errors):
-            writer.writerow([int(n), repr(float(le)), repr(float(ve))])
-    if sidecar_path is not None:
-        sidecar = {
-            "j": table.band,
-            "N_ref": table.reference_cutoff,
-            "A_claim": table.claimed_half_width,
-            "fitted_rate_eigenvalue": table.fitted_rate_eigenvalue,
-            "fitted_rate_eigenvector": table.fitted_rate_eigenvector,
-        }
-        with open(sidecar_path, "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")

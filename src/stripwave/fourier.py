@@ -20,7 +20,6 @@ the exponential decay of the coefficients.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -345,14 +344,8 @@ def series_to_json(u: FourierSeries1D) -> dict:
 
 def series_from_json(data: dict) -> FourierSeries1D:
     cutoff = int(data["cutoff"])
-    c = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-    return FourierSeries1D(cutoff, c)
-
-
-def write_decay_csv(u: FourierSeries1D, path) -> None:
-    """CSV of (k, |u_k|) pairs for coefficient-decay plots."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "abs_coeff"])
-        for k, c in zip(u.wavenumbers(), u.coeffs):
-            writer.writerow([int(k), repr(float(abs(c)))])
+    re = np.asarray(data["re"], dtype=float)
+    im = np.asarray(data["im"], dtype=float)
+    if re.shape != im.shape:
+        raise InvalidParameterError("'re' and 'im' must have the same length")
+    return FourierSeries1D(cutoff, re + 1j * im)

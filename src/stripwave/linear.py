@@ -17,7 +17,6 @@ and the high part, through a Neumann-series argument,
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -148,11 +147,3 @@ def refinement_study(V: FourierSeries1D, f: FourierSeries1D, cutoffs,
         diff = res.solution - ref
         rows.append((int(n), res.residual_l2, l2_norm(diff), h1_norm(diff)))
     return rows
-
-
-def write_refinement_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "residual_l2", "err_vs_ref_l2", "err_vs_ref_h1"])
-        for n, r, e2, e1 in rows:
-            writer.writerow([n, repr(r), repr(e2), repr(e1)])

@@ -53,6 +53,8 @@ def poisson_kernel(c: float, mu: float = 1.0, shift: float = 0.0,
     """
     if c <= 1.0:
         raise InvalidParameterError("pole parameter c must exceed 1")
+    if cutoff < 0:
+        raise InvalidParameterError("cutoff must be nonnegative")
     r = c - math.sqrt(c * c - 1.0)
     k = np.arange(-cutoff, cutoff + 1)
     coeffs = (SQRT_2PI * mu * 2.0 * r / (1.0 - r * r)) * r ** np.abs(k)

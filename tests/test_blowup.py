@@ -12,7 +12,7 @@ from stripwave.blowup import (OdeTrajectory, axis_decoupling_check,
                               comparison_solution, energy_drift_check,
                               forcing_region_boundary, integrate_comparison,
                               integrate_psi, locate_crossings,
-                              verify_lower_bound, write_trajectory_csv)
+                              trajectory_samples, verify_lower_bound)
 from stripwave.cubic import branch_point_height, solve_gp
 from stripwave.errors import (InvalidParameterError, NoCrossingError,
                               PreconditionError)
@@ -324,16 +324,15 @@ def test_forcing_region_boundary():
     assert np.all(np.diff(ys) < 0)  # larger v needs deeper sinh forcing
 
 
-def test_trajectory_csv(tmp_path, trajectory):
-    path = tmp_path / "traj.csv"
+def test_trajectory_samples(trajectory):
     b0 = branch_point_height(MU)
     _, y_eta = locate_crossings(trajectory, b0, ETA)
-    write_trajectory_csv(trajectory, path, epsilon=EPS, eta=ETA, y_level=y_eta,
-                         n_rows=64)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "y,psi,psi_prime,xi"
-    assert len(lines) == 65
-    # xi column empty before the level crossing, filled after
-    first = lines[1].split(",")
-    assert first[3] == ""
-    assert any(row.split(",")[3] != "" for row in lines[1:])
+    rows = list(trajectory_samples(trajectory, EPS, ETA, y_eta))
+    assert len(rows) == 512
+    assert rows[-1][0] < trajectory.blowup_time
+    # xi is None before the level crossing, the comparison solution after
+    before = [xi for y, _, _, xi in rows if y < y_eta]
+    after = [(y, xi) for y, _, _, xi in rows if y >= y_eta]
+    assert before and all(xi is None for xi in before)
+    assert after and all(xi == comparison_solution(EPS, ETA, y_eta, y)
+                         for y, xi in after)

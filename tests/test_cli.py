@@ -1,5 +1,6 @@
 """CLI driver tests: exit codes, manifests, determinism and golden files."""
 
+import ast
 import csv
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from stripwave.cli import main
+from stripwave.potentials import poisson_kernel
 
 GOLDEN_ROOT = Path(__file__).parent / "golden"
 
@@ -77,6 +79,58 @@ def test_runs_and_writes_manifest(tmp_path, experiment):
     assert len(manifest["config_sha256"]) == 64
     assert manifest["outputs"] == artifact_names(out_dir)
     assert manifest["wall_time_s"] >= 0.0
+
+
+@pytest.mark.parametrize("experiment", sorted(CONFIGS))
+def test_every_output_is_renamed_into_place(tmp_path, monkeypatch, experiment):
+    renamed = []
+    replace = os.replace
+
+    def recording(src, dst):
+        renamed.append(Path(dst).name)
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording)
+    code, out_dir = run_cli(tmp_path, experiment, CONFIGS[experiment])
+    assert code == 0
+    outputs = json.loads((out_dir / "manifest.json").read_text())["outputs"]
+    assert outputs and set(outputs) <= set(renamed)
+    assert not list(out_dir.glob("*.tmp"))
+
+
+def test_only_the_cli_does_file_io():
+    src = Path(__file__).resolve().parent.parent / "src" / "stripwave"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names = [node.func.id]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] in ("csv", "json", "open")]
+    assert offenders == []
+
+
+def test_decay_csv(tmp_path):
+    code, out_dir = run_cli(tmp_path, "strip-estimate", CONFIGS["strip-estimate"])
+    assert code == 0
+    raw = (out_dir / "decay.csv").read_bytes()
+    assert raw.endswith(b"\r\n")
+    lines = raw.decode().splitlines()
+    assert lines[0] == "k,abs_coeff"
+    assert len(lines) == 2 * 60 + 2
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(k) for k, _ in rows] == list(range(-60, 61))
+    series = poisson_kernel(2.0, cutoff=60)
+    # shortest round-trip floats: the text is the repr of |u_k| itself
+    assert [m for _, m in rows] == [repr(float(abs(c))) for c in series.coeffs]
 
 
 @pytest.mark.parametrize("experiment", sorted(CONFIGS))
@@ -439,10 +493,55 @@ def test_invalid_bloch_parameter_exits_3(tmp_path, capsys, experiment, config):
                    potential={"name": "gaussian-sum", "centers": [[0.0, 0.0], [1.0]],
                               "widths": [0.5, 0.5], "amplitudes": [1.0, 1.0],
                               "cutoff": 3.0}), "config.potential.centers"),
-], ids=["k_path", "k_samples", "centers"])
-def test_ragged_point_list_exits_2(tmp_path, capsys, experiment, config, location):
+    ("bands", dict(CONFIGS["bands"], lattice={"rows": [[6.28, 0], [0]]}),
+     "config.lattice.rows"),
+    ("bands", dict(CONFIGS["bands"], lattice={"rows": [["a"]]}),
+     "config.lattice.rows"),
+    ("bands", dict(CONFIGS["bands"], lattice={"cubic": 3}), "config.lattice.cubic"),
+    ("bands", dict(CONFIGS["bands"], lattice={"cubic": {"dimension": -1, "a": 1.0}}),
+     "config.lattice.cubic.dimension"),
+    ("strip-estimate", {"potential": {"name": "poisson-kernel", "c": 2.0,
+                                      "cutoff": -3}}, "config.potential"),
+    ("bz-convergence", dict(CONFIGS["bz-convergence"], k_samples=[]),
+     "config.k_samples"),
+    ("strip-estimate", {"potential": {"file": "series.json"}}, "config.potential"),
+    ("eig-convergence", dict(CONFIGS["eig-convergence"], j=100, N_list=[2, 3]),
+     "config.j"),
+    ("bands", dict(CONFIGS["bands"], k_path=[0.0, 0.5]), "config.k_path"),
+    ("bz-convergence", dict(CONFIGS["bz-convergence"], lattice=SQUARE,
+                            potential={"name": "zero"}, k_samples=[0.0, 0.5]),
+     "config.k_samples"),
+], ids=["k_path", "k_samples", "centers", "ragged-rows", "non-numeric-rows",
+        "cubic-not-object", "negative-dimension", "negative-cutoff",
+        "empty-k-samples", "series-lengths", "band-beyond-basis",
+        "flat-k-path-2d", "flat-k-samples-2d"])
+def test_ragged_point_list_exits_2(tmp_path, monkeypatch, capsys, experiment, config,
+                                   location):
+    """Malformed configs, ragged point lists among them, exit 2 at their key."""
+    # the series-lengths case reads this file by its relative name
+    (tmp_path / "series.json").write_text(
+        json.dumps({"cutoff": 1, "re": [0.0, 1.0, 0.0], "im": [0.0, 0.0]}))
+    monkeypatch.chdir(tmp_path)
     code, _ = run_cli(tmp_path, experiment, config)
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert err["location"] == location
+
+
+def test_flat_k_list_is_one_point_per_number_in_1d(tmp_path):
+    line = {"lattice": {"rows": [[6.283185307179586]]}, "potential": {"name": "zero"}}
+    bands = dict(line, k_path=[0.0, 0.25, 0.5], N=2.5, n_bands=2)
+    code, out_dir = run_cli(tmp_path, "bands", bands, subdir="flat")
+    assert code == 0
+    nested = dict(bands, k_path=[[0.0], [0.25], [0.5]])
+    _, nested_dir = run_cli(tmp_path, "bands", nested, subdir="nested")
+    flat_csv = (out_dir / "bands.csv").read_bytes()
+    assert flat_csv == (nested_dir / "bands.csv").read_bytes()
+    assert len(flat_csv.splitlines()) == 4
+    bz = dict(line, N_list=[3, 4, 5], N_ref=10, n=1, A_claim=1.0,
+              k_samples=[0.0, 0.25, 0.5])
+    code, bz_dir = run_cli(tmp_path, "bz-convergence", bz, subdir="bz")
+    assert code == 0
+    samples = json.loads((bz_dir / "bz.json").read_text())["k_samples"]
+    assert samples == [[0.0], [0.25], [0.5]]

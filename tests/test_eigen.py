@@ -201,6 +201,12 @@ class TestH1Distance:
 
 
 class TestConvergenceStudy:
+    def test_band_beyond_smallest_basis(self):
+        # the N = 2 basis holds 5 pairs
+        convergence_study(ZERO, [2, 3], 8, 5, 1.0)
+        with pytest.raises(InvalidParameterError):
+            convergence_study(ZERO, [2, 3], 8, 6, 1.0)
+
     def test_free_potential_exact(self):
         table = convergence_study(ZERO, [2, 3, 4], 8, 1, 1.0)
         np.testing.assert_allclose(table.eigenvalue_errors, 0.0, atol=1e-13)

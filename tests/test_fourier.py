@@ -11,7 +11,7 @@ from stripwave.fourier import (SQRT_2PI, FourierSeries1D, derivative,
                                estimate_strip, evaluate, grid_values, l2_norm,
                                multiplier_norm_bound, multiply, project,
                                series_from_json, series_to_json, strip_norm,
-                               strip_weight, write_decay_csv)
+                               strip_weight)
 from stripwave.linear import solve_linear
 from stripwave.potentials import cosine, sine
 
@@ -261,16 +261,9 @@ class TestSeriesBasics:
         assert again.cutoff == u.cutoff
         np.testing.assert_array_equal(again.coeffs, u.coeffs)
 
-    def test_decay_csv(self, tmp_path):
-        u = random_series(4, seed=16)
-        path = tmp_path / "decay.csv"
-        write_decay_csv(u, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,abs_coeff"
-        assert len(lines) == 2 * u.cutoff + 2
-        k, mag = lines[1].split(",")
-        assert int(k) == -4
-        assert float(mag) == pytest.approx(abs(u.coeffs[0]))
+    def test_json_lengths_must_match(self):
+        with pytest.raises(InvalidParameterError):
+            series_from_json({"cutoff": 1, "re": [0.0, 1.0, 0.0], "im": [0.0]})
 
 
 def correctly_rounded_norm(coeffs):
