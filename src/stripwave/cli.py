@@ -105,11 +105,19 @@ def _coerce(value, kind, location):
 
 
 def _validate_range(cfg: dict, location: str = "config", **conditions):
-    """Documented-range checks; a violation is a configuration error."""
+    """Documented-range checks of the keys present; a violation is a
+    configuration error."""
     for key, predicate in conditions.items():
-        if not predicate(cfg[key]):
+        if cfg[key] is not None and not predicate(cfg[key]):
             raise ConfigError(f"'{key}' = {cfg[key]!r} is outside its "
                               "documented range", location=f"{location}.{key}")
+
+
+def _given(cfg: dict, *keys) -> dict:
+    """The optional keys the config gives, as keyword arguments.  Absent
+    keys (None) are not passed, so their defaults live in the numerics
+    signatures alone."""
+    return {key: cfg[key] for key in keys if cfg[key] is not None}
 
 
 def _points(value, location: str) -> np.ndarray:
@@ -179,10 +187,8 @@ def build_potential_1d(spec: dict, location: str = "potential"):
     cfg = _require_keys(spec, {"name": "str", **required},
                         {key: (kind, None) for key, kind in optional.items()},
                         location)
-    kwargs = {key: value for key, value in cfg.items()
-              if key != "name" and value is not None}
     try:
-        return getattr(potentials, factory)(**kwargs)
+        return getattr(potentials, factory)(**_given(cfg, *required, *optional))
     except InvalidParameterError as exc:
         raise ConfigError(str(exc), location=location)
 
@@ -278,13 +284,13 @@ def _decay_rows(u):
 @_experiment("gp-solve")
 def _run_gp_solve(cfg: dict, out):
     cfg = _require_keys(cfg, {"epsilon": "float", "mu": "float", "N": "int"},
-                        {"tol": ("float", 1e-12), "noise_floor": ("float", 1e-13)},
+                        {"tol": ("float", None), "noise_floor": ("float", None)},
                         "config")
     _validate_range(cfg, epsilon=lambda e: e > 0, mu=lambda m: m >= 0,
                     N=lambda n: n >= 16, tol=lambda t: t > 0,
                     noise_floor=lambda f: f > 0)
-    result = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], tol=cfg["tol"])
-    strip = estimate_solution_strip(result, noise_floor=cfg["noise_floor"])
+    result = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], **_given(cfg, "tol"))
+    strip = estimate_solution_strip(result, **_given(cfg, "noise_floor"))
     write_csv(out, "decay.csv", ["k", "abs_coeff"], _decay_rows(result.solution))
     write_json(out, "report.json", {
         "epsilon": result.epsilon,
@@ -301,10 +307,10 @@ def _run_gp_solve(cfg: dict, out):
 def _run_strip_estimate(cfg: dict, out):
     from .fourier import estimate_strip
     cfg = _require_keys(cfg, {"potential": "dict"},
-                        {"noise_floor": ("float", 1e-13)}, "config")
+                        {"noise_floor": ("float", None)}, "config")
     _validate_range(cfg, noise_floor=lambda f: f > 0)
     series = build_potential_1d(cfg["potential"], "config.potential")
-    est = estimate_strip(series, noise_floor=cfg["noise_floor"])
+    est = estimate_strip(series, **_given(cfg, "noise_floor"))
     write_csv(out, "decay.csv", ["k", "abs_coeff"], _decay_rows(series))
     write_json(out, "estimate.json", {
         "half_width": est.half_width,
@@ -319,17 +325,17 @@ def _run_strip_estimate(cfg: dict, out):
 def _run_blowup(cfg: dict, out):
     cfg = _require_keys(cfg, {"epsilon": "float", "mu": "float", "eta": "float",
                               "N": "int"},
-                        {"rtol": ("float", 1e-11), "threshold": ("float", 1e8),
-                         "y_max": ("float", 10.0), "tol": ("float", 1e-12)},
+                        {"rtol": ("float", None), "threshold": ("float", None),
+                         "y_max": ("float", None), "tol": ("float", None)},
                         "config")
     _validate_range(cfg, epsilon=lambda e: e > 0, mu=lambda m: m > 0,
                     eta=lambda e: e > 0, N=lambda n: n >= 16,
                     rtol=lambda r: r >= 1e-13, threshold=lambda t: t > 1,
-                    y_max=lambda y: y > 0)
-    gp = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], tol=cfg["tol"])
+                    y_max=lambda y: y > 0, tol=lambda t: t > 0)
+    gp = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], **_given(cfg, "tol"))
     report = blowup_report(cfg["epsilon"], cfg["mu"], cfg["eta"],
-                           gp.u_prime_at_zero, y_max=cfg["y_max"],
-                           threshold=cfg["threshold"], rtol=cfg["rtol"])
+                           gp.u_prime_at_zero,
+                           **_given(cfg, "y_max", "threshold", "rtol"))
     write_json(out, "report.json", {
         "epsilon": report.epsilon,
         "mu": report.mu,

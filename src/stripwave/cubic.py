@@ -10,16 +10,19 @@ coefficient-space cubic term (intermediate cutoffs are never aliased),
 and the analyticity strip of the computed solution is estimated from
 its coefficient decay.
 
-Newton runs on the odd sine subspace u_k = i*b_k, u_{-k} = -i*b_k with
-real b_k, k = 1..N.  That restriction is exact for sine forcing: the
-map u -> -eps*u'' + u + u^3 sends odd real functions to odd real
-functions, mu*sin is one of them, and the Galerkin residual and its
-Jacobian keep the subspace invariant, so Newton started in it never
-leaves it.  On the subspace the Jacobian is a real symmetric
-positive-definite matrix of order N (multiplication by 3u^2 >= 0 plus
-eps*k^2 + 1 > 0), and each step is one Cholesky solve in place of a
-complex solve of order 2N + 1.  The residual and its norm are still
-formed on all |k| <= N.
+Newton runs on the half-wave sine subspace u_k = i*b_k, u_{-k} = -i*b_k
+with real b_k on the odd wavenumbers k = 1, 3, 5, ... <= N, and u_k = 0
+for every even k.  That restriction is exact for sine forcing: the map
+u -> -eps*u'' + u + u^3 sends odd real functions with half-wave symmetry
+u(x + pi) = -u(x) to functions of the same kind, mu*sin is one of them,
+and the Galerkin residual and its Jacobian keep the subspace invariant,
+so Newton started in it never leaves it.  On the subspace the Jacobian
+is a real symmetric positive-definite matrix of order ceil(N/2)
+(multiplication by 3u^2 >= 0 plus eps*k^2 + 1 > 0), and each step is one
+Cholesky solve in place of a complex solve of order 2N + 1.  The residual
+and its norm are still formed on all |k| <= N; their even-k entries, like
+the solution's, are exact zeros, since every product the convolutions
+form there has a zero factor.
 """
 
 from __future__ import annotations
@@ -111,26 +114,31 @@ def cardano_root(mu: float, z, branches: CardanoBranches = DEFAULT_BRANCHES):
     return complex(out) if out.ndim == 0 else out
 
 
-def _odd_imaginary(c: np.ndarray, cutoff: int) -> np.ndarray:
-    """The b_k, k = 1..cutoff, of the projection u_k = i*b_k, u_{-k} = -i*b_k."""
-    return 0.5 * (c[cutoff + 1:].imag - c[cutoff - 1::-1].imag)
+def _odd_modes(c: np.ndarray, cutoff: int) -> np.ndarray:
+    """The b_k, k = 1, 3, 5, ... <= cutoff, of the projection
+    u_k = i*b_k, u_{-k} = -i*b_k onto the half-wave sine subspace."""
+    return 0.5 * (c[cutoff + 1::2].imag - c[cutoff - 1::-2].imag)
 
 
-def _odd_jacobian(sq: np.ndarray, cutoff: int, lin: np.ndarray) -> np.ndarray:
-    """Real Jacobian of the Galerkin residual on the odd-imaginary subspace.
+def _half_wave_jacobian(sq: np.ndarray, cutoff: int, lin: np.ndarray) -> np.ndarray:
+    """Real Jacobian of the Galerkin residual on the half-wave sine subspace.
 
-    sq holds the coefficients (u^2)_m, |m| <= 2*cutoff.  With
+    sq holds the coefficients (u^2)_m, |m| <= 2*cutoff, and lin the
+    eps*k^2 + 1 at the odd k = 1, 3, 5, ... <= cutoff.  With
     s_m = Re (u^2)_m, the complex Jacobian diag(eps*k^2 + 1) +
-    3 * (multiplication by u^2) maps i*d_k, -i*d_k to i*(J d)_k, -i*(J d)_k
-    with J[k, j] = lin_k delta_kj + 3/sqrt(2 pi) (s_|k-j| - s_{k+j}),
-    k, j = 1..cutoff.  It is symmetric positive definite: u^2 >= 0 on the
+    3 * (multiplication by u^2) maps i*d_k, -i*d_k on the odd k to
+    i*(J d)_k, -i*(J d)_k, with k = 2a + 1, j = 2b + 1 and
+    J[a, b] = lin_k delta_ab + 3/sqrt(2 pi) (s_{2|a-b|} - s_{2(a+b+1)}),
+    a, b = 0..ceil(cutoff/2) - 1.  Only the even s_m enter: k - j and
+    k + j are even.  J is symmetric positive definite: u^2 >= 0 on the
     real line makes the multiplication positive semidefinite.
     """
-    s = sq.real[2 * cutoff:]
-    sym = np.concatenate((s[cutoff - 1:0:-1], s[:cutoff]))  # s_|d|, |d| < cutoff
-    # strided views: Toeplitz [k, j] = s_|k-j|, Hankel [k, j] = s_{k+j}
-    jac = 3.0 / SQRT_2PI * (sliding_window_view(sym, cutoff)[:, ::-1]
-                            - sliding_window_view(s[2:2 * cutoff + 1], cutoff))
+    order = len(lin)
+    e = sq.real[2 * cutoff::2]  # e[d] = s_{2d}, d = 0..cutoff
+    sym = np.concatenate((e[order - 1:0:-1], e[:order]))  # e_|d|, |d| < order
+    # strided views: Toeplitz [a, b] = e_|a-b|, Hankel [a, b] = e_{a+b+1}
+    jac = 3.0 / SQRT_2PI * (sliding_window_view(sym, order)[:, ::-1]
+                            - sliding_window_view(e[1:2 * order], order))
     jac[np.diag_indices_from(jac)] += lin
     return jac
 
@@ -142,8 +150,9 @@ def _newton(epsilon: float, mu: float, cutoff: int, u0: np.ndarray,
     lin = epsilon * k.astype(float) ** 2 + 1.0
     fhat = sine(mu)._padded(cutoff) if mu != 0.0 else np.zeros(2 * cutoff + 1,
                                                                dtype=complex)
-    pos, neg = slice(cutoff + 1, None), slice(cutoff - 1, None, -1)
-    b = _odd_imaginary(u0, cutoff)
+    # the odd k = 1, 3, 5, ... <= cutoff and their mirrors -k
+    pos, neg = slice(cutoff + 1, None, 2), slice(cutoff - 1, None, -2)
+    b = _odd_modes(u0, cutoff)
     u = np.zeros(2 * cutoff + 1, dtype=complex)
     u[pos], u[neg] = 1j * b, -1j * b
     history = []
@@ -158,9 +167,9 @@ def _newton(epsilon: float, mu: float, cutoff: int, u0: np.ndarray,
             return u, it, history
         if it == max_iter:
             break
-        jac = _odd_jacobian(sq.coeffs, cutoff, lin[pos])
+        jac = _half_wave_jacobian(sq.coeffs, cutoff, lin[pos])
         try:
-            step = scipy.linalg.solve(jac, _odd_imaginary(residual, cutoff),
+            step = scipy.linalg.solve(jac, _odd_modes(residual, cutoff),
                                       assume_a="pos")
         except np.linalg.LinAlgError as exc:
             raise NonconvergenceError(
@@ -219,7 +228,8 @@ def estimate_solution_strip(result: GpSolveResult,
                             noise_floor: float = 1e-13) -> AnalyticityEstimate:
     """Strip half-width of the computed solution from its coefficient decay.
 
-    For the odd solutions of the sine-forced problem the even
-    coefficients vanish and the detected stride is 2.
+    The solutions of the sine-forced problem have half-wave symmetry:
+    their even-k coefficients are exact zeros, so only the odd k enter
+    the fit and the detected stride is 2.
     """
     return estimate_strip(result.solution, noise_floor=noise_floor)

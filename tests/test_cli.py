@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from stripwave.blowup import blowup_report
 from stripwave.cli import main
+from stripwave.cubic import estimate_solution_strip, solve_gp
+from stripwave.fourier import estimate_strip
 from stripwave.potentials import poisson_kernel
 
 GOLDEN_ROOT = Path(__file__).parent / "golden"
@@ -158,10 +162,14 @@ def byte_mismatches(golden_dir, out_dir):
 # (zgesv): odd-k abs_coeff 2.70e-14 (the 7.3e-18 tail entry on
 # Sandybridge), u_prime_at_zero 0, B_eps_estimate 1.13e-15, residual
 # 2.33e-5 (Prescott).  With the Cholesky step the same sweep gives
-# 5.40e-14, 0, 1.13e-15 and 4.64e-5 (Prescott).  Each tolerance is 4
-# times the first spread, the spread taken as at least one ulp (2**-52).
-# Even-k coefficients vanish in exact arithmetic and must stay rounding
-# noise: at most eps * max|u_k| on both sides.
+# 5.40e-14, 0, 1.13e-15 and 4.64e-5 (Prescott), and so does the
+# half-wave step of order ceil(N/2) (tools/kernel_sweep.py runs this
+# comparison on all eight settings).  Each tolerance is 4 times the
+# first spread, the spread taken as at least one ulp (2**-52).
+# Even-k coefficients vanish by half-wave symmetry, u(x + pi) = -u(x).
+# Newton solves for the odd k alone, so a run must write exactly 0.0
+# there; the golden files, made when Newton solved for every k, hold
+# rounding noise of at most eps * max|u_k| there.
 EPS = 2.0**-52
 GP_RTOL = {"abs_coeff": 4 * 2.70e-14, "u_prime_at_zero": 4 * EPS,
            "B_eps_estimate": 4 * 1.13e-15, "residual": 4 * 2.33e-5}
@@ -181,12 +189,15 @@ def gp_solve_mismatches(golden_dir, out_dir):
     if [k for k, _ in got] != [k for k, _ in want]:
         problems.append("decay.csv: k column differs")
     else:
-        top_want, top_got = max(a for _, a in want), max(a for _, a in got)
+        top_want = max(a for _, a in want)
         for (k, a_want), (_, a_got) in zip(want, got):
             if k % 2 and abs(a_got - a_want) > GP_RTOL["abs_coeff"] * a_want:
                 problems.append(f"decay.csv: abs_coeff at k={k}: {a_got!r} vs {a_want!r}")
-            if k % 2 == 0 and (a_got > EPS * top_got or a_want > EPS * top_want):
-                problems.append(f"decay.csv: abs_coeff at even k={k} is not rounding noise")
+            if k % 2 == 0 and a_got != 0.0:
+                problems.append(f"decay.csv: abs_coeff at even k={k} is {a_got!r}, not 0.0")
+            if k % 2 == 0 and a_want > EPS * top_want:
+                problems.append(f"decay.csv: golden abs_coeff at even k={k} "
+                                "is not rounding noise")
     want = json.loads((golden_dir / "report.json").read_text())
     got = json.loads((out_dir / "report.json").read_text())
     if sorted(got) != sorted(want):
@@ -289,6 +300,44 @@ def test_eig_convergence_comparison_rejects_other_runs(tmp_path, change):
     problems = eig_convergence_mismatches(GOLDEN_ROOT / "eig-convergence", out_dir)
     # the toleranced column rejects them, not only the exact ones
     assert any("h1_dist" in p for p in problems), problems
+
+
+# optional config key -> the numerics function and parameter it feeds
+NUMERICS_DEFAULTS = {
+    "gp-solve": {"tol": (solve_gp, "tol"),
+                 "noise_floor": (estimate_solution_strip, "noise_floor")},
+    "blowup": {"tol": (solve_gp, "tol"), "rtol": (blowup_report, "rtol"),
+               "threshold": (blowup_report, "threshold"),
+               "y_max": (blowup_report, "y_max")},
+    "strip-estimate": {"noise_floor": (estimate_strip, "noise_floor")},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(NUMERICS_DEFAULTS))
+def test_absent_optional_keys_take_the_numerics_defaults(tmp_path, experiment):
+    keys = NUMERICS_DEFAULTS[experiment]
+    bare = {k: v for k, v in CONFIGS[experiment].items() if k not in keys}
+    spelled = dict(bare, **{key: inspect.signature(fn).parameters[name].default
+                            for key, (fn, name) in keys.items()})
+    assert run_cli(tmp_path, experiment, bare, subdir="bare")[0] == 0
+    assert run_cli(tmp_path, experiment, spelled, subdir="spelled")[0] == 0
+    names = artifact_names(tmp_path / "bare")
+    assert names == artifact_names(tmp_path / "spelled")
+    for name in names:
+        assert ((tmp_path / "bare" / name).read_bytes()
+                == (tmp_path / "spelled" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("gp-solve", "tol"), ("gp-solve", "noise_floor"), ("blowup", "tol"),
+    ("blowup", "rtol"), ("blowup", "threshold"), ("blowup", "y_max"),
+    ("strip-estimate", "noise_floor"),
+])
+def test_out_of_range_optional_key_exits_2(tmp_path, capsys, experiment, key):
+    code, _ = run_cli(tmp_path, experiment, dict(CONFIGS[experiment], **{key: -1.0}))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["location"] == f"config.{key}"
 
 
 def test_blowup_report_content(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stripwave.cubic import (DEFAULT_BRANCHES, _odd_jacobian,
+from stripwave.cubic import (DEFAULT_BRANCHES, _half_wave_jacobian,
                              branch_point_height, cardano_discriminant,
                              cardano_root, estimate_solution_strip, solve_gp)
 from stripwave.errors import (BranchPointWarning, InvalidParameterError,
@@ -17,7 +17,6 @@ from stripwave.cubic import GpSolveResult
 from stripwave.potentials import sine
 
 SQRT3 = math.sqrt(3.0)
-EPS = 2.0**-52
 
 
 def square(u, cutoff):
@@ -203,14 +202,18 @@ class TestSolveGp:
 PARAMS = [(0.1, 0.5), (0.2, 2.0), (0.05, 1.0), (1.0, 0.1)]
 
 
+def even_k(cutoff):
+    return np.arange(-cutoff, cutoff + 1) % 2 == 0
+
+
 class TestOddNewton:
-    @pytest.mark.parametrize("cutoff", [16, 24, 64])
+    @pytest.mark.parametrize("cutoff", [16, 17, 24, 25, 64])
     @pytest.mark.parametrize("epsilon, mu", PARAMS)
     def test_matches_complex_newton(self, cutoff, epsilon, mu):
         res = solve_gp(epsilon, mu, cutoff)
         ref, iters = complex_newton(epsilon, mu, cutoff)
         assert res.newton_iters == iters
-        odd = (np.arange(-cutoff, cutoff + 1) % 2).astype(bool)
+        odd = ~even_k(cutoff)
         c = res.solution.coeffs
         np.testing.assert_allclose(c[odd], ref[odd], rtol=0,
                                    atol=1e-13 * np.max(np.abs(ref)))
@@ -222,43 +225,58 @@ class TestOddNewton:
         assert np.all(c.real == 0.0)
         assert c[cutoff] == 0.0
         assert np.array_equal(c[cutoff + 1:], -c[cutoff - 1::-1])
-        # even k vanish in exact arithmetic; only the guess's FFT noise,
-        # far below one ulp of the largest coefficient, is left there
-        even = np.arange(-cutoff, cutoff + 1) % 2 == 0
-        assert np.max(np.abs(c[even])) <= EPS * np.max(np.abs(c))
+        # half-wave symmetry: Newton never leaves the odd k
+        assert np.all(c[even_k(cutoff)] == 0.0)
 
-    @pytest.mark.parametrize("cutoff", [16, 40])
+    @pytest.mark.parametrize("cutoff", [16, 17, 24, 25])
+    def test_every_newton_matrix_has_half_order(self, cutoff, monkeypatch):
+        solve = scipy.linalg.solve
+        orders = []
+
+        def spy(a, b, **kwargs):
+            orders.append((a.shape, b.shape))
+            return solve(a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve", spy)
+        res = solve_gp(0.1, 0.5, cutoff)
+        half = (cutoff + 1) // 2
+        assert len(orders) == res.newton_iters > 0
+        assert set(orders) == {((half, half), (half,))}
+
+    @pytest.mark.parametrize("cutoff", [16, 17, 40, 41])
     def test_real_jacobian_acts_like_complex(self, cutoff):
         epsilon = 0.1
         u = solve_gp(epsilon, 0.5, cutoff).solution.coeffs
         k = np.arange(-cutoff, cutoff + 1)
         lin = epsilon * k.astype(float) ** 2 + 1.0
-        jac = _odd_jacobian(square(u, cutoff), cutoff, lin[cutoff + 1:])
+        pos, neg = slice(cutoff + 1, None, 2), slice(cutoff - 1, None, -2)
+        jac = _half_wave_jacobian(square(u, cutoff), cutoff, lin[pos])
+        assert jac.shape == ((cutoff + 1) // 2,) * 2
         assert np.array_equal(jac, jac.T)
         assert np.min(np.linalg.eigvalsh(jac)) >= 1.0 - 1e-12
-        d = np.random.RandomState(3).randn(cutoff)
+        d = np.random.RandomState(3).randn(len(jac))
         v = np.zeros(2 * cutoff + 1, dtype=complex)
-        v[cutoff + 1:], v[cutoff - 1::-1] = 1j * d, -1j * d
+        v[pos], v[neg] = 1j * d, -1j * d
         got = complex_jacobian(u, cutoff, lin) @ v
         jd = jac @ d
         scale = np.max(np.abs(jd))
-        np.testing.assert_allclose(got[cutoff + 1:], 1j * jd, rtol=0,
-                                   atol=1e-14 * scale)
-        np.testing.assert_allclose(got[cutoff - 1::-1], -1j * jd, rtol=0,
-                                   atol=1e-14 * scale)
-        assert abs(got[cutoff]) <= 1e-14 * scale
+        np.testing.assert_allclose(got[pos], 1j * jd, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(got[neg], -1j * jd, rtol=0, atol=1e-14 * scale)
+        # the odd-k vector stays odd: the even k, k = 0 among them, get nothing
+        assert np.max(np.abs(got[even_k(cutoff)])) <= 1e-14 * scale
 
-    @pytest.mark.parametrize("cutoff", [1, 2, 16, 257])
+    @pytest.mark.parametrize("cutoff", [1, 2, 16, 17, 257])
     def test_real_jacobian_matches_toeplitz_hankel(self, cutoff):
         rng = np.random.RandomState(cutoff)
         sq = rng.randn(4 * cutoff + 1) + 1j * rng.randn(4 * cutoff + 1)
-        lin = 1.0 + rng.rand(cutoff)
-        s = sq.real[2 * cutoff:]
-        want = 3.0 / SQRT_2PI * (scipy.linalg.toeplitz(s[:cutoff])
-                                 - scipy.linalg.hankel(s[2:cutoff + 2],
-                                                       s[cutoff + 1:2 * cutoff + 1]))
+        half = (cutoff + 1) // 2
+        lin = 1.0 + rng.rand(half)
+        e = sq.real[2 * cutoff::2]  # s_0, s_2, ..., s_{2 cutoff}
+        want = 3.0 / SQRT_2PI * (scipy.linalg.toeplitz(e[:half])
+                                 - scipy.linalg.hankel(e[1:half + 1],
+                                                       e[half:2 * half]))
         want[np.diag_indices_from(want)] += lin
-        got = _odd_jacobian(sq, cutoff, lin)
+        got = _half_wave_jacobian(sq, cutoff, lin)
         assert got.tobytes() == want.tobytes()
         assert got.strides == want.strides
 
@@ -280,6 +298,8 @@ class TestOddNewton:
         assert res.residual_l2 <= 1e-12
         np.testing.assert_allclose(res.solution.coeffs, direct.solution.coeffs,
                                    rtol=0, atol=1e-13)
+        # each continuation stage starts and stays on the odd k
+        assert np.all(res.solution.coeffs[even_k(32)] == 0.0)
 
     def test_failed_cholesky_raises_nonconvergence(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -1,0 +1,64 @@
+"""Run the kernel-sensitive tests under every OpenBLAS kernel and thread count.
+
+    python3 tools/kernel_sweep.py
+
+For each of the eight settings OPENBLAS_CORETYPE in {SkylakeX, Haswell,
+Sandybridge, Prescott} x OPENBLAS_NUM_THREADS in {1, 2}, runs the golden
+comparisons (`tests/test_cli.py -k golden`) and the cubic solver tests
+(`tests/test_cubic.py`) in fresh subprocesses, since OpenBLAS reads both
+variables once, when it loads.  Prints one PASS/FAIL line per setting,
+with the ids of its failed tests under it, and exits 1 if any setting
+fails.  Run it from any directory; the tests import stripwave from this
+checkout's `src/`.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CORETYPES = ("SkylakeX", "Haswell", "Sandybridge", "Prescott")
+THREADS = ("1", "2")
+SUITES = (("tests/test_cli.py", "-k", "golden"), ("tests/test_cubic.py",))
+
+
+def run_setting(coretype: str, threads: str) -> tuple[bool, list[str], list[str]]:
+    """Run every suite under one setting: (all passed, the summary line of
+    each suite, the ids of the failed tests)."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    ok, summaries, failures = True, [], []
+    for suite in SUITES:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *suite],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+        lines = proc.stdout.strip().splitlines()
+        summaries.append(f"{' '.join(suite)}: "
+                         f"{lines[-1] if lines else proc.stderr.strip()}")
+        failures += [line.split()[1] for line in lines if line.startswith("FAILED ")]
+        ok = ok and proc.returncode == 0
+    return ok, summaries, failures
+
+
+def main() -> int:
+    settings = [(c, t) for c in CORETYPES for t in THREADS]
+    failed = 0
+    for coretype, threads in settings:
+        ok, summaries, failures = run_setting(coretype, threads)
+        failed += not ok
+        print(f"{'PASS' if ok else 'FAIL'} OPENBLAS_CORETYPE={coretype} "
+              f"OPENBLAS_NUM_THREADS={threads}: {'; '.join(summaries)}")
+        for test in failures:
+            print(f"    failed: {test}")
+        sys.stdout.flush()
+    print(f"{len(settings) - failed} of {len(settings)} settings passed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
