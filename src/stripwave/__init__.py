@@ -17,16 +17,15 @@ from .bloch import (BandStructure, BZConvergenceTable, FourierSeriesD, Lattice,
                     PlanewaveBasis, assemble_bloch, band_structure, basis_set,
                     bz_convergence, bz_sample_grid, gaussian_potential,
                     reciprocal, series1d_to_lattice, weight_multid)
-from .cubic import (CardanoBranches, DEFAULT_BRANCHES, GpSolveResult,
-                    branch_point_height, cardano_discriminant, cardano_root,
-                    estimate_solution_strip, solve_gp)
+from .cubic import (GpSolveResult, branch_point_height, cardano_discriminant,
+                    cardano_root, estimate_solution_strip, solve_gp)
 from .eigen import (ConvergenceTable, EigenResult, GalerkinMatrix,
                     StripBoundCheck, assemble_hamiltonian, convergence_study,
                     eigenvector_strip_check, fit_log_rate, h1_distance,
                     solve_eig)
-from .errors import (BranchPointWarning, ConfigError, DegeneracyError,
-                     InsufficientDataError, InvalidParameterError,
-                     NoCrossingError, NonconvergenceError, PreconditionError,
+from .errors import (BranchPointWarning, ConfigError, InsufficientDataError,
+                     InvalidParameterError, NoCrossingError,
+                     NonconvergenceError, PreconditionError,
                      SolverFailureError, StiffnessError, StripwaveError)
 from .fourier import (AnalyticityEstimate, FourierSeries1D, derivative,
                       estimate_strip, evaluate, grid_values, h1_norm, l2_norm,

@@ -255,12 +255,11 @@ class BZConvergenceTable:
     fitted_rate: float
     band: int
     reference_cutoff: float
-    claimed_half_width: float
     k_samples: np.ndarray
 
 
 def bz_convergence(V: FourierSeriesD, k_samples, cutoffs, reference_cutoff: float,
-                   band: int, claimed_half_width: float) -> BZConvergenceTable:
+                   band: int) -> BZConvergenceTable:
     """Worst-over-k eigenvalue error of band `band` (1-based) per cutoff."""
     cutoffs = [float(n) for n in cutoffs]
     if reference_cutoff < 2 * max(cutoffs):
@@ -281,7 +280,6 @@ def bz_convergence(V: FourierSeriesD, k_samples, cutoffs, reference_cutoff: floa
         fitted_rate=fit_log_rate(cutoffs, worst),
         band=band,
         reference_cutoff=float(reference_cutoff),
-        claimed_half_width=claimed_half_width,
         k_samples=k_samples,
     )
 

@@ -39,6 +39,7 @@ from .errors import (InvalidParameterError, NoCrossingError, PreconditionError,
 TAYLOR_ORDER = 30     # degree of every step polynomial
 MIN_STEP = 1e-14
 CHECK_SAMPLES = 2048  # dense-output samples of the energy and realness checks
+BOUND_SAMPLES = 2000  # samples of the comparison lower bound
 TRAJECTORY_ROWS = 512  # rows of trajectory_samples
 
 
@@ -130,7 +131,6 @@ class LowerBoundCheck:
     verified: bool
     ordering_ok: bool       # detected blow-up no later than the closed-form bound
     min_margin: float       # min of psi - xi over the sampled window
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -163,12 +163,7 @@ class TaylorDense:
         i = np.clip(np.searchsorted(self.nodes, y, side="right") - 1,
                     0, len(self.scales) - 1)
         scale = self.scales[i]
-        tau = (y - self.nodes[i]) / scale
-        columns = self.coeffs.T[:, i]
-        value, deriv = columns[-1], np.zeros_like(columns[-1])
-        for c in columns[-2::-1]:
-            deriv = deriv * tau + value
-            value = value * tau + c
+        value, deriv = _horner(self.coeffs.T[:, i], (y - self.nodes[i]) / scale)
         return np.stack([value, deriv / scale])
 
 
@@ -261,14 +256,14 @@ def _stiffness(message: str, nodes: list, y: float, step: float) -> StiffnessErr
 
 
 def _integrate(epsilon, mu, y_start, y_end, value, slope, threshold, rtol,
-               atol, max_step=math.inf) -> OdeTrajectory:
+               max_step=math.inf) -> OdeTrajectory:
     """Fixed-order Taylor integration of eps*psi'' = mu*sinh(y) - psi + psi^3
     from y_start to y_end, stopped where |psi| reaches the threshold.
 
     Each step expands psi about its start, in units of the previous step
     so the coefficients stay near the size of psi.  The step is the
     largest h with |b_k| (h/scale)^k <= tol for the last two orders k,
-    capped by max_step, where tol = max(atol, rtol*|psi|) / TAYLOR_ORDER:
+    capped by max_step, where tol = rtol * max(1, |psi|) / TAYLOR_ORDER:
     the slope's series is the value's differentiated, so its last terms
     are up to TAYLOR_ORDER times larger per unit of tau.  A step whose
     end reaches the threshold is cut at the crossing, found on its
@@ -285,7 +280,7 @@ def _integrate(epsilon, mu, y_start, y_end, value, slope, threshold, rtol,
             b = _taylor_coefficients(y, value, slope, scale, epsilon, mu)
         except OverflowError:  # sinh(y) or an exact sum beyond the double range
             raise _stiffness("Taylor coefficients overflow", nodes, y, scale)
-        tol = max(atol, rtol * abs(value)) / TAYLOR_ORDER
+        tol = max(rtol, rtol * abs(value)) / TAYLOR_ORDER
         h = min(scale * min(_reach(tol, b[-2], TAYLOR_ORDER - 1),
                             _reach(tol, b[-1], TAYLOR_ORDER)), max_step)
         if h >= y_end - y:
@@ -329,7 +324,6 @@ def _integrate(epsilon, mu, y_start, y_end, value, slope, threshold, rtol,
 
 def integrate_psi(epsilon: float, mu: float, initial_slope: float, y_max: float,
                   threshold: float = 1e8, rtol: float = 1e-11,
-                  atol: float | None = None,
                   max_step: float = math.inf) -> OdeTrajectory:
     """Integrate eps*psi'' = mu*sinh(y) - psi + psi^3 from psi(0) = 0.
 
@@ -342,18 +336,17 @@ def integrate_psi(epsilon: float, mu: float, initial_slope: float, y_max: float,
     if rtol < 1e-13:
         raise InvalidParameterError("rtol below 1e-13 is not resolvable")
     return _integrate(epsilon, mu, 0.0, y_max, 0.0, float(initial_slope),
-                      threshold, rtol, rtol if atol is None else atol, max_step)
+                      threshold, rtol, max_step)
 
 
 def integrate_comparison(epsilon: float, y_start: float, value: float,
                          slope: float, y_max: float, threshold: float = 1e8,
-                         rtol: float = 1e-11,
-                         atol: float | None = None) -> OdeTrajectory:
+                         rtol: float = 1e-11) -> OdeTrajectory:
     """Integrate the unforced comparison dynamics eps*phi'' = -phi + phi^3."""
     if epsilon <= 0:
         raise InvalidParameterError("epsilon must be positive")
     return _integrate(epsilon, 0.0, y_start, y_max, float(value), float(slope),
-                      threshold, rtol, rtol if atol is None else atol)
+                      threshold, rtol)
 
 
 def trajectory_diagnostics(traj: OdeTrajectory) -> dict:
@@ -424,19 +417,18 @@ def comparison_solution(epsilon: float, eta: float, y_start: float, y):
 
 
 def verify_lower_bound(traj: OdeTrajectory, epsilon: float, eta: float,
-                       y_level: float, n_samples: int = 2000) -> LowerBoundCheck:
-    """Check psi >= xi on [y_level, min(Y, Y_bound) - 1e-6], with slack
-    1e-8 * (1 + |xi|) per sample, and the ordering Y <= Y_bound.
+                       y_level: float) -> LowerBoundCheck:
+    """Check psi >= xi at BOUND_SAMPLES points of [y_level, min(Y, Y_bound)
+    - 1e-6], with slack 1e-8 * (1 + |xi|) per sample, and the ordering
+    Y <= Y_bound.
 
     A violated bound is a result carried in the report, not an error.
     """
     if traj.blowup_time is None:
         raise PreconditionError("trajectory has no detected blow-up")
-    if n_samples < 1000:
-        raise InvalidParameterError("use at least 1000 samples")
     y_bound = comparison_blowup_time(epsilon, eta, y_level)
     hi = min(traj.blowup_time, y_bound) - 1e-6
-    ys = np.linspace(y_level, hi, n_samples)
+    ys = np.linspace(y_level, hi, BOUND_SAMPLES)
     xi = comparison_solution(epsilon, eta, y_level, ys)
     psi = np.asarray(traj.value(ys))
     margin = psi - xi
@@ -446,7 +438,6 @@ def verify_lower_bound(traj: OdeTrajectory, epsilon: float, eta: float,
         verified=ok and ordering,
         ordering_ok=ordering,
         min_margin=float(np.min(margin)),
-        n_samples=n_samples,
     )
 
 
@@ -485,7 +476,7 @@ def axis_decoupling_check(epsilon: float, mu: float, initial_slope: float,
     if epsilon <= 0:
         raise InvalidParameterError("epsilon must be positive")
     traj = _integrate(epsilon, mu, 0.0, y_max, complex(0.0, -initial_real),
-                      complex(initial_slope), threshold, rtol, rtol)
+                      complex(initial_slope), threshold, rtol)
     psi = traj.value(_check_grid(traj))
     worst = float(np.max(np.abs(psi.imag) / (1.0 + np.abs(psi.real))))
     return AxisRealnessReport(max_real_ratio=worst,

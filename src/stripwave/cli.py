@@ -263,14 +263,13 @@ def _run_eig_convergence(cfg: dict, out):
                     A_claim=lambda a: a > 0,
                     N_ref=lambda n: n >= 2 * max(cfg["N_list"]))
     V = build_potential_1d(cfg["potential"], "config.potential")
-    table = convergence_study(V, cfg["N_list"], cfg["N_ref"], cfg["j"],
-                              cfg["A_claim"])
+    table = convergence_study(V, cfg["N_list"], cfg["N_ref"], cfg["j"])
     write_csv(out, "convergence.csv", ["N", "lambda_err", "h1_dist"],
               zip(table.cutoffs, table.eigenvalue_errors, table.eigenvector_errors))
     write_json(out, "convergence.json", {
         "j": table.band,
         "N_ref": table.reference_cutoff,
-        "A_claim": table.claimed_half_width,
+        "A_claim": cfg["A_claim"],
         "fitted_rate_eigenvalue": table.fitted_rate_eigenvalue,
         "fitted_rate_eigenvector": table.fitted_rate_eigenvector,
     })
@@ -388,14 +387,13 @@ def _run_bz(cfg: dict, out):
         samples = _k_points(cfg["k_samples"], lattice.dimension, "config.k_samples")
     else:
         samples = bz_sample_grid(lattice, cfg["n_k"])
-    table = bz_convergence(V, samples, cfg["N_list"], cfg["N_ref"], cfg["n"],
-                           cfg["A_claim"])
+    table = bz_convergence(V, samples, cfg["N_list"], cfg["N_ref"], cfg["n"])
     write_csv(out, "bz.csv", ["N", "max_lambda_err"],
               zip(table.cutoffs, table.max_errors))
     write_json(out, "bz.json", {
         "n": table.band,
         "N_ref": table.reference_cutoff,
-        "A_claim": table.claimed_half_width,
+        "A_claim": cfg["A_claim"],
         "fitted_rate": table.fitted_rate,
         "k_samples": table.k_samples.tolist(),
     })

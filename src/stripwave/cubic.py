@@ -40,31 +40,6 @@ from .fourier import (SQRT_2PI, AnalyticityEstimate, FourierSeries1D,
 from .potentials import sine
 
 
-class CardanoBranches:
-    """Branch realization for the closed-form root of u + u^3 = f.
-
-    The square root is principal (cut on the negative real axis).  The
-    cube root has its cut on the imaginary axis: principal on Re w >= 0
-    and extended oddly, cbrt(w) = -cbrt(-w), on Re w < 0.  This is the
-    unique choice that is real on the real axis, which makes the root
-    itself real there.
-    """
-
-    @staticmethod
-    def sqrt(w):
-        return np.sqrt(np.asarray(w, dtype=complex))
-
-    @staticmethod
-    def cbrt(w):
-        w = np.asarray(w, dtype=complex)
-        third = 1.0 / 3.0
-        with np.errstate(invalid="ignore"):
-            return np.where(w.real >= 0.0, w**third, -((-w) ** third))
-
-
-DEFAULT_BRANCHES = CardanoBranches()
-
-
 @dataclass(frozen=True)
 class GpSolveResult:
     epsilon: float
@@ -92,12 +67,29 @@ def branch_point_height(mu: float) -> float:
     return math.asinh(math.sqrt(4.0 / 27.0) / mu)
 
 
-def cardano_root(mu: float, z, branches: CardanoBranches = DEFAULT_BRANCHES):
+def _sqrt(w):
+    """The square root of cardano_root's branch choice."""
+    return np.sqrt(np.asarray(w, dtype=complex))
+
+
+def _cbrt(w):
+    """The cube root of cardano_root's branch choice."""
+    w = np.asarray(w, dtype=complex)
+    third = 1.0 / 3.0
+    with np.errstate(invalid="ignore"):
+        return np.where(w.real >= 0.0, w**third, -((-w) ** third))
+
+
+def cardano_root(mu: float, z):
     """Closed-form root of u + u^3 = mu*sin(z), continued off the real axis.
 
-    On the real axis this is the unique real root.  Warns (but still
-    evaluates) when z comes within 1e-8 of a branch point, where the two
-    cube-root terms coalesce and the formula loses accuracy.
+    The square root is principal (cut on the negative real axis).  The
+    cube root has its cut on the imaginary axis: principal on Re w >= 0
+    and extended oddly, cbrt(w) = -cbrt(-w), on Re w < 0.  This is the
+    unique choice that is real on the real axis, so on the real axis this
+    is the unique real root.  Warns (but still evaluates) when z comes
+    within 1e-8 of a branch point, where the two cube-root terms coalesce
+    and the formula loses accuracy.
     """
     if mu < 0:
         raise InvalidParameterError("mu must be nonnegative")
@@ -109,8 +101,8 @@ def cardano_root(mu: float, z, branches: CardanoBranches = DEFAULT_BRANCHES):
             warnings.warn("evaluation within 1e-8 of a Cardano branch point",
                           BranchPointWarning, stacklevel=2)
     f = mu * np.sin(z_arr)
-    root_disc = branches.sqrt(4.0 / 27.0 + f * f)
-    out = branches.cbrt(0.5 * (f + root_disc)) + branches.cbrt(0.5 * (f - root_disc))
+    root_disc = _sqrt(4.0 / 27.0 + f * f)
+    out = _cbrt(0.5 * (f + root_disc)) + _cbrt(0.5 * (f - root_disc))
     return complex(out) if out.ndim == 0 else out
 
 

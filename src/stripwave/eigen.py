@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneracyError, InvalidParameterError
+from .errors import InvalidParameterError
 from .extended import band_residual, dd_add
 from .fourier import FourierSeries1D, multiplier_norm_bound, strip_norm, strip_weight
 from .galerkin import (assemble_dense, coefficient_column, from_modes,
@@ -98,7 +98,6 @@ class ConvergenceTable:
     fitted_rate_eigenvector: float
     band: int
     reference_cutoff: int
-    claimed_half_width: float
 
 
 @dataclass(frozen=True)
@@ -295,15 +294,12 @@ def fit_log_rate(xs, errors, floor: float = RATE_FIT_FLOOR) -> float:
 
 
 def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
-                      band: int, claimed_half_width: float,
-                      cluster_gap: float = 1e-8,
-                      cluster: bool = True) -> ConvergenceTable:
+                      band: int, cluster_gap: float = 1e-8) -> ConvergenceTable:
     """Eigenvalue and H1 eigenvector errors against a reference solve.
 
     `band` is 1-based.  The reference eigenspace is the cluster of
-    reference eigenpairs within cluster_gap of the target eigenvalue;
-    with cluster=False an unresolved cluster raises DegeneracyError
-    instead.  Requires reference_cutoff >= 2 * max(cutoffs).
+    reference eigenpairs within cluster_gap of the target eigenvalue.
+    Requires reference_cutoff >= 2 * max(cutoffs).
 
     Eigenvalue errors are differences of extended-precision eigenvalues
     of the assembled matrices, rounded to double once; the eigenvalue
@@ -324,10 +320,6 @@ def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
     ref = solve_eig(V, reference_cutoff, n_ref)
     lam_ref = ref.eigenvalues[band - 1]
     in_cluster = np.abs(ref.eigenvalues - lam_ref) <= cluster_gap
-    if np.sum(in_cluster) > 1 and not cluster:
-        raise DegeneracyError(
-            f"eigenvalue {band} at the reference cutoff sits in a cluster of "
-            f"{int(np.sum(in_cluster))} within gap {cluster_gap:g}")
     space = [v for v, keep in zip(ref.eigenvectors, in_cluster) if keep]
 
     ref_hi, ref_lo = _extended_eigenvalue(ref._dense, band - 1, cluster_gap)
@@ -349,7 +341,6 @@ def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
         fitted_rate_eigenvector=fit_log_rate(cutoffs, vec_err),
         band=band,
         reference_cutoff=reference_cutoff,
-        claimed_half_width=claimed_half_width,
     )
 
 

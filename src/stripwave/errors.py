@@ -45,10 +45,6 @@ class NoCrossingError(StripwaveError, ValueError):
     """A requested level is never reached by a trajectory."""
 
 
-class DegeneracyError(StripwaveError, RuntimeError):
-    """An eigenvalue cluster is unresolved and cluster handling is disabled."""
-
-
 class ConfigError(StripwaveError, ValueError):
     """An experiment configuration failed to parse or validate."""
 

@@ -1,12 +1,11 @@
 """Fourier-Galerkin solution of the source problem -u'' + V u = f.
 
 The solve is a dense Hermitian system on the modes |k| <= N.  Alongside
-the solution the module evaluates the a-priori L2 bound through the
-lowest Galerkin eigenvalue, taken from the real cosine/sine blocks of
-the operator (galerkin.real_blocks), and the low/high-frequency tail
-bounds that control the strip norm of the solution: splitting
-u = u_low + u_high at a cutoff M with M^2 above the multiplier norm of
-V, the low part obeys
+the solution the module evaluates the low/high-frequency tail bounds
+that control the strip norm of the solution: splitting u = u_low + u_high
+at a cutoff M with M^2 above the multiplier norm of V, the low part
+obeys the a-priori L2 bound through the lowest Galerkin eigenvalue
+alpha, which tail_bound_check takes from eigen.solve_eig,
 
     ||u_low||_A <= ||f||_L2 / alpha * sqrt(cosh(2*A*M)),
 
@@ -23,16 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SolverFailureError
+from .eigen import solve_eig
 from .fourier import (FourierSeries1D, grid_values, h1_norm, l2_norm, multiply,
                       multiplier_norm_bound, project, strip_norm, strip_weight)
-from .galerkin import assemble_dense, coefficient_column, real_blocks
+from .galerkin import assemble_dense
 
 
 @dataclass(frozen=True)
 class LinearSolveResult:
     solution: FourierSeries1D
     residual_l2: float
-    lowest_eigenvalue: float  # lambda_1 of the Galerkin operator at this cutoff
 
 
 @dataclass(frozen=True)
@@ -84,13 +83,7 @@ def solve_linear(V: FourierSeries1D, f: FourierSeries1D, cutoff: int) -> LinearS
     if not np.all(np.isfinite(u)):
         raise SolverFailureError("Galerkin solve produced non-finite values")
     residual = float(np.linalg.norm(H @ u - rhs))
-    alpha = min(float(np.linalg.eigvalsh(block)[0])
-                for block in real_blocks(coefficient_column(V, cutoff)))
-    return LinearSolveResult(
-        solution=FourierSeries1D(cutoff, u),
-        residual_l2=residual,
-        lowest_eigenvalue=alpha,
-    )
+    return LinearSolveResult(solution=FourierSeries1D(cutoff, u), residual_l2=residual)
 
 
 def tail_bound_check(V: FourierSeries1D, f: FourierSeries1D, solve_cutoff: int,
@@ -100,6 +93,8 @@ def tail_bound_check(V: FourierSeries1D, f: FourierSeries1D, solve_cutoff: int,
     Precondition: split_cutoff**2 must exceed the multiplier-norm
     surrogate of V at the requested half-width, otherwise the
     Neumann-series argument behind the high-frequency bound is void.
+    The low bound divides by the lowest Galerkin eigenvalue at
+    solve_cutoff.
     """
     v_norm = multiplier_norm_bound(V, half_width)
     if split_cutoff**2 <= v_norm:
@@ -108,14 +103,13 @@ def tail_bound_check(V: FourierSeries1D, f: FourierSeries1D, solve_cutoff: int,
             f"split cutoff {split_cutoff} too low: need split_cutoff >= {needed} "
             f"so that split_cutoff^2 > {v_norm:.6g}"
         )
-    result = solve_linear(V, f, solve_cutoff)
-    u = result.solution
+    u = solve_linear(V, f, solve_cutoff).solution
+    alpha = float(solve_eig(V, solve_cutoff, 1).eigenvalues[0])
     u_low = project(u, split_cutoff)
     u_high = u - u_low
 
     low_norm = strip_norm(u_low, half_width)
-    low_bound = (l2_norm(f) / result.lowest_eigenvalue
-                 * math.sqrt(strip_weight(half_width, split_cutoff)))
+    low_bound = l2_norm(f) / alpha * math.sqrt(strip_weight(half_width, split_cutoff))
 
     f_high = f - project(f, split_cutoff)
     vu_low = multiply(V, u_low, V.cutoff + split_cutoff)

@@ -50,7 +50,7 @@ def finite_strip_potential():
 @pytest.fixture(scope="module")
 def criterion1_table(finite_strip_potential):
     return convergence_study(finite_strip_potential, list(range(8, 49, 4)),
-                             256, 1, 1.0)
+                             256, 1)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def gp_solution():
 def test_criterion_1_exponential_eigenvalue_convergence(finite_strip_potential):
     started = time.perf_counter()
     table = convergence_study(finite_strip_potential, list(range(8, 49, 4)),
-                              256, 1, 1.0)
+                              256, 1)
     elapsed = time.perf_counter() - started
     lam_ok = table.fitted_rate_eigenvalue <= -2.0
     vec_ok = table.fitted_rate_eigenvector <= -1.0
@@ -237,7 +237,7 @@ def test_criterion_10_multidimensional(finite_strip_potential):
 
     # worst-over-k errors: nonnegative, monotone, exponential rate
     table = bz_convergence(Vd, [[0.0], [0.25], [0.5]], [4, 5, 6, 7, 8],
-                           16.0, 1, 1.0)
+                           16.0, 1)
     nonneg_ok = bool(np.all(table.max_errors >= 0.0))
     monotone_ok = bool(np.all(np.diff(table.max_errors) <= 0.0))
     rate_ok = table.fitted_rate <= -2.0

@@ -311,13 +311,13 @@ class TestBandStructure:
 class TestBzConvergence:
     def test_free_errors_vanish(self):
         Vd = FourierSeriesD(TWO_PI_LINE, {})
-        table = bz_convergence(Vd, [[0.0], [0.25]], [3, 4, 5], 10.0, 1, 1.0)
+        table = bz_convergence(Vd, [[0.0], [0.25]], [3, 4, 5], 10.0, 1)
         np.testing.assert_allclose(table.max_errors, 0.0, atol=1e-13)
 
     def test_finite_strip_rate(self):
         _, Vd = series1d_to_lattice(poisson_kernel(2.0, shift=2.0, cutoff=40))
         table = bz_convergence(Vd, [[0.0], [0.25], [0.5]], [4, 5, 6, 7, 8],
-                               16.0, 1, 1.0)
+                               16.0, 1)
         assert np.all(table.max_errors >= 0.0)
         assert np.all(np.diff(table.max_errors) <= 1e-12)
         # variational monotonicity holds pointwise in k, not just for the max
@@ -327,12 +327,12 @@ class TestBzConvergence:
     def test_reference_must_dominate(self):
         with pytest.raises(InvalidParameterError):
             bz_convergence(FourierSeriesD(TWO_PI_LINE, {}), [[0.0]], [4], 6.0,
-                           1, 1.0)
+                           1)
 
     def test_reference_basis_too_small(self):
         with pytest.raises(InvalidParameterError, match="cutoff 0.4"):
             bz_convergence(FourierSeriesD(TWO_PI_LINE, {}), [[0.0]], [0.2], 0.4,
-                           3, 1.0)
+                           3)
 
 
 class TestGaussianPotential:

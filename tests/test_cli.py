@@ -367,6 +367,25 @@ def test_blowup_integrates_once(tmp_path, monkeypatch):
     assert byte_mismatches(GOLDEN_ROOT / "blowup", out_dir) == []
 
 
+def test_linsolve_runs_no_eigensolver(tmp_path, monkeypatch):
+    # linsolve.csv reads no eigenvalue, so the run must not compute one
+    import numpy as np
+    import scipy.linalg
+
+    calls = []
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                         (scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh")):
+        def counted(*args, _name=f"{module.__name__}.{name}",
+                    _solver=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    code, _ = run_cli(tmp_path, "linsolve", CONFIGS["linsolve"])
+    assert code == 0
+    assert calls == []
+
+
 def test_import_leaves_ode_modules_unloaded(tmp_path):
     # scipy.linalg too: only the linear and Newton solves import it
     src = Path(__file__).resolve().parent.parent / "src"
