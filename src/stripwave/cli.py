@@ -2,12 +2,15 @@
 
 The numerics modules return data; this module alone renders it.  Each
 run writes its CSV/JSON artifacts plus a manifest (config hash, code
-version, wall time, and for `blowup` the integrator's diagnostics) into
-the output directory, every file through `write_csv` or `write_json`:
-atomically (temp + rename), with floats in the shortest round-trip
-representation, so identical configs produce identical bytes.  Exit
-codes: 0 on success, 2 on configuration errors, 3 on numeric failures;
-both error paths emit a machine-readable JSON object on stderr.
+version, wall time, and for `blowup` and `eig-convergence` the solvers'
+diagnostics) into the output directory, every file through `write_csv`
+or `write_json`: atomically (temp + rename), with floats in the
+shortest round-trip representation, so identical configs produce
+identical bytes.  Exit
+codes: 0 on success, 2 on configuration errors (a dense matrix above
+DENSE_BYTES_LIMIT among them, rejected before anything is allocated), 3
+on numeric failures (running out of memory among them); both error
+paths emit a machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -111,6 +114,33 @@ def _validate_range(cfg: dict, location: str = "config", **conditions):
         if cfg[key] is not None and not predicate(cfg[key]):
             raise ConfigError(f"'{key}' = {cfg[key]!r} is outside its "
                               "documented range", location=f"{location}.{key}")
+
+
+# Largest dense matrix a run may form.  A config whose size keys ask for a
+# larger one is a configuration error, found before anything is allocated.
+DENSE_BYTES_LIMIT = 2**30
+
+
+def _guard_dense(cfg: dict, key: str, order, itemsize: int):
+    """Configuration error when the dense matrix of order order(n), for
+    the value n at `key` (the largest one of a list), would take more
+    than DENSE_BYTES_LIMIT bytes of `itemsize`-byte entries."""
+    value = cfg[key]
+    n = max(value) if isinstance(value, list) else value
+    size = order(n) ** 2 * itemsize
+    if size > DENSE_BYTES_LIMIT:
+        raise ConfigError(
+            f"'{key}' = {value!r} asks for a dense matrix of order {order(n)} "
+            f"({size} bytes), above the {DENSE_BYTES_LIMIT}-byte limit",
+            location=f"config.{key}")
+
+
+def _galerkin_order(cutoff: int) -> int:
+    return 2 * cutoff + 1
+
+
+def _half_wave_order(n: int) -> int:
+    return -(-n // 2)
 
 
 def _given(cfg: dict, *keys) -> dict:
@@ -245,6 +275,8 @@ def _run_linsolve(cfg: dict, out):
                               "N_list": "int_list", "N_ref": "int"}, {}, "config")
     _validate_range(cfg, N_list=_ascending_cutoffs,
                     N_ref=lambda n: n >= 2 * max(cfg["N_list"]))
+    for key in ("N_list", "N_ref"):  # complex Hermitian solves
+        _guard_dense(cfg, key, _galerkin_order, 16)
     V = build_potential_1d(cfg["potential"], "config.potential")
     f = build_potential_1d(cfg["source"], "config.source")
     rows = refinement_study(V, f, cfg["N_list"], cfg["N_ref"])
@@ -262,6 +294,8 @@ def _run_eig_convergence(cfg: dict, out):
                     j=lambda j: 1 <= j <= 2 * min(cfg["N_list"]) + 1,
                     A_claim=lambda a: a > 0,
                     N_ref=lambda n: n >= 2 * max(cfg["N_list"]))
+    for key in ("N_list", "N_ref"):  # real, one block when V has an odd part
+        _guard_dense(cfg, key, _galerkin_order, 8)
     V = build_potential_1d(cfg["potential"], "config.potential")
     table = convergence_study(V, cfg["N_list"], cfg["N_ref"], cfg["j"])
     write_csv(out, "convergence.csv", ["N", "lambda_err", "h1_dist"],
@@ -273,6 +307,10 @@ def _run_eig_convergence(cfg: dict, out):
         "fitted_rate_eigenvalue": table.fitted_rate_eigenvalue,
         "fitted_rate_eigenvector": table.fitted_rate_eigenvector,
     })
+    out.diagnostics["refinement"] = [
+        {"N": r.cutoff, "matrix_order": sum(r.block_orders),
+         "block_orders": list(r.block_orders), "newton_steps": r.steps,
+         "cluster_size": r.cluster_size} for r in table.refinements]
 
 
 def _decay_rows(u):
@@ -288,6 +326,7 @@ def _run_gp_solve(cfg: dict, out):
     _validate_range(cfg, epsilon=lambda e: e > 0, mu=lambda m: m >= 0,
                     N=lambda n: n >= 16, tol=lambda t: t > 0,
                     noise_floor=lambda f: f > 0)
+    _guard_dense(cfg, "N", _half_wave_order, 8)  # the Newton Jacobian
     result = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], **_given(cfg, "tol"))
     strip = estimate_solution_strip(result, **_given(cfg, "noise_floor"))
     write_csv(out, "decay.csv", ["k", "abs_coeff"], _decay_rows(result.solution))
@@ -331,6 +370,7 @@ def _run_blowup(cfg: dict, out):
                     eta=lambda e: e > 0, N=lambda n: n >= 16,
                     rtol=lambda r: r >= 1e-13, threshold=lambda t: t > 1,
                     y_max=lambda y: y > 0, tol=lambda t: t > 0)
+    _guard_dense(cfg, "N", _half_wave_order, 8)  # the Newton Jacobian
     gp = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], **_given(cfg, "tol"))
     report = blowup_report(cfg["epsilon"], cfg["mu"], cfg["eta"],
                            gp.u_prime_at_zero,
@@ -496,7 +536,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(_error_json("config", exc), file=sys.stderr)
         return 2
-    except (StripwaveError, np.linalg.LinAlgError) as exc:
+    except (StripwaveError, np.linalg.LinAlgError, MemoryError) as exc:
         print(_error_json("numeric", exc), file=sys.stderr)
         return 3
 

@@ -3,25 +3,28 @@
 The Galerkin matrix has entries k^2 delta_{kk'} + V_{k-k'} / sqrt(2*pi)
 in the exponentials.  For real V it is real symmetric in the cosine/sine
 basis of `galerkin`, and for even V it splits there into a cosine block
-of order N + 1 and a sine block of order N; eigenpairs come from dense
-real symmetric eigendecompositions of those blocks (of the one coupled
-matrix of order 2N + 1 when V has an odd part), and only the eigenvectors
-that are used are rotated back to the exponentials.  Eigenvalues are
-polished by an exactly-summed Rayleigh quotient, which removes the
-O(eps * ||H||) noise of the backward-stable decomposition.
+of order N + 1 and a sine block of order N; eigenpairs come from subset
+eigensolves of those blocks (of the one coupled matrix of order 2N + 1
+when V has an odd part), which compute only the lowest pairs of each
+block, and only the eigenvectors that are used are rotated back to the
+exponentials.  Eigenvalues are polished by an exactly-summed Rayleigh
+quotient, which removes the O(eps * ||H||) noise of the backward-stable
+decomposition.
 
 Convergence tables measure eigenvalue errors and H1 eigenvector
 distances against a reference solve at a much larger cutoff and fit
 exponential decay rates.  For analytic potentials the eigenvalue errors
 fall far below double precision within a few dozen modes, so they are
 computed in extended precision: the target eigenpairs of each assembled
-double matrix are refined by mixed-precision iterative refinement
-(Ogita & Aishima, Japan J. Indust. Appl. Math. 35, 2018), with
-double-double residuals on the complex matrix's Toeplitz band and
-corrections from the real block eigendecompositions, so the refined
-value does not depend on the eigensolver, and the eigenvalue difference is
-rounded to double once.  Since every study matrix is a principal
-submatrix of the reference matrix, the exact errors are nonnegative.
+double matrix are refined by Newton's method on the bordered eigen-system
+(Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20, 1983), with
+double-double residuals on the complex matrix's Toeplitz band in the
+mixed-precision style of Ogita & Aishima (Japan J. Indust. Appl. Math.
+35, 2018) and corrections from the real blocks bordered by the cluster's
+eigenvectors and LU-factored once in double, so the refined value does
+not depend on the eigensolver, and the eigenvalue difference is rounded
+to double once.  Since every study matrix is a principal submatrix of
+the reference matrix, the exact errors are nonnegative.
 """
 
 from __future__ import annotations
@@ -61,17 +64,20 @@ class GalerkinMatrix:
 
 @dataclass(frozen=True)
 class _DenseSpectrum:
-    """Every eigenpair of an assembled matrix, with the matrix's band.
+    """The lowest eigenpairs of the real blocks of an assembled matrix,
+    with the coefficient column the blocks are built from and the
+    matrix's band.
 
-    The eigenvectors stay real, block by block, in the basis
-    [phi_0, c_1..c_N, s_1..s_N] of galerkin.real_blocks.  Block b covers
-    the same index range of that basis and of the concatenated block
-    spectrum, so the concatenation acts as one block-diagonal matrix.
+    The blocks are the diagonal blocks of galerkin.real_blocks(column),
+    one after the other in the basis [phi_0, c_1..c_N, s_1..s_N].
+    pairs[b] holds the lowest eigenvalues of block b, ascending, and their
+    real eigenvectors; a block of fewer rows than were asked for has all
+    of them.  The blocks themselves are not kept: the refinement builds
+    them again, bordered, and factors them.
     """
 
-    spectrum: np.ndarray  # the block eigenvalues, concatenated
-    order: np.ndarray  # ascending order of the spectrum
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]  # (eigenvalues, vectors)
+    column: np.ndarray  # t_d, d = 0..2N, as galerkin.coefficient_column
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]  # (eigenvalues, vectors)
     diag: np.ndarray  # real diagonal of the complex matrix
     lower: np.ndarray  # constant subdiagonals: lower[d-1] = H[i+d, i]
 
@@ -80,13 +86,23 @@ class _DenseSpectrum:
 class EigenResult:
     """Ascending eigenvalues with L2-normalized coefficient-space eigenvectors.
 
-    `_dense` keeps the full decomposition the pairs came from, which the
+    `_dense` keeps the block eigenpairs the pairs came from, which the
     extended-precision errors of convergence_study refine.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: list[FourierSeries1D]
     _dense: _DenseSpectrum | None = field(default=None, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class Refinement:
+    """What the extended-precision refinement of one assembled matrix did."""
+
+    cutoff: int
+    block_orders: tuple[int, ...]  # orders of the real blocks
+    steps: int  # Newton corrections applied
+    cluster_size: int  # eigenpairs refined together
 
 
 @dataclass(frozen=True)
@@ -98,6 +114,9 @@ class ConvergenceTable:
     fitted_rate_eigenvector: float
     band: int
     reference_cutoff: int
+    # the reference's, then one per study cutoff; for the run record only
+    refinements: tuple[Refinement, ...] = field(default=(), repr=False,
+                                                compare=False)
 
 
 @dataclass(frozen=True)
@@ -119,132 +138,177 @@ def assemble_hamiltonian(V: FourierSeries1D, cutoff: int) -> GalerkinMatrix:
     return GalerkinMatrix(cutoff, assemble_dense(V, cutoff))
 
 
-def _locate(blocks, index: int):
-    """Block number, column and row offset of a concatenated eigenpair index."""
-    start = 0
-    for b, (values, _) in enumerate(blocks):
-        if index < start + len(values):
-            return b, index - start, start
-        start += len(values)
-    raise IndexError(index)
+def _lowest_pairs(blocks, count: int):
+    """The lowest `count` eigenpairs of each real block (every pair of a
+    smaller block), from a subset eigensolve."""
+    from scipy.linalg import eigh  # deferred: importing the CLI stays scipy-free
+    return tuple(eigh(mat, subset_by_index=[0, min(count, len(mat)) - 1],
+                      check_finite=False) for mat in blocks)
 
 
-def _real_columns(blocks, indices) -> np.ndarray:
-    """Eigenvectors at concatenated indices as real-basis columns."""
-    dim = sum(len(values) for values, _ in blocks)
-    out = np.zeros((dim, len(indices)))
-    for col, index in enumerate(indices):
-        b, j, start = _locate(blocks, index)
-        vecs = blocks[b][1]
-        out[start:start + len(vecs), col] = vecs[:, j]
+def _ascending(pairs):
+    """The computed block eigenpairs in ascending order: their (block,
+    column) positions, their values, and how many of them are the lowest
+    of the whole spectrum.  Past the highest value a block computed, its
+    left-out pairs may hide among the others."""
+    values = np.concatenate([w for w, _ in pairs])
+    where = [(b, j) for b, (w, _) in enumerate(pairs) for j in range(len(w))]
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    bound = min((w[-1] for w, v in pairs if len(w) < len(v)), default=math.inf)
+    return ([where[i] for i in order], values,
+            int(np.searchsorted(values, bound, side="right")))
+
+
+def _real_columns(pairs, where) -> np.ndarray:
+    """Block eigenvectors at (block, column) positions as real-basis columns."""
+    offsets = np.cumsum([0] + [len(vecs) for _, vecs in pairs])
+    out = np.zeros((offsets[-1], len(where)))
+    for col, (b, j) in enumerate(where):
+        out[offsets[b]:offsets[b + 1], col] = pairs[b][1][:, j]
     return out
-
-
-def _block_product(blocks, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Q x (or Q^T x) for the block-diagonal eigenvector matrix Q."""
-    out, start = [], 0
-    for _, vecs in blocks:
-        stop = start + len(vecs)
-        out.append((vecs.T if transpose else vecs) @ x[start:stop])
-        start = stop
-    return np.concatenate(out)
 
 
 def solve_eig(V: FourierSeries1D, cutoff: int, n_pairs: int) -> EigenResult:
     """Lowest n_pairs eigenpairs of the Galerkin operator, ascending.
 
-    The real blocks of galerkin.real_blocks are decomposed by a dense
-    symmetric eigensolver: the cosine and sine blocks separately for
-    even V, the coupled matrix otherwise.  Only the returned pairs are
-    rotated back to the exponentials.  Eigenvectors are L2-normalized;
-    eigenvector sign and the basis of degenerate clusters are whatever
-    the backend returns.
+    The real blocks of galerkin.real_blocks are decomposed by a subset
+    symmetric eigensolver, which computes the lowest n_pairs + 1 pairs of
+    each block (the one above the last returned pair shows the gap above
+    it): the cosine and sine blocks separately for even V, the coupled
+    matrix otherwise.  Only the returned pairs are rotated back to the
+    exponentials.  Eigenvectors are L2-normalized; eigenvector sign and
+    the basis of degenerate clusters are whatever the backend returns.
     """
     dim = 2 * cutoff + 1
     if n_pairs < 1 or n_pairs > dim:
         raise InvalidParameterError(
             f"n_pairs must lie in 1..{dim} for cutoff {cutoff}")
     column = coefficient_column(V, cutoff)
-    mats = real_blocks(column)
-    blocks = tuple(np.linalg.eigh(mat) for mat in mats)
-    spectrum = np.concatenate([values for values, _ in blocks])
-    order = np.argsort(spectrum, kind="stable")
-    polished = []
-    for index in order[:n_pairs]:
-        b, j, _ = _locate(blocks, index)
-        polished.append(rayleigh_polish(mats[b], blocks[b][1][:, j]))
-    polished = np.array(polished)
+    blocks = tuple(real_blocks(column))
+    pairs = _lowest_pairs(blocks, n_pairs + 1)
+    lowest = _ascending(pairs)[0][:n_pairs]
+    polished = np.array([rayleigh_polish(blocks[b], pairs[b][1][:, j])
+                         for b, j in lowest])
     ranked = np.argsort(polished, kind="stable")
-    modes = to_modes(_real_columns(blocks, order[:n_pairs][ranked]))
+    modes = to_modes(_real_columns(pairs, [lowest[i] for i in ranked]))
     series = [FourierSeries1D(cutoff, u / np.linalg.norm(u)) for u in modes.T]
     band = min(V.cutoff, dim - 1)
     k = np.arange(-cutoff, cutoff + 1)
-    dense = _DenseSpectrum(spectrum, order, blocks, column[0].real + k * k,
-                           column[1:band + 1].copy())
+    dense = _DenseSpectrum(column, pairs, column[0].real + k * k,
+                           column[1:band + 1])
     return EigenResult(eigenvalues=polished[ranked], eigenvectors=series,
                        _dense=dense)
 
 
+def _cluster(dense: _DenseSpectrum, index: int, gap: float):
+    """The cluster around eigenvalue `index` (neighbours closer than
+    `gap`): the block eigenpairs, the cluster's first index, and its
+    (block, column) positions and values.
+
+    When the cluster reaches past the pairs that are known to be the
+    lowest, more pairs of each block are computed until the gap above
+    it shows."""
+    pairs, dim = dense.pairs, len(dense.diag)
+    while True:
+        where, values, known = _ascending(pairs)
+        first, stop = index, index + 1
+        while first > 0 and values[first] - values[first - 1] <= gap:
+            first -= 1
+        while stop < known and values[stop] - values[stop - 1] <= gap:
+            stop += 1
+        if stop < known or known == dim:
+            return pairs, first, where[first:stop], values[first:stop]
+        pairs = _lowest_pairs(real_blocks(dense.column),
+                              2 * max(len(w) for w, _ in pairs))
+
+
+def _bordered_factors(dense: _DenseSpectrum, pairs, where, shifts):
+    """For each real block that holds cluster vectors: its rows in the
+    real basis, the cluster columns it holds, and the LU factors of
+    [[H_b - sigma, -X_b], [X_b^T, 0]], with X_b those vectors and sigma
+    the mean of their shifts."""
+    from scipy.linalg import lu_factor  # deferred, as in _lowest_pairs
+    offsets = np.cumsum([0] + [len(vecs) for _, vecs in pairs])
+    factors = []
+    for b, mat in enumerate(real_blocks(dense.column)):
+        cols = [k for k, (owner, _) in enumerate(where) if owner == b]
+        if not cols:
+            continue
+        order, border = len(mat), pairs[b][1][:, [where[k][1] for k in cols]]
+        # Fortran order, so that the LU overwrites it in place
+        system = np.zeros((order + len(cols), order + len(cols)), order="F")
+        system[:order, :order] = mat
+        system[np.arange(order), np.arange(order)] -= np.mean(shifts[cols])
+        system[:order, order:] = -border
+        system[order:, :order] = border.T
+        factors.append((slice(offsets[b], offsets[b + 1]), cols,
+                        lu_factor(system, overwrite_a=True, check_finite=False)))
+    return factors
+
+
 def _extended_eigenvalue(dense: _DenseSpectrum, index: int, gap: float):
     """Eigenvalue `index` (0-based, ascending) of the assembled matrix as
-    a double-double pair (hi, lo).
+    a double-double pair (hi, lo), with the number of Newton corrections
+    and the size of the refined cluster.
 
     The eigenvectors of the cluster around `index` (neighbours closer
-    than `gap`) are refined together: each step forms the residual
-    (H - lambda_k) x_k in double-double (rounded to double) on the
-    complex band, removes its components outside the cluster with the
-    real block decomposition (divided by mu_j - lambda_k), and moves
-    each shift lambda_k to its Rayleigh quotient.
+    than `gap`) are refined together by Newton's method on the bordered
+    system: each step forms the residual r = (H - lambda_k) x_k in
+    double-double (rounded to double) on the complex band and solves
+    [[H_b - sigma, -X_b], [X_b^T, 0]] [d; m] = [r; 0] on the real block b
+    that holds x_k, bordered by the block's double cluster eigenvectors
+    X_b and factored once; x_k moves by -d, which keeps it off the rest
+    of the spectrum, and lambda_k by minus x_k's own multiplier.
     The eigenvalues of the refined cluster are then the Ritz values
     Lambda + G^-1 X^H R (G = X^H X), whose correction term needs only
     double precision; for a cluster of several they are taken with
     mpmath at _MP_PREC bits.
     """
-    spectrum = dense.spectrum
-    values = spectrum[dense.order]
-    first, stop = index, index + 1
-    while first > 0 and values[first] - values[first - 1] <= gap:
-        first -= 1
-    while stop < len(values) and values[stop] - values[stop - 1] <= gap:
-        stop += 1
-    cluster = dense.order[first:stop]  # positions in the block spectra
-    x_hi = to_modes(_real_columns(dense.blocks, cluster))
+    from scipy.linalg import lu_solve  # deferred, as in _lowest_pairs
+    pairs, first, where, values = _cluster(dense, index, gap)
+    x_hi = to_modes(_real_columns(pairs, where))
     x_lo = np.zeros_like(x_hi)
-    lam_hi = values[first:stop].copy()
+    lam_hi = values.copy()
     lam_lo = np.zeros_like(lam_hi)
-    previous = math.inf
+    factors = _bordered_factors(dense, pairs, where, lam_hi)
+    previous, steps = math.inf, 0
     for step in range(_REFINE_STEPS + 1):
         r = band_residual(dense.diag, dense.lower, lam_hi, lam_lo, x_hi, x_lo)
         if step == _REFINE_STEPS:
             break
-        coef = _block_product(dense.blocks, from_modes(r), transpose=True)
-        coef[cluster] = 0.0
-        denom = spectrum[:, None] - lam_hi[None, :]
-        denom[cluster] = 1.0
-        # the eigenvalue shift this correction would still bring, to second order
-        pending = np.sum(coef**2 / np.abs(denom), axis=0)
-        correction = to_modes(_block_product(dense.blocks, coef / denom))
+        rhs = from_modes(r)
+        delta, shift = np.zeros_like(rhs), np.zeros_like(lam_hi)
+        for rows, cols, lu in factors:
+            order = rows.stop - rows.start
+            bordered = np.zeros((order + len(cols), len(cols)))
+            bordered[:order] = rhs[rows, cols]
+            solution = lu_solve(lu, bordered, check_finite=False)
+            delta[rows, cols] = solution[:order]
+            shift[cols] = -np.diagonal(solution[order:])
+        # bounds the eigenvalue shift this correction would still bring,
+        # sum_j (q_j^T r)^2 / |mu_j - lambda|, by Cauchy-Schwarz
+        pending = np.linalg.norm(r, axis=0) * np.linalg.norm(delta, axis=0)
+        correction = to_modes(delta)
         size = float(np.max(np.abs(correction)))
         if np.all(pending <= 2.0**-110 * np.abs(lam_hi)) or size > 0.5 * previous:
             break
-        previous = size
-        quotient = np.einsum("ik,ik->k", np.conj(x_hi), r).real \
-            / np.einsum("ik,ik->k", np.conj(x_hi), x_hi).real
+        previous, steps = size, steps + 1
         x_hi, x_lo = dd_add(x_hi, x_lo, -correction)
-        lam_hi, lam_lo = dd_add(lam_hi, lam_lo, quotient)
+        lam_hi, lam_lo = dd_add(lam_hi, lam_lo, shift)
     gram = np.conj(x_hi.T) @ x_hi
     coupling = np.linalg.solve(gram, np.conj(x_hi.T) @ r)
-    if stop - first == 1:
-        return dd_add(lam_hi[0], lam_lo[0], coupling[0, 0].real)
+    if len(where) == 1:
+        return dd_add(lam_hi[0], lam_lo[0], coupling[0, 0].real), steps, 1
     import mpmath  # deferred: only clusters of several eigenvalues need it
     ctx = mpmath.MPContext()
     ctx.prec = _MP_PREC
     ritz = ctx.matrix(coupling.tolist())
-    for k in range(stop - first):
+    for k in range(len(where)):
         ritz[k, k] += ctx.mpf(lam_hi[k]) + ctx.mpf(lam_lo[k])
     roots = sorted(ctx.re(z) for z in ctx.eig(ritz, left=False, right=False))
     hi = float(roots[index - first])
-    return hi, float(roots[index - first] - hi)
+    return (hi, float(roots[index - first] - hi)), steps, len(where)
 
 
 def h1_distance(u: FourierSeries1D, basis: list[FourierSeries1D]) -> float:
@@ -322,12 +386,20 @@ def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
     in_cluster = np.abs(ref.eigenvalues - lam_ref) <= cluster_gap
     space = [v for v, keep in zip(ref.eigenvectors, in_cluster) if keep]
 
-    ref_hi, ref_lo = _extended_eigenvalue(ref._dense, band - 1, cluster_gap)
+    refinements = []
+
+    def refined(res: EigenResult, cutoff: int):
+        value, steps, size = _extended_eigenvalue(res._dense, band - 1, cluster_gap)
+        refinements.append(Refinement(
+            cutoff, tuple(len(vecs) for _, vecs in res._dense.pairs), steps, size))
+        return value
+
+    ref_hi, ref_lo = refined(ref, reference_cutoff)
     lam_err = np.empty(len(cutoffs))
     vec_err = np.empty(len(cutoffs))
     for i, n in enumerate(cutoffs):
         res = solve_eig(V, n, band)
-        hi, lo = _extended_eigenvalue(res._dense, band - 1, cluster_gap)
+        hi, lo = refined(res, n)
         diff, diff_lo = dd_add(hi, lo - ref_lo, -ref_hi)
         lam_err[i] = diff + diff_lo
         vec_err[i] = h1_distance(res.eigenvectors[band - 1], space)
@@ -341,6 +413,7 @@ def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
         fitted_rate_eigenvector=fit_log_rate(cutoffs, vec_err),
         band=band,
         reference_cutoff=reference_cutoff,
+        refinements=tuple(refinements),
     )
 
 

@@ -83,14 +83,17 @@ def real_blocks(column: np.ndarray) -> list[np.ndarray]:
     """
     n = (len(column) - 1) // 2
     a, b = column.real, column.imag
-    square = np.diag(np.arange(n + 1) ** 2.0)
+    square = np.arange(n + 1) ** 2.0
     # Toeplitz x_{k-j} and Hankel x_{k+j} as views over k, j = 0..N
     even_a = _toeplitz(np.concatenate((a[n:0:-1], a[:n + 1])), n + 1)
     hankel = sliding_window_view(column, n + 1)
-    cos = even_a + hankel.real + square
+    # each block is one new array, its diagonal added in place
+    cos = even_a + hankel.real
+    cos.flat[::n + 2] += square
     cos[0, 0] = a[0]
     cos[0, 1:] = cos[1:, 0] = SQRT2 * a[1:n + 1]
-    sin = (even_a - hankel.real + square)[1:, 1:]
+    sin = even_a[1:, 1:] - hankel.real[1:, 1:]
+    sin.flat[::n + 1] += square[1:]
     if not np.any(b):
         return [cos, sin] if n else [cos]
 

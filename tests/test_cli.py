@@ -425,6 +425,81 @@ def test_blowup_manifest_diagnostics(tmp_path):
     assert "diagnostics" not in json.loads((gp_dir / "manifest.json").read_text())
 
 
+def test_eig_convergence_manifest_diagnostics(tmp_path):
+    _, out_dir = run_cli(tmp_path, "eig-convergence", CONFIGS["eig-convergence"])
+    diagnostics = json.loads((out_dir / "manifest.json").read_text())["diagnostics"]
+    assert set(diagnostics) == {"refinement"}
+    solves = diagnostics["refinement"]
+    # the reference first, then the study cutoffs; the even Poisson kernel
+    # splits each matrix into a cosine and a sine block
+    assert [s["N"] for s in solves] == [8, 2, 3, 4]
+    for s in solves:
+        n = s["N"]
+        assert s["matrix_order"] == 2 * n + 1
+        assert s["block_orders"] == [n + 1, n]
+        assert 1 <= s["newton_steps"] <= 12
+        assert s["cluster_size"] == 1
+    # run records stay out of the byte-compared artifacts
+    for name in ("convergence.csv", "convergence.json"):
+        assert "newton_steps" not in (out_dir / name).read_text()
+
+
+class Reached(Exception):
+    """Raised by a stubbed numerics call: the config passed validation."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+# size key -> the largest value DENSE_BYTES_LIMIT admits: real matrices of
+# order 2N + 1 for eig-convergence, complex ones for linsolve, the real
+# half-wave Jacobian of order ceil(N/2) for gp-solve and blowup.  An N_list
+# beyond it needs an N_ref beyond it, so only its rejection is checked;
+# N_list is named, the first key that asks for the matrix.
+SIZE_GUARDS = [
+    ("eig-convergence", "convergence_study", "N_ref", 5792,
+     lambda n: {"N_ref": n}),
+    ("eig-convergence", "convergence_study", "N_list", None,
+     lambda n: {"N_list": [2, 5793], "N_ref": 2 * 5793}),
+    ("linsolve", "refinement_study", "N_ref", 4095, lambda n: {"N_ref": n}),
+    ("linsolve", "refinement_study", "N_list", None,
+     lambda n: {"N_list": [4, 4096], "N_ref": 2 * 4096}),
+    ("gp-solve", "solve_gp", "N", 23170, lambda n: {"N": n}),
+    ("blowup", "solve_gp", "N", 23170, lambda n: {"N": n}),
+]
+
+
+@pytest.mark.parametrize("experiment, numerics, key, largest, change", SIZE_GUARDS,
+                         ids=[f"{e}-{k}" for e, _, k, _, _ in SIZE_GUARDS])
+def test_dense_size_guard(tmp_path, monkeypatch, capsys, experiment, numerics, key,
+                          largest, change):
+    # the numerics are stubbed: no test allocates a matrix of this size
+    monkeypatch.setattr(f"stripwave.cli.{numerics}", reached)
+    if largest is not None:
+        with pytest.raises(Reached):
+            run_cli(tmp_path, experiment, dict(CONFIGS[experiment], **change(largest)))
+        largest += 1
+    code, _ = run_cli(tmp_path, experiment, dict(CONFIGS[experiment], **change(largest)))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["location"] == f"config.{key}"
+    assert "byte limit" in err["message"]
+
+
+def test_memory_error_exits_3(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr("stripwave.cli.convergence_study", exhausted)
+    code, _ = run_cli(tmp_path, "eig-convergence", CONFIGS["eig-convergence"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numeric"
+    assert err["type"] == "MemoryError"
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")

@@ -139,28 +139,42 @@ class TestRealBlocks:
             start = stop
 
     def test_eigh_sees_only_real_blocks(self, monkeypatch):
+        # subset eigensolves of the real blocks only: no full np.linalg.eigh,
+        # and each scipy.linalg.eigh call computes at most the lowest
+        # n_pairs + 1 pairs of its block
         seen = []
-        eigh = np.linalg.eigh
+        eigh = scipy.linalg.eigh
 
         def spy(a, *args, **kwargs):
-            seen.append((np.asarray(a).dtype.kind, np.shape(a)))
-            return eigh(a, *args, **kwargs)
+            values, vectors = eigh(a, *args, **kwargs)
+            seen.append((np.asarray(a).dtype.kind, np.shape(a),
+                         kwargs.get("subset_by_index"), vectors.shape[1]))
+            return values, vectors
 
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+        def full(*args, **kwargs):
+            raise AssertionError("full eigendecomposition")
+
+        monkeypatch.setattr(np.linalg, "eigh", full)
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
         even = REAL_PATH_CASES["poisson-kernel"]
         solve_eig(even, 12, 3)
-        assert seen == [("f", (13, 13)), ("f", (12, 12))]
+        assert seen == [("f", (13, 13), [0, 3], 4), ("f", (12, 12), [0, 3], 4)]
         seen.clear()
         solve_eig(even, 0, 1)
-        assert seen == [("f", (1, 1))]
+        assert seen == [("f", (1, 1), [0, 0], 1)]
         seen.clear()
         solve_eig(REAL_PATH_CASES["off-centre-gaussian"], 12, 3)
-        assert seen == [("f", (25, 25))]
+        assert seen == [("f", (25, 25), [0, 3], 4)]
         seen.clear()
         convergence_study(even, [2, 3, 4], 8, 1)
-        assert sorted(shape for _, shape in seen) == sorted(
+        assert sorted(shape for _, shape, _, _ in seen) == sorted(
             (n + extra, n + extra) for n in (2, 3, 4, 8) for extra in (0, 1))
-        assert {kind for kind, _ in seen} == {"f"}
+        assert {kind for kind, _, _, _ in seen} == {"f"}
+        # one pair above the one asked at the study cutoffs, 9 + 1 at the
+        # reference, whose blocks of orders 9 and 8 hold no more
+        for _, (order, _), subset, columns in seen:
+            m = min(order, 10 if order >= 8 else 2)
+            assert subset == [0, m - 1] and columns == m, (order, subset, columns)
 
     def test_rotation_round_trip(self):
         rng = np.random.default_rng(5)
@@ -252,6 +266,27 @@ class TestConvergenceStudy:
         table = convergence_study(ZERO, [2, 3], 8, 2)
         np.testing.assert_allclose(table.eigenvector_errors, 0.0, atol=1e-10)
 
+    def test_refinement_record(self):
+        # bands 2 and 3, split by 1e-3, refined as one cluster of a cosine
+        # and a sine vector
+        V = poisson_kernel(3.0, mu=0.05, cutoff=40)
+        table = convergence_study(V, [2, 3, 4], 8, 2, cluster_gap=1e-2)
+        assert [r.cutoff for r in table.refinements] == [8, 2, 3, 4]
+        assert [r.block_orders for r in table.refinements] == [
+            (n + 1, n) for n in (8, 2, 3, 4)]
+        assert {r.cluster_size for r in table.refinements} == {2}
+        assert all(1 <= r.steps <= 12 for r in table.refinements)
+        # Newton on the bordered system takes at most two corrections, also
+        # for bands 1 to 3 as one cluster, two of them in the cosine block;
+        # the values would come out right after more, since the closing
+        # Ritz step takes out a first-order eigenvalue error
+        wide = convergence_study(V, [2, 3, 4], 8, 1, cluster_gap=1.1)
+        assert {r.cluster_size for r in wide.refinements} == {3}
+        assert max(r.steps for r in wide.refinements) <= 2
+        coupled = convergence_study(REAL_PATH_CASES["off-centre-gaussian"],
+                                    [2, 3], 6, 1)
+        assert [r.block_orders for r in coupled.refinements] == [(13,), (5,), (7,)]
+
     def test_reference_must_dominate(self):
         with pytest.raises(InvalidParameterError):
             convergence_study(ZERO, [4, 8], 12, 1)
@@ -265,8 +300,29 @@ class TestConvergenceStudy:
         # imaginary coefficients: a complex Hermitian band
         (cosine(mean=3.0) + sine(0.5, 2), 1, 1e-8),
         (gaussian_bump(1.0, 0.5, 0.7, 20), 2, 1e-8),
+        # an exactly degenerate cos/sin pair, one vector in each block
+        (constant(0.7), 2, 1e-8),
+        (constant(0.7), 5, 1e-8),
+        # the 1e-3-split bands 2 and 3 as single eigenvalues, each refined
+        # on its own block next to a close neighbour in the other one
+        (poisson_kernel(3.0, mu=0.05, cutoff=40), 2, 1e-8),
+        (poisson_kernel(3.0, mu=0.05, cutoff=40), 3, 1e-8),
+        # bands 4 and 5, 3e-5 apart, as a cluster across the two blocks
+        (poisson_kernel(3.0, mu=0.05, cutoff=40), 5, 1e-3),
+        # the coupled block: off-centre Gaussian bands 1 and 3, and the
+        # imaginary-coefficient bands 4 and 5 (4.3e-2 apart) as a cluster
+        # of two vectors bordering the one block
+        (gaussian_bump(1.0, 0.5, 0.7, 20), 1, 1e-8),
+        (gaussian_bump(1.0, 0.5, 0.7, 20), 3, 1e-8),
+        (cosine(mean=3.0) + sine(0.5, 2), 4, 0.1),
+        # a cluster of bands 1 to 3 that reaches past the lowest pairs the
+        # blocks first computed
+        (poisson_kernel(3.0, mu=0.05, cutoff=40), 1, 1.1),
     ], ids=["golden", "cluster-lower", "cluster-upper", "complex",
-            "off-centre-gaussian"])
+            "off-centre-gaussian", "constant-pair", "constant-pair-k2",
+            "split-lower", "split-upper", "cross-block-cluster",
+            "coupled-lowest", "coupled-band-3", "coupled-cluster",
+            "wide-cluster"])
     def test_eigenvalue_errors_match_60_digit_eigenvalues(self, V, band, gap):
         table = convergence_study(V, [2, 3, 4], 8, band, cluster_gap=gap)
         mp = mpmath.MPContext()

@@ -4,9 +4,11 @@
 
 For each of the eight settings OPENBLAS_CORETYPE in {SkylakeX, Haswell,
 Sandybridge, Prescott} x OPENBLAS_NUM_THREADS in {1, 2}, runs the golden
-comparisons (`tests/test_cli.py -k golden`) and the cubic solver tests
-(`tests/test_cubic.py`) in fresh subprocesses, since OpenBLAS reads both
-variables once, when it loads.  Prints one PASS/FAIL line per setting,
+comparisons (`tests/test_cli.py -k golden`), the cubic solver tests
+(`tests/test_cubic.py`) and the eigensolver tests (`tests/test_eigen.py`:
+the subset eigensolves, the bordered refinement and its 60-digit checks)
+in fresh subprocesses, since OpenBLAS reads both variables once, when it
+loads.  Prints one PASS/FAIL line per setting,
 with the ids of its failed tests under it, and exits 1 if any setting
 fails.  Run it from any directory; the tests import stripwave from this
 checkout's `src/`.
@@ -22,7 +24,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CORETYPES = ("SkylakeX", "Haswell", "Sandybridge", "Prescott")
 THREADS = ("1", "2")
-SUITES = (("tests/test_cli.py", "-k", "golden"), ("tests/test_cubic.py",))
+SUITES = (("tests/test_cli.py", "-k", "golden"), ("tests/test_cubic.py",),
+          ("tests/test_eigen.py",))
 
 
 def run_setting(coretype: str, threads: str) -> tuple[bool, list[str], list[str]]:
