@@ -49,6 +49,8 @@ class Lattice:
         d = arr.shape[0]
         if not 1 <= d <= 3:
             raise InvalidParameterError("dimension must be 1, 2 or 3")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidParameterError("basis vectors must be finite")
         if abs(np.linalg.det(arr)) < 1e-12 * max(1.0, np.max(np.abs(arr)) ** d):
             raise InvalidParameterError("basis vectors must be linearly independent")
         arr.flags.writeable = False
@@ -68,14 +70,11 @@ def reciprocal(lattice: Lattice) -> Lattice:
     return Lattice(2.0 * np.pi * np.linalg.inv(lattice.basis).T)
 
 
-def weight_multid(half_width: float, lattice: Lattice, G) -> float:
-    """Strip weight sum_n cosh(2*A * (G . a_n) / (2*pi)) of a reciprocal vector."""
-    if half_width <= 0:
-        raise InvalidParameterError("strip half-width must be positive")
-    G = np.asarray(G, dtype=float)
-    projections = lattice.basis @ G / (2.0 * np.pi)
-    with np.errstate(over="ignore"):
-        return float(np.sum(np.cosh(2.0 * half_width * projections)))
+def basis_box(lattice: Lattice, reach: float) -> list[int]:
+    """Half-widths b_n of the integer box of every G with |G| <= reach, as
+    |m_n| = |G . a_n| / (2*pi) <= |G| |a_n| / (2*pi); OverflowError past floats."""
+    return [math.floor(reach * float(np.linalg.norm(a)) / (2.0 * np.pi)) + 1
+            for a in lattice.basis]
 
 
 @dataclass(frozen=True)
@@ -105,10 +104,7 @@ def basis_set(lattice: Lattice, k_point, cutoff: float) -> PlanewaveBasis:
     if not np.all(np.isfinite(k)):
         raise InvalidParameterError(f"k point {k.tolist()} must be finite")
     recip = reciprocal(lattice)
-    reach = cutoff + float(np.linalg.norm(k))
-    # |m_n| = |(G . a_n)|/(2*pi) <= |G| |a_n| / (2*pi) bounds the integer box.
-    box = [int(math.floor(reach * np.linalg.norm(lattice.basis[n]) / (2.0 * np.pi))) + 1
-           for n in range(d)]
+    box = basis_box(lattice, cutoff + float(np.linalg.norm(k)))
     # the box in lexicographic order, last coordinate fastest
     grids = np.meshgrid(*[np.arange(-b, b + 1) for b in box], indexing="ij")
     candidates = np.stack(grids, axis=-1).reshape(-1, d)

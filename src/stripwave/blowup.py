@@ -484,13 +484,6 @@ def axis_decoupling_check(epsilon: float, mu: float, initial_slope: float,
                               y_end=traj.y_end)
 
 
-def forcing_region_boundary(mu: float, values) -> np.ndarray:
-    """Boundary y(v) = arcsinh((v - v^3)/mu) of the region where the forced
-    trajectory is convex (for plotting)."""
-    v = np.asarray(values, dtype=float)
-    return np.arcsinh((v - v**3) / mu)
-
-
 def blowup_report(epsilon: float, mu: float, eta: float, initial_slope: float,
                   y_max: float = 10.0, threshold: float = 1e8,
                   rtol: float = 1e-11) -> BlowupReport:

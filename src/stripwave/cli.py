@@ -6,11 +6,11 @@ version, wall time, and for `blowup` and `eig-convergence` the solvers'
 diagnostics) into the output directory, every file through `write_csv`
 or `write_json`: atomically (temp + rename), with floats in the
 shortest round-trip representation, so identical configs produce
-identical bytes.  Exit
-codes: 0 on success, 2 on configuration errors (a dense matrix above
-DENSE_BYTES_LIMIT among them, rejected before anything is allocated), 3
-on numeric failures (running out of memory among them); both error
-paths emit a machine-readable JSON object on stderr.
+identical bytes.  Exit codes: 0 on success, 2 on configuration errors
+(a dense matrix above DENSE_BYTES_LIMIT among them, a Bloch fiber
+counted from the integer box of its basis, rejected before anything is
+allocated), 3 on numeric failures (running out of memory among them);
+both error paths emit a machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ import numpy as np
 
 from . import __version__
 from .blowup import blowup_report, trajectory_diagnostics, trajectory_samples
-from .bloch import (FourierSeriesD, Lattice, band_structure, bz_convergence,
-                    bz_sample_grid, gaussian_potential, series1d_to_lattice)
+from .bloch import (FourierSeriesD, Lattice, band_structure, basis_box,
+                    bz_convergence, bz_sample_grid, gaussian_potential,
+                    series1d_to_lattice)
 from .cubic import estimate_solution_strip, solve_gp
 from .eigen import convergence_study
 from .errors import ConfigError, InvalidParameterError, StripwaveError
@@ -127,10 +128,14 @@ def _guard_dense(cfg: dict, key: str, order, itemsize: int):
     than DENSE_BYTES_LIMIT bytes of `itemsize`-byte entries."""
     value = cfg[key]
     n = max(value) if isinstance(value, list) else value
-    size = order(n) ** 2 * itemsize
+    try:
+        dim = order(n)
+    except OverflowError:  # a Bloch box beyond the float range
+        dim = math.inf
+    size = dim ** 2 * itemsize
     if size > DENSE_BYTES_LIMIT:
         raise ConfigError(
-            f"'{key}' = {value!r} asks for a dense matrix of order {order(n)} "
+            f"'{key}' = {value!r} asks for a dense matrix of order {dim} "
             f"({size} bytes), above the {DENSE_BYTES_LIMIT}-byte limit",
             location=f"config.{key}")
 
@@ -141,6 +146,14 @@ def _galerkin_order(cutoff: int) -> int:
 
 def _half_wave_order(n: int) -> int:
     return -(-n // 2)
+
+
+def _fiber_order(lattice: Lattice, k_points: np.ndarray):
+    """Bound on the Bloch fiber order at cutoff n: the integer box that
+    basis_set tests at the largest finite |k| (it rejects the other k)."""
+    norms = np.linalg.norm(k_points, axis=1)
+    reach = float(np.max(norms, where=np.isfinite(norms), initial=0.0))
+    return lambda n: math.prod(2 * b + 1 for b in basis_box(lattice, n + reach))
 
 
 def _given(cfg: dict, *keys) -> dict:
@@ -228,13 +241,18 @@ def _build_lattice(spec, location: str):
         raise ConfigError("lattice spec must be an object", location=location)
     if "rows" in spec:
         cfg = _require_keys(spec, {"rows": "list"}, {}, location)
-        return Lattice(_points(cfg["rows"], f"{location}.rows"))
-    if "cubic" in spec:
+        key, basis = "rows", _points(cfg["rows"], f"{location}.rows")
+    elif "cubic" in spec:
         sub = _require_keys(spec["cubic"], {"dimension": "int", "a": "float"},
                             {}, f"{location}.cubic")
         _validate_range(sub, f"{location}.cubic", dimension=lambda d: 1 <= d <= 3)
-        return Lattice(sub["a"] * np.eye(sub["dimension"]))
-    raise ConfigError("lattice spec needs 'rows' or 'cubic'", location=location)
+        key, basis = "cubic.a", sub["a"] * np.eye(sub["dimension"])
+    else:
+        raise ConfigError("lattice spec needs 'rows' or 'cubic'", location=location)
+    try:
+        return Lattice(basis)
+    except InvalidParameterError as exc:  # every basis entry is the config's
+        raise ConfigError(str(exc), location=f"{location}.{key}")
 
 
 def _build_lattice_potential(cfg: dict, location: str):
@@ -405,6 +423,7 @@ def _run_bands(cfg: dict, out):
     _validate_range(cfg, N=lambda n: n > 0, n_bands=lambda n: n >= 1)
     lattice, V = _build_lattice_potential(cfg, "config")
     k_path = _k_points(cfg["k_path"], lattice.dimension, "config.k_path")
+    _guard_dense(cfg, "N", _fiber_order(lattice, k_path), 16)  # complex fibers
     bs = band_structure(V, k_path, cfg["N"], cfg["n_bands"])
     header = ["path_parameter"] + [f"k{i + 1}" for i in range(lattice.dimension)] \
         + [f"band{j + 1}" for j in range(cfg["n_bands"])]
@@ -427,6 +446,7 @@ def _run_bz(cfg: dict, out):
         samples = _k_points(cfg["k_samples"], lattice.dimension, "config.k_samples")
     else:
         samples = bz_sample_grid(lattice, cfg["n_k"])
+    _guard_dense(cfg, "N_ref", _fiber_order(lattice, samples), 16)  # >= N_list
     table = bz_convergence(V, samples, cfg["N_list"], cfg["N_ref"], cfg["n"])
     write_csv(out, "bz.csv", ["N", "max_lambda_err"],
               zip(table.cutoffs, table.max_errors))

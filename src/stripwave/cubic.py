@@ -157,7 +157,7 @@ def _newton(epsilon: float, mu: float, cutoff: int, u0: np.ndarray,
         history.append(rnorm)
         if rnorm <= tol:
             return u, it, history
-        if it == max_iter:
+        if it == max_iter or not math.isfinite(rnorm):
             break
         jac = _half_wave_jacobian(sq.coeffs, cutoff, lin[pos])
         try:
@@ -170,8 +170,8 @@ def _newton(epsilon: float, mu: float, cutoff: int, u0: np.ndarray,
         u[pos] -= 1j * step
         u[neg] += 1j * step
     raise NonconvergenceError(
-        f"Newton did not reach {tol:g} within {max_iter} iterations",
-        residual_history=history)
+        f"Newton stopped at residual {rnorm:g} after {it} iterations, "
+        f"above {tol:g}", residual_history=history)
 
 
 def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12,
@@ -186,9 +186,12 @@ def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12,
         raise InvalidParameterError("epsilon must be positive")
     if cutoff < 16:
         raise InvalidParameterError("cutoff must be at least 16")
-    guess = FourierSeries1D.from_callable(
-        lambda x: np.real(cardano_root(mu, x)), cutoff,
-        n_grid=4 * cutoff + 1).coeffs
+    # a starting point that overflows shows in Newton's residual history
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", BranchPointWarning)
+        guess = FourierSeries1D.from_callable(
+            lambda x: np.real(cardano_root(mu, x)), cutoff,
+            n_grid=4 * cutoff + 1).coeffs
     try:
         u, iters, history = _newton(epsilon, mu, cutoff, guess, tol, max_iter)
     except NonconvergenceError:

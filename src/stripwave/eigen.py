@@ -423,8 +423,8 @@ def eigenvector_strip_check(V: FourierSeries1D, cutoff: int, band: int,
 
         (1 + ||V||) * sqrt(cosh(2*A*sqrt(||V|| + lambda + 1))),
 
-    where ||V|| is the multiplier-norm surrogate.  Meaningful only for
-    half-widths strictly inside the potential's analyticity strip.
+    where ||V|| is the weighted l1 norm of multiplier_norm_bound.  Meaningful
+    only for half-widths strictly inside the potential's analyticity strip.
     """
     res = solve_eig(V, cutoff, band)
     lam = float(res.eigenvalues[band - 1])

@@ -37,7 +37,10 @@ def _symmetrized(V: FourierSeries1D, cutoff: int):
     zero beyond the stored cutoff of V."""
     if not V.is_real_valued(tol=1e-10):
         raise PreconditionError("potential must be real-valued")
-    vsym = 0.5 * (V.coeffs + np.conj(V.coeffs[::-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vsym = 0.5 * (V.coeffs + np.conj(V.coeffs[::-1]))
+    if not np.all(np.isfinite(vsym)):
+        raise PreconditionError("potential coefficients overflow when symmetrized")
     nv = V.cutoff
     diffs = np.arange(0, 2 * cutoff + 1)
     col = np.where(diffs <= nv, np.take(vsym, np.minimum(nv + diffs, 2 * nv)), 0.0)

@@ -3,9 +3,9 @@
 The solve is a dense Hermitian system on the modes |k| <= N.  Alongside
 the solution the module evaluates the low/high-frequency tail bounds
 that control the strip norm of the solution: splitting u = u_low + u_high
-at a cutoff M with M^2 above the multiplier norm of V, the low part
-obeys the a-priori L2 bound through the lowest Galerkin eigenvalue
-alpha, which tail_bound_check takes from eigen.solve_eig,
+at a cutoff M with M^2 above ||V||, the weighted l1 norm that bounds
+multiplication by V, the low part obeys the a-priori L2 bound through
+the lowest Galerkin eigenvalue alpha, taken from eigen.solve_eig,
 
     ||u_low||_A <= ||f||_L2 / alpha * sqrt(cosh(2*A*M)),
 
@@ -90,15 +90,15 @@ def tail_bound_check(V: FourierSeries1D, f: FourierSeries1D, solve_cutoff: int,
                      split_cutoff: int, half_width: float) -> TailBoundReport:
     """Evaluate the low/high tail estimates for the solution at a split.
 
-    Precondition: split_cutoff**2 must exceed the multiplier-norm
-    surrogate of V at the requested half-width, otherwise the
-    Neumann-series argument behind the high-frequency bound is void.
+    Precondition: split_cutoff**2 must exceed the multiplier norm bound
+    of V at the requested half-width, otherwise the Neumann-series
+    argument behind the high-frequency bound is void.
     The low bound divides by the lowest Galerkin eigenvalue at
     solve_cutoff.
     """
     v_norm = multiplier_norm_bound(V, half_width)
     if split_cutoff**2 <= v_norm:
-        needed = math.floor(math.sqrt(v_norm)) + 1
+        needed = math.floor(math.sqrt(v_norm)) + 1 if v_norm < math.inf else v_norm
         raise PreconditionError(
             f"split cutoff {split_cutoff} too low: need split_cutoff >= {needed} "
             f"so that split_cutoff^2 > {v_norm:.6g}"

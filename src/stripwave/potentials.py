@@ -63,11 +63,6 @@ def poisson_kernel(c: float, mu: float = 1.0, shift: float = 0.0,
     return FourierSeries1D(cutoff, coeffs)
 
 
-def poisson_kernel_half_width(c: float) -> float:
-    """Strip half-width arccosh(c) of the poisson_kernel potential."""
-    return math.acosh(c)
-
-
 def gaussian_bump(amplitude: float = 1.0, width: float = 0.5, center: float = 0.0,
                   cutoff: int = 40) -> FourierSeries1D:
     """Periodized Gaussian sum_n amplitude * exp(-(x - center - 2*pi*n)^2 / (2*width^2)).

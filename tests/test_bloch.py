@@ -9,10 +9,9 @@ import pytest
 from stripwave.bloch import (FourierSeriesD, Lattice, PlanewaveBasis,
                              assemble_bloch, band_structure, basis_set,
                              bz_convergence, bz_sample_grid, gaussian_potential,
-                             reciprocal, series1d_to_lattice, weight_multid)
+                             reciprocal, series1d_to_lattice)
 from stripwave.eigen import assemble_hamiltonian
 from stripwave.errors import InvalidParameterError
-from stripwave.fourier import strip_weight
 from stripwave.potentials import poisson_kernel
 
 CUBIC_2D = Lattice(2.0 * np.pi * np.eye(2))
@@ -86,33 +85,6 @@ class TestLattice:
     def test_rejects_singular_basis(self):
         with pytest.raises(InvalidParameterError):
             Lattice(np.array([[1.0, 2.0], [2.0, 4.0]]))
-
-
-class TestWeightMultid:
-    def test_at_origin_counts_dimension(self):
-        assert weight_multid(0.7, CUBIC_2D, np.zeros(2)) == pytest.approx(2.0)
-
-    def test_reduces_to_1d_weight(self):
-        # on 2*pi*Z the reciprocal basis is 1, so G = m and the single
-        # projection is m itself
-        for m in (1, 3, 7):
-            assert weight_multid(0.4, TWO_PI_LINE, [float(m)]) == pytest.approx(
-                float(strip_weight(0.4, m)), rel=1e-14)
-
-    def test_cubic_single_direction(self):
-        rec = reciprocal(CUBIC_2D)
-        m = 3
-        got = weight_multid(0.5, CUBIC_2D, m * rec.basis[0])
-        assert got == pytest.approx(1.0 + math.cosh(2 * 0.5 * m), rel=1e-14)
-
-    def test_invariant_under_basis_relabeling(self):
-        # for a symmetric lattice, swapping the basis rows reorders the
-        # projections but not their sum
-        swapped = Lattice(CUBIC_2D.basis[::-1].copy())
-        rec = reciprocal(CUBIC_2D)
-        g = 2.0 * rec.basis[0] + 1.0 * rec.basis[1]
-        assert weight_multid(0.3, CUBIC_2D, g) == pytest.approx(
-            weight_multid(0.3, swapped, g), rel=1e-14)
 
 
 class TestBasisSet:

@@ -10,9 +10,9 @@ import pytest
 from stripwave.blowup import (OdeTrajectory, axis_decoupling_check,
                               blowup_report, comparison_blowup_time,
                               comparison_solution, energy_drift_check,
-                              forcing_region_boundary, integrate_comparison,
-                              integrate_psi, locate_crossings,
-                              trajectory_samples, verify_lower_bound)
+                              integrate_comparison, integrate_psi,
+                              locate_crossings, trajectory_samples,
+                              verify_lower_bound)
 from stripwave.cubic import branch_point_height, solve_gp
 from stripwave.errors import (InvalidParameterError, NoCrossingError,
                               PreconditionError)
@@ -315,13 +315,6 @@ class TestBlowupReport:
         # the same integration the standalone call performs
         assert rep.trajectory.nodes.tobytes() == trajectory.nodes.tobytes()
         assert rep.trajectory.psi.tobytes() == trajectory.psi.tobytes()
-
-
-def test_forcing_region_boundary():
-    # v - v^3 = 0 at v = 1, so the convexity region touches y = 0 there
-    ys = forcing_region_boundary(0.5, np.array([1.0, 1.5, 2.0]))
-    assert ys[0] == pytest.approx(0.0, abs=1e-15)
-    assert np.all(np.diff(ys) < 0)  # larger v needs deeper sinh forcing
 
 
 def test_trajectory_samples(trajectory):

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -456,7 +457,10 @@ def reached(*args, **kwargs):
 # order 2N + 1 for eig-convergence, complex ones for linsolve, the real
 # half-wave Jacobian of order ceil(N/2) for gp-solve and blowup.  An N_list
 # beyond it needs an N_ref beyond it, so only its rejection is checked;
-# N_list is named, the first key that asks for the matrix.
+# N_list is named, the first key that asks for the matrix.  The complex
+# Bloch fibers are bounded by the integer box of their basis, which grows
+# by one layer per unit of N + max |k| on these 2*pi lattices (max |k| is
+# 0.5 in both configs): the values admitted are a box layer below the limit.
 SIZE_GUARDS = [
     ("eig-convergence", "convergence_study", "N_ref", 5792,
      lambda n: {"N_ref": n}),
@@ -467,6 +471,9 @@ SIZE_GUARDS = [
      lambda n: {"N_list": [4, 4096], "N_ref": 2 * 4096}),
     ("gp-solve", "solve_gp", "N", 23170, lambda n: {"N": n}),
     ("blowup", "solve_gp", "N", 23170, lambda n: {"N": n}),
+    ("bands", "band_structure", "N", 43.49, lambda n: {"N": n}),  # 89^2 <= 8192
+    ("bz-convergence", "bz_convergence", "N_ref", 4094.49,  # 2 * 4095 + 1
+     lambda n: {"N_ref": n}),
 ]
 
 
@@ -485,6 +492,24 @@ def test_dense_size_guard(tmp_path, monkeypatch, capsys, experiment, numerics, k
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert err["location"] == f"config.{key}"
+    assert "byte limit" in err["message"]
+
+
+CUBE = {"cubic": {"dimension": 3, "a": 6.283185307179586}}
+
+
+@pytest.mark.parametrize("n", [20.0, 1e308], ids=["cube-20", "box-overflows"])
+def test_bloch_fiber_guard_counts_the_box(tmp_path, monkeypatch, capsys, n):
+    # the box of the cube of side 2*pi at N = 20 holds 43^3 = 79507 points
+    # and the basis about 33,000 planewaves; at 1e308 the box overflows
+    monkeypatch.setattr("stripwave.cli.band_structure", reached)
+    cube = dict(CONFIGS["bands"], lattice=CUBE, k_path=[[0.0, 0.0, 0.0]])
+    with pytest.raises(Reached):
+        run_cli(tmp_path, "bands", dict(cube, N=8.99))  # a box of 19^3 points
+    code, _ = run_cli(tmp_path, "bands", dict(cube, N=n))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["location"] == "config.N"
     assert "byte limit" in err["message"]
 
 
@@ -565,6 +590,33 @@ def test_inert_flags_are_gone(tmp_path, flag):
         main(["strip-estimate", "--config", str(cfg), "--out", str(tmp_path / "o"),
               flag, "1"])
     assert exc.value.code == 2
+
+
+OVERFLOWING_SERIES = {"cutoff": 2, "re": [0, 1, 1e308, 1, 0], "im": [0, 0, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("experiment, config, kind", [
+    ("eig-convergence", dict(CONFIGS["eig-convergence"],
+                             potential={"file": "series.json"}), "PreconditionError"),
+    ("linsolve", dict(CONFIGS["linsolve"], potential={"file": "series.json"}),
+     "PreconditionError"),
+    ("gp-solve", dict(CONFIGS["gp-solve"], mu=1e200), "NonconvergenceError"),
+    ("blowup", dict(CONFIGS["blowup"], mu=1e300), "NonconvergenceError"),
+], ids=["eig-convergence", "linsolve", "gp-solve", "blowup"])
+def test_overflow_exits_3(tmp_path, monkeypatch, capsys, experiment, config, kind):
+    """Coefficients or Newton residuals beyond the float range exit 3 with
+    the JSON object alone on stderr, and no warning on the way."""
+    (tmp_path / "series.json").write_text(json.dumps(OVERFLOWING_SERIES))
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run_cli(tmp_path, experiment, config)
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "numeric"
+    assert err["type"] == kind
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys):
@@ -654,10 +706,19 @@ def test_invalid_bloch_parameter_exits_3(tmp_path, capsys, experiment, config):
     ("bz-convergence", dict(CONFIGS["bz-convergence"], lattice=SQUARE,
                             potential={"name": "zero"}, k_samples=[0.0, 0.5]),
      "config.k_samples"),
+    ("bands", dict(CONFIGS["bands"], lattice={"rows": [[1, 2, 3]]}),
+     "config.lattice.rows"),
+    ("bands", dict(CONFIGS["bands"], lattice={"rows": [[0, 0], [0, 0]]}),
+     "config.lattice.rows"),
+    ("bands", dict(CONFIGS["bands"], lattice={"cubic": {"dimension": 2, "a": 0.0}}),
+     "config.lattice.cubic.a"),
+    ("bands", dict(CONFIGS["bands"], lattice={"rows": [[float("nan"), 0], [0, 6.28]]}),
+     "config.lattice.rows"),
 ], ids=["k_path", "k_samples", "centers", "ragged-rows", "non-numeric-rows",
         "cubic-not-object", "negative-dimension", "negative-cutoff",
         "empty-k-samples", "series-lengths", "band-beyond-basis",
-        "flat-k-path-2d", "flat-k-samples-2d"])
+        "flat-k-path-2d", "flat-k-samples-2d", "non-square-rows",
+        "singular-rows", "zero-cubic-a", "nonfinite-rows"])
 def test_ragged_point_list_exits_2(tmp_path, monkeypatch, capsys, experiment, config,
                                    location):
     """Malformed configs, ragged point lists among them, exit 2 at their key."""

@@ -198,8 +198,17 @@ class TestSolveGp:
             solve_gp(0.1, 0.5, 32, tol=1e-30, max_iter=2)
         assert len(info.value.residual_history) > 0
 
+    @pytest.mark.parametrize("mu", [1e200, 1e300])
+    def test_nonfinite_residual_raises_nonconvergence(self, mu):
+        # mu^2 overflows in the Cardano guess; Newton stops at its first
+        # residual instead of handing infs and NaNs to the linear solve
+        with pytest.raises(NonconvergenceError, match="residual nan") as info:
+            solve_gp(0.1, mu, 32)
+        assert len(info.value.residual_history) == 1
+        assert not math.isfinite(info.value.residual_history[0])
 
-PARAMS = [(0.1, 0.5), (0.2, 2.0), (0.05, 1.0), (1.0, 0.1)]
+
+PARAMS =[(0.1, 0.5), (0.2, 2.0), (0.05, 1.0), (1.0, 0.1)]
 
 
 def even_k(cutoff):

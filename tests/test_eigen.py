@@ -16,7 +16,7 @@ from stripwave.fourier import (FourierSeries1D, h1_norm, l2_norm, strip_norm,
 from stripwave.galerkin import (assemble_dense, from_modes, rayleigh_polish,
                                 to_modes)
 from stripwave.potentials import (constant, cosine, gaussian_bump, mathieu,
-                                  poisson_kernel, poisson_kernel_half_width, sine)
+                                  poisson_kernel, sine)
 
 ZERO = constant(0.0)
 # Known characteristic value of the Mathieu operator -u'' + 2 cos(2x) u
@@ -203,9 +203,9 @@ class TestH1Distance:
         b1 = FourierSeries1D(4, rng.randn(9) + 1j * rng.randn(9))
         b2 = FourierSeries1D(4, rng.randn(9) + 1j * rng.randn(9))
         u = FourierSeries1D(4, rng.randn(9) + 1j * rng.randn(9))
-        theta = 0.77
-        r1 = math.cos(theta) * b1 + math.sin(theta) * b2
-        r2 = -math.sin(theta) * b1 + math.cos(theta) * b2
+        c, s = math.cos(0.77), math.sin(0.77)
+        r1 = FourierSeries1D(4, c * b1.coeffs + s * b2.coeffs)
+        r2 = FourierSeries1D(4, -s * b1.coeffs + c * b2.coeffs)
         assert h1_distance(u, [b1, b2]) == pytest.approx(
             h1_distance(u, [r1, r2]), rel=1e-10)
 
@@ -229,7 +229,7 @@ class TestConvergenceStudy:
     def test_finite_strip_rates(self):
         V = poisson_kernel(2.0, shift=2.0)
         table = convergence_study(V, [2, 3, 4, 5, 6], 16, 1)
-        width = poisson_kernel_half_width(2.0)
+        width = math.acosh(2.0)  # the strip half-width of 1 / (2 - cos x)
         # the claimed rates are certified with 10% slack
         assert table.fitted_rate_eigenvalue <= -2.0 * 1.0 * 0.9
         assert table.fitted_rate_eigenvector <= -1.0 * 0.9
@@ -372,7 +372,7 @@ class TestEigenvectorStripCheck:
         V = poisson_kernel(2.0, shift=2.0)
         res = solve_eig(V, 48, 1)
         vec = res.eigenvectors[0]
-        width = poisson_kernel_half_width(2.0)
+        width = math.acosh(2.0)
         norms = [strip_norm(vec, a) for a in (0.5 * width, 0.8 * width,
                                               0.95 * width)]
         assert norms[0] < norms[1] < norms[2]

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from stripwave.errors import InsufficientDataError, InvalidParameterError
-from stripwave.fourier import (SQRT_2PI, FourierSeries1D, derivative,
-                               estimate_strip, evaluate, grid_values, l2_norm,
-                               multiplier_norm_bound, multiply, project,
-                               series_from_json, series_to_json, strip_norm,
+from stripwave.fourier import (SQRT_2PI, FourierSeries1D, estimate_strip,
+                               grid_values, l2_norm, multiplier_norm_bound,
+                               multiply, project, series_from_json, strip_norm,
                                strip_weight)
 from stripwave.linear import solve_linear
 from stripwave.potentials import cosine, sine
@@ -22,6 +21,13 @@ def random_series(cutoff, seed, real=False):
     if real:
         c = 0.5 * (c + np.conj(c[::-1]))
     return FourierSeries1D(cutoff, c)
+
+
+def evaluate(u, z):
+    """Oracle: sum_k u_k exp(i*k*z) / sqrt(2*pi) at real or complex z."""
+    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
+    vals = np.exp(1j * np.outer(z_arr, u.wavenumbers())) @ u.coeffs / SQRT_2PI
+    return complex(vals[0]) if np.ndim(z) == 0 else vals
 
 
 class TestStripWeight:
@@ -145,6 +151,8 @@ class TestMultiply:
 
 
 class TestEvaluate:
+    """The evaluation oracle of the strip tests, against closed forms."""
+
     def test_constant(self):
         u = FourierSeries1D.mode(0, SQRT_2PI * 3.0)
         for z in (0.0, 1.3, 2j, 1 + 2j):
@@ -176,22 +184,47 @@ class TestEvaluate:
 class TestMultiplierNormBound:
     def test_constant(self):
         v = FourierSeries1D.mode(0, -1.5 * SQRT_2PI)
-        assert multiplier_norm_bound(v, 0.7) == pytest.approx(
-            math.sqrt(2.0) * 1.5, rel=1e-12)
+        assert multiplier_norm_bound(v, 0.7) == pytest.approx(1.5, rel=1e-15)
 
     def test_sine_closed_form(self):
-        # sup_x |sin(x + i*A)| = cosh(A)
+        # |mu * sqrt(pi/2)| * exp(A) at k = +-1, over sqrt(2*pi)
         mu = 2.0
         for a in (0.3, 1.0):
-            got = multiplier_norm_bound(sine(mu), a, n_grid=20001)
-            assert got == pytest.approx(math.sqrt(2.0) * mu * math.cosh(a),
-                                        rel=1e-5)
+            assert multiplier_norm_bound(sine(mu), a) == pytest.approx(
+                mu * math.exp(a), rel=1e-15)
 
     def test_monotone_in_half_width(self):
         v = random_series(6, seed=12, real=True)
         widths = [0.1, 0.3, 0.6, 1.0, 1.5]
-        bounds = [multiplier_norm_bound(v, a, n_grid=4096) for a in widths]
-        assert all(b1 <= b2 + 1e-12 for b1, b2 in zip(bounds, bounds[1:]))
+        bounds = [multiplier_norm_bound(v, a) for a in widths]
+        assert all(b1 <= b2 for b1, b2 in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounds_sup_on_both_lines(self, seed):
+        v = random_series(6, seed=20 + seed, real=seed % 2 == 0)
+        x = 2 * np.pi * np.arange(4096) / 4096
+        for a in (0.2, 0.9):
+            norm = multiplier_norm_bound(v, a)
+            for line in (x + 1j * a, x - 1j * a):
+                assert np.max(np.abs(evaluate(v, line))) <= norm
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounds_multiplication_on_strip_space(self, seed):
+        v = random_series(5, seed=30 + seed)
+        u = random_series(9, seed=40 + seed)
+        for a in (0.3, 1.2):
+            product = multiply(v, u, v.cutoff + u.cutoff)
+            assert strip_norm(product, a) <= multiplier_norm_bound(v, a) \
+                * strip_norm(u, a)
+
+    def test_zero_coefficient_does_not_poison_overflowed_weight(self):
+        v = FourierSeries1D.mode(0, SQRT_2PI, cutoff=800)
+        assert multiplier_norm_bound(v, 3.0) == pytest.approx(1.0, rel=1e-15)
+
+    def test_overflow_reports_infinity(self):
+        assert multiplier_norm_bound(FourierSeries1D.mode(400, 1.0), 2.0) == math.inf
+        big = FourierSeries1D(1, np.full(3, 1e308))
+        assert multiplier_norm_bound(big, 0.5) == math.inf
 
 
 class TestEstimateStrip:
@@ -250,14 +283,10 @@ class TestSeriesBasics:
         assert random_series(6, seed=14, real=True).is_real_valued()
         assert not FourierSeries1D.mode(1, 1.0).is_real_valued()
 
-    def test_derivative_of_mode(self):
-        u = FourierSeries1D.mode(3, 2.0)
-        du = derivative(u)
-        assert du.coefficient(3) == pytest.approx(6j)
-
     def test_json_round_trip(self):
         u = random_series(5, seed=15)
-        again = series_from_json(series_to_json(u))
+        again = series_from_json({"cutoff": u.cutoff, "re": u.coeffs.real.tolist(),
+                                  "im": u.coeffs.imag.tolist()})
         assert again.cutoff == u.cutoff
         np.testing.assert_array_equal(again.coeffs, u.coeffs)
 

@@ -1,12 +1,14 @@
 """Tests for the Galerkin matrix assembly: complex Toeplitz and real blocks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from stripwave.fourier import SQRT_2PI
+from stripwave.errors import PreconditionError
+from stripwave.fourier import SQRT_2PI, FourierSeries1D
 from stripwave.galerkin import assemble_dense, coefficient_column, real_blocks
 from stripwave.potentials import (constant, cosine, gaussian_bump, mathieu,
                                   poisson_kernel, sine)
@@ -95,3 +97,13 @@ def test_odd_part_beyond_the_matrix_is_even():
     V = cosine(mean=3.0) + sine(0.5, 5)
     assert [len(b) for b in real_blocks(coefficient_column(V, 1))] == [2, 1]
     assert [len(b) for b in real_blocks(coefficient_column(V, 3))] == [7]
+
+
+@pytest.mark.parametrize("build", [assemble_dense, coefficient_column])
+def test_overflowing_coefficients_are_rejected(build):
+    # real-valued, but V_0 + conj(V_0) overflows in the symmetrization
+    V = FourierSeries1D(2, np.array([0.0, 1.0, 1e308, 1.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="overflow"):
+            build(V, 3)

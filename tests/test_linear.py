@@ -11,7 +11,7 @@ from stripwave.fourier import (SQRT_2PI, FourierSeries1D, h1_norm, l2_norm,
                                multiply, project, strip_norm, strip_weight)
 from stripwave.galerkin import assemble_dense
 from stripwave.linear import refinement_study, solve_linear, tail_bound_check
-from stripwave.potentials import constant, cosine, sine
+from stripwave.potentials import constant, cosine, poisson_kernel, sine
 
 
 class TestSolveLinear:
@@ -88,14 +88,14 @@ class TestSolveLinear:
 class TestTailBoundCheck:
     def test_constant_potential_reduces_to_source_tail(self):
         # With constant V the coupling term vanishes and the high bound is
-        # exactly ||f_high||_A / (M^2 - sqrt(2)).
+        # exactly ||f_high||_A / (M^2 - ||V||), with ||V|| = |V| = 1.
         f = sine(1.0) + FourierSeries1D.mode(12, 0.01j) \
             + FourierSeries1D.mode(-12, -0.01j)
         split = 8
         rep = tail_bound_check(constant(1.0), f, 32, split, 0.5)
-        assert rep.multiplier_norm == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert rep.multiplier_norm == pytest.approx(1.0, rel=1e-15)
         f_high = f - project(f, split)
-        expected = strip_norm(f_high, 0.5) / (split**2 - math.sqrt(2.0))
+        expected = strip_norm(f_high, 0.5) / (split**2 - rep.multiplier_norm)
         assert rep.high_bound == pytest.approx(expected, rel=1e-12)
         assert rep.low_ok and rep.high_ok
 
@@ -115,8 +115,14 @@ class TestTailBoundCheck:
         assert rep.low_bound == pytest.approx(expected, rel=1e-12)
 
     def test_neumann_precondition(self):
-        with pytest.raises(PreconditionError, match="split_cutoff >= 3"):
+        # ||2 + cos||_{l1, A = 0.5} = 2 + exp(0.5) = 3.65 needs M >= 2
+        with pytest.raises(PreconditionError, match="split_cutoff >= 2"):
             tail_bound_check(cosine(mean=2.0), sine(1.0), 32, 1, 0.5)
+
+    def test_overflowing_norm_admits_no_split(self):
+        # far beyond the strip of 1 / (2 - cos x) the weighted sum overflows
+        with pytest.raises(PreconditionError, match="split_cutoff >= inf"):
+            tail_bound_check(poisson_kernel(2.0, shift=2.0), sine(1.0), 16, 8, 20.0)
 
 
 def test_assemble_matches_brute_force():
