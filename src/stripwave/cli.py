@@ -2,15 +2,17 @@
 
 The numerics modules return data; this module alone renders it.  Each
 run writes its CSV/JSON artifacts plus a manifest (config hash, code
-version, wall time, and for `blowup` and `eig-convergence` the solvers'
-diagnostics) into the output directory, every file through `write_csv`
-or `write_json`: atomically (temp + rename), with floats in the
-shortest round-trip representation, so identical configs produce
+version, wall time, and for `gp-solve`, `blowup` and `eig-convergence`
+the solvers' diagnostics) into the output directory, every file through
+`write_csv` or `write_json`: atomically (temp + rename), with floats in
+the shortest round-trip representation, so identical configs produce
 identical bytes.  Exit codes: 0 on success, 2 on configuration errors
 (a dense matrix above DENSE_BYTES_LIMIT among them, a Bloch fiber
-counted from the integer box of its basis, rejected before anything is
-allocated), 3 on numeric failures (running out of memory among them);
-both error paths emit a machine-readable JSON object on stderr.
+counted from the integer box of its basis, and a `gaussian-sum` lattice
+potential whose own integer box would pass the same limit, rejected
+before anything is allocated), 3 on numeric failures (running out of
+memory among them); both error paths emit a machine-readable JSON
+object on stderr.
 """
 
 from __future__ import annotations
@@ -270,6 +272,18 @@ def _build_lattice_potential(cfg: dict, location: str):
                                    "cutoff": "float"}, {},
                             f"{location}.potential")
         centers = _points(sub["centers"], f"{location}.potential.centers")
+        # basis_set forms d int64 coordinates and one float norm per box point
+        try:
+            points = math.prod(2 * b + 1 for b in basis_box(lattice, sub["cutoff"]))
+        except OverflowError:  # a box beyond the float range
+            points = math.inf
+        size = points * 8 * (lattice.dimension + 1)
+        if size > DENSE_BYTES_LIMIT:
+            raise ConfigError(
+                f"'cutoff' = {sub['cutoff']!r} asks for an integer box of "
+                f"{points} points ({size} bytes), above the "
+                f"{DENSE_BYTES_LIMIT}-byte limit",
+                location=f"{location}.potential.cutoff")
         return lattice, gaussian_potential(lattice, centers, sub["widths"],
                                            sub["amplitudes"], sub["cutoff"])
     if name == "embed-1d":
@@ -331,6 +345,13 @@ def _run_eig_convergence(cfg: dict, out):
          "cluster_size": r.cluster_size} for r in table.refinements]
 
 
+def _newton_record(result) -> dict:
+    """What Newton did, for the manifest: its iterations and the residual
+    norm before each of them and after the last."""
+    return {"iterations": result.newton_iters,
+            "residual_history": list(result.residual_history)}
+
+
 def _decay_rows(u):
     """(k, |u_k|) rows for coefficient-decay plots."""
     return ((k, abs(c)) for k, c in zip(u.wavenumbers(), u.coeffs))
@@ -357,6 +378,7 @@ def _run_gp_solve(cfg: dict, out):
         "u_prime_at_zero": result.u_prime_at_zero,
         "B_eps_estimate": strip.half_width,
     })
+    out.diagnostics["newton"] = _newton_record(result)
 
 
 @_experiment("strip-estimate")
@@ -412,7 +434,8 @@ def _run_blowup(cfg: dict, out):
     write_csv(out, "trajectory.csv", ["y", "psi", "psi_prime", "xi"],
               trajectory_samples(report.trajectory, cfg["epsilon"], cfg["eta"],
                                  report.level_crossing))
-    out.diagnostics.update(trajectory_diagnostics(report.trajectory))
+    out.diagnostics.update(trajectory_diagnostics(report.trajectory),
+                           newton=_newton_record(gp))
 
 
 @_experiment("bands")

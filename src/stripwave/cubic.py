@@ -15,14 +15,14 @@ with real b_k on the odd wavenumbers k = 1, 3, 5, ... <= N, and u_k = 0
 for every even k.  That restriction is exact for sine forcing: the map
 u -> -eps*u'' + u + u^3 sends odd real functions with half-wave symmetry
 u(x + pi) = -u(x) to functions of the same kind, mu*sin is one of them,
-and the Galerkin residual and its Jacobian keep the subspace invariant,
-so Newton started in it never leaves it.  On the subspace the Jacobian
-is a real symmetric positive-definite matrix of order ceil(N/2)
-(multiplication by 3u^2 >= 0 plus eps*k^2 + 1 > 0), and each step is one
-Cholesky solve in place of a complex solve of order 2N + 1.  The residual
-and its norm are still formed on all |k| <= N; their even-k entries, like
-the solution's, are exact zeros, since every product the convolutions
-form there has a zero factor.
+and Newton started in the subspace never leaves it.  The real array b is
+Newton's only state.  With beta = (-b reversed, b), so u_k = i*beta_k on
+the odd |k| <= N, the square u^2 = -(beta*beta)/sqrt(2 pi) is real and
+lives on the even m, and u^3 = i*(u^2 * beta)/sqrt(2 pi) on the odd k:
+the residual is two real convolutions of these compressed arrays,
+summed by numpy rather than BLAS.  The Jacobian is real symmetric
+positive definite of order ceil(N/2) (multiplication by 3u^2 >= 0 plus
+eps*k^2 + 1 > 0), so each step is one Cholesky solve.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BranchPointWarning, InvalidParameterError, NonconvergenceError
-from .fourier import (SQRT_2PI, AnalyticityEstimate, FourierSeries1D,
-                      estimate_strip, multiply)
-from .potentials import sine
+from .extended import norm2
+from .fourier import SQRT_2PI, AnalyticityEstimate, FourierSeries1D, estimate_strip
+from .potentials import HALF_MODE
 
 
 @dataclass(frozen=True)
@@ -106,27 +106,26 @@ def cardano_root(mu: float, z):
     return complex(out) if out.ndim == 0 else out
 
 
-def _odd_modes(c: np.ndarray, cutoff: int) -> np.ndarray:
-    """The b_k, k = 1, 3, 5, ... <= cutoff, of the projection
-    u_k = i*b_k, u_{-k} = -i*b_k onto the half-wave sine subspace."""
-    return 0.5 * (c[cutoff + 1::2].imag - c[cutoff - 1::-2].imag)
+def _slide(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_j x[i + j] * y[j] for every window i of x, as numpy sums
+    (einsum, not BLAS), so the sums do not follow the BLAS kernel."""
+    return np.einsum("ij,j->i", sliding_window_view(x, len(y)), y)
 
 
-def _half_wave_jacobian(sq: np.ndarray, cutoff: int, lin: np.ndarray) -> np.ndarray:
+def _half_wave_jacobian(sq: np.ndarray, lin: np.ndarray) -> np.ndarray:
     """Real Jacobian of the Galerkin residual on the half-wave sine subspace.
 
-    sq holds the coefficients (u^2)_m, |m| <= 2*cutoff, and lin the
-    eps*k^2 + 1 at the odd k = 1, 3, 5, ... <= cutoff.  With
-    s_m = Re (u^2)_m, the complex Jacobian diag(eps*k^2 + 1) +
+    sq holds the real coefficients s_m = (u^2)_m at the even m,
+    |m| <= 2K, with K the largest odd k, and lin the eps*k^2 + 1 at the
+    odd k = 1, 3, ..., K.  The complex Jacobian diag(eps*k^2 + 1) +
     3 * (multiplication by u^2) maps i*d_k, -i*d_k on the odd k to
     i*(J d)_k, -i*(J d)_k, with k = 2a + 1, j = 2b + 1 and
     J[a, b] = lin_k delta_ab + 3/sqrt(2 pi) (s_{2|a-b|} - s_{2(a+b+1)}),
-    a, b = 0..ceil(cutoff/2) - 1.  Only the even s_m enter: k - j and
-    k + j are even.  J is symmetric positive definite: u^2 >= 0 on the
-    real line makes the multiplication positive semidefinite.
+    a, b = 0..len(lin) - 1.  J is symmetric positive definite: u^2 >= 0
+    on the real line makes the multiplication positive semidefinite.
     """
     order = len(lin)
-    e = sq.real[2 * cutoff::2]  # e[d] = s_{2d}, d = 0..cutoff
+    e = sq[2 * order - 1:]  # e[d] = s_{2d}, d = 0..K
     sym = np.concatenate((e[order - 1:0:-1], e[:order]))  # e_|d|, |d| < order
     # strided views: Toeplitz [a, b] = e_|a-b|, Hankel [a, b] = e_{a+b+1}
     jac = 3.0 / SQRT_2PI * (sliding_window_view(sym, order)[:, ::-1]
@@ -135,52 +134,48 @@ def _half_wave_jacobian(sq: np.ndarray, cutoff: int, lin: np.ndarray) -> np.ndar
     return jac
 
 
-def _newton(epsilon: float, mu: float, cutoff: int, u0: np.ndarray,
-            tol: float, max_iter: int):
+def _newton(epsilon: float, mu: float, b: np.ndarray, tol: float, max_iter: int):
     import scipy.linalg  # deferred: only the Newton step needs it
-    k = np.arange(-cutoff, cutoff + 1)
-    lin = epsilon * k.astype(float) ** 2 + 1.0
-    fhat = sine(mu)._padded(cutoff) if mu != 0.0 else np.zeros(2 * cutoff + 1,
-                                                               dtype=complex)
-    # the odd k = 1, 3, 5, ... <= cutoff and their mirrors -k
-    pos, neg = slice(cutoff + 1, None, 2), slice(cutoff - 1, None, -2)
-    b = _odd_modes(u0, cutoff)
-    u = np.zeros(2 * cutoff + 1, dtype=complex)
-    u[pos], u[neg] = 1j * b, -1j * b
+    order = len(b)
+    lin = epsilon * np.arange(1.0, 2 * order, 2) ** 2 + 1.0
+    stop = tol * max(1.0, mu * math.sqrt(math.pi))  # tol * ||mu sin||_L2
+    pad = np.zeros(2 * order - 1)
     history = []
     for it in range(max_iter + 1):
-        # u^3 projected to |k| <= cutoff exactly: cutoffs 2N, then N
-        series = FourierSeries1D(cutoff, u)
-        sq = multiply(series, series, 2 * cutoff)
-        residual = lin * u + multiply(sq, series, cutoff).coeffs - fhat
-        rnorm = float(np.linalg.norm(residual))
+        beta = np.concatenate((-b[::-1], b))  # u_k = i*beta_k, odd |k| <= K
+        # u^2 on the even |m| <= 2K and u^3 on the odd k = 1..K, exactly
+        sq = -_slide(np.concatenate((pad, beta, pad)), beta[::-1]) / SQRT_2PI
+        residual = lin * b + _slide(sq[order:], beta[::-1]) / SQRT_2PI
+        residual[0] += mu * HALF_MODE  # the forcing, -i*mu*sqrt(pi/2) at k = 1
+        rnorm = norm2((residual, residual))  # at k and at -k
         history.append(rnorm)
-        if rnorm <= tol:
-            return u, it, history
+        if rnorm <= stop:
+            return b, it, history
         if it == max_iter or not math.isfinite(rnorm):
             break
-        jac = _half_wave_jacobian(sq.coeffs, cutoff, lin[pos])
         try:
-            step = scipy.linalg.solve(jac, _odd_modes(residual, cutoff),
+            step = scipy.linalg.solve(_half_wave_jacobian(sq, lin), residual,
                                       assume_a="pos")
         except np.linalg.LinAlgError as exc:
             raise NonconvergenceError(
                 f"Newton Jacobian lost positive definiteness: {exc}",
                 residual_history=history) from exc
-        u[pos] -= 1j * step
-        u[neg] += 1j * step
+        b = b - step
     raise NonconvergenceError(
         f"Newton stopped at residual {rnorm:g} after {it} iterations, "
-        f"above {tol:g}", residual_history=history)
+        f"above {stop:g}", residual_history=history)
 
 
 def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12,
              max_iter: int = 50) -> GpSolveResult:
     """Newton-Galerkin solution of -eps*u'' + u + u^3 = mu*sin on |k| <= cutoff.
 
-    The initial guess is the projected Cardano root of the eps = 0
-    problem; if Newton stalls from there, the solver falls back to a
-    continuation that halves eps from 1.0 down to the target.
+    Newton stops at a Galerkin residual of L2 norm <= tol * max(1,
+    mu*sqrt(pi)): tol is relative to the forcing's norm ||mu sin|| =
+    mu*sqrt(pi) once that exceeds 1, as the residual's rounding floor
+    grows with mu.  The initial guess is the projected Cardano root of
+    the eps = 0 problem; if Newton stalls from there, the solver falls
+    back to a continuation that halves eps from 1.0 down to the target.
     """
     if epsilon <= 0:
         raise InvalidParameterError("epsilon must be positive")
@@ -189,11 +184,13 @@ def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12,
     # a starting point that overflows shows in Newton's residual history
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", BranchPointWarning)
-        guess = FourierSeries1D.from_callable(
+        c = FourierSeries1D.from_callable(
             lambda x: np.real(cardano_root(mu, x)), cutoff,
             n_grid=4 * cutoff + 1).coeffs
+    # its projection onto the half-wave sine subspace
+    guess = 0.5 * (c[cutoff + 1::2].imag - c[cutoff - 1::-2].imag)
     try:
-        u, iters, history = _newton(epsilon, mu, cutoff, guess, tol, max_iter)
+        b, iters, history = _newton(epsilon, mu, guess, tol, max_iter)
     except NonconvergenceError:
         eps_path = []
         e = max(1.0, epsilon)
@@ -201,10 +198,12 @@ def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12,
             eps_path.append(e)
             e *= 0.5
         eps_path.append(epsilon)
-        u = guess
+        b = guess
         for e in eps_path:
-            u, iters, history = _newton(e, mu, cutoff, u, tol, max_iter)
+            b, iters, history = _newton(e, mu, b, tol, max_iter)
 
+    u = np.zeros(2 * cutoff + 1, dtype=complex)
+    u[cutoff + 1::2], u[cutoff - 1::-2] = 1j * b, -1j * b
     series = FourierSeries1D(cutoff, u)
     k = series.wavenumbers()
     slope = complex(np.sum(1j * k * u)) / SQRT_2PI

@@ -155,8 +155,8 @@ def byte_mismatches(golden_dir, out_dir):
             or (out_dir / golden.name).read_bytes() != golden.read_bytes()]
 
 
-# gp-solve goes through BLAS zdotu (np.convolve) and the LAPACK Cholesky
-# solve of its real Newton step, so its last bits follow the BLAS kernel.
+# gp-solve goes through the LAPACK Cholesky solve of its real Newton step,
+# so its last bits may follow the BLAS kernel (its residual is numpy sums).
 # Relative spreads against the golden files, measured over
 # OPENBLAS_CORETYPE in {SkylakeX, Haswell, Sandybridge, Prescott} x
 # OPENBLAS_NUM_THREADS in {1, 2} when the step was a complex LU solve
@@ -164,7 +164,9 @@ def byte_mismatches(golden_dir, out_dir):
 # Sandybridge), u_prime_at_zero 0, B_eps_estimate 1.13e-15, residual
 # 2.33e-5 (Prescott).  With the Cholesky step the same sweep gives
 # 5.40e-14, 0, 1.13e-15 and 4.64e-5 (Prescott), and so does the
-# half-wave step of order ceil(N/2) (tools/kernel_sweep.py runs this
+# half-wave step of order ceil(N/2); the residual from real convolutions
+# of the half-wave coefficients gives 2.70e-14, 0, 1.13e-15 and 2.36e-5
+# (one value on every setting; tools/kernel_sweep.py runs this
 # comparison on all eight settings).  Each tolerance is 4 times the
 # first spread, the spread taken as at least one ulp (2**-52).
 # Even-k coefficients vanish by half-wave symmetry, u(x + pi) = -u(x).
@@ -415,15 +417,42 @@ def test_blowup_manifest_diagnostics(tmp_path):
     _, out_dir = run_cli(tmp_path, "blowup", CONFIGS["blowup"])
     diagnostics = json.loads((out_dir / "manifest.json").read_text())["diagnostics"]
     assert set(diagnostics) == {"ode_steps", "taylor_order", "min_step",
-                                "pole_estimate"}
+                                "pole_estimate", "newton"}
     report = json.loads((out_dir / "report.json").read_text())
     assert 0 < diagnostics["ode_steps"] <= 100
     assert 0.0 < diagnostics["min_step"]
     assert report["Y_eps"] < diagnostics["pole_estimate"] < report["Y_eps"] + 1e-6
     # run records stay out of the byte-compared artifacts
     assert "pole_estimate" not in (out_dir / "report.json").read_text()
-    _, gp_dir = run_cli(tmp_path, "gp-solve", CONFIGS["gp-solve"], subdir="gp")
-    assert "diagnostics" not in json.loads((gp_dir / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("experiment", ["gp-solve", "blowup"])
+def test_newton_record_in_manifest(tmp_path, experiment):
+    _, out_dir = run_cli(tmp_path, experiment, CONFIGS[experiment])
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    newton = manifest["diagnostics"]["newton"]
+    assert set(newton) == {"iterations", "residual_history"}
+    history = newton["residual_history"]
+    # one residual before each iteration and one after the last
+    assert newton["iterations"] == 3 and len(history) == newton["iterations"] + 1
+    assert history[-1] <= 1e-12 < history[0]
+    report = (out_dir / "report.json").read_text()
+    assert "residual_history" not in report
+    if experiment == "gp-solve":
+        assert json.loads(report)["newton_iters"] == newton["iterations"]
+        assert json.loads(report)["residual"] == history[-1]
+
+
+@pytest.mark.parametrize("mu", [1e4, 1e5])
+@pytest.mark.parametrize("experiment", ["gp-solve", "blowup"])
+def test_large_forcing_exits_0(tmp_path, experiment, mu):
+    # the residual's rounding floor at these mu lies above tol = 1e-12;
+    # Newton stops relative to the forcing's norm, mu * sqrt(pi)
+    code, out_dir = run_cli(tmp_path, experiment, dict(CONFIGS[experiment], mu=mu))
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    newton = manifest["diagnostics"]["newton"]
+    assert 1e-12 < newton["residual_history"][-1] <= 1e-12 * mu * math.sqrt(math.pi)
 
 
 def test_eig_convergence_manifest_diagnostics(tmp_path):
@@ -510,6 +539,39 @@ def test_bloch_fiber_guard_counts_the_box(tmp_path, monkeypatch, capsys, n):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["location"] == "config.N"
+    assert "byte limit" in err["message"]
+
+
+GAUSSIAN = {"name": "gaussian-sum", "centers": [[0.0, 0.0, 0.0]], "widths": [0.5],
+            "amplitudes": [1.0]}
+ON_THE_CUBE = {
+    "bands": dict(CONFIGS["bands"], lattice=CUBE, k_path=[[0.0, 0.0, 0.0]]),
+    "bz-convergence": dict(CONFIGS["bz-convergence"], lattice=CUBE,
+                           k_samples=[[0.0, 0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("cutoff", [160.0, 1e308], ids=["cube-160", "box-overflows"])
+@pytest.mark.parametrize("experiment", sorted(ON_THE_CUBE))
+def test_gaussian_potential_guard_counts_its_box(tmp_path, monkeypatch, capsys,
+                                                experiment, cutoff):
+    # On the cube of side 2*pi the box of |G| <= cutoff has half-widths
+    # floor(cutoff) + 1, and basis_set stores 3 int64 coordinates and one
+    # float norm per point: 321^3 points take 1.058e9 bytes, 323^3 points
+    # 1.078e9, against the limit of 2**30 = 1.074e9.  The potential is
+    # stubbed: no test enumerates the box.
+    monkeypatch.setattr("stripwave.cli.gaussian_potential", reached)
+
+    def config(c):
+        return dict(ON_THE_CUBE[experiment], potential=dict(GAUSSIAN, cutoff=c))
+
+    with pytest.raises(Reached):
+        run_cli(tmp_path, experiment, config(159.99))
+    code, _ = run_cli(tmp_path, experiment, config(cutoff))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["location"] == "config.potential.cutoff"
     assert "byte limit" in err["message"]
 
 

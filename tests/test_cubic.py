@@ -37,7 +37,7 @@ def complex_jacobian(u, cutoff, lin):
 
 def complex_newton(epsilon, mu, cutoff, tol=1e-12, max_iter=50):
     """Reference Newton on the full complex system of order 2N+1, started
-    from the unprojected Cardano guess."""
+    from the unprojected Cardano guess, with solve_gp's stopping rule."""
     k = np.arange(-cutoff, cutoff + 1)
     lin = epsilon * k.astype(float) ** 2 + 1.0
     fhat = sine(mu)._padded(cutoff)
@@ -48,7 +48,7 @@ def complex_newton(epsilon, mu, cutoff, tol=1e-12, max_iter=50):
         series = FourierSeries1D(cutoff, u)
         cube = multiply(multiply(series, series, 2 * cutoff), series, cutoff)
         residual = lin * u + cube.coeffs - fhat
-        if np.linalg.norm(residual) <= tol:
+        if np.linalg.norm(residual) <= tol * max(1.0, mu * math.sqrt(math.pi)):
             return u, it
         u = u - np.linalg.solve(complex_jacobian(u, cutoff, lin), residual)
     raise AssertionError("reference Newton did not converge")
@@ -259,7 +259,11 @@ class TestOddNewton:
         k = np.arange(-cutoff, cutoff + 1)
         lin = epsilon * k.astype(float) ** 2 + 1.0
         pos, neg = slice(cutoff + 1, None, 2), slice(cutoff - 1, None, -2)
-        jac = _half_wave_jacobian(square(u, cutoff), cutoff, lin[pos])
+        odd = cutoff - 1 + cutoff % 2  # the largest odd k <= cutoff
+        # (u^2)_m at the even |m| <= 2*odd, the only ones the Jacobian reads
+        sq = square(u, cutoff)[2 * (cutoff - odd):2 * (cutoff + odd) + 1:2]
+        assert np.all(sq.imag == 0.0)
+        jac = _half_wave_jacobian(sq.real, lin[pos])
         assert jac.shape == ((cutoff + 1) // 2,) * 2
         assert np.array_equal(jac, jac.T)
         assert np.min(np.linalg.eigvalsh(jac)) >= 1.0 - 1e-12
@@ -277,17 +281,46 @@ class TestOddNewton:
     @pytest.mark.parametrize("cutoff", [1, 2, 16, 17, 257])
     def test_real_jacobian_matches_toeplitz_hankel(self, cutoff):
         rng = np.random.RandomState(cutoff)
-        sq = rng.randn(4 * cutoff + 1) + 1j * rng.randn(4 * cutoff + 1)
         half = (cutoff + 1) // 2
+        # s_m at the even |m| <= 2K, K = 2*half - 1 the largest odd k
+        sq = rng.randn(4 * half - 1)
         lin = 1.0 + rng.rand(half)
-        e = sq.real[2 * cutoff::2]  # s_0, s_2, ..., s_{2 cutoff}
+        e = sq[2 * half - 1:]  # s_0, s_2, ..., s_{2K}
         want = 3.0 / SQRT_2PI * (scipy.linalg.toeplitz(e[:half])
                                  - scipy.linalg.hankel(e[1:half + 1],
                                                        e[half:2 * half]))
         want[np.diag_indices_from(want)] += lin
-        got = _half_wave_jacobian(sq, cutoff, lin)
+        got = _half_wave_jacobian(sq, lin)
         assert got.tobytes() == want.tobytes()
         assert got.strides == want.strides
+
+    def test_newton_forms_no_complex_product(self, monkeypatch):
+        import stripwave.cubic
+        import stripwave.fourier
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a complex convolution was formed")
+
+        monkeypatch.setattr(stripwave.fourier, "multiply", spy)
+        monkeypatch.setattr(stripwave.cubic, "multiply", spy, raising=False)
+        monkeypatch.setattr(np, "convolve", spy)
+        res = solve_gp(0.1, 0.5, 64)
+        assert calls == []
+        assert res.newton_iters == 3 and res.residual_l2 <= 1e-12
+
+    @pytest.mark.parametrize("mu", [1e4, 1e5])
+    def test_tolerance_is_relative_to_large_forcing(self, mu):
+        # the residual's rounding floor grows with mu: at these mu it lies
+        # above the absolute 1e-12, below 1e-12 * ||mu sin|| = 1e-12 mu sqrt(pi)
+        res = solve_gp(0.1, mu, 24)
+        assert 1e-12 < res.residual_l2 <= 1e-12 * mu * math.sqrt(math.pi)
+        assert res.newton_iters <= 6
+        hist = res.residual_history
+        assert hist[-1] <= 1e-4 * hist[-2]  # no stall: the last step still gains
+        c = res.solution.coeffs
+        assert np.all(c.real == 0.0) and np.all(c[even_k(24)] == 0.0)
 
     def test_failed_cholesky_falls_back_to_continuation(self, monkeypatch):
         direct = solve_gp(0.1, 0.5, 32)
