@@ -13,16 +13,15 @@ from .blowup import (AxisRealnessReport, BlowupReport, EnergyDriftReport,
                      energy_drift_check, integrate_comparison, integrate_psi,
                      locate_crossings, trajectory_diagnostics,
                      verify_lower_bound)
-from .bloch import (BandStructure, BZConvergenceTable, FourierSeriesD, Lattice,
+from .bloch import (BandStructure, FourierSeriesD, Lattice,
                     PlanewaveBasis, assemble_bloch, band_structure, basis_set,
                     bz_convergence, bz_sample_grid, gaussian_potential,
                     reciprocal, series1d_to_lattice)
 from .cubic import (GpSolveResult, branch_point_height, cardano_discriminant,
                     cardano_root, estimate_solution_strip, solve_gp)
-from .eigen import (ConvergenceTable, EigenResult, GalerkinMatrix,
-                    StripBoundCheck, assemble_hamiltonian, convergence_study,
-                    eigenvector_strip_check, fit_log_rate, h1_distance,
-                    solve_eig)
+from .eigen import (ConvergenceTable, EigenResult, ErrorTable, StripBoundCheck,
+                    convergence_study, eigenvector_strip_check, fit_log_rate,
+                    h1_distance, solve_eig)
 from .errors import (BranchPointWarning, ConfigError, InsufficientDataError,
                      InvalidParameterError, NoCrossingError,
                      NonconvergenceError, PreconditionError,

@@ -7,19 +7,19 @@ on lattice-periodic functions; its Galerkin matrix on the planewave set
     |G + k|^2 delta_{GG'} + V_{G-G'} / sqrt(|cell|),
 
 so the d = 1 pipeline on the lattice 2*pi*Z at k = 0 reproduces the
-one-dimensional eigensolver exactly.  Band structures sample a k path;
-the Brillouin-zone convergence table measures the worst eigenvalue error
-over sampled k against a reference cutoff and fits its exponential rate.
+one-dimensional eigensolver.  Fibers are solved on the path of `eigen`:
+subset eigensolves for band structures along a k path, and for the
+Brillouin-zone convergence table also the double-double refinement,
+whose residual sums over the offsets of V.
 
 A potential stores its coefficients as one dense complex array on the
 symmetric integer box [-reach, reach]^d.  The fiber matrix takes all of
 V_{G-G'} in one gather from that box, zero-padded to the basis's
-difference range, at the flat offsets of int_coords[:, None] -
-int_coords[None, :], and keeps the arithmetic of the entrywise
-definition, so it is bit-identical to an entry-by-entry assembly.  The
-basis enumeration tests the whole integer box at once and settles the
-points within rounding of the sphere with the single-point test, so it
-selects the same planewaves in the same order as a point-by-point scan.
+difference range, and keeps the arithmetic of the entrywise definition,
+so it is bit-identical to an entry-by-entry assembly.  The basis
+enumeration tests the whole integer box at once and settles the points
+within rounding of the sphere with the single-point test, so it selects
+the same planewaves in the same order as a point-by-point scan.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import InvalidParameterError, PreconditionError
-from .eigen import fit_log_rate
+from .eigen import ErrorTable, error_table, fiber_spectrum
+from .extended import Gather
 from .fourier import FourierSeries1D
-from .galerkin import rayleigh_polish
 
 
 @dataclass(frozen=True)
@@ -153,12 +154,10 @@ class FourierSeriesD:
         dense.flags.writeable = False
         self.dense = dense
 
-    @property
-    def coeffs(self) -> dict:
-        """The nonzero coefficients as {integer tuple: complex}, in
-        lexicographic order."""
-        return {tuple((idx - self.reach).tolist()): complex(self.dense[tuple(idx)])
-                for idx in np.argwhere(self.dense != 0)}
+    @cached_property
+    def hermitian(self) -> np.ndarray:
+        """(c_G + conj c_{-G}) / 2: both triangles of a fiber hold these."""
+        return 0.5 * (self.dense + np.conj(np.flip(self.dense)))
 
     def coefficient(self, key) -> complex:
         idx = tuple(int(i) + self.reach for i in key)
@@ -183,7 +182,7 @@ def series1d_to_lattice(u: FourierSeries1D) -> tuple[Lattice, FourierSeriesD]:
 
 
 def assemble_bloch(V: FourierSeriesD, basis: PlanewaveBasis) -> np.ndarray:
-    """Hermitian fiber matrix |G+k|^2 delta + V_{G-G'}/sqrt(|cell|)."""
+    """Hermitian fiber |G+k|^2 delta + V_{G-G'}/sqrt(|cell|), V as V.hermitian."""
     if not V.is_real_valued():
         raise PreconditionError("potential must be real-valued")
     d = basis.lattice.dimension
@@ -193,7 +192,7 @@ def assemble_bloch(V: FourierSeriesD, basis: PlanewaveBasis) -> np.ndarray:
     # in flat C order the offset of G - G' is flat(G) - flat(G') + flat(reach).
     reach = max(V.reach, 2 * int(np.abs(ints).max(initial=0)))
     padded = np.zeros((2 * reach + 1,) * d, dtype=complex)
-    padded[(slice(reach - V.reach, reach + V.reach + 1),) * d] = V.dense
+    padded[(slice(reach - V.reach, reach + V.reach + 1),) * d] = V.hermitian
     strides = (2 * reach + 1) ** np.arange(d - 1, -1, -1)
     flat = ints @ strides
     H = padded.ravel()[np.subtract.outer(flat + reach * int(strides.sum()), flat)]
@@ -208,76 +207,57 @@ def assemble_bloch(V: FourierSeriesD, basis: PlanewaveBasis) -> np.ndarray:
     return H
 
 
-def _fiber_eigenvalues(V: FourierSeriesD, k: np.ndarray, cutoff: float,
-                       n_bands: int) -> np.ndarray:
-    """Lowest n_bands eigenvalues of the fiber at k on the planewaves within cutoff."""
+def _coupling(V: FourierSeriesD, basis: PlanewaveBasis) -> Gather:
+    """assemble_bloch's fiber off its diagonal: row i couples to G_i - D by
+    V_D / sqrt(|cell|), rounded as there, for each offset D != 0 of V."""
+    d, n, ints = basis.lattice.dimension, basis.dimension, basis.int_coords
+    reach = int(np.abs(ints).max(initial=0))
+    coef = V.hermitian * (1.0 / math.sqrt(basis.lattice.unit_cell_volume))
+    offsets = np.argwhere(coef != 0) - V.reach
+    offsets = offsets[np.all(np.abs(offsets) <= 2 * reach, axis=1)
+                      & np.any(offsets != 0, axis=1)]
+    # planewave indices on the box [-3 reach, 3 reach]^d of every G_i - D,
+    # n where a point is not in the basis
+    strides = (6 * reach + 1) ** np.arange(d - 1, -1, -1)
+    index = np.full((6 * reach + 1) ** d, n)
+    flat = (ints + 3 * reach) @ strides
+    index[flat] = np.arange(n)
+    return Gather(coef[tuple((offsets + V.reach).T)], index, flat, offsets @ strides)
+
+
+def _fiber(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands: int):
+    """The lowest n_bands eigenvalues of the fiber at k on the planewaves
+    within cutoff, and the fiber as an operator, from eigen.fiber_spectrum."""
     basis = basis_set(V.lattice, k, cutoff)
     if basis.dimension < n_bands:
         raise InvalidParameterError(
             f"basis at k = {k.tolist()}, cutoff {cutoff} has only {basis.dimension} "
             f"planewaves; cannot produce {n_bands} bands")
-    H = assemble_bloch(V, basis)
-    _, vecs = np.linalg.eigh(H)
-    out = np.array([rayleigh_polish(H, vecs[:, j]) for j in range(n_bands)])
-    return np.sort(out)
+    return fiber_spectrum(assemble_bloch(V, basis), partial(_coupling, V, basis), n_bands)
 
 
 @dataclass(frozen=True)
 class BandStructure:
-    k_path: np.ndarray       # (n_k, d)
     path_parameter: np.ndarray
     bands: np.ndarray        # (n_k, n_bands), ascending along each row
-    cutoff: float
 
 
 def band_structure(V: FourierSeriesD, k_path, cutoff: float,
                    n_bands: int) -> BandStructure:
     """Lowest n_bands Bloch eigenvalues at each k of the path."""
     k_path = np.atleast_2d(np.asarray(k_path, dtype=float))
-    rows = []
-    for k in k_path:
-        rows.append(_fiber_eigenvalues(V, k, cutoff, n_bands))
+    bands = [_fiber(V, k, cutoff, n_bands)[0] for k in k_path]
     deltas = np.linalg.norm(np.diff(k_path, axis=0), axis=1)
     param = np.concatenate([[0.0], np.cumsum(deltas)])
-    return BandStructure(k_path=k_path, path_parameter=param,
-                         bands=np.asarray(rows), cutoff=float(cutoff))
-
-
-@dataclass(frozen=True)
-class BZConvergenceTable:
-    cutoffs: np.ndarray
-    max_errors: np.ndarray      # worst error over the k samples, per cutoff
-    per_k_errors: np.ndarray    # (n_cutoffs, n_k)
-    fitted_rate: float
-    band: int
-    reference_cutoff: float
-    k_samples: np.ndarray
+    return BandStructure(path_parameter=param, bands=np.asarray(bands))
 
 
 def bz_convergence(V: FourierSeriesD, k_samples, cutoffs, reference_cutoff: float,
-                   band: int) -> BZConvergenceTable:
-    """Worst-over-k eigenvalue error of band `band` (1-based) per cutoff."""
-    cutoffs = [float(n) for n in cutoffs]
-    if reference_cutoff < 2 * max(cutoffs):
-        raise InvalidParameterError(
-            "reference cutoff must be at least twice the largest study cutoff")
-    k_samples = np.atleast_2d(np.asarray(k_samples, dtype=float))
-    refs = [_fiber_eigenvalues(V, k, reference_cutoff, band)[band - 1]
-            for k in k_samples]
-    errors = np.empty((len(cutoffs), len(k_samples)))
-    for i, n in enumerate(cutoffs):
-        for j, k in enumerate(k_samples):
-            errors[i, j] = _fiber_eigenvalues(V, k, n, band)[band - 1] - refs[j]
-    worst = errors.max(axis=1)
-    return BZConvergenceTable(
-        cutoffs=np.asarray(cutoffs),
-        max_errors=worst,
-        per_k_errors=errors,
-        fitted_rate=fit_log_rate(cutoffs, worst),
-        band=band,
-        reference_cutoff=float(reference_cutoff),
-        k_samples=k_samples,
-    )
+                   band: int) -> ErrorTable:
+    """eigen.error_table of band `band` (1-based) over the k samples."""
+    return error_table(lambda k, n, _: _fiber(V, k, n, band)[1],
+                       np.atleast_2d(np.asarray(k_samples, dtype=float)),
+                       cutoffs, reference_cutoff, band)
 
 
 def gaussian_potential(lattice: Lattice, centers, widths, amplitudes,

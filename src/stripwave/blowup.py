@@ -79,31 +79,6 @@ class OdeTrajectory:
     def slope(self, y):
         return self.interpolant(y)[1]
 
-    @staticmethod
-    def from_callable(value, slope, y_grid, epsilon: float = math.nan,
-                      mu: float = math.nan,
-                      blowup_time: float | None = None,
-                      blowup_threshold: float = math.inf) -> "OdeTrajectory":
-        """Wrap closed-form value/slope callables as a trajectory (for
-        planted comparisons and tests)."""
-        y_grid = np.asarray(y_grid, dtype=float)
-
-        def interp(y):
-            y = np.asarray(y, dtype=float)
-            return np.stack([np.asarray(value(y), dtype=float),
-                             np.asarray(slope(y), dtype=float)])
-
-        return OdeTrajectory(
-            epsilon=epsilon, mu=mu,
-            initial_slope=float(slope(y_grid[0])),
-            nodes=y_grid,
-            psi=np.asarray(value(y_grid), dtype=float),
-            psi_prime=np.asarray(slope(y_grid), dtype=float),
-            blowup_time=blowup_time,
-            blowup_threshold=blowup_threshold,
-            interpolant=interp,
-        )
-
 
 @dataclass(frozen=True)
 class BlowupReport:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -124,38 +125,37 @@ def _validate_range(cfg: dict, location: str = "config", **conditions):
 DENSE_BYTES_LIMIT = 2**30
 
 
-def _guard_dense(cfg: dict, key: str, order, itemsize: int):
-    """Configuration error when the dense matrix of order order(n), for
-    the value n at `key` (the largest one of a list), would take more
-    than DENSE_BYTES_LIMIT bytes of `itemsize`-byte entries."""
+def _guard(cfg: dict, key: str, nbytes, location: str = "config"):
+    """Configuration error when nbytes(n), for the value n at `key` (the
+    largest one of a list), passes DENSE_BYTES_LIMIT; a size beyond the
+    float range counts as infinite."""
     value = cfg[key]
-    n = max(value) if isinstance(value, list) else value
     try:
-        dim = order(n)
+        size = nbytes(max(value) if isinstance(value, list) else value)
     except OverflowError:  # a Bloch box beyond the float range
-        dim = math.inf
-    size = dim ** 2 * itemsize
+        size = math.inf
     if size > DENSE_BYTES_LIMIT:
-        raise ConfigError(
-            f"'{key}' = {value!r} asks for a dense matrix of order {dim} "
-            f"({size} bytes), above the {DENSE_BYTES_LIMIT}-byte limit",
-            location=f"config.{key}")
+        raise ConfigError(f"'{key}' = {value!r} asks for {size} bytes, above "
+                          f"the {DENSE_BYTES_LIMIT}-byte limit",
+                          location=f"{location}.{key}")
 
 
-def _galerkin_order(cutoff: int) -> int:
-    return 2 * cutoff + 1
+def _dense(order, itemsize: int):
+    """The bytes of a dense matrix of order order(n)."""
+    return lambda n: order(n) ** 2 * itemsize
 
 
-def _half_wave_order(n: int) -> int:
-    return -(-n // 2)
+def _box(lattice: Lattice, reach: float) -> int:
+    """Points of the integer box of every G with |G| <= reach."""
+    return math.prod(2 * b + 1 for b in basis_box(lattice, reach))
 
 
-def _fiber_order(lattice: Lattice, k_points: np.ndarray):
-    """Bound on the Bloch fiber order at cutoff n: the integer box that
+def _fiber_bytes(lattice: Lattice, k_points: np.ndarray):
+    """A complex Bloch fiber at cutoff n, of order at most the integer box
     basis_set tests at the largest finite |k| (it rejects the other k)."""
     norms = np.linalg.norm(k_points, axis=1)
     reach = float(np.max(norms, where=np.isfinite(norms), initial=0.0))
-    return lambda n: math.prod(2 * b + 1 for b in basis_box(lattice, n + reach))
+    return _dense(lambda n: _box(lattice, n + reach), 16)
 
 
 def _given(cfg: dict, *keys) -> dict:
@@ -273,17 +273,8 @@ def _build_lattice_potential(cfg: dict, location: str):
                             f"{location}.potential")
         centers = _points(sub["centers"], f"{location}.potential.centers")
         # basis_set forms d int64 coordinates and one float norm per box point
-        try:
-            points = math.prod(2 * b + 1 for b in basis_box(lattice, sub["cutoff"]))
-        except OverflowError:  # a box beyond the float range
-            points = math.inf
-        size = points * 8 * (lattice.dimension + 1)
-        if size > DENSE_BYTES_LIMIT:
-            raise ConfigError(
-                f"'cutoff' = {sub['cutoff']!r} asks for an integer box of "
-                f"{points} points ({size} bytes), above the "
-                f"{DENSE_BYTES_LIMIT}-byte limit",
-                location=f"{location}.potential.cutoff")
+        _guard(sub, "cutoff", lambda c: _box(lattice, c) * 8 * (lattice.dimension + 1),
+               f"{location}.potential")
         return lattice, gaussian_potential(lattice, centers, sub["widths"],
                                            sub["amplitudes"], sub["cutoff"])
     if name == "embed-1d":
@@ -308,7 +299,7 @@ def _run_linsolve(cfg: dict, out):
     _validate_range(cfg, N_list=_ascending_cutoffs,
                     N_ref=lambda n: n >= 2 * max(cfg["N_list"]))
     for key in ("N_list", "N_ref"):  # complex Hermitian solves
-        _guard_dense(cfg, key, _galerkin_order, 16)
+        _guard(cfg, key, _dense(lambda n: 2 * n + 1, 16))
     V = build_potential_1d(cfg["potential"], "config.potential")
     f = build_potential_1d(cfg["source"], "config.source")
     rows = refinement_study(V, f, cfg["N_list"], cfg["N_ref"])
@@ -327,14 +318,14 @@ def _run_eig_convergence(cfg: dict, out):
                     A_claim=lambda a: a > 0,
                     N_ref=lambda n: n >= 2 * max(cfg["N_list"]))
     for key in ("N_list", "N_ref"):  # real, one block when V has an odd part
-        _guard_dense(cfg, key, _galerkin_order, 8)
+        _guard(cfg, key, _dense(lambda n: 2 * n + 1, 8))
     V = build_potential_1d(cfg["potential"], "config.potential")
     table = convergence_study(V, cfg["N_list"], cfg["N_ref"], cfg["j"])
     write_csv(out, "convergence.csv", ["N", "lambda_err", "h1_dist"],
-              zip(table.cutoffs, table.eigenvalue_errors, table.eigenvector_errors))
+              zip(cfg["N_list"], table.eigenvalue_errors, table.eigenvector_errors))
     write_json(out, "convergence.json", {
-        "j": table.band,
-        "N_ref": table.reference_cutoff,
+        "j": cfg["j"],
+        "N_ref": cfg["N_ref"],
         "A_claim": cfg["A_claim"],
         "fitted_rate_eigenvalue": table.fitted_rate_eigenvalue,
         "fitted_rate_eigenvector": table.fitted_rate_eigenvector,
@@ -365,7 +356,7 @@ def _run_gp_solve(cfg: dict, out):
     _validate_range(cfg, epsilon=lambda e: e > 0, mu=lambda m: m >= 0,
                     N=lambda n: n >= 16, tol=lambda t: t > 0,
                     noise_floor=lambda f: f > 0)
-    _guard_dense(cfg, "N", _half_wave_order, 8)  # the Newton Jacobian
+    _guard(cfg, "N", _dense(lambda n: -(-n // 2), 8))  # the Newton Jacobian
     result = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], **_given(cfg, "tol"))
     strip = estimate_solution_strip(result, **_given(cfg, "noise_floor"))
     write_csv(out, "decay.csv", ["k", "abs_coeff"], _decay_rows(result.solution))
@@ -410,7 +401,7 @@ def _run_blowup(cfg: dict, out):
                     eta=lambda e: e > 0, N=lambda n: n >= 16,
                     rtol=lambda r: r >= 1e-13, threshold=lambda t: t > 1,
                     y_max=lambda y: y > 0, tol=lambda t: t > 0)
-    _guard_dense(cfg, "N", _half_wave_order, 8)  # the Newton Jacobian
+    _guard(cfg, "N", _dense(lambda n: -(-n // 2), 8))  # the Newton Jacobian
     gp = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], **_given(cfg, "tol"))
     report = blowup_report(cfg["epsilon"], cfg["mu"], cfg["eta"],
                            gp.u_prime_at_zero,
@@ -446,12 +437,12 @@ def _run_bands(cfg: dict, out):
     _validate_range(cfg, N=lambda n: n > 0, n_bands=lambda n: n >= 1)
     lattice, V = _build_lattice_potential(cfg, "config")
     k_path = _k_points(cfg["k_path"], lattice.dimension, "config.k_path")
-    _guard_dense(cfg, "N", _fiber_order(lattice, k_path), 16)  # complex fibers
+    _guard(cfg, "N", _fiber_bytes(lattice, k_path))
     bs = band_structure(V, k_path, cfg["N"], cfg["n_bands"])
     header = ["path_parameter"] + [f"k{i + 1}" for i in range(lattice.dimension)] \
         + [f"band{j + 1}" for j in range(cfg["n_bands"])]
     write_csv(out, "bands.csv", header,
-              ([t, *k, *row] for t, k, row in zip(bs.path_parameter, bs.k_path,
+              ([t, *k, *row] for t, k, row in zip(bs.path_parameter, k_path,
                                                   bs.bands)))
 
 
@@ -468,18 +459,24 @@ def _run_bz(cfg: dict, out):
     if cfg["k_samples"] is not None:
         samples = _k_points(cfg["k_samples"], lattice.dimension, "config.k_samples")
     else:
+        d = lattice.dimension  # the grid holds n_k^d samples of d floats
+        _guard(cfg, "n_k", lambda n: n ** d * d * 8)
         samples = bz_sample_grid(lattice, cfg["n_k"])
-    _guard_dense(cfg, "N_ref", _fiber_order(lattice, samples), 16)  # >= N_list
+    _guard(cfg, "N_ref", _fiber_bytes(lattice, samples))  # >= N_list
     table = bz_convergence(V, samples, cfg["N_list"], cfg["N_ref"], cfg["n"])
     write_csv(out, "bz.csv", ["N", "max_lambda_err"],
-              zip(table.cutoffs, table.max_errors))
+              zip(cfg["N_list"], table.max_errors))
     write_json(out, "bz.json", {
-        "n": table.band,
-        "N_ref": table.reference_cutoff,
+        "n": cfg["n"],
+        "N_ref": cfg["N_ref"],
         "A_claim": cfg["A_claim"],
         "fitted_rate": table.fitted_rate,
-        "k_samples": table.k_samples.tolist(),
+        "k_samples": samples.tolist(),
     })
+    out.diagnostics["refinement"] = [
+        {"k": k.tolist(), "N": r.cutoff, "matrix_order": sum(r.block_orders),
+         "newton_steps": r.steps, "cluster_size": r.cluster_size}
+        for k, records in zip(samples, table.refinements) for r in records]
 
 
 # -- output handling -----------------------------------------------------------
@@ -540,7 +537,9 @@ def _error_json(kind: str, exc: Exception) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built once: building it costs more than parsing."""
     parser = argparse.ArgumentParser(
         prog="stripwave",
         description="Spectral studies of periodic Schrodinger problems "
@@ -551,7 +550,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     out_dir = args.out
     if out_dir is None:

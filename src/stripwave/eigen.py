@@ -1,48 +1,43 @@
-"""Planewave Galerkin eigenproblem for -d2/dx2 + V and convergence studies.
+"""Planewave Galerkin eigenproblems and convergence studies, for
+-d2/dx2 + V in 1D and for the Bloch fibers of `bloch`.
 
-The Galerkin matrix has entries k^2 delta_{kk'} + V_{k-k'} / sqrt(2*pi)
-in the exponentials.  For real V it is real symmetric in the cosine/sine
-basis of `galerkin`, and for even V it splits there into a cosine block
-of order N + 1 and a sine block of order N; eigenpairs come from subset
-eigensolves of those blocks (of the one coupled matrix of order 2N + 1
-when V has an odd part), which compute only the lowest pairs of each
-block, and only the eigenvectors that are used are rotated back to the
-exponentials.  Eigenvalues are polished by an exactly-summed Rayleigh
-quotient, which removes the O(eps * ||H||) noise of the backward-stable
-decomposition.
+In 1D the Galerkin matrix, k^2 delta_{kk'} + V_{k-k'} / sqrt(2*pi) in
+the exponentials, is real symmetric in the cosine/sine basis of
+`galerkin` for real V, and for even V it splits there into a cosine and
+a sine block; a Bloch fiber is one complex Hermitian block.  Either way
+the eigenpairs come from subset eigensolves of the blocks, which compute
+only their lowest pairs, and the eigenvalues are polished by an exactly
+summed Rayleigh quotient.
 
-Convergence tables measure eigenvalue errors and H1 eigenvector
-distances against a reference solve at a much larger cutoff and fit
-exponential decay rates.  For analytic potentials the eigenvalue errors
-fall far below double precision within a few dozen modes, so they are
-computed in extended precision: the target eigenpairs of each assembled
-double matrix are refined by Newton's method on the bordered eigen-system
-(Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20, 1983), with
-double-double residuals on the complex matrix's Toeplitz band in the
-mixed-precision style of Ogita & Aishima (Japan J. Indust. Appl. Math.
-35, 2018) and corrections from the real blocks bordered by the cluster's
-eigenvectors and LU-factored once in double, so the refined value does
-not depend on the eigensolver, and the eigenvalue difference is rounded
-to double once.  Since every study matrix is a principal submatrix of
-the reference matrix, the exact errors are nonnegative.
+Convergence tables measure eigenvalue errors against a reference solve
+at a much larger cutoff and fit exponential decay rates.  For analytic
+potentials the errors fall far below double precision within a few
+dozen modes, so the target eigenpairs of each assembled double matrix
+are refined by Newton's method on the bordered eigen-system (Dongarra,
+Moler & Wilkinson, SIAM J. Numer. Anal. 20, 1983), with double-double
+residuals in the mixed-precision style of Ogita & Aishima (Japan J.
+Indust. Appl. Math. 35, 2018): the refined value does not depend on the
+eigensolver, and the eigenvalue difference is rounded to double once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .extended import band_residual, dd_add
+from .extended import Band, band_residual, dd_add
 from .fourier import FourierSeries1D, multiplier_norm_bound, strip_norm, strip_weight
-from .galerkin import (assemble_dense, coefficient_column, from_modes,
-                       rayleigh_polish, real_blocks, to_modes)
+from .galerkin import (coefficient_column, from_modes, rayleigh_polish,
+                       real_blocks, to_modes)
 
-# Default fit floor for errors computed in double precision, as the Bloch
-# zone errors are; convergence_study passes a floor set by its extended
-# working precision instead.
+# Fit floor for errors computed in double precision, the H1 eigenvector
+# distances; refined eigenvalue errors have one set by EXTENDED_EPS.
 RATE_FIT_FLOOR = 1e-12
 # Relative accuracy of the refined eigenvalues: double-double arithmetic
 # (2**-104) with a margin for the length of the residual sums.
@@ -52,47 +47,34 @@ _MP_PREC = 128  # bits for the cluster's Ritz values, above double-double
 
 
 @dataclass(frozen=True)
-class GalerkinMatrix:
-    cutoff: int
-    entries: np.ndarray
+class _Operator:
+    """One assembled Hermitian matrix H as the eigen path reads it.
 
-    def __post_init__(self):
-        n = 2 * self.cutoff + 1
-        if self.entries.shape != (n, n):
-            raise InvalidParameterError("matrix dimension must be 2*cutoff+1")
+    blocks() builds its diagonal blocks in an orthonormal basis, one after
+    the other: the real cosine/sine blocks of galerkin.real_blocks in 1D,
+    the complex fiber on a lattice; to_modes and from_modes rotate columns
+    from that basis to the coefficients and back.  diag is H's diagonal
+    and coupling() its off-diagonal part for the double-double residual,
+    an extended.Band in 1D and an extended.Gather on a lattice.  pairs[b]
+    holds the lowest eigenvalues of block b, ascending, with eigenvectors
+    (all of them for a block of fewer rows than were asked for)."""
 
-
-@dataclass(frozen=True)
-class _DenseSpectrum:
-    """The lowest eigenpairs of the real blocks of an assembled matrix,
-    with the coefficient column the blocks are built from and the
-    matrix's band.
-
-    The blocks are the diagonal blocks of galerkin.real_blocks(column),
-    one after the other in the basis [phi_0, c_1..c_N, s_1..s_N].
-    pairs[b] holds the lowest eigenvalues of block b, ascending, and their
-    real eigenvectors; a block of fewer rows than were asked for has all
-    of them.  The blocks themselves are not kept: the refinement builds
-    them again, bordered, and factors them.
-    """
-
-    column: np.ndarray  # t_d, d = 0..2N, as galerkin.coefficient_column
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]  # (eigenvalues, vectors)
-    diag: np.ndarray  # real diagonal of the complex matrix
-    lower: np.ndarray  # constant subdiagonals: lower[d-1] = H[i+d, i]
+    blocks: Callable[[], list[np.ndarray]]
+    to_modes: Callable[[np.ndarray], np.ndarray]
+    from_modes: Callable[[np.ndarray], np.ndarray]
+    diag: np.ndarray
+    coupling: Callable[[], object]
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Ascending eigenvalues with L2-normalized coefficient-space eigenvectors.
-
-    `_dense` keeps the block eigenpairs the pairs came from, which the
-    extended-precision errors of convergence_study refine.
-    """
+    """Ascending eigenvalues, L2-normalized coefficient-space eigenvectors
+    and the solved operator, which convergence_study refines."""
 
     eigenvalues: np.ndarray
     eigenvectors: list[FourierSeries1D]
-    _dense: _DenseSpectrum | None = field(default=None, repr=False, compare=False)
+    _operator: _Operator | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -100,23 +82,28 @@ class Refinement:
     """What the extended-precision refinement of one assembled matrix did."""
 
     cutoff: int
-    block_orders: tuple[int, ...]  # orders of the real blocks
+    block_orders: tuple[int, ...]  # orders of the blocks
     steps: int  # Newton corrections applied
     cluster_size: int  # eigenpairs refined together
 
 
 @dataclass(frozen=True)
+class ErrorTable:
+    errors: np.ndarray  # (study cutoffs, samples)
+    max_errors: np.ndarray  # the worst over the samples, per cutoff
+    fitted_rate: float  # of max_errors
+    # per sample, the reference's, then one per study cutoff; run record only
+    refinements: tuple[tuple[Refinement, ...], ...] = field(repr=False, compare=False)
+
+
+@dataclass(frozen=True)
 class ConvergenceTable:
-    cutoffs: np.ndarray
     eigenvalue_errors: np.ndarray
     eigenvector_errors: np.ndarray  # H1 distances to the reference eigenspace
     fitted_rate_eigenvalue: float
     fitted_rate_eigenvector: float
-    band: int
-    reference_cutoff: int
     # the reference's, then one per study cutoff; for the run record only
-    refinements: tuple[Refinement, ...] = field(default=(), repr=False,
-                                                compare=False)
+    refinements: tuple[Refinement, ...] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -133,14 +120,9 @@ class StripBoundCheck:
         return self.norm <= self.bound
 
 
-def assemble_hamiltonian(V: FourierSeries1D, cutoff: int) -> GalerkinMatrix:
-    """Dense Hermitian Galerkin matrix of -d2/dx2 + V on modes |k| <= cutoff."""
-    return GalerkinMatrix(cutoff, assemble_dense(V, cutoff))
-
-
 def _lowest_pairs(blocks, count: int):
-    """The lowest `count` eigenpairs of each real block (every pair of a
-    smaller block), from a subset eigensolve."""
+    """The lowest `count` eigenpairs of each Hermitian block (every pair of
+    a smaller block), from a subset eigensolve."""
     from scipy.linalg import eigh  # deferred: importing the CLI stays scipy-free
     return tuple(eigh(mat, subset_by_index=[0, min(count, len(mat)) - 1],
                       check_finite=False) for mat in blocks)
@@ -160,56 +142,66 @@ def _ascending(pairs):
             int(np.searchsorted(values, bound, side="right")))
 
 
-def _real_columns(pairs, where) -> np.ndarray:
-    """Block eigenvectors at (block, column) positions as real-basis columns."""
+def _block_columns(pairs, where) -> np.ndarray:
+    """Block eigenvectors at (block, column) positions as columns in the
+    basis of the blocks."""
     offsets = np.cumsum([0] + [len(vecs) for _, vecs in pairs])
-    out = np.zeros((offsets[-1], len(where)))
+    out = np.zeros((offsets[-1], len(where)), dtype=pairs[0][1].dtype)
     for col, (b, j) in enumerate(where):
         out[offsets[b]:offsets[b + 1], col] = pairs[b][1][:, j]
     return out
 
 
-def solve_eig(V: FourierSeries1D, cutoff: int, n_pairs: int) -> EigenResult:
-    """Lowest n_pairs eigenpairs of the Galerkin operator, ascending.
-
-    The real blocks of galerkin.real_blocks are decomposed by a subset
-    symmetric eigensolver, which computes the lowest n_pairs + 1 pairs of
-    each block (the one above the last returned pair shows the gap above
-    it): the cosine and sine blocks separately for even V, the coupled
-    matrix otherwise.  Only the returned pairs are rotated back to the
-    exponentials.  Eigenvectors are L2-normalized; eigenvector sign and
-    the basis of degenerate clusters are whatever the backend returns.
-    """
-    dim = 2 * cutoff + 1
-    if n_pairs < 1 or n_pairs > dim:
-        raise InvalidParameterError(
-            f"n_pairs must lie in 1..{dim} for cutoff {cutoff}")
-    column = coefficient_column(V, cutoff)
-    blocks = tuple(real_blocks(column))
+def _lowest(op: _Operator, n_pairs: int):
+    """The operator with the lowest n_pairs + 1 pairs of each block (the
+    one above the last returned pair shows the gap above it), its lowest
+    n_pairs eigenvalues polished and ascending, and their (block, column)
+    positions."""
+    blocks = op.blocks()
     pairs = _lowest_pairs(blocks, n_pairs + 1)
     lowest = _ascending(pairs)[0][:n_pairs]
     polished = np.array([rayleigh_polish(blocks[b], pairs[b][1][:, j])
                          for b, j in lowest])
     ranked = np.argsort(polished, kind="stable")
-    modes = to_modes(_real_columns(pairs, [lowest[i] for i in ranked]))
-    series = [FourierSeries1D(cutoff, u / np.linalg.norm(u)) for u in modes.T]
-    band = min(V.cutoff, dim - 1)
+    return replace(op, pairs=pairs), polished[ranked], [lowest[i] for i in ranked]
+
+
+def fiber_spectrum(H: np.ndarray, coupling: Callable[[], object], n_pairs: int):
+    """The lowest n_pairs eigenvalues of a Bloch fiber H, polished and
+    ascending, and H as an operator that error_table refines; coupling()
+    builds the extended.Gather of H's off-diagonal part."""
+    # np.asarray returns an array itself: no rotation on a lattice
+    op, values, _ = _lowest(_Operator(lambda: [H], np.asarray, np.asarray,
+                                      H.diagonal().real, coupling), n_pairs)
+    return values, op
+
+
+def solve_eig(V: FourierSeries1D, cutoff: int, n_pairs: int) -> EigenResult:
+    """Lowest n_pairs eigenpairs of the Galerkin operator, ascending, from
+    subset eigensolves of the blocks of galerkin.real_blocks.  Only the
+    returned pairs are rotated back to the exponentials.  Eigenvectors are
+    L2-normalized; their sign and the basis of degenerate clusters are
+    whatever the backend returns."""
+    dim = 2 * cutoff + 1
+    if n_pairs < 1 or n_pairs > dim:
+        raise InvalidParameterError(
+            f"n_pairs must lie in 1..{dim} for cutoff {cutoff}")
+    column = coefficient_column(V, cutoff)
     k = np.arange(-cutoff, cutoff + 1)
-    dense = _DenseSpectrum(column, pairs, column[0].real + k * k,
-                           column[1:band + 1])
-    return EigenResult(eigenvalues=polished[ranked], eigenvectors=series,
-                       _dense=dense)
+    op = _Operator(partial(real_blocks, column), to_modes, from_modes,
+                   column[0].real + k * k, partial(Band, column[1:V.cutoff + 1], dim))
+    op, values, where = _lowest(op, n_pairs)
+    modes = to_modes(_block_columns(op.pairs, where))
+    series = [FourierSeries1D(cutoff, u / np.linalg.norm(u)) for u in modes.T]
+    return EigenResult(eigenvalues=values, eigenvectors=series, _operator=op)
 
 
-def _cluster(dense: _DenseSpectrum, index: int, gap: float):
+def _cluster(op: _Operator, index: int, gap: float):
     """The cluster around eigenvalue `index` (neighbours closer than
     `gap`): the block eigenpairs, the cluster's first index, and its
-    (block, column) positions and values.
-
-    When the cluster reaches past the pairs that are known to be the
-    lowest, more pairs of each block are computed until the gap above
-    it shows."""
-    pairs, dim = dense.pairs, len(dense.diag)
+    (block, column) positions and values.  When the cluster reaches past
+    the pairs known to be the lowest, more pairs are computed."""
+    pairs, dim = op.pairs, len(op.diag)
     while True:
         where, values, known = _ascending(pairs)
         first, stop = index, index + 1
@@ -219,77 +211,72 @@ def _cluster(dense: _DenseSpectrum, index: int, gap: float):
             stop += 1
         if stop < known or known == dim:
             return pairs, first, where[first:stop], values[first:stop]
-        pairs = _lowest_pairs(real_blocks(dense.column),
-                              2 * max(len(w) for w, _ in pairs))
+        pairs = _lowest_pairs(op.blocks(), 2 * max(len(w) for w, _ in pairs))
 
 
-def _bordered_factors(dense: _DenseSpectrum, pairs, where, shifts):
-    """For each real block that holds cluster vectors: its rows in the
-    real basis, the cluster columns it holds, and the LU factors of
-    [[H_b - sigma, -X_b], [X_b^T, 0]], with X_b those vectors and sigma
+def _bordered_factors(op: _Operator, pairs, where, shifts):
+    """For each block that holds cluster vectors: its rows in the basis of
+    the blocks, the cluster columns it holds, and the LU factors of
+    [[H_b - sigma, -X_b], [X_b^H, 0]], with X_b those vectors and sigma
     the mean of their shifts."""
     from scipy.linalg import lu_factor  # deferred, as in _lowest_pairs
     offsets = np.cumsum([0] + [len(vecs) for _, vecs in pairs])
     factors = []
-    for b, mat in enumerate(real_blocks(dense.column)):
+    for b, mat in enumerate(op.blocks()):
         cols = [k for k, (owner, _) in enumerate(where) if owner == b]
         if not cols:
             continue
         order, border = len(mat), pairs[b][1][:, [where[k][1] for k in cols]]
         # Fortran order, so that the LU overwrites it in place
-        system = np.zeros((order + len(cols), order + len(cols)), order="F")
+        system = np.zeros((order + len(cols),) * 2, dtype=mat.dtype, order="F")
         system[:order, :order] = mat
         system[np.arange(order), np.arange(order)] -= np.mean(shifts[cols])
         system[:order, order:] = -border
-        system[order:, :order] = border.T
+        system[order:, :order] = np.conj(border.T)
         factors.append((slice(offsets[b], offsets[b + 1]), cols,
                         lu_factor(system, overwrite_a=True, check_finite=False)))
     return factors
 
 
-def _extended_eigenvalue(dense: _DenseSpectrum, index: int, gap: float):
+def _extended_eigenvalue(op: _Operator, index: int, gap: float):
     """Eigenvalue `index` (0-based, ascending) of the assembled matrix as
     a double-double pair (hi, lo), with the number of Newton corrections
     and the size of the refined cluster.
 
     The eigenvectors of the cluster around `index` (neighbours closer
     than `gap`) are refined together by Newton's method on the bordered
-    system: each step forms the residual r = (H - lambda_k) x_k in
-    double-double (rounded to double) on the complex band and solves
-    [[H_b - sigma, -X_b], [X_b^T, 0]] [d; m] = [r; 0] on the real block b
-    that holds x_k, bordered by the block's double cluster eigenvectors
-    X_b and factored once; x_k moves by -d, which keeps it off the rest
-    of the spectrum, and lambda_k by minus x_k's own multiplier.
-    The eigenvalues of the refined cluster are then the Ritz values
-    Lambda + G^-1 X^H R (G = X^H X), whose correction term needs only
-    double precision; for a cluster of several they are taken with
-    mpmath at _MP_PREC bits.
+    system: each step forms r = (H - lambda_k) x_k in double-double
+    (rounded to double) and solves [[H_b - sigma, -X_b], [X_b^H, 0]]
+    [d; m] = [r; 0] on the block b of x_k, bordered by its double cluster
+    eigenvectors X_b and factored once; x_k moves by -d and lambda_k by
+    minus the real part of x_k's own multiplier.  The refined cluster's
+    eigenvalues are the Ritz values Lambda + G^-1 X^H R (G = X^H X), for
+    several taken with mpmath at _MP_PREC bits.
     """
     from scipy.linalg import lu_solve  # deferred, as in _lowest_pairs
-    pairs, first, where, values = _cluster(dense, index, gap)
-    x_hi = to_modes(_real_columns(pairs, where))
-    x_lo = np.zeros_like(x_hi)
-    lam_hi = values.copy()
-    lam_lo = np.zeros_like(lam_hi)
-    factors = _bordered_factors(dense, pairs, where, lam_hi)
+    pairs, first, where, values = _cluster(op, index, gap)
+    x_hi = op.to_modes(_block_columns(pairs, where))
+    x_lo, lam_hi, lam_lo = np.zeros_like(x_hi), values.copy(), np.zeros_like(values)
+    factors = _bordered_factors(op, pairs, where, lam_hi)
+    offdiag = op.coupling()
     previous, steps = math.inf, 0
     for step in range(_REFINE_STEPS + 1):
-        r = band_residual(dense.diag, dense.lower, lam_hi, lam_lo, x_hi, x_lo)
+        r = band_residual(op.diag, offdiag, lam_hi, lam_lo, x_hi, x_lo)
         if step == _REFINE_STEPS:
             break
-        rhs = from_modes(r)
+        rhs = op.from_modes(r)
         delta, shift = np.zeros_like(rhs), np.zeros_like(lam_hi)
         for rows, cols, lu in factors:
             order = rows.stop - rows.start
-            bordered = np.zeros((order + len(cols), len(cols)))
+            bordered = np.zeros((order + len(cols), len(cols)), dtype=rhs.dtype)
             bordered[:order] = rhs[rows, cols]
             solution = lu_solve(lu, bordered, check_finite=False)
             delta[rows, cols] = solution[:order]
-            shift[cols] = -np.diagonal(solution[order:])
+            shift[cols] = -np.diagonal(solution[order:]).real
         # bounds the eigenvalue shift this correction would still bring,
-        # sum_j (q_j^T r)^2 / |mu_j - lambda|, by Cauchy-Schwarz
+        # sum_j |q_j^H r|^2 / |mu_j - lambda|, by Cauchy-Schwarz
         pending = np.linalg.norm(r, axis=0) * np.linalg.norm(delta, axis=0)
-        correction = to_modes(delta)
+        correction = op.to_modes(delta)
         size = float(np.max(np.abs(correction)))
         if np.all(pending <= 2.0**-110 * np.abs(lam_hi)) or size > 0.5 * previous:
             break
@@ -329,7 +316,7 @@ def h1_distance(u: FourierSeries1D, basis: list[FourierSeries1D]) -> float:
 
 
 def fit_log_rate(xs, errors, floor: float = RATE_FIT_FLOOR) -> float:
-    """Least-squares slope of log(error) against x.
+    """Least-squares slope of log(error) against x, correctly rounded.
 
     Rows at the floating-point floor are excluded: both rows at or below
     the explicit floor and the trailing plateau where the sequence has
@@ -337,83 +324,92 @@ def fit_log_rate(xs, errors, floor: float = RATE_FIT_FLOOR) -> float:
     least a factor 2, far slower than any exponential rate of interest).
     When at least three rows survive, the smallest-x row (pre-asymptotic)
     is dropped as well.  Returns nan when fewer than two usable rows
-    remain.
+    remain.  The slope of the kept (x, log error) doubles is summed
+    exactly as a fraction and rounded once.
     """
-    xs = np.asarray(xs, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    mask = errors > floor
-    xs, errors = xs[mask], errors[mask]
-    keep = len(xs)
-    for i in range(1, len(xs)):
-        if errors[i] > 0.5 * errors[i - 1]:
-            keep = i
-            break
+    xs, errors = np.asarray(xs, dtype=float), np.asarray(errors, dtype=float)
+    xs, errors = xs[errors > floor], errors[errors > floor]
+    stalled = np.flatnonzero(errors[1:] > 0.5 * errors[:-1])
+    keep = stalled[0] + 1 if len(stalled) else len(xs)
     xs, errors = xs[:keep], errors[:keep]
     if len(xs) >= 3:
         xs, errors = xs[1:], errors[1:]
     if len(xs) < 2:
         return math.nan
-    slope, _ = np.polyfit(xs, np.log(errors), 1)
-    return float(slope)
+    x, y = ([Fraction(v) for v in a.tolist()] for a in (xs, np.log(errors)))
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    return float(sum((a - mx) * (b - my) for a, b in zip(x, y))
+                 / sum((a - mx) ** 2 for a in x))
+
+
+def error_table(solve: Callable, samples, cutoffs, reference_cutoff: float,
+                band: int, gap: float = 1e-8) -> ErrorTable:
+    """Errors of eigenvalue `band` (1-based) at each study cutoff against
+    the reference cutoff (at least twice the largest), at each sample,
+    with the rate of the worst over the samples.
+
+    solve(sample, cutoff, reference) returns the solved _Operator there.
+    Each eigenvalue is refined to double-double (clusters within `gap`
+    together) and each error, a difference of two, is rounded to double
+    once; as every study matrix is a principal submatrix of the reference
+    matrix, the exact errors are nonnegative.  The rate is fitted above
+    EXTENDED_EPS * |lambda_ref|, the largest over the samples.
+    """
+    if reference_cutoff < 2 * max(cutoffs):
+        raise InvalidParameterError(
+            "reference cutoff must be at least twice the largest study cutoff")
+    errors = np.empty((len(cutoffs), len(samples)))
+    refinements, scale = [], 0.0
+    for s, sample in enumerate(samples):
+        records = []
+        for i, cutoff in enumerate([reference_cutoff, *cutoffs]):
+            op = solve(sample, cutoff, i == 0)
+            (hi, lo), steps, size = _extended_eigenvalue(op, band - 1, gap)
+            records.append(Refinement(cutoff, tuple(len(v) for _, v in op.pairs),
+                                      steps, size))
+            if i == 0:
+                ref_hi, ref_lo, scale = hi, lo, max(scale, abs(hi))
+            else:
+                diff, diff_lo = dd_add(hi, lo - ref_lo, -ref_hi)
+                errors[i - 1, s] = diff + diff_lo
+        refinements.append(tuple(records))
+    worst = errors.max(axis=1)
+    return ErrorTable(errors, worst, fit_log_rate(cutoffs, worst, EXTENDED_EPS * scale),
+                      tuple(refinements))
 
 
 def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
                       band: int, cluster_gap: float = 1e-8) -> ConvergenceTable:
-    """Eigenvalue and H1 eigenvector errors against a reference solve.
-
-    `band` is 1-based.  The reference eigenspace is the cluster of
-    reference eigenpairs within cluster_gap of the target eigenvalue.
-    Requires reference_cutoff >= 2 * max(cutoffs).
-
-    Eigenvalue errors are differences of extended-precision eigenvalues
-    of the assembled matrices, rounded to double once; the eigenvalue
-    rate is fitted above EXTENDED_EPS * |lambda_ref|, the eigenvector
-    rate above the default RATE_FIT_FLOOR.
-    """
+    """Eigenvalue errors (error_table) and H1 eigenvector errors against
+    a reference solve, `band` 1-based.  The reference eigenspace is the
+    cluster of reference eigenpairs within cluster_gap of the target
+    eigenvalue; the eigenvector rate is fitted above RATE_FIT_FLOOR."""
     cutoffs = [int(n) for n in cutoffs]
-    if reference_cutoff < 2 * max(cutoffs):
-        raise InvalidParameterError(
-            "reference cutoff must be at least twice the largest study cutoff")
     if band < 1:
         raise InvalidParameterError("band index is 1-based")
     if band > 2 * min(cutoffs) + 1:
         raise InvalidParameterError(
             f"band {band} exceeds the {2 * min(cutoffs) + 1} pairs of the "
             "smallest study cutoff")
-    n_ref = min(2 * reference_cutoff + 1, band + 8)
-    ref = solve_eig(V, reference_cutoff, n_ref)
-    lam_ref = ref.eigenvalues[band - 1]
-    in_cluster = np.abs(ref.eigenvalues - lam_ref) <= cluster_gap
+    solved = []  # the reference's, then one per study cutoff
+
+    def solve(_, cutoff, reference):
+        pairs = min(2 * cutoff + 1, band + 8) if reference else band
+        solved.append(solve_eig(V, cutoff, pairs))
+        return solved[-1]._operator
+
+    table = error_table(solve, [None], cutoffs, reference_cutoff, band, cluster_gap)
+    ref = solved[0]
+    in_cluster = np.abs(ref.eigenvalues - ref.eigenvalues[band - 1]) <= cluster_gap
     space = [v for v, keep in zip(ref.eigenvectors, in_cluster) if keep]
-
-    refinements = []
-
-    def refined(res: EigenResult, cutoff: int):
-        value, steps, size = _extended_eigenvalue(res._dense, band - 1, cluster_gap)
-        refinements.append(Refinement(
-            cutoff, tuple(len(vecs) for _, vecs in res._dense.pairs), steps, size))
-        return value
-
-    ref_hi, ref_lo = refined(ref, reference_cutoff)
-    lam_err = np.empty(len(cutoffs))
-    vec_err = np.empty(len(cutoffs))
-    for i, n in enumerate(cutoffs):
-        res = solve_eig(V, n, band)
-        hi, lo = refined(res, n)
-        diff, diff_lo = dd_add(hi, lo - ref_lo, -ref_hi)
-        lam_err[i] = diff + diff_lo
-        vec_err[i] = h1_distance(res.eigenvectors[band - 1], space)
-
+    vec_err = np.array([h1_distance(res.eigenvectors[band - 1], space)
+                        for res in solved[1:]])
     return ConvergenceTable(
-        cutoffs=np.asarray(cutoffs),
-        eigenvalue_errors=lam_err,
+        eigenvalue_errors=table.errors[:, 0],
         eigenvector_errors=vec_err,
-        fitted_rate_eigenvalue=fit_log_rate(cutoffs, lam_err,
-                                            EXTENDED_EPS * abs(ref_hi)),
+        fitted_rate_eigenvalue=table.fitted_rate,
         fitted_rate_eigenvector=fit_log_rate(cutoffs, vec_err),
-        band=band,
-        reference_cutoff=reference_cutoff,
-        refinements=tuple(refinements),
+        refinements=table.refinements[0],
     )
 
 

@@ -8,8 +8,8 @@ uses only round-to-nearest double operations, never BLAS, so results do
 not depend on the BLAS kernel or the summation order of a library.
 
 Two consumers: the correctly rounded L2 norm of a coefficient vector,
-and the residuals (H - lambda) x of a banded Hermitian Galerkin matrix
-that drive the extended-precision eigenvalue refinement in `eigen`.
+and the residuals (H - lambda) x that drive the eigenvalue refinement in
+`eigen`, on the 1D Toeplitz band (Band) or a Bloch fiber (Gather).
 """
 
 from __future__ import annotations
@@ -86,45 +86,32 @@ def norm2(values) -> float:
     return math.ldexp(root, exponent)
 
 
-def _as_real(x: np.ndarray) -> np.ndarray:
-    """Complex (n, m) array as real (2, n, m): real parts, imaginary parts."""
-    return np.stack((x.real, x.imag))
-
-
-def band_residual(diag: np.ndarray, lower: np.ndarray, shift_hi: np.ndarray,
+def band_residual(diag: np.ndarray, coupling, shift_hi: np.ndarray,
                   shift_lo: np.ndarray, x_hi: np.ndarray, x_lo: np.ndarray):
-    """(H - shift) x in double-double, column by column.
-
-    H is the Hermitian matrix with real diagonal `diag` and constant
-    subdiagonals lower[d-1] = H[i+d, i] (superdiagonals their conjugates),
-    d = 1..len(lower).  x = x_hi + x_lo is an (n, m) complex double-double
-    block and shift = shift_hi + shift_lo holds one real double-double
-    value per column.  Products are error-free and their sums error-free
-    two_sum cascades (Ogita, Rump and Oishi's Sum2, pairwise over the
-    band), so the result is as accurate as if computed in twice the
-    working precision and then rounded to double: a residual far below
-    eps * ||H x|| keeps its leading digits.
-    """
-    n = len(diag)
-    band = lower[:n - 1]
-    # row i of the band part of H x is sum_s coef[len(band) + s] x[i + s]
-    coef = np.concatenate((band[::-1], [0.0], np.conj(band)))
-    xh, xl = _as_real(x_hi), _as_real(x_lo)
+    """(H - shift) x in double-double, column by column, for the Hermitian
+    H with real diagonal `diag` and off-diagonal part `coupling`, the
+    (n, m) complex double-double x = x_hi + x_lo and one real
+    double-double shift per column.  Products are error-free and their
+    sums error-free two_sum cascades (Ogita, Rump and Oishi's Sum2,
+    pairwise over the offsets), so the result is as accurate as if
+    computed in twice the working precision and then rounded to double:
+    a residual far below eps * ||H x|| keeps its leading digits."""
+    # real parts and imaginary parts, (2, n, m)
+    xh, xl = (np.stack((x.real, x.imag)) for x in (x_hi, x_lo))
 
     # diagonal term (diag - shift) * x, with diag - shift_hi split exactly
     d_hi, d_lo = two_sum(diag[:, None], -shift_hi[None, :])
     acc, err = _prod(d_hi, split(d_hi), xh, split(xh))
     err += d_hi * xl + (d_lo - shift_lo) * xh
 
-    # real part A x_re - B x_im, imaginary part A x_im + B x_re (coef = A + iB)
-    terms = (((0, coef.real, 0), (0, -coef.imag, 1)),
-             ((1, coef.real, 1), (1, coef.imag, 0)))
+    # real part A x_re - B x_im, imaginary part A x_im + B x_re (H = A + iB)
+    a, b = coupling.coef.real, coupling.coef.imag
     for col in range(xh.shape[2]):
-        for out, weights, part in (t for pair in terms for t in pair):
-            src_hi, src_lo = xh[part, :, col], xl[part, :, col]
+        for out, weights, src in ((0, a, 0), (0, -b, 1), (1, a, 1), (1, b, 0)):
+            src_hi, src_lo = xh[src, :, col], xl[src, :, col]
             if not weights.any() or not (src_hi.any() or src_lo.any()):
                 continue
-            s, e = _band_dot(weights, src_hi, src_lo)
+            s, e = _coupled_dot(coupling, weights, src_hi, src_lo)
             acc[out, :, col], t = two_sum(acc[out, :, col], s)
             err[out, :, col] += t + e
 
@@ -132,43 +119,82 @@ def band_residual(diag: np.ndarray, lower: np.ndarray, shift_hi: np.ndarray,
     return out[0] + 1j * out[1]
 
 
-# Elements per temporary (chunk x n) array of _band_dot: 64 KiB, small enough
-# that a residual at order 1025 adds well under a MiB to the peak memory, and
-# the fastest of 2**10..2**18 at that order on a 2-vCPU VM.
+# Elements per temporary (chunk x n) array of _coupled_dot: 64 KiB, small
+# enough that a residual at order 1025 adds well under a MiB to the peak
+# memory, and the fastest of 2**10..2**18 at that order on a 2-vCPU VM.
 _CHUNK_ELEMENTS = 2**13
 
 
-def _band_dot(weights: np.ndarray, x_hi: np.ndarray, x_lo: np.ndarray):
-    """sum_j weights[j] * x[i + j - b] for every row i, as (hi, lo), where
-    x = x_hi + x_lo is real double-double, 2b + 1 = len(weights) and
-    entries of x outside 0..n-1 are zero.
+class Coupling:
+    """The off-diagonal part of a Hermitian matrix of order n: row i
+    couples by coef[t] to x at its neighbour t.  shifted(sources) maps a
+    slice of offsets to the (..., chunk, n) neighbours of the (..., n)
+    real sources, zero where there is none.  Chunks hold a power of two
+    of offsets, at most _CHUNK_ELEMENTS // n; coef is zero-padded."""
 
-    The diagonals are taken in chunks of a power-of-two count, each as a
-    (chunk x n) block of error-free products summed pairwise by two_sum;
-    the chunk sums are cascaded the same way.
-    """
-    n, width = len(x_hi), len(weights)
-    chunk = 1 << max(0, min((width - 1).bit_length(),
-                            (_CHUNK_ELEMENTS // n).bit_length() - 1))
-    total = -(-width // chunk) * chunk
-    w = np.zeros((total, 1))
-    w[:width, 0] = weights
-    w_hi, w_lo = split(w)
-    # x_hi, its two halves and x_lo, zero-padded; row j of a source's view
-    # holds x[i + j - b] for i = 0..n-1, diagonal j of the band
-    padded = np.zeros((4, n + total - 1))
-    padded[0, width // 2:width // 2 + n] = x_hi
-    padded[1], padded[2] = split(padded[0])
-    padded[3, width // 2:width // 2 + n] = x_lo
-    step = padded.strides[1]
-    views = as_strided(padded, (4, total, n), (padded.strides[0], step, step),
-                       writeable=False)
+    def __init__(self, coef: np.ndarray, n: int):
+        self.n = n
+        self.chunk = 1 << max(0, min((len(coef) - 1).bit_length(),
+                                     (_CHUNK_ELEMENTS // n).bit_length() - 1))
+        self.coef = np.zeros(-(-len(coef) // self.chunk) * self.chunk, dtype=complex)
+        self.coef[:len(coef)] = coef
+
+
+class Band(Coupling):
+    """The Hermitian Toeplitz band with constant subdiagonals lower[d-1] =
+    H[i+d, i] (superdiagonals their conjugates): offset j joins row i to
+    x[i + j - b], 2b + 1 offsets."""
+
+    def __init__(self, lower: np.ndarray, n: int):
+        band = lower[:n - 1]
+        self.reach = len(band)
+        super().__init__(np.concatenate((band[::-1], [0.0], np.conj(band))), n)
+
+    def shifted(self, sources: np.ndarray):
+        """Strided views of one zero-padded copy, a view row per diagonal."""
+        n, total = self.n, len(self.coef)
+        padded = np.zeros(sources.shape[:-1] + (n + total - 1,))
+        padded[..., self.reach:self.reach + n] = sources
+        step = padded.strides[-1]
+        views = as_strided(padded, sources.shape[:-1] + (total, n),
+                           padded.strides[:-1] + (step, step), writeable=False)
+        return lambda rows: views[..., rows, :]
+
+
+class Gather(Coupling):
+    """Offsets on a flat-numbered box of lattice points: offset t joins
+    row i to x[index[flat[i] - step[t]]], index holding each point's row
+    and n off the basis; step is zero-padded.  Neighbours are looked up
+    a chunk of offsets at a time, so the stored arrays grow with the box,
+    the rows and the offsets, never with their product."""
+
+    def __init__(self, coef: np.ndarray, index: np.ndarray, flat: np.ndarray,
+                 step: np.ndarray):
+        super().__init__(coef, len(flat))
+        self.index, self.flat = index, flat
+        self.step = np.pad(step, (0, len(self.coef) - len(step)))
+
+    def shifted(self, sources: np.ndarray):
+        """Gathered from a copy with one zero appended."""
+        padded = np.zeros(sources.shape[:-1] + (self.n + 1,))
+        padded[..., :-1] = sources
+        return lambda rows: np.take(padded, self.index[self.flat - self.step[rows, None]],
+                                    axis=-1)
+
+
+def _coupled_dot(coupling, weights: np.ndarray, x_hi: np.ndarray, x_lo: np.ndarray):
+    """sum_t weights[t] * x[neighbour t of i] for every row i, as (hi, lo),
+    for the real double-double x = x_hi + x_lo.  Each chunk of offsets is
+    a block of error-free products summed pairwise by two_sum; the chunk
+    sums are cascaded."""
+    views = coupling.shifted(np.stack((x_hi, *split(x_hi), x_lo)))
     hi = lo = 0.0
-    for start in range(0, total, chunk):
-        rows = slice(start, start + chunk)
-        vh, vh_hi, vh_lo, vl = views[:, rows]
-        p, e = _prod(w[rows], (w_hi[rows], w_lo[rows]), vh, (vh_hi, vh_lo))
-        e += w[rows] * vl
+    for start in range(0, len(weights), coupling.chunk):
+        rows = slice(start, start + coupling.chunk)
+        w = weights[rows, None]
+        vh, vh_hi, vh_lo, vl = views(rows)
+        p, e = _prod(w, split(w), vh, (vh_hi, vh_lo))
+        e += w * vl
         while len(p) > 1:
             half = len(p) // 2
             p, t = two_sum(p[:half], p[half:])

@@ -90,11 +90,6 @@ class FourierSeries1D:
     def wavenumbers(self) -> np.ndarray:
         return np.arange(-self.cutoff, self.cutoff + 1)
 
-    def coefficient(self, k: int) -> complex:
-        if abs(k) > self.cutoff:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[k + self.cutoff])
-
     def is_real_valued(self, tol: float = 1e-12) -> bool:
         """Check the conjugate symmetry u_{-k} = conj(u_k) up to tol."""
         sym = self.coeffs - np.conj(self.coeffs[::-1])

@@ -19,10 +19,10 @@ from stripwave.bloch import (FourierSeriesD, Lattice, assemble_bloch,
                              series1d_to_lattice)
 from stripwave.cubic import (branch_point_height, cardano_discriminant,
                              cardano_root, estimate_solution_strip, solve_gp)
-from stripwave.eigen import (assemble_hamiltonian, convergence_study,
-                             solve_eig)
+from stripwave.eigen import convergence_study, solve_eig
 from stripwave.fourier import (FourierSeries1D, grid_values, l2_norm, multiply,
                                project)
+from stripwave.galerkin import assemble_dense
 from stripwave.potentials import constant, mathieu, poisson_kernel
 
 RESULTS = []
@@ -231,7 +231,7 @@ def test_criterion_10_multidimensional(finite_strip_potential):
     lat, Vd = series1d_to_lattice(V)
     basis = basis_set(lat, [0.0], 12.0)
     fiber = np.linalg.eigvalsh(assemble_bloch(Vd, basis))
-    direct = np.linalg.eigvalsh(assemble_hamiltonian(V, 12).entries)
+    direct = np.linalg.eigvalsh(assemble_dense(V, 12))
     reduction_err = float(np.max(np.abs(fiber - direct)))
     reduction_ok = reduction_err <= 1e-12
 

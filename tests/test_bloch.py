@@ -2,17 +2,22 @@
 
 import itertools
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
-from stripwave.bloch import (FourierSeriesD, Lattice, PlanewaveBasis,
+from stripwave.bloch import (FourierSeriesD, Lattice, PlanewaveBasis, _coupling,
                              assemble_bloch, band_structure, basis_set,
                              bz_convergence, bz_sample_grid, gaussian_potential,
                              reciprocal, series1d_to_lattice)
-from stripwave.eigen import assemble_hamiltonian
+from stripwave.eigen import convergence_study
 from stripwave.errors import InvalidParameterError
-from stripwave.potentials import poisson_kernel
+from stripwave.extended import band_residual
+from stripwave.galerkin import assemble_dense
+from stripwave.potentials import cosine, poisson_kernel, sine
 
 CUBIC_2D = Lattice(2.0 * np.pi * np.eye(2))
 TWO_PI_LINE = Lattice(np.array([[2.0 * np.pi]]))
@@ -46,6 +51,12 @@ def loop_assembly(coeffs, basis):
     H[np.diag_indices_from(H)] = np.sum(shifted * shifted, axis=1) \
         + scale * np.real(complex(coeffs.get(zero, 0.0)))
     return H
+
+
+def nonzero_coeffs(V):
+    """The nonzero coefficients of V as {integer tuple: complex}."""
+    return {tuple((idx - V.reach).tolist()): complex(V.dense[tuple(idx)])
+            for idx in np.argwhere(V.dense != 0)}
 
 
 def sparse_real_coeffs(rng, d, reach, fill):
@@ -155,7 +166,7 @@ class TestAssembleBloch:
         lat, Vd = series1d_to_lattice(V)
         basis = basis_set(lat, [0.0], 6.0)
         H = assemble_bloch(Vd, basis)
-        H1 = assemble_hamiltonian(V, 6).entries
+        H1 = assemble_dense(V, 6)
         np.testing.assert_allclose(H, H1, atol=1e-15)
 
     def test_constant_potential_shift(self):
@@ -225,7 +236,7 @@ class TestFourierSeriesD:
     def test_coefficients_round_trip(self):
         coeffs = {(0, 0): 1.5, (2, -1): 0.5 - 0.25j, (-2, 1): 0.5 + 0.25j}
         V = FourierSeriesD(CUBIC_2D, coeffs)
-        assert V.coeffs == {key: complex(val) for key, val in coeffs.items()}
+        assert nonzero_coeffs(V) == {key: complex(val) for key, val in coeffs.items()}
         assert V.coefficient((2, -1)) == 0.5 - 0.25j
         assert V.coefficient((1, 1)) == 0.0
         assert V.coefficient((5, 0)) == 0.0
@@ -293,7 +304,7 @@ class TestBzConvergence:
         assert np.all(table.max_errors >= 0.0)
         assert np.all(np.diff(table.max_errors) <= 1e-12)
         # variational monotonicity holds pointwise in k, not just for the max
-        assert np.all(np.diff(table.per_k_errors, axis=0) <= 1e-12)
+        assert np.all(np.diff(table.errors, axis=0) <= 1e-12)
         assert table.fitted_rate <= -2.0
 
     def test_reference_must_dominate(self):
@@ -307,10 +318,117 @@ class TestBzConvergence:
                            3)
 
 
+def mirrored(coeffs):
+    """The coefficients with c_{-G} = conj(c_G) added: a real potential."""
+    out = dict(coeffs)
+    out.update({tuple(-i for i in key): complex(val).conjugate()
+                for key, val in coeffs.items()})
+    return out
+
+
+# complex coefficients, no inversion symmetry (c_{-G} != c_G), on an
+# oblique lattice, at a k on no symmetry line
+OBLIQUE = Lattice(2.0 * np.pi * np.array([[1.0, 0.0], [0.3, 1.1]]))
+SKEW = FourierSeriesD(OBLIQUE, {(0, 0): 0.4, **mirrored({
+    (1, 0): 0.3 + 0.2j, (0, 1): -0.25 + 0.1j, (1, 1): 0.15j,
+    (2, -1): 0.1 - 0.05j, (1, -2): 0.05 + 0.07j})})
+# an odd potential at the zone edge: the lowest Bloch vector is nearly
+# (e_0 + i e_{-1}) / sqrt(2), whose x^T x vanishes, so a border of X^T
+# in place of X^H would make the bordered system singular
+EDGE = series1d_to_lattice(sine(0.6) + cosine(0.3, 2, 1.0))[1]
+
+
+class TestZoneErrorsExact:
+    @pytest.mark.parametrize("V, k, cutoffs, reference, band", [
+        (SKEW, [0.13, -0.29], [1.0, 1.5, 1.75], 3.5, 2),
+        (EDGE, [0.5], [2.0, 3.0, 4.0], 8.0, 1),
+    ], ids=["skew-2d", "odd-zone-edge"])
+    def test_match_50_digit_eigenvalues(self, V, k, cutoffs, reference, band):
+        table = bz_convergence(V, [k], cutoffs, reference, band)
+        mp = mpmath.MPContext()
+        mp.dps = 50
+
+        def eigenvalue(cutoff):
+            H = assemble_bloch(V, basis_set(V.lattice, k, cutoff))
+            return sorted(mp.eighe(mp.matrix(H.tolist()), eigvals_only=True))[band - 1]
+
+        ref = eigenvalue(reference)
+        for n, err in zip(cutoffs, table.errors[:, 0]):
+            assert err == float(eigenvalue(n) - ref) and err > 0.0
+        # Newton on the bordered system converges in at most two corrections
+        assert all(1 <= r.steps <= 2 for r in table.refinements[0])
+
+    @pytest.mark.parametrize("cutoffs, reference, potential_cutoff", [
+        ([3, 4, 5], 10, 30),  # the bz-convergence golden config
+        ([4, 5, 6, 7, 8], 16, 40),  # criterion 10's table
+    ])
+    def test_1d_at_k0_is_the_1d_study(self, cutoffs, reference, potential_cutoff):
+        V = poisson_kernel(2.0, shift=2.0, cutoff=potential_cutoff)
+        table = bz_convergence(series1d_to_lattice(V)[1], [[0.0]],
+                               [float(n) for n in cutoffs], float(reference), 1)
+        study = convergence_study(V, cutoffs, reference, 1)
+        assert table.errors[:, 0].tobytes() == study.eigenvalue_errors.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_coupling_is_the_fiber_off_its_diagonal(self, d):
+        rng = np.random.RandomState(40 + d)
+        lat = Lattice(2.0 * np.pi * np.eye(d) + 0.3 * rng.normal(size=(d, d)))
+        k = rng.uniform(-0.5, 0.5, d) @ reciprocal(lat).basis
+        basis = basis_set(lat, k, {1: 12.0, 2: 3.0, 3: 1.8}[d])
+        coeffs = sparse_real_coeffs(rng, d, 3, 0.5)
+        # conjugate symmetric only to within is_real_valued's tolerance
+        coeffs = {key: val * (1 + 1e-14 * rng.normal()) for key, val in coeffs.items()}
+        V = FourierSeriesD(lat, coeffs)
+        H = assemble_bloch(V, basis)
+        coupling = _coupling(V, basis)
+        n = basis.dimension
+        rebuilt = np.zeros((n, n + 1), dtype=complex)
+        for coef, step in zip(coupling.coef, coupling.step):
+            rebuilt[np.arange(n), coupling.index[coupling.flat - step]] += coef
+        np.fill_diagonal(H, 0.0)
+        assert np.array_equal(rebuilt[:, :n], H)
+
+    def test_coupling_memory_is_not_offsets_times_rows(self):
+        # a 3D fiber of order 515 with 2112 offsets: a neighbour table of
+        # every (offset, row) would take 8.7 MB
+        lat = Lattice(2.0 * np.pi * np.eye(3))
+        V = gaussian_potential(lat, [[0.1, 0.2, 0.3]], [0.4], [1.0], 8.0)
+        basis = basis_set(lat, np.array([0.1, -0.2, 0.05]), 5.0)
+        V.hermitian  # cached on the series before the trace
+        n = basis.dimension
+        x = np.random.default_rng(1).standard_normal((n, 2)) + 0j
+        tracemalloc.start()
+        try:
+            coupling = _coupling(V, basis)
+            band_residual(np.ones(n), coupling, np.zeros(2), np.zeros(2), x, 1e-17 * x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = len(coupling.coef) * n * 8
+        assert table > 8e6
+        stored = sum(a.nbytes for a in vars(coupling).values()
+                     if isinstance(a, np.ndarray))
+        assert stored < table / 10
+        assert peak < table / 4
+
+    def test_no_full_eigensolve(self, monkeypatch):
+        calls = []
+        for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                             (scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh")):
+            def spy(*args, _name=name, _solver=getattr(module, name), **kwargs):
+                calls.append((_name, "subset_by_index" in kwargs))
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        band_structure(SKEW, [[0.0, 0.0], [0.5, 0.0]], 3.0, 4)
+        bz_convergence(SKEW, [[0.13, -0.29]], [1.0, 1.5], 3.0, 2)
+        assert calls and set(calls) == {("eigh", True)}
+
+
 class TestGaussianPotential:
     def test_origin_centered_coefficients(self):
         V = gaussian_potential(CUBIC_2D, [[0.0, 0.0]], [0.7], [1.3], 3.0)
-        mags = {key: val for key, val in V.coeffs.items()}
+        mags = {key: val for key, val in nonzero_coeffs(V).items()}
         for key, val in mags.items():
             assert abs(val.imag) < 1e-15
             assert val.real > 0.0
@@ -330,7 +448,7 @@ class TestGaussianPotential:
         for x in xs:
             series_val = sum(
                 val * np.exp(1j * ((np.asarray(key, dtype=float) @ rec.basis) @ x))
-                for key, val in V.coeffs.items()) / math.sqrt(vol)
+                for key, val in nonzero_coeffs(V).items()) / math.sqrt(vol)
             direct = sum(
                 amp * math.exp(-np.sum((x - center - np.asarray(shift, dtype=float)
                                         @ lat.basis) ** 2) / (2 * sigma**2))
@@ -344,7 +462,7 @@ class TestGaussianPotential:
         x0 = np.array([0.7, 1.1])
         x1 = x0 + 0.5 * lat.basis[0]
         V = gaussian_potential(lat, [x0, x1], [0.8, 0.8], [1.0, 1.0], 3.0)
-        for key, val in V.coeffs.items():
+        for key, val in nonzero_coeffs(V).items():
             if key[0] % 2 == 1:
                 assert abs(val) < 1e-14
 

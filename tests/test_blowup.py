@@ -20,6 +20,29 @@ from stripwave.errors import (InvalidParameterError, NoCrossingError,
 EPS, MU, ETA = 0.1, 0.5, 0.5
 
 
+def trajectory_from_callable(value, slope, y_grid, blowup_time=None,
+                             blowup_threshold=math.inf) -> OdeTrajectory:
+    """Closed-form value/slope callables as a trajectory, for planted
+    comparisons."""
+    y_grid = np.asarray(y_grid, dtype=float)
+
+    def interp(y):
+        y = np.asarray(y, dtype=float)
+        return np.stack([np.asarray(value(y), dtype=float),
+                         np.asarray(slope(y), dtype=float)])
+
+    return OdeTrajectory(
+        epsilon=math.nan, mu=math.nan,
+        initial_slope=float(slope(y_grid[0])),
+        nodes=y_grid,
+        psi=np.asarray(value(y_grid), dtype=float),
+        psi_prime=np.asarray(slope(y_grid), dtype=float),
+        blowup_time=blowup_time,
+        blowup_threshold=blowup_threshold,
+        interpolant=interp,
+    )
+
+
 @pytest.fixture(scope="module")
 def gp_slope():
     return solve_gp(EPS, MU, 64).u_prime_at_zero
@@ -160,14 +183,14 @@ class TestMpmathReference:
 class TestLocateCrossings:
     def test_planted_sinh(self):
         grid = np.linspace(0.0, 2.0, 200)
-        traj = OdeTrajectory.from_callable(np.sinh, np.cosh, grid)
+        traj = trajectory_from_callable(np.sinh, np.cosh, grid)
         y1, y15 = locate_crossings(traj, 0.0, 0.5)
         assert y1 == pytest.approx(math.asinh(1.0), abs=1e-8)
         assert y15 == pytest.approx(math.asinh(1.5), abs=1e-8)
 
     def test_zero_eta_collapses_levels(self):
         grid = np.linspace(0.0, 2.0, 200)
-        traj = OdeTrajectory.from_callable(np.sinh, np.cosh, grid)
+        traj = trajectory_from_callable(np.sinh, np.cosh, grid)
         y1, y1b = locate_crossings(traj, 0.0, 0.0)
         assert y1 == y1b
 
@@ -178,7 +201,7 @@ class TestLocateCrossings:
 
     def test_no_crossing(self):
         grid = np.linspace(0.0, 1.0, 50)
-        traj = OdeTrajectory.from_callable(
+        traj = trajectory_from_callable(
             lambda y: 0.1 * np.asarray(y), lambda y: 0.1 * np.ones_like(y), grid)
         with pytest.raises(NoCrossingError):
             locate_crossings(traj, 0.0, 0.5)
@@ -222,7 +245,7 @@ class TestVerifyLowerBound:
         y0 = 0.3
         y_max = comparison_blowup_time(EPS, ETA, y0)
         grid = np.linspace(y0, y_max - 1e-5, 100)
-        traj = OdeTrajectory.from_callable(
+        traj = trajectory_from_callable(
             lambda y: comparison_solution(EPS, ETA, y0, y),
             lambda y: (comparison_solution(EPS, ETA, y0, y) ** 2 - 1)
             / math.sqrt(2 * EPS),
@@ -235,7 +258,7 @@ class TestVerifyLowerBound:
         y0 = 0.3
         y_max = comparison_blowup_time(EPS, ETA, y0)
         grid = np.linspace(y0, y_max - 1e-5, 100)
-        traj = OdeTrajectory.from_callable(
+        traj = trajectory_from_callable(
             lambda y: comparison_solution(EPS, ETA, y0, y) - 0.1,
             lambda y: (comparison_solution(EPS, ETA, y0, y) ** 2 - 1)
             / math.sqrt(2 * EPS),

@@ -216,18 +216,17 @@ def gp_solve_mismatches(golden_dir, out_dir):
 
 
 # eig-convergence: lambda_err is rounded once from extended precision and
-# matches 60-digit eigenvalues, so it is compared exactly, as are the
-# echoed N, j, N_ref and A_claim.  h1_dist comes from double eigenvectors
-# and follows the BLAS kernel and the eigensolver.  Relative spreads
-# against the golden files, measured over OPENBLAS_CORETYPE in {SkylakeX,
-# Haswell, Sandybridge, Prescott} x OPENBLAS_NUM_THREADS in {1, 2} with
-# the complex Hermitian eigensolver the golden files were made with:
-# h1_dist 8.10e-12 (N = 4, Haswell), fitted_rate_eigenvector 5.92e-12
-# (Haswell), fitted_rate_eigenvalue 1 ulp (Sandybridge, Prescott; the
-# np.polyfit least squares).  Each tolerance is 4 times its spread.
+# matches 60-digit eigenvalues, and fitted_rate_eigenvalue is its exactly
+# summed least-squares slope, rounded once, so both are compared exactly,
+# as are the echoed N, j, N_ref and A_claim.  h1_dist comes from double
+# eigenvectors and follows the BLAS kernel and the eigensolver.  Relative
+# spreads against the golden files, measured over OPENBLAS_CORETYPE in
+# {SkylakeX, Haswell, Sandybridge, Prescott} x OPENBLAS_NUM_THREADS in
+# {1, 2} with the complex Hermitian eigensolver the golden files were made
+# with: h1_dist 8.10e-12 (N = 4, Haswell), fitted_rate_eigenvector
+# 5.92e-12 (Haswell).  Each tolerance is 4 times its spread.
 EIG_RTOL = {"h1_dist": 4 * 8.10e-12, "fitted_rate_eigenvector": 4 * 5.92e-12}
-EIG_RATE_ULPS = 4
-EIG_EXACT_KEYS = ("j", "N_ref", "A_claim")
+EIG_EXACT_KEYS = ("j", "N_ref", "A_claim", "fitted_rate_eigenvalue")
 
 
 def eig_convergence_mismatches(golden_dir, out_dir):
@@ -257,10 +256,6 @@ def eig_convergence_mismatches(golden_dir, out_dir):
     for key in EIG_EXACT_KEYS:
         if got[key] != want[key]:
             problems.append(f"convergence.json: {key} = {got[key]!r} vs {want[key]!r}")
-    rate, rate_want = got["fitted_rate_eigenvalue"], want["fitted_rate_eigenvalue"]
-    if abs(rate - rate_want) > EIG_RATE_ULPS * math.ulp(rate_want):
-        problems.append(f"convergence.json: fitted_rate_eigenvalue = {rate!r} "
-                        f"vs {rate_want!r}")
     rate, rate_want = got["fitted_rate_eigenvector"], want["fitted_rate_eigenvector"]
     if abs(rate - rate_want) > EIG_RTOL["fitted_rate_eigenvector"] * abs(rate_want):
         problems.append(f"convergence.json: fitted_rate_eigenvector = {rate!r} "
@@ -573,6 +568,45 @@ def test_gaussian_potential_guard_counts_its_box(tmp_path, monkeypatch, capsys,
     assert err["error"] == "config"
     assert err["location"] == "config.potential.cutoff"
     assert "byte limit" in err["message"]
+
+
+@pytest.mark.parametrize("lattice, largest", [
+    ({"rows": [[6.283185307179586]]}, 2**27),  # 2**27 samples of one float
+    (CUBE, 355),  # 355^3 samples of 3 floats take 1.0737e9 bytes, 356^3 1.083e9
+], ids=["line", "cube"])
+def test_bz_sample_grid_guard(tmp_path, monkeypatch, capsys, lattice, largest):
+    # the grid is stubbed: no test forms it
+    monkeypatch.setattr("stripwave.cli.bz_sample_grid", reached)
+    config = {key: value for key, value in CONFIGS["bz-convergence"].items()
+              if key != "k_samples"}
+    config.update(lattice=lattice, potential={"name": "zero"})
+    with pytest.raises(Reached):
+        run_cli(tmp_path, "bz-convergence", dict(config, n_k=largest))
+    for n_k in (largest + 1, 10**9):
+        code, _ = run_cli(tmp_path, "bz-convergence", dict(config, n_k=n_k))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["location"] == "config.n_k"
+        assert "byte limit" in err["message"]
+
+
+def test_bz_convergence_manifest_diagnostics(tmp_path):
+    _, out_dir = run_cli(tmp_path, "bz-convergence", CONFIGS["bz-convergence"])
+    diagnostics = json.loads((out_dir / "manifest.json").read_text())["diagnostics"]
+    assert set(diagnostics) == {"refinement"}
+    records = diagnostics["refinement"]
+    # per k sample the reference first, then the study cutoffs; at the zone
+    # edge k = 0.5 each basis holds one planewave fewer
+    assert [(r["k"], r["N"]) for r in records] == [
+        ([k], n) for k in (0.0, 0.5) for n in (10.0, 3.0, 4.0, 5.0)]
+    assert [r["matrix_order"] for r in records] == [21, 7, 9, 11, 20, 6, 8, 10]
+    for r in records:
+        assert set(r) == {"k", "N", "matrix_order", "newton_steps", "cluster_size"}
+        assert 1 <= r["newton_steps"] <= 2
+        assert r["cluster_size"] == 1
+    # run records stay out of the byte-compared artifacts
+    for name in ("bz.csv", "bz.json"):
+        assert "newton_steps" not in (out_dir / name).read_text()
 
 
 def test_memory_error_exits_3(tmp_path, monkeypatch, capsys):

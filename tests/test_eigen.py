@@ -8,9 +8,8 @@ import pytest
 import scipy.linalg
 
 from stripwave.errors import InvalidParameterError
-from stripwave.eigen import (assemble_hamiltonian, convergence_study,
-                             eigenvector_strip_check, fit_log_rate,
-                             h1_distance, solve_eig)
+from stripwave.eigen import (convergence_study, eigenvector_strip_check,
+                             fit_log_rate, h1_distance, solve_eig)
 from stripwave.fourier import (FourierSeries1D, h1_norm, l2_norm, strip_norm,
                                strip_weight)
 from stripwave.galerkin import (assemble_dense, from_modes, rayleigh_polish,
@@ -26,18 +25,18 @@ MATHIEU_A0_Q1 = -0.455138604
 
 class TestAssemble:
     def test_free_laplacian(self):
-        H = assemble_hamiltonian(ZERO, 2).entries
+        H = assemble_dense(ZERO, 2)
         np.testing.assert_allclose(H, np.diag([4.0, 1.0, 0.0, 1.0, 4.0]),
                                     atol=1e-15)
 
     def test_constant_shift_on_diagonal(self):
         c = 1.7
-        H = assemble_hamiltonian(constant(c), 3).entries
-        free = assemble_hamiltonian(ZERO, 3).entries
+        H = assemble_dense(constant(c), 3)
+        free = assemble_dense(ZERO, 3)
         np.testing.assert_allclose(H, free + c * np.eye(7), atol=1e-14)
 
     def test_mathieu_pentadiagonal(self):
-        H = assemble_hamiltonian(mathieu(1.0), 4).entries
+        H = assemble_dense(mathieu(1.0), 4)
         n = H.shape[0]
         for i in range(n):
             for j in range(n):
@@ -47,7 +46,7 @@ class TestAssemble:
                     assert abs(H[i, j]) < 1e-15
 
     def test_hermitian(self):
-        H = assemble_hamiltonian(poisson_kernel(2.0, shift=2.0), 12).entries
+        H = assemble_dense(poisson_kernel(2.0, shift=2.0), 12)
         assert np.max(np.abs(H - np.conj(H.T))) < 1e-14
 
 
@@ -73,7 +72,7 @@ class TestSolveEig:
         V = poisson_kernel(2.0, shift=2.0)
         n = 16
         res = solve_eig(V, n, 9)
-        H = assemble_hamiltonian(V, n).entries
+        H = assemble_dense(V, n)
         mat = np.column_stack([v.coeffs for v in res.eigenvectors])
         gram = np.conj(mat.T) @ mat
         np.testing.assert_allclose(gram, np.eye(9), atol=1e-10)
@@ -329,7 +328,7 @@ class TestConvergenceStudy:
         mp.dps = 60
 
         def eigenvalue(cutoff):
-            H = mp.matrix(assemble_hamiltonian(V, cutoff).entries.tolist())
+            H = mp.matrix(assemble_dense(V, cutoff).tolist())
             return sorted(mp.eighe(H, eigvals_only=True))[band - 1]
 
         ref = eigenvalue(8)

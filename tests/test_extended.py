@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from stripwave.eigen import solve_eig
-from stripwave.extended import _as_real, _prod, band_residual, split, two_sum
-from stripwave.galerkin import assemble_dense
+from stripwave.extended import Band, _prod, band_residual, split, two_sum
+from stripwave.galerkin import assemble_dense, coefficient_column
 from stripwave.potentials import poisson_kernel, sine
 
 
 def loop_band_residual(diag, lower, shift_hi, shift_lo, x_hi, x_lo):
     """The band residual as one cascaded two_sum per subdiagonal, in a
     Python loop over the band: the form the vectorized one replaced."""
-    xh, xl = _as_real(x_hi), _as_real(x_lo)
+    xh, xl = (np.stack((x.real, x.imag)) for x in (x_hi, x_lo))
     turn = np.array([-1.0, 1.0])[:, None, None]  # i * x as a real pair
     plain = (xh, split(xh), xl)
     turned = (xh[::-1] * turn, split(xh[::-1] * turn), xl[::-1] * turn)
@@ -45,8 +45,12 @@ CASES = {"even": EVEN, "coupled": EVEN + sine(0.5, 2)}
 def test_matches_the_loop_to_double_double(name, near_eigenvector):
     V, cutoff = CASES[name], 512
     res = solve_eig(V, cutoff, 2)
-    dense = res._dense
-    assert len(dense.lower) == 120 and np.any(dense.lower.imag) == (name == "coupled")
+    op = res._operator
+    # the operator's band is trimmed to V's 120 modes
+    coupling = op.coupling()
+    assert coupling.reach == 120
+    assert np.any(coupling.coef.imag) == (name == "coupled")
+    lower = coefficient_column(V, cutoff)[1:121]
     rng = np.random.default_rng(7)
     x_hi = np.column_stack([v.coeffs for v in res.eigenvectors])
     if not near_eigenvector:
@@ -54,8 +58,8 @@ def test_matches_the_loop_to_double_double(name, near_eigenvector):
     x_lo = x_hi * 2.0**-60 * rng.standard_normal(x_hi.shape)
     shift_hi = res.eigenvalues.copy()
     shift_lo = shift_hi * 2.0**-60 * rng.standard_normal(2)
-    got = band_residual(dense.diag, dense.lower, shift_hi, shift_lo, x_hi, x_lo)
-    want = loop_band_residual(dense.diag, dense.lower, shift_hi, shift_lo, x_hi, x_lo)
+    got = band_residual(op.diag, coupling, shift_hi, shift_lo, x_hi, x_lo)
+    want = loop_band_residual(op.diag, lower, shift_hi, shift_lo, x_hi, x_lo)
     # the sums' size: |H| |x| + |shift| |x|
     scale = np.abs(assemble_dense(V, cutoff)) @ np.abs(x_hi) + np.abs(shift_hi * x_hi)
     if near_eigenvector:
@@ -76,8 +80,8 @@ def test_small_orders_and_zero_parts():
                   1j * rng.standard_normal((n, 2)),
                   rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))):
             for coefficients in (lower, lower.real + 0j):
-                args = (diag, coefficients, np.array([0.5, -1.5]),
-                        np.array([1e-17, 3e-18]), x, 1e-17 * x)
-                got, want = band_residual(*args), loop_band_residual(*args)
+                args = (np.array([0.5, -1.5]), np.array([1e-17, 3e-18]), x, 1e-17 * x)
+                got = band_residual(diag, Band(coefficients, n), *args)
+                want = loop_band_residual(diag, coefficients, *args)
                 scale = np.abs(x).sum() * (np.abs(coefficients).sum() + n * n + 2)
                 np.testing.assert_allclose(got, want, rtol=0, atol=2.0**-100 * scale)
