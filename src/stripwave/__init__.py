@@ -30,6 +30,6 @@ from .fourier import (AnalyticityEstimate, FourierSeries1D, estimate_strip,
                       grid_values, h1_norm, l2_norm, multiplier_norm_bound,
                       multiply, project, series_from_json, strip_norm,
                       strip_weight)
-from .linear import (LinearSolveResult, TailBoundReport, refinement_study,
-                     solve_linear, tail_bound_check)
+from .linear import (TailBoundReport, refinement_study, solve_linear,
+                     tail_bound_check)
 from . import potentials

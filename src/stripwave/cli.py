@@ -298,8 +298,8 @@ def _run_linsolve(cfg: dict, out):
                               "N_list": "int_list", "N_ref": "int"}, {}, "config")
     _validate_range(cfg, N_list=_ascending_cutoffs,
                     N_ref=lambda n: n >= 2 * max(cfg["N_list"]))
-    for key in ("N_list", "N_ref"):  # complex Hermitian solves
-        _guard(cfg, key, _dense(lambda n: 2 * n + 1, 16))
+    for key in ("N_list", "N_ref"):  # real, one block when V has an odd part
+        _guard(cfg, key, _dense(lambda n: 2 * n + 1, 8))
     V = build_potential_1d(cfg["potential"], "config.potential")
     f = build_potential_1d(cfg["source"], "config.source")
     rows = refinement_study(V, f, cfg["N_list"], cfg["N_ref"])

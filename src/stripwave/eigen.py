@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .extended import Band, band_residual, dd_add
+from .extended import Band, band_residual, dd_add, exact_lstsq
 from .fourier import FourierSeries1D, multiplier_norm_bound, strip_norm, strip_weight
 from .galerkin import (coefficient_column, from_modes, rayleigh_polish,
                        real_blocks, to_modes)
@@ -176,6 +175,16 @@ def fiber_spectrum(H: np.ndarray, coupling: Callable[[], object], n_pairs: int):
     return values, op
 
 
+def operator_1d(V: FourierSeries1D, cutoff: int) -> _Operator:
+    """The Galerkin operator of the real V on the modes |k| <= cutoff, as
+    solve_eig and linear.solve_linear read it: real blocks, the cosine/sine
+    rotation, and the diagonal and Toeplitz band of the complex matrix."""
+    column = coefficient_column(V, cutoff)
+    return _Operator(partial(real_blocks, column), to_modes, from_modes,
+                     column[0].real + np.arange(-cutoff, cutoff + 1) ** 2,
+                     partial(Band, column[1:V.cutoff + 1], 2 * cutoff + 1))
+
+
 def solve_eig(V: FourierSeries1D, cutoff: int, n_pairs: int) -> EigenResult:
     """Lowest n_pairs eigenpairs of the Galerkin operator, ascending, from
     subset eigensolves of the blocks of galerkin.real_blocks.  Only the
@@ -186,11 +195,7 @@ def solve_eig(V: FourierSeries1D, cutoff: int, n_pairs: int) -> EigenResult:
     if n_pairs < 1 or n_pairs > dim:
         raise InvalidParameterError(
             f"n_pairs must lie in 1..{dim} for cutoff {cutoff}")
-    column = coefficient_column(V, cutoff)
-    k = np.arange(-cutoff, cutoff + 1)
-    op = _Operator(partial(real_blocks, column), to_modes, from_modes,
-                   column[0].real + k * k, partial(Band, column[1:V.cutoff + 1], dim))
-    op, values, where = _lowest(op, n_pairs)
+    op, values, where = _lowest(operator_1d(V, cutoff), n_pairs)
     modes = to_modes(_block_columns(op.pairs, where))
     series = [FourierSeries1D(cutoff, u / np.linalg.norm(u)) for u in modes.T]
     return EigenResult(eigenvalues=values, eigenvectors=series, _operator=op)
@@ -324,8 +329,8 @@ def fit_log_rate(xs, errors, floor: float = RATE_FIT_FLOOR) -> float:
     least a factor 2, far slower than any exponential rate of interest).
     When at least three rows survive, the smallest-x row (pre-asymptotic)
     is dropped as well.  Returns nan when fewer than two usable rows
-    remain.  The slope of the kept (x, log error) doubles is summed
-    exactly as a fraction and rounded once.
+    remain.  The slope of the kept (x, log error) doubles is exact
+    (extended.exact_lstsq), rounded once.
     """
     xs, errors = np.asarray(xs, dtype=float), np.asarray(errors, dtype=float)
     xs, errors = xs[errors > floor], errors[errors > floor]
@@ -336,10 +341,7 @@ def fit_log_rate(xs, errors, floor: float = RATE_FIT_FLOOR) -> float:
         xs, errors = xs[1:], errors[1:]
     if len(xs) < 2:
         return math.nan
-    x, y = ([Fraction(v) for v in a.tolist()] for a in (xs, np.log(errors)))
-    mx, my = sum(x) / len(x), sum(y) / len(y)
-    return float(sum((a - mx) * (b - my) for a, b in zip(x, y))
-                 / sum((a - mx) ** 2 for a in x))
+    return exact_lstsq([np.ones_like(xs), xs], np.log(errors))[0][1]
 
 
 def error_table(solve: Callable, samples, cutoffs, reference_cutoff: float,

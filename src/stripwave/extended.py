@@ -7,14 +7,16 @@ exact rounding error; everything is vectorized over numpy arrays and
 uses only round-to-nearest double operations, never BLAS, so results do
 not depend on the BLAS kernel or the summation order of a library.
 
-Two consumers: the correctly rounded L2 norm of a coefficient vector,
-and the residuals (H - lambda) x that drive the eigenvalue refinement in
-`eigen`, on the 1D Toeplitz band (Band) or a Bloch fiber (Gather).
+Consumers: the correctly rounded L2 norm of a vector, the residuals of
+`eigen` and `linear` on the 1D Toeplitz band (Band) or a Bloch fiber
+(Gather), and, in exact rational arithmetic, the least-squares fits.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -86,14 +88,36 @@ def norm2(values) -> float:
     return math.ldexp(root, exponent)
 
 
+def exact_lstsq(columns, y):
+    """Least-squares coefficients c of y on the given linearly independent
+    columns of X, and the mean squared misfit ||X c - y||^2 / len(y), each
+    correctly rounded: every entry is an integer over one common power of
+    two, so X^T X c = X^T y is summed exactly in integers and solved in
+    fractions, and the misfit is y^T y - c^T X^T y exactly."""
+    ratios = list(map(float.as_integer_ratio, np.concatenate((*columns, y)).tolist()))
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    *xs, ys = (ints[start:start + len(y)] for start in range(0, len(ints), len(y)))
+    rows = [[Fraction(sum(map(mul, a, b))) for b in (*xs, ys)] for a in xs]
+    xty = [row[-1] for row in rows]
+    for i, pivot in enumerate(rows):  # Gauss-Jordan; X^T X is positive definite
+        for j, row in enumerate(rows):
+            if j != i:
+                rows[j] = [v - row[i] / pivot[i] * p for v, p in zip(row, pivot)]
+    coef = [row[-1] / row[i] for i, row in enumerate(rows)]
+    misfit = sum(map(mul, ys, ys)) - sum(map(mul, coef, xty))
+    return [float(c) for c in coef], float(misfit / (scale * scale * len(y)))
+
+
 def band_residual(diag: np.ndarray, coupling, shift_hi: np.ndarray,
-                  shift_lo: np.ndarray, x_hi: np.ndarray, x_lo: np.ndarray):
-    """(H - shift) x in double-double, column by column, for the Hermitian
-    H with real diagonal `diag` and off-diagonal part `coupling`, the
-    (n, m) complex double-double x = x_hi + x_lo and one real
-    double-double shift per column.  Products are error-free and their
-    sums error-free two_sum cascades (Ogita, Rump and Oishi's Sum2,
-    pairwise over the offsets), so the result is as accurate as if
+                  shift_lo: np.ndarray, x_hi: np.ndarray, x_lo: np.ndarray,
+                  rhs: np.ndarray | None = None):
+    """(H - shift) x - rhs in double-double, column by column, for the
+    Hermitian H with real diagonal `diag` and off-diagonal part `coupling`,
+    the (n, m) complex double-double x = x_hi + x_lo, one real double-double
+    shift per column and an optional (n, m) rhs.  Products are error-free
+    and their sums error-free two_sum cascades (Ogita, Rump and Oishi's
+    Sum2, pairwise over the offsets), so the result is as accurate as if
     computed in twice the working precision and then rounded to double:
     a residual far below eps * ||H x|| keeps its leading digits."""
     # real parts and imaginary parts, (2, n, m)
@@ -103,6 +127,9 @@ def band_residual(diag: np.ndarray, coupling, shift_hi: np.ndarray,
     d_hi, d_lo = two_sum(diag[:, None], -shift_hi[None, :])
     acc, err = _prod(d_hi, split(d_hi), xh, split(xh))
     err += d_hi * xl + (d_lo - shift_lo) * xh
+    if rhs is not None:
+        acc, t = two_sum(acc, -np.stack((rhs.real, rhs.imag)))
+        err += t
 
     # real part A x_re - B x_im, imaginary part A x_im + B x_re (H = A + iB)
     a, b = coupling.coef.real, coupling.coef.imag

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError
-from .extended import norm2
+from .extended import exact_lstsq, norm2
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -119,8 +119,7 @@ class AnalyticityEstimate:
     half_width is the fitted exponential rate A in |u_k| ~ C * (1+k)^(-p)
     * exp(-A*k); prefactor is C; fit_window the (k_min, k_max) index range
     used; residual the RMS misfit of the fit in log space; stride the
-    spacing of nonzero coefficients (2 for odd functions); step_ratios the
-    per-step decay diagnostics log(|u_k| / |u_{k+s}|) / s.
+    spacing of nonzero coefficients (2 for odd functions).
     """
 
     half_width: float
@@ -128,7 +127,6 @@ class AnalyticityEstimate:
     fit_window: tuple[int, int]
     residual: float
     stride: int
-    step_ratios: np.ndarray
 
 
 # -- weights and norms ---------------------------------------------------------
@@ -252,7 +250,8 @@ def estimate_strip(u: FourierSeries1D, noise_floor: float = 1e-13) -> Analyticit
         log m_k = log C - A*k - p*log(1+k),
 
     whose algebraic term absorbs the power-law prefactor that accompanies
-    boundary singularities.  The fitted A is the strip half-width.
+    boundary singularities.  The fitted A is the strip half-width.  The
+    fit and its misfit are exact, each rounded once (exact_lstsq).
     """
     if noise_floor <= 0:
         raise InvalidParameterError("noise_floor must be positive")
@@ -271,26 +270,19 @@ def estimate_strip(u: FourierSeries1D, noise_floor: float = 1e-13) -> Analyticit
         stride = math.gcd(stride, int(d))
     stride = max(stride, 1)
 
-    vals = np.log(mags[usable - 1])
-    ratios = (vals[:-1] - vals[1:]) / diffs.astype(float)
-
     skip = len(usable) // 4
     window = usable[skip:]
-    y = vals[skip:]
     kf = window.astype(float)
-    design = np.column_stack([np.ones_like(kf), -kf, -np.log1p(kf)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    rate = float(coef[1])
+    (log_c, rate, _), misfit = exact_lstsq([np.ones_like(kf), -kf, -np.log1p(kf)],
+                                           np.log(mags[window - 1]))
     if rate <= 0:
         raise InsufficientDataError("no exponential decay detected in the tail")
-    misfit = design @ coef - y
     return AnalyticityEstimate(
         half_width=rate,
-        prefactor=float(np.exp(coef[0])),
+        prefactor=math.exp(log_c),
         fit_window=(int(window[0]), int(window[-1])),
-        residual=float(np.sqrt(np.mean(misfit**2))),
+        residual=math.sqrt(misfit),
         stride=stride,
-        step_ratios=ratios,
     )
 
 

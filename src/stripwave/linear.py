@@ -1,9 +1,10 @@
 """Fourier-Galerkin solution of the source problem -u'' + V u = f.
 
-The solve is a dense Hermitian system on the modes |k| <= N.  Alongside
-the solution the module evaluates the low/high-frequency tail bounds
-that control the strip norm of the solution: splitting u = u_low + u_high
-at a cutoff M with M^2 above ||V||, the weighted l1 norm that bounds
+Each real block of eigen.operator_1d (positive definite as V >= 1) is
+Cholesky-factored once for both function parts of f.  Alongside the
+solution the module evaluates the low/high-frequency tail bounds that
+control the strip norm of the solution: splitting u = u_low + u_high at
+a cutoff M with M^2 above ||V||, the weighted l1 norm that bounds
 multiplication by V, the low part obeys the a-priori L2 bound through
 the lowest Galerkin eigenvalue alpha, taken from eigen.solve_eig,
 
@@ -22,16 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SolverFailureError
-from .eigen import solve_eig
+from .eigen import operator_1d, solve_eig
+from .extended import band_residual, norm2
 from .fourier import (FourierSeries1D, grid_values, h1_norm, l2_norm, multiply,
                       multiplier_norm_bound, project, strip_norm, strip_weight)
-from .galerkin import assemble_dense
-
-
-@dataclass(frozen=True)
-class LinearSolveResult:
-    solution: FourierSeries1D
-    residual_l2: float
 
 
 @dataclass(frozen=True)
@@ -54,36 +49,35 @@ class TailBoundReport:
         return self.high_norm <= self.high_bound
 
 
-def _check_invertibility(V: FourierSeries1D, cutoff: int) -> None:
-    if not V.is_real_valued(tol=1e-10):
-        raise PreconditionError("potential must be real-valued")
-    n = 4 * cutoff + 1
-    vmin = float(np.min(grid_values(V, max(n, 2 * V.cutoff + 1)).real))
+def solve_linear(V: FourierSeries1D, f: FourierSeries1D, cutoff: int) -> FourierSeries1D:
+    """Galerkin solution of -u'' + V u = f on the modes |k| <= cutoff.
+
+    Requires V real-valued with V >= 1 (checked on a 4*cutoff+1 grid).
+    The right-hand side is projected onto the trial space; it may be
+    complex-valued.
+    """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve  # deferred, as in eigen
+    op = operator_1d(V, cutoff)
+    vmin = float(np.min(grid_values(V, max(4 * cutoff + 1, 2 * V.cutoff + 1)).real))
     if vmin < 1.0 - 1e-12:  # grid transform rounding must not reject V = 1
         raise PreconditionError(
             f"potential dips to {vmin:.6g} < 1 on the sampling grid; "
             "the invertibility condition V >= 1 fails"
         )
-
-
-def solve_linear(V: FourierSeries1D, f: FourierSeries1D, cutoff: int) -> LinearSolveResult:
-    """Galerkin solution of -u'' + V u = f on the modes |k| <= cutoff.
-
-    Requires V real-valued with V >= 1 (checked on a 4*cutoff+1 grid).
-    The right-hand side is projected onto the trial space.
-    """
-    import scipy.linalg  # deferred: studies without a linear solve never load it
-    _check_invertibility(V, cutoff)
-    H = assemble_dense(V, cutoff)
     rhs = project(f, cutoff)._padded(cutoff)
+    blocks = op.blocks()
+    # the real-function and imaginary-function parts g, h of f = g + i h
+    parts = np.split(op.from_modes(np.stack((rhs, -1j * rhs), axis=1)),
+                     np.cumsum([len(block) for block in blocks[:-1]]))
     try:
-        u = scipy.linalg.solve(H, rhs, assume_a="her")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise SolverFailureError(f"Galerkin system is singular: {exc}") from exc
-    if not np.all(np.isfinite(u)):
+        factors = [cho_factor(block, overwrite_a=True, check_finite=False) for block in blocks]
+    except LinAlgError as exc:
+        raise SolverFailureError(f"Galerkin block not positive definite: {exc}") from exc
+    q = np.concatenate([cho_solve(c, b, check_finite=False) for c, b in zip(factors, parts)])
+    if not np.all(np.isfinite(q)):
         raise SolverFailureError("Galerkin solve produced non-finite values")
-    residual = float(np.linalg.norm(H @ u - rhs))
-    return LinearSolveResult(solution=FourierSeries1D(cutoff, u), residual_l2=residual)
+    g, h = op.to_modes(q).T
+    return FourierSeries1D(cutoff, g + 1j * h)
 
 
 def tail_bound_check(V: FourierSeries1D, f: FourierSeries1D, solve_cutoff: int,
@@ -103,7 +97,7 @@ def tail_bound_check(V: FourierSeries1D, f: FourierSeries1D, solve_cutoff: int,
             f"split cutoff {split_cutoff} too low: need split_cutoff >= {needed} "
             f"so that split_cutoff^2 > {v_norm:.6g}"
         )
-    u = solve_linear(V, f, solve_cutoff).solution
+    u = solve_linear(V, f, solve_cutoff)
     alpha = float(solve_eig(V, solve_cutoff, 1).eigenvalues[0])
     u_low = project(u, split_cutoff)
     u_high = u - u_low
@@ -132,12 +126,16 @@ def refinement_study(V: FourierSeries1D, f: FourierSeries1D, cutoffs,
                      reference_cutoff: int):
     """Errors of the Galerkin solution against a finer reference solve.
 
-    Returns rows (N, residual_l2, err_vs_ref_l2, err_vs_ref_h1).
+    Returns rows (N, residual_l2, err_vs_ref_l2, err_vs_ref_h1); each
+    residual H u - f is summed in double-double on the Toeplitz band.
     """
-    ref = solve_linear(V, f, reference_cutoff).solution
+    ref = solve_linear(V, f, reference_cutoff)
     rows = []
     for n in cutoffs:
-        res = solve_linear(V, f, n)
-        diff = res.solution - ref
-        rows.append((int(n), res.residual_l2, l2_norm(diff), h1_norm(diff)))
+        u = solve_linear(V, f, n)
+        op, x, zero = operator_1d(V, n), u.coeffs[:, None], np.zeros(1)
+        residual = band_residual(op.diag, op.coupling(), zero, zero, x, np.zeros_like(x),
+                                 project(f, n)._padded(n)[:, None])
+        diff = u - ref
+        rows.append((int(n), norm2(residual), l2_norm(diff), h1_norm(diff)))
     return rows

@@ -478,10 +478,10 @@ def reached(*args, **kwargs):
 
 
 # size key -> the largest value DENSE_BYTES_LIMIT admits: real matrices of
-# order 2N + 1 for eig-convergence, complex ones for linsolve, the real
-# half-wave Jacobian of order ceil(N/2) for gp-solve and blowup.  An N_list
-# beyond it needs an N_ref beyond it, so only its rejection is checked;
-# N_list is named, the first key that asks for the matrix.  The complex
+# order 2N + 1 for eig-convergence and linsolve, the real half-wave
+# Jacobian of order ceil(N/2) for gp-solve and blowup.  An N_list beyond
+# it needs an N_ref beyond it, so only its rejection is checked; N_list
+# is named, the first key that asks for the matrix.  The complex
 # Bloch fibers are bounded by the integer box of their basis, which grows
 # by one layer per unit of N + max |k| on these 2*pi lattices (max |k| is
 # 0.5 in both configs): the values admitted are a box layer below the limit.
@@ -490,9 +490,9 @@ SIZE_GUARDS = [
      lambda n: {"N_ref": n}),
     ("eig-convergence", "convergence_study", "N_list", None,
      lambda n: {"N_list": [2, 5793], "N_ref": 2 * 5793}),
-    ("linsolve", "refinement_study", "N_ref", 4095, lambda n: {"N_ref": n}),
+    ("linsolve", "refinement_study", "N_ref", 5792, lambda n: {"N_ref": n}),
     ("linsolve", "refinement_study", "N_list", None,
-     lambda n: {"N_list": [4, 4096], "N_ref": 2 * 4096}),
+     lambda n: {"N_list": [4, 5793], "N_ref": 2 * 5793}),
     ("gp-solve", "solve_gp", "N", 23170, lambda n: {"N": n}),
     ("blowup", "solve_gp", "N", 23170, lambda n: {"N": n}),
     ("bands", "band_structure", "N", 43.49, lambda n: {"N": n}),  # 89^2 <= 8192

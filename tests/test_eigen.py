@@ -1,6 +1,7 @@
 """Tests for the planewave eigenproblem and convergence studies."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -352,6 +353,17 @@ class TestFitLogRate:
 
     def test_insufficient_rows(self):
         assert math.isnan(fit_log_rate([2, 4], [1e-13, 1e-14]))
+
+    def test_slope_is_the_centred_fraction(self):
+        # the least-squares slope sum (x - mx)(y - my) / sum (x - mx)^2 of
+        # the kept rows, in fractions, rounded once
+        n = np.array([4, 6, 8, 12, 16, 20])
+        errs = np.exp(-1.7 * n) * (1 + 0.3 * np.sin(n))
+        x = [Fraction(int(v)) for v in n[1:]]
+        y = [Fraction(float(v)) for v in np.log(errs[1:])]
+        mx, my = sum(x) / len(x), sum(y) / len(y)
+        want = sum((a - mx) * (b - my) for a, b in zip(x, y)) / sum((a - mx) ** 2 for a in x)
+        assert fit_log_rate(n, errs, floor=0.0) == float(want)
 
 
 class TestEigenvectorStripCheck:

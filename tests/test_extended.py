@@ -1,10 +1,14 @@
-"""Tests for the double-double band residual of the eigenvalue refinement."""
+"""Tests for the double-double band residual of the eigenvalue refinement
+and the linear solve, and for the exact least-squares fit."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from stripwave.eigen import solve_eig
-from stripwave.extended import Band, _prod, band_residual, split, two_sum
+from stripwave.extended import Band, _prod, band_residual, exact_lstsq, split, two_sum
 from stripwave.galerkin import assemble_dense, coefficient_column
 from stripwave.potentials import poisson_kernel, sine
 
@@ -85,3 +89,75 @@ def test_small_orders_and_zero_parts():
                 want = loop_band_residual(diag, coefficients, *args)
                 scale = np.abs(x).sum() * (np.abs(coefficients).sum() + n * n + 2)
                 np.testing.assert_allclose(got, want, rtol=0, atol=2.0**-100 * scale)
+
+
+def test_rhs_is_subtracted_inside_the_sum():
+    # rhs = fl(H x) cancels H x to rounding level: the result must be the
+    # exact H x - rhs to double-double accuracy, not the rounding of H x
+    rng = np.random.default_rng(11)
+    n, band = 7, 3
+    diag = rng.standard_normal(n) + np.arange(n) ** 2.0
+    lower = rng.standard_normal(band) + 1j * rng.standard_normal(band)
+    dense = np.diag(diag).astype(complex)
+    for d, c in enumerate(lower, start=1):
+        dense += np.diag(np.full(n - d, c), -d) + np.diag(np.full(n - d, np.conj(c)), d)
+    x = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    rhs = dense @ x
+    zero = np.zeros(1)
+    got = band_residual(diag, Band(lower, n), zero, zero, x, np.zeros_like(x), rhs)[:, 0]
+
+    def exact(z):
+        return Fraction(float(z.real)), Fraction(float(z.imag))
+
+    for row, b, value in zip(dense, rhs[:, 0], got):
+        terms = [(exact(h), exact(v)) for h, v in zip(row, x[:, 0])]
+        re = sum(h[0] * v[0] - h[1] * v[1] for h, v in terms) - exact(b)[0]
+        im = sum(h[0] * v[1] + h[1] * v[0] for h, v in terms) - exact(b)[1]
+        scale = float(sum(abs(h[0] * v[0]) + abs(h[1] * v[1]) + abs(h[0] * v[1])
+                          + abs(h[1] * v[0]) for h, v in terms))
+        for part, want in ((value.real, re), (value.imag, im)):
+            assert abs(Fraction(part) - want) <= 2.0**-100 * scale + 2.0**-52 * abs(want)
+    assert np.max(np.abs(got)) > 0  # the cancelled digits are kept
+
+
+def exact_fit(columns, y):
+    """Coefficients and mean squared misfit, from the exact residual of
+    the exact solution of the normal equations by Cramer's rule."""
+    x = [[Fraction(float(v)) for v in col] for col in columns]
+    y = [Fraction(float(v)) for v in y]
+    gram = [[sum(map(lambda p, q: p * q, a, b)) for b in x] for a in x]
+    xty = [sum(map(lambda p, q: p * q, a, y)) for a in x]
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+                   for j in range(len(m)))
+
+    whole = det(gram)
+    coef = [det([row[:i] + [b] + row[i + 1:] for row, b in zip(gram, xty)]) / whole
+            for i in range(len(x))]
+    misfit = [sum(c * col[r] for c, col in zip(coef, x)) - y[r] for r in range(len(y))]
+    return [float(c) for c in coef], float(sum(m * m for m in misfit) / len(y))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_lstsq_is_the_rounded_exact_fit(seed):
+    rng = np.random.default_rng(seed)
+    k = np.arange(3.0, 3.0 + rng.integers(6, 40))
+    y = -0.8 * k - 1.3 * np.log1p(k) + 1e-3 * rng.standard_normal(len(k))
+    columns = [np.ones_like(k), -k, -np.log1p(k)]
+    coef, misfit = exact_lstsq(columns, y)
+    assert (coef, misfit) == exact_fit(columns, y)
+    # rows in any order give the same bits
+    order = rng.permutation(len(k))
+    assert exact_lstsq([c[order] for c in columns], y[order]) == (coef, misfit)
+    np.testing.assert_allclose(coef, np.linalg.lstsq(np.column_stack(columns), y,
+                                                     rcond=None)[0], rtol=1e-9)
+
+
+def test_exact_lstsq_of_an_exact_line():
+    x = np.arange(1.0, 9.0)
+    assert exact_lstsq([np.ones_like(x), x], 0.5 - 0.25 * x) == ([0.5, -0.25], 0.0)
+    assert math.isclose(exact_lstsq([np.ones(3), np.array([0.0, 1.0, 2.0])],
+                                    np.array([0.0, 1.0, 0.0]))[1], 2 / 9)

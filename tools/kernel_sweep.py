@@ -4,12 +4,15 @@
 
 For each of the eight settings OPENBLAS_CORETYPE in {SkylakeX, Haswell,
 Sandybridge, Prescott} x OPENBLAS_NUM_THREADS in {1, 2}, runs the golden
-comparisons (`tests/test_cli.py -k golden`), the cubic solver tests
-(`tests/test_cubic.py`), the eigensolver tests (`tests/test_eigen.py`:
-the subset eigensolves, the bordered refinement and its 60-digit checks),
-the blow-up tests (`tests/test_blowup.py`, whose slopes come from
-`solve_gp` at N = 64 and 128) and the Bloch tests (`tests/test_bloch.py`:
-the fibers on the same refinement and its 50-digit checks) in fresh
+comparisons (`tests/test_cli.py -k golden`), the linear solve tests
+(`tests/test_linear.py`: the real-block Cholesky solves against the
+complex Hermitian solve, and the double-double residual against its
+exact rational value), the cubic solver tests (`tests/test_cubic.py`),
+the eigensolver tests (`tests/test_eigen.py`: the subset eigensolves,
+the bordered refinement and its 60-digit checks), the blow-up tests
+(`tests/test_blowup.py`, whose slopes come from `solve_gp` at N = 64 and
+128) and the Bloch tests (`tests/test_bloch.py`: the fibers on the same
+refinement and its 50-digit checks) in fresh
 subprocesses, since OpenBLAS reads both variables once, when it loads.
 Prints one PASS/FAIL line per setting, with the ids of its failed tests
 under it, and exits 1 if any setting fails.  Run it from any directory;
@@ -26,8 +29,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CORETYPES = ("SkylakeX", "Haswell", "Sandybridge", "Prescott")
 THREADS = ("1", "2")
-SUITES = (("tests/test_cli.py", "-k", "golden"), ("tests/test_cubic.py",),
-          ("tests/test_eigen.py",), ("tests/test_blowup.py",), ("tests/test_bloch.py",))
+SUITES = (("tests/test_cli.py", "-k", "golden"), ("tests/test_linear.py",),
+          ("tests/test_cubic.py",), ("tests/test_eigen.py",), ("tests/test_blowup.py",),
+          ("tests/test_bloch.py",))
 
 
 def run_setting(coretype: str, threads: str) -> tuple[bool, list[str], list[str]]:
