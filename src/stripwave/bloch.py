@@ -12,6 +12,15 @@ subset eigensolves for band structures along a k path, and for the
 Brillouin-zone convergence table also the double-double refinement,
 whose residual sums over the offsets of V.
 
+An antiunitary symmetry that fixes k makes the fiber a real symmetric
+matrix, solved at a third of the cost of the complex one.  Inversion
+about a center c of V does so at every k, in the planewaves
+exp(-i G.c) e_G; without a center, time reversal does so at a k with 2k
+in the reciprocal lattice (such as Gamma, X and M), in the cosine and
+sine combinations of e_G and e_{-G-2k}, which at d = 1, k = 0 are the 1D
+basis of `galerkin`.  Any other fiber stays complex.  The refinement's
+diagonal and off-diagonal part stay those of the complex fiber.
+
 A potential stores its coefficients as one dense complex array on the
 symmetric integer box [-reach, reach]^d.  The fiber matrix takes all of
 V_{G-G'} in one gather from that box, zero-padded to the basis's
@@ -35,6 +44,11 @@ from .errors import InvalidParameterError, PreconditionError
 from .eigen import ErrorTable, error_table, fiber_spectrum
 from .extended import Gather
 from .fourier import FourierSeries1D
+from .galerkin import SQRT2
+
+# Relative size below which a symmetry counts as exact: 2k off the
+# reciprocal lattice, or an imaginary part of V about an inversion center.
+_ROUNDING = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -165,6 +179,37 @@ class FourierSeriesD:
             return 0.0 + 0.0j
         return complex(self.dense[idx])
 
+    def _about(self, t: np.ndarray):
+        """Re(V_D exp(i D . t)) on the box, made exactly even: V's
+        coefficients about the point c with b_n . c = t_n for the
+        reciprocal basis vectors b_n, when each is real to _ROUNDING of
+        the largest, so that c is an inversion center of the real V;
+        None otherwise."""
+        offsets = [axis - self.reach for axis in np.indices(self.dense.shape)]
+        about = self.hermitian * np.exp(1j * sum(tn * dn for tn, dn in zip(t, offsets)))
+        tol = _ROUNDING * float(np.abs(self.hermitian).max(initial=0.0))
+        if np.any(np.abs(about.imag) > tol):
+            return None
+        return 0.5 * (about.real + np.flip(about.real))
+
+    @cached_property
+    def _inversion(self):
+        """(t, _about(t)) for an inversion center of V, or None if it has
+        none.  The candidates are c = 0, then the centers that make V
+        real at every b_n (defined up to half lattice vectors)."""
+        d, reach = self.lattice.dimension, self.reach
+        candidates = [np.zeros(d)]
+        if reach:
+            unit = np.full((d, d), reach) + np.eye(d, dtype=int)
+            angle = -np.angle(self.hermitian[tuple(unit.T)])
+            candidates += [angle + np.pi * np.array(m)
+                           for m in itertools.product((0, 1), repeat=d)]
+        for t in candidates:
+            about = self._about(t)
+            if about is not None:
+                return t, about
+        return None
+
     def is_real_valued(self, tol: float = 1e-12) -> bool:
         """Whether c_{-G} = conj(c_G) for all G, to within tol * (1 + max |c|)."""
         scale = 1.0 + float(np.abs(self.dense).max())
@@ -181,29 +226,46 @@ def series1d_to_lattice(u: FourierSeries1D) -> tuple[Lattice, FourierSeriesD]:
     return lattice, FourierSeriesD(lattice, coeffs)
 
 
+def _differences(box: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 shift: np.ndarray | None = None) -> np.ndarray:
+    """box[m_i - m_j] for the integer coordinates m_i of `rows` and m_j of
+    `cols`, or box[m_i + m_j + shift] when a shift is given, from the
+    values of box on its symmetric integer box, zero beyond it."""
+    d, half = rows.shape[1], box.shape[0] // 2
+    extent = int(np.abs(rows).max(initial=0)) + int(np.abs(cols).max(initial=0))
+    if shift is not None:
+        extent += int(np.abs(shift).max())
+    # box padded with zeros to hold every index; in flat C order the
+    # offset of m is flat(m) + flat(reach)
+    reach = max(half, extent)
+    padded = np.zeros((2 * reach + 1,) * d, dtype=box.dtype)
+    padded[(slice(reach - half, reach + half + 1),) * d] = box
+    strides = (2 * reach + 1) ** np.arange(d - 1, -1, -1)
+    first = rows @ strides + reach * int(strides.sum())
+    if shift is None:
+        return padded.ravel()[np.subtract.outer(first, cols @ strides)]
+    return padded.ravel()[np.add.outer(first + shift @ strides, cols @ strides)]
+
+
+def _diagonal(V: FourierSeriesD, basis: PlanewaveBasis) -> np.ndarray:
+    """The fiber's diagonal |G + k|^2 + V_0 / sqrt(|cell|)."""
+    shifted = basis.wavevectors + basis.k_point
+    return np.sum(shifted * shifted, axis=1) \
+        + 1.0 / math.sqrt(basis.lattice.unit_cell_volume) \
+        * np.real(V.coefficient((0,) * basis.lattice.dimension))
+
+
 def assemble_bloch(V: FourierSeriesD, basis: PlanewaveBasis) -> np.ndarray:
     """Hermitian fiber |G+k|^2 delta + V_{G-G'}/sqrt(|cell|), V as V.hermitian."""
     if not V.is_real_valued():
         raise PreconditionError("potential must be real-valued")
-    d = basis.lattice.dimension
-    scale = 1.0 / math.sqrt(basis.lattice.unit_cell_volume)
-    ints = basis.int_coords
-    # V's box padded with zeros to hold every difference G - G' of the basis;
-    # in flat C order the offset of G - G' is flat(G) - flat(G') + flat(reach).
-    reach = max(V.reach, 2 * int(np.abs(ints).max(initial=0)))
-    padded = np.zeros((2 * reach + 1,) * d, dtype=complex)
-    padded[(slice(reach - V.reach, reach + V.reach + 1),) * d] = V.hermitian
-    strides = (2 * reach + 1) ** np.arange(d - 1, -1, -1)
-    flat = ints @ strides
-    H = padded.ravel()[np.subtract.outer(flat + reach * int(strides.sum()), flat)]
-    H *= scale
-    H[np.tri(len(flat), k=-1, dtype=bool)] = 0.0
+    H = _differences(V.hermitian, basis.int_coords, basis.int_coords)
+    H *= 1.0 / math.sqrt(basis.lattice.unit_cell_volume)
+    H[np.tri(len(H), k=-1, dtype=bool)] = 0.0
     # a new array, not in place: numpy lays the sum out in C or Fortran
     # order by size, and the later matvecs round according to that layout
     H = H + np.conj(H.T)
-    shifted = basis.wavevectors + basis.k_point
-    H[np.diag_indices_from(H)] = np.sum(shifted * shifted, axis=1) \
-        + scale * np.real(V.coefficient((0,) * d))
+    H[np.diag_indices_from(H)] = _diagonal(V, basis)
     return H
 
 
@@ -225,6 +287,92 @@ def _coupling(V: FourierSeriesD, basis: PlanewaveBasis) -> Gather:
     return Gather(coef[tuple((offsets + V.reach).T)], index, flat, offsets @ strides)
 
 
+@dataclass(frozen=True)
+class _Rotation:
+    """The orthonormal basis Q of a fiber block as planewave coefficients,
+    with at most two nonzeros per column: for j < pairs, column j is
+    (e_j + e_{n-1-j}) / sqrt(2) and column n - pairs + j is
+    i (e_j - e_{n-1-j}) / sqrt(2); a middle planewave paired with itself
+    is its own column; then each row is multiplied by its phase.  form
+    names the symmetry that makes the block real."""
+
+    form: str
+    phase: np.ndarray | None = None  # one unit phase per planewave; None is 1
+    pairs: int = 0
+
+    def to_modes(self, q: np.ndarray) -> np.ndarray:
+        """Q q: columns in the real basis as planewave coefficients."""
+        if self.pairs:
+            p, n = self.pairs, len(q)
+            c, s = q[:p] / SQRT2, 1j * q[n - p:] / SQRT2
+            u = np.empty(q.shape, dtype=complex)
+            u[:p], u[n - p:], u[p:n - p] = c + s, (c - s)[::-1], q[p:n - p]
+            q = u
+        return q if self.phase is None else self.phase[:, None] * q
+
+    def from_modes(self, r: np.ndarray) -> np.ndarray:
+        """Q^H r, the adjoint of to_modes."""
+        if self.phase is not None:
+            r = np.conj(self.phase)[:, None] * r
+        if not self.pairs:
+            return r
+        p, n = self.pairs, len(r)
+        top, bottom = r[:p], r[::-1][:p]  # each planewave and its partner
+        return np.concatenate(((top + bottom) / SQRT2, r[p:n - p],
+                               -1j * (top - bottom) / SQRT2))
+
+
+def _time_reversal(V: FourierSeriesD, basis: PlanewaveBasis, diag: np.ndarray):
+    """The fiber as a real symmetric block and its rotation, when 2k is a
+    reciprocal lattice vector K and the basis is closed under m -> -m - K;
+    None otherwise.  That map reverses the lexicographic order of the
+    basis, so planewave j pairs with n - 1 - j, and the middle one of an
+    odd basis, m = -K/2, with itself.  With v_D = V_D / sqrt(|cell|), the
+    pair sum S = m_i + m_j + K and the difference D = m_i - m_j, the
+    cosine and sine columns couple by Re v_D + Re v_S, Re v_D - Re v_S and
+    Im v_S - Im v_D (times sqrt(2) from the self-paired column); a pair's
+    two diagonal entries share the planewave's |G + k|^2 + v_0."""
+    twice_k = basis.lattice.basis @ basis.k_point / np.pi  # 2k in the b_n
+    K = np.rint(twice_k).astype(int)
+    ints = basis.int_coords
+    if np.any(np.abs(twice_k - K) > _ROUNDING) \
+            or not np.array_equal(ints[::-1], -ints - K):
+        return None
+    n, p = len(ints), len(ints) // 2
+    heads = ints[:n - p]  # the pairs' first planewaves, then the self-paired one
+    coef = V.hermitian * (1.0 / math.sqrt(basis.lattice.unit_cell_volume))
+    v_d = _differences(coef, heads, heads)
+    v_s = _differences(coef, heads, heads, K)
+    cos = v_d.real + v_s.real
+    sin = (v_d.real - v_s.real)[:p, :p]
+    mixed = (v_s.imag - v_d.imag)[:, :p]
+    at = np.arange(p)
+    cos[at, at] = diag[:p] + v_s.real[at, at]
+    sin[at, at] = diag[:p] - v_s.real[at, at]
+    if n > 2 * p:
+        cos[p, :p] = cos[:p, p] = SQRT2 * v_d.real[p, :p]
+        cos[p, p] = diag[p]
+        mixed[p] = -SQRT2 * v_d.imag[p, :p]
+    return np.block([[cos, mixed], [mixed.T, sin]]), _Rotation("time-reversal", pairs=p)
+
+
+def _form(V: FourierSeriesD, basis: PlanewaveBasis, diag: np.ndarray):
+    """The fiber block and its _Rotation.  Real and symmetric about an
+    inversion center c of V at any k, in the planewaves exp(-i G . c) e_G;
+    real and symmetric by time reversal at a k with 2k in the reciprocal
+    lattice; otherwise the complex Hermitian fiber itself."""
+    inversion = V._inversion
+    if inversion is None:
+        return _time_reversal(V, basis, diag) \
+            or (assemble_bloch(V, basis), _Rotation("complex"))
+    t, about = inversion
+    block = _differences(about, basis.int_coords, basis.int_coords)
+    block *= 1.0 / math.sqrt(basis.lattice.unit_cell_volume)
+    block[np.diag_indices_from(block)] = diag
+    phase = np.exp(-1j * (basis.int_coords @ t)) if np.any(t) else None
+    return block, _Rotation("inversion", phase)
+
+
 def _fiber(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands: int):
     """The lowest n_bands eigenvalues of the fiber at k on the planewaves
     within cutoff, and the fiber as an operator, from eigen.fiber_spectrum."""
@@ -233,7 +381,11 @@ def _fiber(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands: int):
         raise InvalidParameterError(
             f"basis at k = {k.tolist()}, cutoff {cutoff} has only {basis.dimension} "
             f"planewaves; cannot produce {n_bands} bands")
-    return fiber_spectrum(assemble_bloch(V, basis), partial(_coupling, V, basis), n_bands)
+    if not V.is_real_valued():
+        raise PreconditionError("potential must be real-valued")
+    diag = _diagonal(V, basis)
+    return fiber_spectrum(*_form(V, basis, diag), diag, partial(_coupling, V, basis),
+                          n_bands)
 
 
 @dataclass(frozen=True)
@@ -294,20 +446,25 @@ def gaussian_potential(lattice: Lattice, centers, widths, amplitudes,
 
 def bz_sample_grid(lattice: Lattice, n_per_dim: int) -> np.ndarray:
     """Uniform Monkhorst-Pack-style grid mapped into the first Brillouin
-    zone (the Voronoi cell of the reciprocal lattice around the origin)."""
+    zone (the Voronoi cell of the reciprocal lattice around the origin),
+    the last coordinate fastest."""
     if n_per_dim < 1:
         raise InvalidParameterError("n_per_dim must be positive")
     recip = reciprocal(lattice)
     d = lattice.dimension
-    fractions = [(2.0 * r - n_per_dim + 1.0) / (2.0 * n_per_dim)
-                 for r in range(n_per_dim)]
+    fractions = (2.0 * np.arange(n_per_dim) - n_per_dim + 1.0) / (2.0 * n_per_dim)
+    grid = np.stack(np.meshgrid(*[fractions] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    # one matrix-vector product per component: these round as a single
+    # point's vector-matrix product does under every BLAS kernel, where a
+    # matrix-matrix product need not
+    k = np.column_stack([grid @ recip.basis[:, j] for j in range(d)])
     shells = np.array(list(itertools.product([-1, 0, 1], repeat=d)), dtype=float)
     shifts = shells @ recip.basis
-    points = []
-    for frac in itertools.product(fractions, repeat=d):
-        k = np.asarray(frac) @ recip.basis
-        # reduce into the Voronoi cell: subtract the nearest lattice point
-        dists = np.linalg.norm(k - shifts, axis=1)
-        k = k - shifts[int(np.argmin(dists))]
-        points.append(k)
-    return np.asarray(points)
+    # reduce into the Voronoi cell: subtract the nearest lattice point,
+    # the first of the shells on a tie
+    nearest, best = np.zeros(len(k), dtype=int), np.full(len(k), np.inf)
+    for i, shift in enumerate(shifts):
+        dist = np.linalg.norm(k - shift, axis=1)
+        closer = dist < best
+        nearest[closer], best[closer] = i, dist[closer]
+    return k - shifts[nearest]

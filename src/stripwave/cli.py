@@ -475,6 +475,7 @@ def _run_bz(cfg: dict, out):
     })
     out.diagnostics["refinement"] = [
         {"k": k.tolist(), "N": r.cutoff, "matrix_order": sum(r.block_orders),
+         "block_orders": list(r.block_orders), "form": r.form,
          "newton_steps": r.steps, "cluster_size": r.cluster_size}
         for k, records in zip(samples, table.refinements) for r in records]
 

@@ -4,8 +4,10 @@
 In 1D the Galerkin matrix, k^2 delta_{kk'} + V_{k-k'} / sqrt(2*pi) in
 the exponentials, is real symmetric in the cosine/sine basis of
 `galerkin` for real V, and for even V it splits there into a cosine and
-a sine block; a Bloch fiber is one complex Hermitian block.  Either way
-the eigenpairs come from subset eigensolves of the blocks, which compute
+a sine block.  A Bloch fiber is one block: real symmetric in the basis
+that `bloch` builds from an antiunitary symmetry fixing k (time reversal
+or inversion), complex Hermitian where there is none.  Either way the
+eigenpairs come from subset eigensolves of the blocks, which compute
 only their lowest pairs, and the eigenvalues are polished by an exactly
 summed Rayleigh quotient.
 
@@ -18,6 +20,9 @@ Moler & Wilkinson, SIAM J. Numer. Anal. 20, 1983), with double-double
 residuals in the mixed-precision style of Ogita & Aishima (Japan J.
 Indust. Appl. Math. 35, 2018): the refined value does not depend on the
 eigensolver, and the eigenvalue difference is rounded to double once.
+The residuals use the complex matrix itself and only the corrections
+use its blocks, so the rounding of a real block does not reach the
+refined eigenvalue.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ class _Operator:
     from_modes: Callable[[np.ndarray], np.ndarray]
     diag: np.ndarray
     coupling: Callable[[], object]
+    form: str  # the symmetry that makes the blocks real, or "complex"
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
 
@@ -82,6 +88,7 @@ class Refinement:
 
     cutoff: int
     block_orders: tuple[int, ...]  # orders of the blocks
+    form: str  # the operator's: "time-reversal", "inversion" or "complex"
     steps: int  # Newton corrections applied
     cluster_size: int  # eigenpairs refined together
 
@@ -165,13 +172,17 @@ def _lowest(op: _Operator, n_pairs: int):
     return replace(op, pairs=pairs), polished[ranked], [lowest[i] for i in ranked]
 
 
-def fiber_spectrum(H: np.ndarray, coupling: Callable[[], object], n_pairs: int):
-    """The lowest n_pairs eigenvalues of a Bloch fiber H, polished and
-    ascending, and H as an operator that error_table refines; coupling()
-    builds the extended.Gather of H's off-diagonal part."""
-    # np.asarray returns an array itself: no rotation on a lattice
-    op, values, _ = _lowest(_Operator(lambda: [H], np.asarray, np.asarray,
-                                      H.diagonal().real, coupling), n_pairs)
+def fiber_spectrum(block: np.ndarray, rotation, diag: np.ndarray,
+                   coupling: Callable[[], object], n_pairs: int):
+    """The lowest n_pairs eigenvalues of a Bloch fiber, polished and
+    ascending, and the fiber as an operator that error_table refines.
+    block is the fiber in the orthonormal basis of rotation, whose
+    to_modes and from_modes rotate columns to the planewaves and back and
+    whose form names it; diag and coupling(), an extended.Gather, are the
+    complex fiber's diagonal and off-diagonal part."""
+    op, values, _ = _lowest(_Operator(lambda: [block], rotation.to_modes,
+                                      rotation.from_modes, diag, coupling,
+                                      rotation.form), n_pairs)
     return values, op
 
 
@@ -182,7 +193,8 @@ def operator_1d(V: FourierSeries1D, cutoff: int) -> _Operator:
     column = coefficient_column(V, cutoff)
     return _Operator(partial(real_blocks, column), to_modes, from_modes,
                      column[0].real + np.arange(-cutoff, cutoff + 1) ** 2,
-                     partial(Band, column[1:V.cutoff + 1], 2 * cutoff + 1))
+                     partial(Band, column[1:V.cutoff + 1], 2 * cutoff + 1),
+                     "time-reversal")
 
 
 def solve_eig(V: FourierSeries1D, cutoff: int, n_pairs: int) -> EigenResult:
@@ -275,7 +287,12 @@ def _extended_eigenvalue(op: _Operator, index: int, gap: float):
             order = rows.stop - rows.start
             bordered = np.zeros((order + len(cols), len(cols)), dtype=rhs.dtype)
             bordered[:order] = rhs[rows, cols]
-            solution = lu_solve(lu, bordered, check_finite=False)
+            if np.iscomplexobj(bordered) and not np.iscomplexobj(lu[0]):
+                # real factors: the real and imaginary parts as columns
+                solution = np.ascontiguousarray(lu_solve(
+                    lu, bordered.view(float), check_finite=False)).view(complex)
+            else:
+                solution = lu_solve(lu, bordered, check_finite=False)
             delta[rows, cols] = solution[:order]
             shift[cols] = -np.diagonal(solution[order:]).real
         # bounds the eigenvalue shift this correction would still bring,
@@ -368,7 +385,7 @@ def error_table(solve: Callable, samples, cutoffs, reference_cutoff: float,
             op = solve(sample, cutoff, i == 0)
             (hi, lo), steps, size = _extended_eigenvalue(op, band - 1, gap)
             records.append(Refinement(cutoff, tuple(len(v) for _, v in op.pairs),
-                                      steps, size))
+                                      op.form, steps, size))
             if i == 0:
                 ref_hi, ref_lo, scale = hi, lo, max(scale, abs(hi))
             else:

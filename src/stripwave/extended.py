@@ -131,16 +131,24 @@ def band_residual(diag: np.ndarray, coupling, shift_hi: np.ndarray,
         acc, t = two_sum(acc, -np.stack((rhs.real, rhs.imag)))
         err += t
 
-    # real part A x_re - B x_im, imaginary part A x_im + B x_re (H = A + iB)
+    # real part A x_re - B x_im, imaginary part A x_im + B x_re (H = A + iB),
+    # summed in this order; each source is gathered once for its two terms
     a, b = coupling.coef.real, coupling.coef.imag
+    terms = ((0, a, 0), (0, -b, 1), (1, a, 1), (1, b, 0))
+    by_source = [[i for i, (_, w, s) in enumerate(terms) if s == src and w.any()]
+                 for src in (0, 1)]
     for col in range(xh.shape[2]):
-        for out, weights, src in ((0, a, 0), (0, -b, 1), (1, a, 1), (1, b, 0)):
+        sums = [None] * len(terms)
+        for src, used in enumerate(by_source):
             src_hi, src_lo = xh[src, :, col], xl[src, :, col]
-            if not weights.any() or not (src_hi.any() or src_lo.any()):
-                continue
-            s, e = _coupled_dot(coupling, weights, src_hi, src_lo)
-            acc[out, :, col], t = two_sum(acc[out, :, col], s)
-            err[out, :, col] += t + e
+            if used and (src_hi.any() or src_lo.any()):
+                dots = _coupled_dot(coupling, [terms[i][1] for i in used], src_hi, src_lo)
+                for i, dot in zip(used, dots):
+                    sums[i] = dot
+        for (out, _, _), dot in zip(terms, sums):
+            if dot is not None:
+                acc[out, :, col], t = two_sum(acc[out, :, col], dot[0])
+                err[out, :, col] += t + dot[1]
 
     out = acc + err
     return out[0] + 1j * out[1]
@@ -209,26 +217,28 @@ class Gather(Coupling):
                                     axis=-1)
 
 
-def _coupled_dot(coupling, weights: np.ndarray, x_hi: np.ndarray, x_lo: np.ndarray):
-    """sum_t weights[t] * x[neighbour t of i] for every row i, as (hi, lo),
-    for the real double-double x = x_hi + x_lo.  Each chunk of offsets is
-    a block of error-free products summed pairwise by two_sum; the chunk
-    sums are cascaded."""
+def _coupled_dot(coupling, weights, x_hi: np.ndarray, x_lo: np.ndarray):
+    """sum_t w[t] * x[neighbour t of i] for every row i, as (hi, lo), for
+    each w of `weights` and the real double-double x = x_hi + x_lo; the
+    neighbours are gathered once for all of them.  Each chunk of offsets
+    is a block of error-free products summed pairwise by two_sum; the
+    chunk sums are cascaded."""
     views = coupling.shifted(np.stack((x_hi, *split(x_hi), x_lo)))
-    hi = lo = 0.0
-    for start in range(0, len(weights), coupling.chunk):
+    sums = [(0.0, 0.0)] * len(weights)
+    for start in range(0, len(coupling.coef), coupling.chunk):
         rows = slice(start, start + coupling.chunk)
-        w = weights[rows, None]
         vh, vh_hi, vh_lo, vl = views(rows)
-        p, e = _prod(w, split(w), vh, (vh_hi, vh_lo))
-        e += w * vl
-        while len(p) > 1:
-            half = len(p) // 2
-            p, t = two_sum(p[:half], p[half:])
-            e = e[:half] + e[half:] + t
-        hi, t = two_sum(hi, p[0])
-        lo = lo + (t + e[0])
-    return hi, lo
+        for j, weight in enumerate(weights):
+            w = weight[rows, None]
+            p, e = _prod(w, split(w), vh, (vh_hi, vh_lo))
+            e += w * vl
+            while len(p) > 1:
+                half = len(p) // 2
+                p, t = two_sum(p[:half], p[half:])
+                e = e[:half] + e[half:] + t
+            hi, t = two_sum(sums[j][0], p[0])
+            sums[j] = (hi, sums[j][1] + (t + e[0]))
+    return sums
 
 
 def _prod(a, a_split, b, b_split):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from stripwave import bloch
 from stripwave.bloch import (FourierSeriesD, Lattice, PlanewaveBasis, _coupling,
+                             _diagonal, _form, _Rotation, _time_reversal,
                              assemble_bloch, band_structure, basis_set,
                              bz_convergence, bz_sample_grid, gaussian_potential,
                              reciprocal, series1d_to_lattice)
@@ -475,7 +477,33 @@ class TestGaussianPotential:
             gaussian_potential(CUBIC_2D, [[0.0, 0.0, 0.0]], [1.0], [1.0], 2.0)
 
 
+def loop_sample_grid(lattice, n_per_dim):
+    """Reference grid, one point at a time: the loop the vectorized one replaced."""
+    recip = reciprocal(lattice)
+    d = lattice.dimension
+    fractions = [(2.0 * r - n_per_dim + 1.0) / (2.0 * n_per_dim)
+                 for r in range(n_per_dim)]
+    shells = np.array(list(itertools.product([-1, 0, 1], repeat=d)), dtype=float)
+    shifts = shells @ recip.basis
+    points = []
+    for frac in itertools.product(fractions, repeat=d):
+        k = np.asarray(frac) @ recip.basis
+        dists = np.linalg.norm(k - shifts, axis=1)
+        points.append(k - shifts[int(np.argmin(dists))])
+    return np.asarray(points)
+
+
 class TestBzSampleGrid:
+    @pytest.mark.parametrize("lattice", [
+        TWO_PI_LINE, CUBIC_2D, Lattice(2.0 * np.pi * np.eye(3)),
+        Lattice(np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])),
+        Lattice(np.eye(3) + 0.3 * np.random.RandomState(2).normal(size=(3, 3)))],
+        ids=["1d", "2d", "3d", "hexagonal", "oblique-3d"])
+    def test_bit_identical_to_loop(self, lattice):
+        for n in (1, 2, 3, 4, 7):
+            assert bz_sample_grid(lattice, n).tobytes() \
+                == loop_sample_grid(lattice, n).tobytes()
+
     def test_points_inside_voronoi_cell(self):
         lat = Lattice(np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]))
         rec = reciprocal(lat)
@@ -492,3 +520,125 @@ class TestBzSampleGrid:
         pts = bz_sample_grid(TWO_PI_LINE, 4)
         assert pts.shape == (4, 1)
         assert np.all(np.abs(pts) <= 0.5 + 1e-12)
+
+
+# the bands workload's kind of potential: two unequal Gaussians, no
+# inversion center
+TWO_GAUSSIANS = gaussian_potential(CUBIC_2D, [[0.3, -0.2], [-0.4, 0.1]], [0.6, 0.62],
+                                   [-1.5, -1.2], 8.0)
+GAMMA_X_M = [[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]]
+CUBE = Lattice(2.0 * np.pi * np.eye(3))
+ONE_GAUSSIAN = gaussian_potential(CUBE, [[0.31, -0.22, 0.17]], [0.8], [-2.0], 4.0)
+
+
+def form_at(V, k, cutoff):
+    basis = basis_set(V.lattice, np.asarray(k, dtype=float), cutoff)
+    return _form(V, basis, _diagonal(V, basis))
+
+
+def complex_form(V, basis, diag):
+    return assemble_bloch(V, basis), _Rotation("complex")
+
+
+def eigh_dtypes(monkeypatch):
+    """The dtypes of the matrices scipy.linalg.eigh receives from now on."""
+    seen = []
+
+    def spy(mat, *args, _solver=scipy.linalg.eigh, **kwargs):
+        seen.append(mat.dtype)
+        return _solver(mat, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return seen
+
+
+class TestRealForms:
+    @pytest.mark.parametrize("V, k, form", [
+        (TWO_GAUSSIANS, [0.0, 0.0], "time-reversal"),  # odd order: G = 0 is self-paired
+        (TWO_GAUSSIANS, [0.5, 0.0], "time-reversal"),  # even order
+        (TWO_GAUSSIANS, [0.5, 0.5], "time-reversal"),
+        (ONE_GAUSSIAN, [0.1, 0.2, 0.3], "inversion"),
+        (SKEW, [0.13, -0.29], "complex"),
+    ])
+    def test_rotation_is_orthonormal_and_makes_the_block(self, V, k, form):
+        basis = basis_set(V.lattice, np.asarray(k), 3.0)
+        block, rotation = _form(V, basis, _diagonal(V, basis))
+        assert rotation.form == form
+        assert block.dtype == (complex if form == "complex" else float)
+        assert np.array_equal(block, np.conj(block.T))
+        n = basis.dimension
+        Q = rotation.to_modes(np.eye(n))
+        assert np.max(np.count_nonzero(Q, axis=0)) <= 2
+        np.testing.assert_allclose(np.conj(Q.T) @ Q, np.eye(n), atol=1e-15)
+        H = assemble_bloch(V, basis)
+        np.testing.assert_allclose(np.conj(Q.T) @ H @ Q, block, rtol=0, atol=1e-13)
+        r = np.random.default_rng(1).standard_normal((n, 2)) + 1j
+        np.testing.assert_allclose(rotation.from_modes(r), np.conj(Q.T) @ r, atol=1e-15)
+
+    def test_free_pairs_share_the_diagonal(self):
+        # the free fiber's cosine and sine entries of a pair are one double
+        # |G + k|^2, so zero-potential bands stay exact; on this oblique
+        # lattice the partner's |G' + k|^2 rounds differently for some pairs
+        lat = Lattice(2.0 * np.pi * (np.eye(2) + 0.3 * np.random.RandomState(0)
+                                     .normal(size=(2, 2))))
+        free = FourierSeriesD(lat, {})
+        basis = basis_set(lat, 0.5 * reciprocal(lat).basis.sum(axis=0), 3.0)
+        diag = _diagonal(free, basis)
+        block, rotation = _time_reversal(free, basis, diag)
+        p = rotation.pairs
+        assert np.any(diag[:p] != diag[::-1][:p])
+        assert np.array_equal(block, np.diag(np.concatenate((diag[:p], diag[:p]))))
+
+    def test_gamma_x_m_bands_are_real_solves(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(bloch, "_form", complex_form)
+            want = band_structure(TWO_GAUSSIANS, GAMMA_X_M, 10.0, 6).bands
+        seen = eigh_dtypes(monkeypatch)
+        got = band_structure(TWO_GAUSSIANS, GAMMA_X_M, 10.0, 6).bands
+        assert seen == [np.dtype(float)] * 3
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_inversion_zone_errors_bit_identical_to_complex(self, monkeypatch):
+        args = ([[0.1, 0.2, 0.3]], [1.5, 2.0, 2.5], 5.0, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(bloch, "_form", complex_form)
+            want = bz_convergence(ONE_GAUSSIAN, *args)
+        seen = eigh_dtypes(monkeypatch)
+        got = bz_convergence(ONE_GAUSSIAN, *args)
+        assert seen and set(seen) == {np.dtype(float)}
+        assert [r.form for r in got.refinements[0]] == ["inversion"] * 4
+        assert [r.form for r in want.refinements[0]] == ["complex"] * 4
+        assert got.errors.tobytes() == want.errors.tobytes()
+        assert got.fitted_rate == want.fitted_rate
+
+    def test_gaussian_center_found_and_a_quarter_shift_rejected(self):
+        t, _ = ONE_GAUSSIAN._inversion
+        # t_n = b_n . c up to pi: half a lattice vector away is also a center
+        turns = (t - reciprocal(CUBE).basis @ np.array([0.31, -0.22, 0.17])) / np.pi
+        np.testing.assert_allclose(turns, np.rint(turns), atol=1e-12)
+        assert ONE_GAUSSIAN._about(t + [np.pi, 0.0, 0.0]) is not None
+        # a quarter of a_1 away: the odd G along b_1 turn imaginary
+        assert ONE_GAUSSIAN._about(t + [0.5 * np.pi, 0.0, 0.0]) is None
+
+    def test_two_unequal_centers_stay_complex_at_generic_k(self):
+        assert TWO_GAUSSIANS._inversion is None
+        assert form_at(TWO_GAUSSIANS, [0.13, -0.29], 3.0)[1].form == "complex"
+
+    def test_k_off_the_zone_edge_stays_complex(self):
+        assert form_at(TWO_GAUSSIANS, [0.5, 0.0], 3.0)[1].form == "time-reversal"
+        assert form_at(TWO_GAUSSIANS, [0.5 + 1e-9, 0.0], 3.0)[1].form == "complex"
+
+    def test_basis_not_closed_under_pairing_stays_complex(self):
+        # on this oblique lattice the cutoff sphere through G + k holds G
+        # but, after rounding, not its partner -G - 2k
+        lat = Lattice(2.0 * np.pi * (np.eye(2) + 0.3 * np.random.RandomState(0)
+                                     .normal(size=(2, 2))))
+        rec = reciprocal(lat)
+        k = 0.5 * rec.basis[0]
+        cutoff = float(np.linalg.norm(np.array([-3.0, 1.0]) @ rec.basis + k))
+        V = gaussian_potential(lat, [[0.3, -0.2], [-0.4, 0.1]], [0.6, 0.62],
+                               [-1.5, -1.2], 4.0)
+        ints = basis_set(lat, k, cutoff).int_coords
+        assert not np.array_equal(ints[::-1], -ints - [1, 0])
+        assert form_at(V, k, cutoff)[1].form == "complex"
+        assert form_at(V, k, cutoff + 0.01)[1].form == "time-reversal"

@@ -601,7 +601,11 @@ def test_bz_convergence_manifest_diagnostics(tmp_path):
         ([k], n) for k in (0.0, 0.5) for n in (10.0, 3.0, 4.0, 5.0)]
     assert [r["matrix_order"] for r in records] == [21, 7, 9, 11, 20, 6, 8, 10]
     for r in records:
-        assert set(r) == {"k", "N", "matrix_order", "newton_steps", "cluster_size"}
+        assert set(r) == {"k", "N", "matrix_order", "block_orders", "form",
+                          "newton_steps", "cluster_size"}
+        # the even Poisson kernel has its inversion center at 0: one real block
+        assert r["block_orders"] == [r["matrix_order"]]
+        assert r["form"] == "inversion"
         assert 1 <= r["newton_steps"] <= 2
         assert r["cluster_size"] == 1
     # run records stay out of the byte-compared artifacts

@@ -11,8 +11,10 @@ exact rational value), the cubic solver tests (`tests/test_cubic.py`),
 the eigensolver tests (`tests/test_eigen.py`: the subset eigensolves,
 the bordered refinement and its 60-digit checks), the blow-up tests
 (`tests/test_blowup.py`, whose slopes come from `solve_gp` at N = 64 and
-128) and the Bloch tests (`tests/test_bloch.py`: the fibers on the same
-refinement and its 50-digit checks) in fresh
+128), the Bloch tests (`tests/test_bloch.py`: the real and complex
+fibers on the same refinement and its 50-digit checks) and acceptance
+criterion 10 (`tests/test_acceptance.py -k criterion_10`: the lattice
+path, on its real form, against the 1D assembly) in fresh
 subprocesses, since OpenBLAS reads both variables once, when it loads.
 Prints one PASS/FAIL line per setting, with the ids of its failed tests
 under it, and exits 1 if any setting fails.  Run it from any directory;
@@ -31,7 +33,7 @@ CORETYPES = ("SkylakeX", "Haswell", "Sandybridge", "Prescott")
 THREADS = ("1", "2")
 SUITES = (("tests/test_cli.py", "-k", "golden"), ("tests/test_linear.py",),
           ("tests/test_cubic.py",), ("tests/test_eigen.py",), ("tests/test_blowup.py",),
-          ("tests/test_bloch.py",))
+          ("tests/test_bloch.py",), ("tests/test_acceptance.py", "-k", "criterion_10"))
 
 
 def run_setting(coretype: str, threads: str) -> tuple[bool, list[str], list[str]]:
