@@ -432,16 +432,19 @@ def gaussian_potential(lattice: Lattice, centers, widths, amplitudes,
         raise InvalidParameterError(f"each center must have {d} components")
     basis = basis_set(lattice, np.zeros(d), cutoff)
     vol = lattice.unit_cell_volume
-    coeffs = {}
-    for ints, G in zip(basis.int_coords, basis.wavevectors):
-        total = 0.0 + 0.0j
-        g2 = float(G @ G)
-        for x0, sigma, amp in zip(centers, widths, amplitudes):
-            total += (amp * (2.0 * np.pi * sigma**2) ** (d / 2.0) / math.sqrt(vol)
-                      * math.exp(-0.5 * sigma**2 * g2)
-                      * np.exp(-1j * float(G @ x0)))
-        coeffs[tuple(ints)] = total
-    return FourierSeriesD(lattice, coeffs)
+    G = basis.wavevectors
+    # one dot product per G, batched: these round as G @ G and G @ x0 do
+    # under every BLAS kernel, where a matrix-vector product need not
+    g2 = np.matmul(G[:, None, :], G[:, :, None])[:, 0, 0]
+    total = np.zeros(len(G), dtype=complex)
+    for x0, sigma, amp in zip(centers, widths, amplitudes):
+        # math.exp as before: numpy's exp need not round as the C library's
+        decay = [math.exp(v) for v in (-0.5 * sigma**2 * g2).tolist()]
+        total += (amp * (2.0 * np.pi * sigma**2) ** (d / 2.0) / math.sqrt(vol)
+                  * np.array(decay)
+                  * np.exp(-1j * np.matmul(G[:, None, :], x0[:, None])[:, 0, 0]))
+    return FourierSeriesD(lattice, dict(zip(map(tuple, basis.int_coords.tolist()),
+                                            total.tolist())))
 
 
 def bz_sample_grid(lattice: Lattice, n_per_dim: int) -> np.ndarray:

@@ -3,13 +3,12 @@
 A double-double number is the unevaluated sum hi + lo of two doubles,
 good for about 106 bits.  The building blocks are Knuth's two_sum and
 Dekker's two_prod, which return a rounded result together with its
-exact rounding error; everything is vectorized over numpy arrays and
-uses only round-to-nearest double operations, never BLAS, so results do
-not depend on the BLAS kernel or the summation order of a library.
+exact rounding error, vectorized over numpy arrays.  The one BLAS call,
+the coupling product of the residuals, sums integer slices exactly in
+double in any order: no result depends on the BLAS kernel or threads.
 
-Consumers: the correctly rounded L2 norm of a vector, the residuals of
-`eigen` and `linear` on the 1D Toeplitz band (Band) or a Bloch fiber
-(Gather), and, in exact rational arithmetic, the least-squares fits.
+Consumers: the correctly rounded L2 norm, the residuals of `eigen` and `linear`
+on the 1D Toeplitz band (Band) or a Bloch fiber (Gather), and the exact fits.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ from fractions import Fraction
 from operator import mul
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 _SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
+_BUDGET = 2**14  # elements of one product's neighbours or one cascade block (128 KiB)
 
 
 def two_sum(a, b):
@@ -45,12 +44,12 @@ def split(a):
 
 
 def two_prod(a, b):
-    """p, e with p = fl(a * b) and a * b = p + e exactly (real operands).
-
-    Exact unless a product overflows or its error falls below the
-    subnormal range.
-    """
-    return _prod(a, split(a), b, split(b))
+    """p, e with p = fl(a * b) and a * b = p + e exactly (real operands,
+    Dekker): exact unless a product overflows or its error falls below the
+    subnormal range."""
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def norm2(values) -> float:
@@ -112,138 +111,139 @@ def exact_lstsq(columns, y):
 def band_residual(diag: np.ndarray, coupling, shift_hi: np.ndarray,
                   shift_lo: np.ndarray, x_hi: np.ndarray, x_lo: np.ndarray,
                   rhs: np.ndarray | None = None):
-    """(H - shift) x - rhs in double-double, column by column, for the
-    Hermitian H with real diagonal `diag` and off-diagonal part `coupling`,
-    the (n, m) complex double-double x = x_hi + x_lo, one real double-double
-    shift per column and an optional (n, m) rhs.  Products are error-free
-    and their sums error-free two_sum cascades (Ogita, Rump and Oishi's
-    Sum2, pairwise over the offsets), so the result is as accurate as if
-    computed in twice the working precision and then rounded to double:
-    a residual far below eps * ||H x|| keeps its leading digits."""
-    # real parts and imaginary parts, (2, n, m)
-    xh, xl = (np.stack((x.real, x.imag)) for x in (x_hi, x_lo))
-
-    # diagonal term (diag - shift) * x, with diag - shift_hi split exactly
-    d_hi, d_lo = two_sum(diag[:, None], -shift_hi[None, :])
-    acc, err = _prod(d_hi, split(d_hi), xh, split(xh))
-    err += d_hi * xl + (d_lo - shift_lo) * xh
-    if rhs is not None:
-        acc, t = two_sum(acc, -np.stack((rhs.real, rhs.imag)))
-        err += t
-
-    # real part A x_re - B x_im, imaginary part A x_im + B x_re (H = A + iB),
-    # summed in this order; each source is gathered once for its two terms
-    a, b = coupling.coef.real, coupling.coef.imag
-    terms = ((0, a, 0), (0, -b, 1), (1, a, 1), (1, b, 0))
-    by_source = [[i for i, (_, w, s) in enumerate(terms) if s == src and w.any()]
-                 for src in (0, 1)]
-    for col in range(xh.shape[2]):
-        sums = [None] * len(terms)
-        for src, used in enumerate(by_source):
-            src_hi, src_lo = xh[src, :, col], xl[src, :, col]
-            if used and (src_hi.any() or src_lo.any()):
-                dots = _coupled_dot(coupling, [terms[i][1] for i in used], src_hi, src_lo)
-                for i, dot in zip(used, dots):
-                    sums[i] = dot
-        for (out, _, _), dot in zip(terms, sums):
-            if dot is not None:
-                acc[out, :, col], t = two_sum(acc[out, :, col], dot[0])
-                err[out, :, col] += t + dot[1]
-
-    out = acc + err
-    return out[0] + 1j * out[1]
+    """(H - shift) x - rhs, column by column, for the Hermitian H with real diagonal
+    `diag` and off-diagonal part `coupling`, the (n, m) complex double-double x = x_hi
+    + x_lo, one real double-double shift per column and an optional (n, m) rhs: exact
+    products added largest first by two_sum cascades (Ogita, Rump & Oishi's Sum2)."""
+    xh, xl, rhs = (None if z is None else np.ascontiguousarray(z, complex).view(float)
+                   .reshape(z.shape + (2,)) for z in (x_hi, x_lo, rhs))
+    d_hi, d_lo = two_sum(diag[:, None, None], -shift_hi[:, None])  # diag - shift_hi, exactly
+    acc, err = two_prod(d_hi, xh)
+    err += d_hi * xl + (d_lo - shift_lo[:, None]) * xh
+    acc, t = (acc, 0.0) if rhs is None else two_sum(acc, -rhs)
+    err += t
+    terms, step = coupling.terms(*two_sum(xh, xl)), max(1, _BUDGET // acc.size)
+    for first in range(0, len(terms), step):  # a block of terms at a time
+        block = np.concatenate((acc[None], terms[first:first + step]))
+        partial = np.cumsum(block, axis=0)
+        bb = partial[1:] - partial[:-1]  # two_sum's errors, in place
+        block[1:] -= bb
+        np.subtract(partial[:-1], np.subtract(partial[1:], bb, out=bb), out=bb)
+        bb += block[1:]
+        acc, err = partial[-1], err + bb.sum(axis=0)
+    return (acc + err).view(complex)[..., 0]
 
 
-# Elements per temporary (chunk x n) array of _coupled_dot: 64 KiB, small
-# enough that a residual at order 1025 adds well under a MiB to the peak
-# memory, and the fastest of 2**10..2**18 at that order on a 2-vCPU VM.
-_CHUNK_ELEMENTS = 2**13
+def _digits(v: np.ndarray, lo: np.ndarray, bits: int):
+    """(digits, t): integer slices below 2**bits of the rows of the (B, L) double-double
+    v + lo, |lo| <= ulp(v) / 2, |v| < 2**t: sum_s digits[s] 2**(t - (s + 1) bits)."""
+    size = np.abs(both := np.array((v, lo)))
+    top = np.frexp(size[0].max(axis=-1, initial=0.0))[1]
+    lowest = np.frexp(np.minimum.reduce(size, None, initial=np.inf, where=size > 0))[1] - 53
+    count = -(-(int(top.max()) - int(lowest)) // bits)
+    # |v| / 2**grid truncated, less the part above the slice
+    scale = (bits * np.arange(1, count + 1, dtype=np.int32)[:, None] - top)[:, None, :, None]
+    if bits * count < 1024:
+        cut = np.trunc(quotient := np.ldexp(size, scale), out=quotient)
+        cut[1:] -= np.ldexp(cut[:-1], bits)
+    else:  # a quotient that overflows has no bit at or below its slice
+        with np.errstate(over="ignore"):
+            cut = np.fmod(np.trunc(np.minimum(np.ldexp(size, scale), 2.0**1000)), 2.0**bits)
+    np.copysign(cut, both, out=cut)
+    return cut[:, 0] + cut[:, 1], top  # below 2**bits: lo lies below v's last bit
 
 
 class Coupling:
-    """The off-diagonal part of a Hermitian matrix of order n: row i
-    couples by coef[t] to x at its neighbour t.  shifted(sources) maps a
-    slice of offsets to the (..., chunk, n) neighbours of the (..., n)
-    real sources, zero where there is none.  Chunks hold a power of two
-    of offsets, at most _CHUNK_ELEMENTS // n; coef is zero-padded."""
+    """The off-diagonal part of a Hermitian matrix of order n: row i couples by
+    coef[t] to x at its neighbour t, shifted(sources)(rows)(cols) being the (cols,
+    rows, n) neighbours of the (S, n) sources at the offsets `rows`.  Error-free
+    splitting (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012): coef and each
+    column of x, both parts against one exponent, give integer slices of `bits` bits;
+    a row's sums of products of slices k and l - k, over offsets and k, stay below 2**53."""
 
     def __init__(self, coef: np.ndarray, n: int):
-        self.n = n
-        self.chunk = 1 << max(0, min((len(coef) - 1).bit_length(),
-                                     (_CHUNK_ELEMENTS // n).bit_length() - 1))
-        self.coef = np.zeros(-(-len(coef) // self.chunk) * self.chunk, dtype=complex)
-        self.coef[:len(coef)] = coef
+        self.n, self.coef = n, coef
+        # a row has at most n - 1 nonzero terms, one per other row
+        terms = (max(1, min(int(np.count_nonzero(coef)), n - 1)) - 1).bit_length()
+        parts = np.concatenate((coef.real, coef.imag))[None]
+        size = np.abs(parts[parts != 0])  # _digits' slice count is ceil(span / bits)
+        span = np.frexp(size.max(initial=0.0))[1] - np.frexp(size.min(initial=np.inf))[1] + 53
+        self.bits = next(b for b in range((53 - terms) // 2, 0, -1)
+                         if 2 * -(-int(span) // b) <= 2 ** (53 - terms - 2 * b))
+        digits, (self.top,) = _digits(parts, np.zeros_like(parts), self.bits)
+        digits = digits.reshape(len(digits), 2, len(coef))
+        self.parts = [p for p in (0, 1) if digits[:, p].any()]
+        self.slices = digits[:, self.parts]
+
+    def terms(self, x_hi: np.ndarray, x_lo: np.ndarray):
+        """H x for the real double-double (n, m, 2) x = x_hi + x_lo, |x_lo| <=
+        ulp(x_hi) / 2, as (count, n, m, 2) terms adding up to it exactly,
+        largest first (H = A + iB: A x_re - B x_im, A x_im + B x_re)."""
+        n, m, parts = x_hi.shape
+        used = x_hi.any(axis=(0, 1)).nonzero()[0].tolist()
+        digits, top = _digits(*(v.transpose(1, 0, 2).reshape(m, n * parts)
+                                for v in (x_hi, x_lo)), self.bits)
+        neighbours = self.shifted(digits.reshape(len(digits), m, n, parts)[..., used]
+                                  .transpose(0, 1, 3, 2).reshape(-1, n))
+        where = list(np.ndindex(len(digits), m, len(used)))
+        # weight part w and source part s feed part (w + s) % 2, with -B x_im:
+        # a source's parts in the last axis run backwards when s = 1
+        at = [min(((w + s) % 2 for w in self.parts), default=0) for s in used]
+        sign = [np.array([[1.0], [-1.0]])[self.parts] if s else 1.0 for s in used]
+        levels = np.zeros((len(self.slices) + len(digits) - 1, n, m, parts))
+        # offsets, then sources, a chunk at a time within the memory budget
+        chunk = max(1, min(len(self.coef), _BUDGET // n))
+        block = max(1, _BUDGET // (n * chunk))
+        for start in range(0, len(self.coef), chunk):
+            weights = self.slices[..., start:start + chunk]
+            live = weights.any(axis=(1, 2)).nonzero()[0]  # the slices with a digit here
+            if not len(live):
+                continue
+            low, high, near = live[0], live[-1] + 1, neighbours(slice(start, start + chunk))
+            weights = weights[low:high].reshape((high - low) * len(self.parts), -1)
+            for first in range(0, len(where), block):
+                sums = weights @ near(slice(first, first + block))
+                for (q, c, j), pair in zip(where[first:first + block], sums):
+                    pair = pair.reshape(high - low, -1, n)
+                    pair *= sign[j]
+                    levels[q + low:q + high, :, c, at[j]:at[j] + len(self.parts)] += \
+                        pair[:, ::1 - 2 * used[j]].transpose(0, 2, 1)
+        return np.ldexp(levels, (self.top + top - self.bits * np.arange(
+            2, len(levels) + 2, dtype=np.int32)[:, None])[:, None, :, None], out=levels)
 
 
 class Band(Coupling):
-    """The Hermitian Toeplitz band with constant subdiagonals lower[d-1] =
-    H[i+d, i] (superdiagonals their conjugates): offset j joins row i to
-    x[i + j - b], 2b + 1 offsets."""
+    """The Hermitian Toeplitz band with subdiagonals lower[d-1] = H[i+d, i]
+    (superdiagonals their conjugates): offset j joins row i to x[i + j - b]."""
 
     def __init__(self, lower: np.ndarray, n: int):
-        band = lower[:n - 1]
-        self.reach = len(band)
+        self.reach = len(band := lower[:n - 1])
         super().__init__(np.concatenate((band[::-1], [0.0], np.conj(band))), n)
 
     def shifted(self, sources: np.ndarray):
-        """Strided views of one zero-padded copy, a view row per diagonal."""
-        n, total = self.n, len(self.coef)
-        padded = np.zeros(sources.shape[:-1] + (n + total - 1,))
-        padded[..., self.reach:self.reach + n] = sources
-        step = padded.strides[-1]
-        views = as_strided(padded, sources.shape[:-1] + (total, n),
-                           padded.strides[:-1] + (step, step), writeable=False)
-        return lambda rows: views[..., rows, :]
+        """Copies of windows of one zero-padded copy, a window per offset."""
+        padded = np.zeros((len(sources), self.n + len(self.coef) - 1))
+        padded[:, self.reach:self.reach + self.n] = sources
+        windows = np.ndarray((len(sources), len(self.coef), self.n), buffer=padded,
+                             strides=(padded.strides[0],) + padded.strides[1:] * 2)
+        return lambda rows: lambda cols: windows[cols, rows].copy()
 
 
 class Gather(Coupling):
-    """Offsets on a flat-numbered box of lattice points: offset t joins
-    row i to x[index[flat[i] - step[t]]], index holding each point's row
-    and n off the basis; step is zero-padded.  Neighbours are looked up
-    a chunk of offsets at a time, so the stored arrays grow with the box,
-    the rows and the offsets, never with their product."""
+    """Offsets on a flat-numbered box of lattice points: offset t joins row i to
+    x[index[flat[i] - step[t]]], index holding each point's row (n off the basis);
+    offsets by decreasing |coef|, so that a chunk of them meets few slices."""
 
     def __init__(self, coef: np.ndarray, index: np.ndarray, flat: np.ndarray,
                  step: np.ndarray):
-        super().__init__(coef, len(flat))
-        self.index, self.flat = index, flat
-        self.step = np.pad(step, (0, len(self.coef) - len(step)))
+        super().__init__(coef[order := np.argsort(-np.abs(coef), kind="stable")], len(flat))
+        self.index, self.flat, self.step = index, flat, step[order]
 
     def shifted(self, sources: np.ndarray):
-        """Gathered from a copy with one zero appended."""
-        padded = np.zeros(sources.shape[:-1] + (self.n + 1,))
-        padded[..., :-1] = sources
-        return lambda rows: np.take(padded, self.index[self.flat - self.step[rows, None]],
-                                    axis=-1)
+        """Gathered from a copy with one zero appended, a chunk at a time."""
+        padded = np.concatenate((sources, np.zeros((len(sources), 1))), axis=1)
 
-
-def _coupled_dot(coupling, weights, x_hi: np.ndarray, x_lo: np.ndarray):
-    """sum_t w[t] * x[neighbour t of i] for every row i, as (hi, lo), for
-    each w of `weights` and the real double-double x = x_hi + x_lo; the
-    neighbours are gathered once for all of them.  Each chunk of offsets
-    is a block of error-free products summed pairwise by two_sum; the
-    chunk sums are cascaded."""
-    views = coupling.shifted(np.stack((x_hi, *split(x_hi), x_lo)))
-    sums = [(0.0, 0.0)] * len(weights)
-    for start in range(0, len(coupling.coef), coupling.chunk):
-        rows = slice(start, start + coupling.chunk)
-        vh, vh_hi, vh_lo, vl = views(rows)
-        for j, weight in enumerate(weights):
-            w = weight[rows, None]
-            p, e = _prod(w, split(w), vh, (vh_hi, vh_lo))
-            e += w * vl
-            while len(p) > 1:
-                half = len(p) // 2
-                p, t = two_sum(p[:half], p[half:])
-                e = e[:half] + e[half:] + t
-            hi, t = two_sum(sums[j][0], p[0])
-            sums[j] = (hi, sums[j][1] + (t + e[0]))
-    return sums
-
-
-def _prod(a, a_split, b, b_split):
-    """two_prod with both operands already split (Dekker)."""
-    p = a * b
-    ah, al = a_split
-    bh, bl = b_split
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        def near(rows):
+            index = self.index[self.flat - self.step[rows, None]]
+            return lambda cols: np.take(padded[cols], index, axis=1)
+        return near

@@ -427,7 +427,38 @@ class TestZoneErrorsExact:
         assert calls and set(calls) == {("eigh", True)}
 
 
+def loop_gaussian_potential(lattice, centers, widths, amplitudes, cutoff):
+    """gaussian_potential as a Python loop over G: the form it replaced."""
+    centers, widths, amplitudes = (np.atleast_1d(np.asarray(v, dtype=float))
+                                   for v in (centers, widths, amplitudes))
+    centers = np.atleast_2d(centers)
+    d = lattice.dimension
+    basis = basis_set(lattice, np.zeros(d), cutoff)
+    vol = lattice.unit_cell_volume
+    coeffs = {}
+    for ints, G in zip(basis.int_coords, basis.wavevectors):
+        total = 0.0 + 0.0j
+        g2 = float(G @ G)
+        for x0, sigma, amp in zip(centers, widths, amplitudes):
+            total += (amp * (2.0 * np.pi * sigma**2) ** (d / 2.0) / math.sqrt(vol)
+                      * math.exp(-0.5 * sigma**2 * g2)
+                      * np.exp(-1j * float(G @ x0)))
+        coeffs[tuple(ints)] = total
+    return FourierSeriesD(lattice, coeffs)
+
+
 class TestGaussianPotential:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_bit_identical_to_loop(self, d, count):
+        rng = np.random.default_rng(10 * d + count)
+        lat = Lattice(2.0 * np.pi * np.eye(d) + 0.4 * rng.normal(size=(d, d)))
+        args = (rng.uniform(-0.5, 0.5, (count, d)).tolist(),
+                rng.uniform(0.3, 0.8, count).tolist(), rng.uniform(-2, 2, count).tolist(),
+                {1: 30.0, 2: 9.0, 3: 5.0}[d])
+        got, want = gaussian_potential(lat, *args), loop_gaussian_potential(lat, *args)
+        assert got.dense.tobytes() == want.dense.tobytes()
+
     def test_origin_centered_coefficients(self):
         V = gaussian_potential(CUBIC_2D, [[0.0, 0.0]], [0.7], [1.3], 3.0)
         mags = {key: val for key, val in nonzero_coeffs(V).items()}

@@ -1,14 +1,16 @@
 """Tests for the double-double band residual of the eigenvalue refinement
 and the linear solve, and for the exact least-squares fit."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stripwave.bloch import FourierSeriesD, Lattice, _coupling, basis_set, gaussian_potential
 from stripwave.eigen import solve_eig
-from stripwave.extended import Band, _prod, band_residual, exact_lstsq, split, two_sum
+from stripwave.extended import Band, band_residual, exact_lstsq, two_prod, two_sum
 from stripwave.galerkin import assemble_dense, coefficient_column
 from stripwave.potentials import poisson_kernel, sine
 
@@ -18,20 +20,20 @@ def loop_band_residual(diag, lower, shift_hi, shift_lo, x_hi, x_lo):
     Python loop over the band: the form the vectorized one replaced."""
     xh, xl = (np.stack((x.real, x.imag)) for x in (x_hi, x_lo))
     turn = np.array([-1.0, 1.0])[:, None, None]  # i * x as a real pair
-    plain = (xh, split(xh), xl)
-    turned = (xh[::-1] * turn, split(xh[::-1] * turn), xl[::-1] * turn)
+    plain = (xh, xl)
+    turned = (xh[::-1] * turn, xl[::-1] * turn)
     n = xh.shape[1]
     d_hi, d_lo = two_sum(diag[:, None], -shift_hi[None, :])
-    acc, err = _prod(d_hi, split(d_hi), xh, plain[1])
+    acc, err = two_prod(d_hi, xh)
     err += d_hi * xl + (d_lo - shift_lo) * xh
     for d, c in enumerate(lower[:n - 1], start=1):
         below, above = (slice(d, n), slice(0, n - d)), (slice(0, n - d), slice(d, n))
-        for coef, (dst, src), (vh, (vh_hi, vh_lo), vl) in (
+        for coef, (dst, src), (vh, vl) in (
                 (c.real, below, plain), (c.real, above, plain),
                 (c.imag, below, turned), (-c.imag, above, turned)):
             if coef == 0.0:
                 continue
-            p, e = _prod(coef, split(coef), vh[:, src], (vh_hi[:, src], vh_lo[:, src]))
+            p, e = two_prod(coef, vh[:, src])
             e += coef * vl[:, src]
             acc[:, dst], t = two_sum(acc[:, dst], p)
             err[:, dst] += t + e
@@ -118,6 +120,178 @@ def test_rhs_is_subtracted_inside_the_sum():
         for part, want in ((value.real, re), (value.imag, im)):
             assert abs(Fraction(part) - want) <= 2.0**-100 * scale + 2.0**-52 * abs(want)
     assert np.max(np.abs(got)) > 0  # the cancelled digits are kept
+
+
+def neighbour_table(coupling):
+    """Each row's neighbour at each offset, n where there is none."""
+    n, rows = coupling.n, np.arange(coupling.n)
+    if isinstance(coupling, Band):
+        table = rows[:, None] + np.arange(len(coupling.coef)) - coupling.reach
+        return np.where((table >= 0) & (table < n), table, n)
+    return coupling.index[coupling.flat[:, None] - coupling.step]
+
+
+def dot2_coupling(coupling, x_hi, x_lo):
+    """H x as the residual summed it before the sliced products (Dot2):
+    error-free products, summed pairwise by two_sum over chunks of a power
+    of two of offsets (at most 2**13 products a chunk) and cascaded over
+    the chunks; the four real terms are added by two_sum, rounded once."""
+    table, coef = neighbour_table(coupling), coupling.coef
+    n = len(table)
+    chunk = 1 << max(0, min((len(coef) - 1).bit_length(), (2**13 // n).bit_length() - 1))
+    pad = -len(coef) % chunk
+    coef = np.concatenate((coef, np.zeros(pad)))
+    table = np.pad(table, ((0, 0), (0, pad)), constant_values=n)
+
+    def dot(w, vh, vl):
+        hi, lo = np.zeros(n), np.zeros(n)
+        for start in range(0, len(coef), chunk):
+            ww, near = w[start:start + chunk, None], table[:, start:start + chunk].T
+            p, e = two_prod(ww, vh[near])
+            e += ww * vl[near]
+            while len(p) > 1:
+                half = len(p) // 2
+                p, t = two_sum(p[:half], p[half:])
+                e = e[:half] + e[half:] + t
+            hi, t = two_sum(hi, p[0])
+            lo = lo + (t + e[0])
+        return hi, lo
+
+    out = np.zeros(x_hi.shape, dtype=complex)
+    for col in range(x_hi.shape[1]):
+        xr, xi = ((np.append(x[:, col].real, 0.0), np.append(x[:, col].imag, 0.0))
+                  for x in (x_hi, x_lo))
+        xr, xi = zip(*(xr, xi))
+        acc, err = [np.zeros(n), np.zeros(n)], [np.zeros(n), np.zeros(n)]
+        for part, w, (vh, vl) in ((0, coef.real, xr), (0, -coef.imag, xi),
+                                  (1, coef.real, xi), (1, coef.imag, xr)):
+            hi, lo = dot(w, vh, vl)
+            acc[part], t = two_sum(acc[part], hi)
+            err[part] += t + lo
+        out[:, col] = (acc[0] + err[0]) + 1j * (acc[1] + err[1])
+    return out
+
+
+SCALE = 1200  # every double times 2**SCALE is an integer
+
+
+def integer(v):
+    num, den = float(v).as_integer_ratio()
+    return num * (2**SCALE // den)
+
+
+def exact_coupling(coupling, x_hi, x_lo):
+    """H x times 2**(2 SCALE) in integers, real and imaginary parts."""
+    table = neighbour_table(coupling)
+    n, m = x_hi.shape
+    parts = [[[integer(h.real) + integer(lo.real) for h, lo in zip(x_hi[:, c], x_lo[:, c])],
+              [integer(h.imag) + integer(lo.imag) for h, lo in zip(x_hi[:, c], x_lo[:, c])]]
+             for c in range(m)]
+    coef = [(integer(c.real), integer(c.imag)) for c in coupling.coef]
+    out = np.zeros((n, m, 2), dtype=object)
+    for i, row in enumerate(table):
+        terms = [(coef[t], j) for t, j in enumerate(row) if j < n and coupling.coef[t] != 0]
+        for c, (xr, xi) in enumerate(parts):
+            out[i, c] = (sum(a * xr[j] - b * xi[j] for (a, b), j in terms),
+                         sum(a * xi[j] + b * xr[j] for (a, b), j in terms))
+    return out
+
+
+def wide_sources(rng, n, lowest):
+    """Complex double-doubles (n, 3) whose entries span 2**0 to 2**lowest:
+    random signs and mantissas, a low part on every other row, some -0.0
+    and an all-zero middle column."""
+    def spread(size, top):
+        return np.ldexp(rng.uniform(0.5, 1.0, size) * rng.choice([-1.0, 1.0], size),
+                        top + rng.integers(lowest, 1, size))
+    x_hi = spread((n, 3), 0) + 1j * spread((n, 3), 0)
+    x_lo = (spread((n, 3), -60) * np.abs(x_hi.real)
+            + 1j * spread((n, 3), -60) * np.abs(x_hi.imag))
+    x_lo[::2] = 0.0
+    x_hi, x_lo = two_sum(x_hi, x_lo)
+    signed = rng.uniform(size=(n, 3)) < 0.1
+    x_hi[signed], x_lo[signed] = -0.0 - 0.0j, 0.0
+    x_hi[:, 1] = x_lo[:, 1] = 0.0
+    return x_hi, x_lo
+
+
+def band_coupling(rng, n, integers):
+    reach = 12
+    if integers:
+        lower = rng.integers(-999, 1000, reach) + 1j * rng.integers(-999, 1000, reach)
+    else:
+        lower = (rng.uniform(-1, 1, reach) + 1j * rng.uniform(-1, 1, reach)) \
+            * 2.0 ** (-5 * np.arange(reach))
+    return Band(lower, n)
+
+
+def cube_coupling(integers):
+    """More offsets than rows: a gaussian-sum cutoff 8 on the cube fiber of
+    cutoff 3, or integer coefficients on the unit cube (|cell| = 1)."""
+    a = 1.0 if integers else 2.0 * np.pi
+    lat = Lattice(a * np.eye(3))
+    basis = basis_set(lat, np.array([0.1, 0.2, 0.3]) * 2.0 * np.pi / a, 3.0 * 2.0 * np.pi / a)
+    if integers:
+        rng = np.random.default_rng(5)
+        coeffs = {}
+        for key in itertools.product(range(-4, 5), repeat=3):
+            coeffs[key] = complex(*rng.integers(-999, 1000, 2))
+            coeffs[tuple(-k for k in key)] = coeffs[key].conjugate()
+        coeffs[(0, 0, 0)] = 0.0
+        V = FourierSeriesD(lat, coeffs)
+    else:
+        V = gaussian_potential(lat, [[0.1, 0.2, 0.3]], [0.4], [1.0], 8.0)
+    coupling = _coupling(V, basis)
+    assert len(coupling.coef) > coupling.n
+    return coupling
+
+
+CASES_WIDE = {
+    # sources over 300 binary orders; with integer coefficients down to
+    # subnormals, where no product of slices leaves the double range
+    "band": (lambda rng, n: band_coupling(rng, n, False), -400),
+    "band-subnormal": (lambda rng, n: band_coupling(rng, n, True), -1074),
+    "cube": (lambda rng, n: cube_coupling(False), -400),
+    "cube-subnormal": (lambda rng, n: cube_coupling(True), -1074),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES_WIDE))
+def test_sliced_products_are_exact(name):
+    make, lowest = CASES_WIDE[name]
+    rng = np.random.default_rng(sorted(CASES_WIDE).index(name))
+    coupling = make(rng, 40)
+    n = coupling.n
+    x_hi, x_lo = wide_sources(rng, n, lowest)
+    exact = exact_coupling(coupling, x_hi, x_lo)
+    # the terms add up to H x exactly
+    xh, xl = (np.ascontiguousarray(x).view(float).reshape(n, 3, 2) for x in (x_hi, x_lo))
+    terms = coupling.terms(xh, xl)
+    assert np.array_equal(np.vectorize(integer, otypes=[object])(terms).sum(axis=0)
+                          * 2**SCALE, exact)
+    # and each entry of the rounded sum is no further from it than Dot2's
+    got = band_residual(np.zeros(n), coupling, np.zeros(3), np.zeros(3), x_hi, x_lo)
+    dot2 = dot2_coupling(coupling, x_hi, x_lo)
+    for value, old, want in zip(got.ravel(), dot2.ravel(), exact.reshape(-1, 2)):
+        for part in (0, 1):
+            err = abs(integer((value.real, value.imag)[part]) * 2**SCALE - want[part])
+            assert err <= abs(integer((old.real, old.imag)[part]) * 2**SCALE - want[part])
+    assert not np.any(got[:, 1])
+
+
+def test_sums_at_their_bound():
+    # 256 offsets; both parts of the coefficients and of x are all ones down
+    # to their last bit, but for one bit of the imaginary coefficients, so
+    # that the slice pairs of one level come within a factor 2 of 2**53 and
+    # rows with an odd count of neighbours have odd sums: one bit more per
+    # slice would round them
+    ones = 1.0 - 2.0**-53
+    coupling = Band(np.full(128, ones + 1j * (ones - 2.0**-44)), 400)
+    x_hi = np.full((400, 1), ones * (1 + 1j))
+    x_lo = x_hi * 2.0**-54
+    xh, xl = (np.ascontiguousarray(x).view(float).reshape(400, 1, 2) for x in (x_hi, x_lo))
+    terms = np.vectorize(integer, otypes=[object])(coupling.terms(xh, xl))
+    assert np.array_equal(terms.sum(axis=0) * 2**SCALE, exact_coupling(coupling, x_hi, x_lo))
 
 
 def exact_fit(columns, y):

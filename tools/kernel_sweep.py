@@ -9,7 +9,11 @@ comparisons (`tests/test_cli.py -k golden`), the linear solve tests
 complex Hermitian solve, and the double-double residual against its
 exact rational value), the cubic solver tests (`tests/test_cubic.py`),
 the eigensolver tests (`tests/test_eigen.py`: the subset eigensolves,
-the bordered refinement and its 60-digit checks), the blow-up tests
+the bordered refinement and its 60-digit checks), the double-double
+residual tests (`tests/test_extended.py`: the sliced coupling products,
+whose BLAS sums must be exact, against integer row sums; all but
+`test_matches_the_loop_to_double_double`, whose eigenvectors of order 1025
+pass its 1e-12 backward-error premise only on some kernels), the blow-up tests
 (`tests/test_blowup.py`, whose slopes come from `solve_gp` at N = 64 and
 128), the Bloch tests (`tests/test_bloch.py`: the real and complex
 fibers on the same refinement and its 50-digit checks) and acceptance
@@ -32,7 +36,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CORETYPES = ("SkylakeX", "Haswell", "Sandybridge", "Prescott")
 THREADS = ("1", "2")
 SUITES = (("tests/test_cli.py", "-k", "golden"), ("tests/test_linear.py",),
-          ("tests/test_cubic.py",), ("tests/test_eigen.py",), ("tests/test_blowup.py",),
+          ("tests/test_cubic.py",), ("tests/test_eigen.py",),
+          ("tests/test_extended.py", "-k", "not matches_the_loop"), ("tests/test_blowup.py",),
           ("tests/test_bloch.py",), ("tests/test_acceptance.py", "-k", "criterion_10"))
 
 
