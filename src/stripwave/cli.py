@@ -4,15 +4,16 @@ The numerics modules return data; this module alone renders it.  Each
 run writes its CSV/JSON artifacts plus a manifest (config hash, code
 version, wall time, and for `gp-solve`, `blowup` and `eig-convergence`
 the solvers' diagnostics) into the output directory, every file through
-`write_csv` or `write_json`: atomically (temp + rename), with floats in
+`write_csv` (which takes a table's columns and formats each numpy column
+at once) or `write_json`: atomically (temp + rename), with floats in
 the shortest round-trip representation, so identical configs produce
 identical bytes.  Exit codes: 0 on success, 2 on configuration errors
 (a dense matrix above DENSE_BYTES_LIMIT among them, a Bloch fiber
 counted from the integer box of its basis, and a `gaussian-sum` lattice
 potential whose own integer box would pass the same limit, rejected
 before anything is allocated), 3 on numeric failures (running out of
-memory among them); both error paths emit a machine-readable JSON
-object on stderr.
+memory, and a bare ValueError or FloatingPointError from numpy, among
+them); both error paths emit a machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -304,7 +305,7 @@ def _run_linsolve(cfg: dict, out):
     f = build_potential_1d(cfg["source"], "config.source")
     rows = refinement_study(V, f, cfg["N_list"], cfg["N_ref"])
     write_csv(out, "linsolve.csv",
-              ["N", "residual_l2", "err_vs_ref_l2", "err_vs_ref_h1"], rows)
+              ["N", "residual_l2", "err_vs_ref_l2", "err_vs_ref_h1"], zip(*rows))
 
 
 @_experiment("eig-convergence")
@@ -322,7 +323,7 @@ def _run_eig_convergence(cfg: dict, out):
     V = build_potential_1d(cfg["potential"], "config.potential")
     table = convergence_study(V, cfg["N_list"], cfg["N_ref"], cfg["j"])
     write_csv(out, "convergence.csv", ["N", "lambda_err", "h1_dist"],
-              zip(cfg["N_list"], table.eigenvalue_errors, table.eigenvector_errors))
+              [cfg["N_list"], table.eigenvalue_errors, table.eigenvector_errors])
     write_json(out, "convergence.json", {
         "j": cfg["j"],
         "N_ref": cfg["N_ref"],
@@ -343,9 +344,9 @@ def _newton_record(result) -> dict:
             "residual_history": list(result.residual_history)}
 
 
-def _decay_rows(u):
-    """(k, |u_k|) rows for coefficient-decay plots."""
-    return ((k, abs(c)) for k, c in zip(u.wavenumbers(), u.coeffs))
+def _decay_columns(u):
+    """(k, |u_k|) columns for coefficient-decay plots."""
+    return u.wavenumbers(), np.abs(u.coeffs)
 
 
 @_experiment("gp-solve")
@@ -359,7 +360,7 @@ def _run_gp_solve(cfg: dict, out):
     _guard(cfg, "N", _dense(lambda n: -(-n // 2), 8))  # the Newton Jacobian
     result = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], **_given(cfg, "tol"))
     strip = estimate_solution_strip(result, **_given(cfg, "noise_floor"))
-    write_csv(out, "decay.csv", ["k", "abs_coeff"], _decay_rows(result.solution))
+    write_csv(out, "decay.csv", ["k", "abs_coeff"], _decay_columns(result.solution))
     write_json(out, "report.json", {
         "epsilon": result.epsilon,
         "mu": result.mu,
@@ -380,7 +381,7 @@ def _run_strip_estimate(cfg: dict, out):
     _validate_range(cfg, noise_floor=lambda f: f > 0)
     series = build_potential_1d(cfg["potential"], "config.potential")
     est = estimate_strip(series, **_given(cfg, "noise_floor"))
-    write_csv(out, "decay.csv", ["k", "abs_coeff"], _decay_rows(series))
+    write_csv(out, "decay.csv", ["k", "abs_coeff"], _decay_columns(series))
     write_json(out, "estimate.json", {
         "half_width": est.half_width,
         "prefactor": est.prefactor,
@@ -441,9 +442,7 @@ def _run_bands(cfg: dict, out):
     bs = band_structure(V, k_path, cfg["N"], cfg["n_bands"])
     header = ["path_parameter"] + [f"k{i + 1}" for i in range(lattice.dimension)] \
         + [f"band{j + 1}" for j in range(cfg["n_bands"])]
-    write_csv(out, "bands.csv", header,
-              ([t, *k, *row] for t, k, row in zip(bs.path_parameter, k_path,
-                                                  bs.bands)))
+    write_csv(out, "bands.csv", header, [bs.path_parameter, *k_path.T, *bs.bands.T])
 
 
 @_experiment("bz-convergence")
@@ -464,8 +463,7 @@ def _run_bz(cfg: dict, out):
         samples = bz_sample_grid(lattice, cfg["n_k"])
     _guard(cfg, "N_ref", _fiber_bytes(lattice, samples))  # >= N_list
     table = bz_convergence(V, samples, cfg["N_list"], cfg["N_ref"], cfg["n"])
-    write_csv(out, "bz.csv", ["N", "max_lambda_err"],
-              zip(cfg["N_list"], table.max_errors))
+    write_csv(out, "bz.csv", ["N", "max_lambda_err"], [cfg["N_list"], table.max_errors])
     write_json(out, "bz.json", {
         "n": cfg["n"],
         "N_ref": cfg["N_ref"],
@@ -515,12 +513,27 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def write_csv(out: _OutputDir, name: str, header, rows) -> None:
-    """A header line and one CSV line per row of cells, written atomically."""
+def _cells(column) -> list[str]:
+    """The cells of one column: a float64 or integer array formatted at
+    once, anything else cell by cell."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return list(map(float.__repr__, column.tolist()))
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+    return list(map(_cell, column))
+
+
+def write_csv(out: _OutputDir, name: str, header, columns) -> None:
+    """A header line and one CSV line per row of the equally long
+    columns, written atomically, with the bytes csv.writer would write."""
+    cells = [_cells(column) for column in columns]
+    if len(cells) == 1:  # csv.writer quotes a row's only field when it is empty
+        cells = [[cell or '""' for cell in cells[0]]]
+    lines = [*map(",".join, zip(*cells, strict=True)), ""]  # "" ends the last line
     with _replacing(out, name) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(map(_cell, row) for row in rows)
+        csv.writer(fh).writerow(header)
+        fh.write("\r\n".join(lines))
 
 
 def write_json(out: _OutputDir, name: str, payload: dict) -> None:
@@ -583,7 +596,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(_error_json("config", exc), file=sys.stderr)
         return 2
-    except (StripwaveError, np.linalg.LinAlgError, MemoryError) as exc:
+    # a bare numpy ValueError or FloatingPointError is a numeric failure too
+    except (StripwaveError, np.linalg.LinAlgError, MemoryError, ValueError,
+            FloatingPointError) as exc:
         print(_error_json("numeric", exc), file=sys.stderr)
         return 3
 

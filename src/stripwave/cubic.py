@@ -20,9 +20,12 @@ Newton's only state.  With beta = (-b reversed, b), so u_k = i*beta_k on
 the odd |k| <= N, the square u^2 = -(beta*beta)/sqrt(2 pi) is real and
 lives on the even m, and u^3 = i*(u^2 * beta)/sqrt(2 pi) on the odd k:
 the residual is two real convolutions of these compressed arrays,
-summed by numpy rather than BLAS.  The Jacobian is real symmetric
-positive definite of order ceil(N/2) (multiplication by 3u^2 >= 0 plus
-eps*k^2 + 1 > 0), so each step is one Cholesky solve.
+summed by numpy rather than BLAS.  The square is even, s_{-m} = s_m, and
+beta reversed is -beta, so the row of -m sums the same products in the
+same order as the row of m: only the m >= 0 rows are summed, and
+mirrored.  The Jacobian is real symmetric positive definite of order
+ceil(N/2) (multiplication by 3u^2 >= 0 plus eps*k^2 + 1 > 0), so each
+step is one Cholesky factorization and solve.
 """
 
 from __future__ import annotations
@@ -143,8 +146,10 @@ def _newton(epsilon: float, mu: float, b: np.ndarray, tol: float, max_iter: int)
     history = []
     for it in range(max_iter + 1):
         beta = np.concatenate((-b[::-1], b))  # u_k = i*beta_k, odd |k| <= K
-        # u^2 on the even |m| <= 2K and u^3 on the odd k = 1..K, exactly
-        sq = -_slide(np.concatenate((pad, beta, pad)), beta[::-1]) / SQRT_2PI
+        # u^2 on the even 0 <= m <= 2K, mirrored to |m| <= 2K, and u^3 on
+        # the odd k = 1..K, exactly
+        half = -_slide(np.concatenate((beta, pad)), beta[::-1]) / SQRT_2PI
+        sq = np.concatenate((half[:0:-1], half))
         residual = lin * b + _slide(sq[order:], beta[::-1]) / SQRT_2PI
         residual[0] += mu * HALF_MODE  # the forcing, -i*mu*sqrt(pi/2) at k = 1
         rnorm = norm2((residual, residual))  # at k and at -k
@@ -154,8 +159,8 @@ def _newton(epsilon: float, mu: float, b: np.ndarray, tol: float, max_iter: int)
         if it == max_iter or not math.isfinite(rnorm):
             break
         try:
-            step = scipy.linalg.solve(_half_wave_jacobian(sq, lin), residual,
-                                      assume_a="pos")
+            step = scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(_half_wave_jacobian(sq, lin)), residual)
         except np.linalg.LinAlgError as exc:
             raise NonconvergenceError(
                 f"Newton Jacobian lost positive definiteness: {exc}",

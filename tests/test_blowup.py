@@ -2,6 +2,7 @@
 closed-form comparison bound."""
 
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -343,12 +344,17 @@ class TestBlowupReport:
 def test_trajectory_samples(trajectory):
     b0 = branch_point_height(MU)
     _, y_eta = locate_crossings(trajectory, b0, ETA)
-    rows = list(trajectory_samples(trajectory, EPS, ETA, y_eta))
-    assert len(rows) == 512
-    assert rows[-1][0] < trajectory.blowup_time
-    # xi is None before the level crossing, the comparison solution after
-    before = [xi for y, _, _, xi in rows if y < y_eta]
-    after = [(y, xi) for y, _, _, xi in rows if y >= y_eta]
-    assert before and all(xi is None for xi in before)
-    assert after and all(xi == comparison_solution(EPS, ETA, y_eta, y)
-                         for y, xi in after)
+    ys, psi, psi_prime, xi = trajectory_samples(trajectory, EPS, ETA, y_eta)
+    assert len(ys) == len(psi) == len(psi_prime) == len(xi) == 512
+    assert ys[-1] < trajectory.blowup_time
+    assert psi.tobytes() == np.asarray(trajectory.value(ys)).tobytes()
+    assert psi_prime.tobytes() == np.asarray(trajectory.slope(ys)).tobytes()
+    # xi is None before the level crossing, and after it the scalar
+    # comparison solution of each row, bit for bit
+    before = [x for y, x in zip(ys, xi) if y < y_eta]
+    after = [(y, x) for y, x in zip(ys, xi) if y >= y_eta]
+    assert before and all(x is None for x in before)
+    assert after and all(
+        x is not None and struct.pack("d", x)
+        == struct.pack("d", comparison_solution(EPS, ETA, y_eta, y))
+        for y, x in after)

@@ -1,20 +1,25 @@
 """CLI driver tests: exit codes, manifests, determinism and golden files."""
 
 import ast
+import contextlib
 import csv
 import inspect
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stripwave.blowup import blowup_report
-from stripwave.cli import main
+from stripwave.cli import _OutputDir, main, write_csv
 from stripwave.cubic import estimate_solution_strip, solve_gp
 from stripwave.fourier import estimate_strip
 from stripwave.potentials import poisson_kernel
@@ -849,3 +854,172 @@ def test_flat_k_list_is_one_point_per_number_in_1d(tmp_path):
     assert code == 0
     samples = json.loads((bz_dir / "bz.json").read_text())["k_samples"]
     assert samples == [[0.0], [0.25], [0.5]]
+
+
+# -- the columnwise CSV writer ----------------------------------------------------
+
+
+def reference_cell(value) -> str:
+    """A cell as the row-by-row writer formatted it: integers as such,
+    floats in shortest round-trip form, None empty."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def reference_csv(header, columns) -> bytes:
+    """The bytes of the row-by-row writer: csv.writer over reference_cell."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(map(reference_cell, row) for row in zip(*columns))
+    return buf.getvalue().encode()
+
+
+def written_csv(root, header, columns) -> bytes:
+    write_csv(_OutputDir(root), "table.csv", header, columns)
+    return Path(root, "table.csv").read_bytes()
+
+
+FLOATS = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     math.inf, -math.inf, math.nan, 0.1, 1e16, 1e22]))
+INT64 = st.integers(-2**63, 2**63 - 1)
+CELLS = st.one_of(st.none(), FLOATS, FLOATS.map(np.float64), st.integers(-2**70, 2**70),
+                  INT64.map(np.int64), st.booleans())
+
+
+def column(rows: int):
+    """One column: a float64, float32, int64 or uint64 array, or a list
+    of Python and numpy numbers and None."""
+    def cells(values):
+        return st.lists(values, min_size=rows, max_size=rows)
+
+    return st.one_of(cells(FLOATS).map(lambda v: np.array(v, dtype=np.float64)),
+                     cells(st.floats(width=32)).map(lambda v: np.array(v, dtype=np.float32)),
+                     cells(INT64).map(lambda v: np.array(v, dtype=np.int64)),
+                     cells(st.integers(0, 2**64 - 1)).map(lambda v: np.array(v, dtype=np.uint64)),
+                     cells(CELLS))
+
+
+TABLES = st.integers(0, 12).flatmap(
+    lambda rows: st.lists(column(rows), min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(columns=TABLES)
+def test_columnwise_writer_matches_the_row_writer(tmp_path_factory, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    root = tmp_path_factory.getbasetemp() / "writer"
+    assert written_csv(root, header, columns) == reference_csv(header, columns)
+
+
+def test_single_column_quotes_empty_cells_as_csv_writer_does(tmp_path):
+    columns = [[None, 1.5, None]]
+    assert written_csv(tmp_path, ["x"], columns) == b'x\r\n""\r\n1.5\r\n""\r\n'
+    assert written_csv(tmp_path, ["x"], columns) == reference_csv(["x"], columns)
+
+
+def test_columns_of_unequal_length_are_refused():
+    with tempfile.TemporaryDirectory() as root:
+        with pytest.raises(ValueError):
+            write_csv(_OutputDir(root), "table.csv", ["a", "b"],
+                      [np.zeros(3), np.zeros(2)])
+        assert os.listdir(root) == []
+
+
+# -- numeric exits and fuzzed configs ---------------------------------------------
+
+
+@pytest.mark.parametrize("error", [ValueError, FloatingPointError])
+def test_bare_numpy_error_exits_3(tmp_path, monkeypatch, capsys, error):
+    def failing(*args, **kwargs):
+        raise error("a numpy failure")
+
+    monkeypatch.setattr("stripwave.cli.solve_gp", failing)
+    code, _ = run_cli(tmp_path, "gp-solve", CONFIGS["gp-solve"])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err == {"error": "numeric", "type": error.__name__,
+                   "message": "a numpy failure"}
+
+
+MISSING = object()  # a key the config leaves out
+NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+WRONG_TYPE = st.sampled_from(["0.5", [0.5], None, True, {}])
+OPTIONAL = st.just(MISSING)
+
+# key -> (valid values, values outside the documented range, wrong types);
+# N stays at most 64 and y_max at most 5, so a run takes milliseconds
+EPSILON = (st.floats(0.01, 2.0), st.floats(-1.0, 0.0), WRONG_TYPE)
+SIZE = (st.integers(16, 64), st.integers(-3, 15),
+        st.sampled_from(["24", 24.0, [24], None, True]))
+TOL = (st.floats(1e-14, 1e-6) | OPTIONAL, st.floats(-1.0, 0.0), WRONG_TYPE)
+FUZZED_KEYS = {
+    "gp-solve": {
+        "epsilon": EPSILON,
+        "mu": (st.floats(0.0, 2.0), st.floats(-1.0, -1e-3), WRONG_TYPE),
+        "N": SIZE,
+        "tol": TOL,
+        "noise_floor": (st.floats(1e-15, 1e-9) | OPTIONAL, st.floats(-1.0, 0.0),
+                        WRONG_TYPE),
+    },
+    "blowup": {
+        "epsilon": EPSILON,
+        "mu": (st.floats(0.05, 2.0), st.floats(-1.0, 0.0), WRONG_TYPE),
+        "eta": (st.floats(0.05, 2.0), st.floats(-1.0, 0.0), WRONG_TYPE),
+        "N": SIZE,
+        "rtol": (st.floats(1e-12, 1e-6) | OPTIONAL, st.floats(-1.0, 1e-14), WRONG_TYPE),
+        "threshold": (st.floats(10.0, 1e8) | OPTIONAL, st.floats(-1.0, 1.0), WRONG_TYPE),
+        "y_max": (st.floats(0.5, 5.0) | OPTIONAL, st.floats(-1.0, 0.0), WRONG_TYPE),
+        "tol": TOL,
+    },
+}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """An experiment and its config: valid values, with up to two keys
+    made out of range, non-finite, of a wrong type or missing, and now
+    and then an unknown key."""
+    experiment = draw(st.sampled_from(sorted(FUZZED_KEYS)))
+    keys = FUZZED_KEYS[experiment]
+    config = {key: draw(valid) for key, (valid, _, _) in keys.items()}
+    for key in draw(st.lists(st.sampled_from([*sorted(keys), "unknown"]), max_size=2,
+                             unique=True)):
+        if key == "unknown":
+            config[key] = 1
+            continue
+        _, out_of_range, wrong_type = keys[key]
+        config[key] = draw(out_of_range | NONFINITE | wrong_type | st.just(MISSING))
+    return experiment, {key: v for key, v in config.items() if v is not MISSING}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(fuzzed_configs())
+def test_fuzzed_configs_end_in_a_documented_exit(case):
+    """Every generated gp-solve and blowup config exits 0, 2 or 3, and a
+    nonzero exit leaves one JSON line on stderr (no traceback: an escaping
+    exception fails the test)."""
+    experiment, config = case
+    with tempfile.TemporaryDirectory() as root:
+        cfg_path = Path(root, "config.json")
+        cfg_path.write_text(json.dumps(config))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([experiment, "--config", str(cfg_path), "--out",
+                         str(Path(root, "out"))])
+    assert code in (0, 2, 3)
+    lines = stderr.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == ("config" if code == 2 else "numeric")

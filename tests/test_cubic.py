@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stripwave.cubic import (_cbrt, _half_wave_jacobian, _sqrt,
+import stripwave.cubic
+from stripwave.cubic import (_cbrt, _half_wave_jacobian, _slide, _sqrt,
                              branch_point_height, cardano_discriminant,
                              cardano_root, estimate_solution_strip, solve_gp)
 from stripwave.errors import (BranchPointWarning, InvalidParameterError,
                               NonconvergenceError)
+from stripwave.extended import norm2
 from stripwave.fourier import (SQRT_2PI, FourierSeries1D, grid_values, l2_norm,
                                multiply)
 from stripwave.cubic import GpSolveResult
-from stripwave.potentials import sine
+from stripwave.potentials import HALF_MODE, sine
 
 SQRT3 = math.sqrt(3.0)
 
@@ -239,14 +241,14 @@ class TestOddNewton:
 
     @pytest.mark.parametrize("cutoff", [16, 17, 24, 25])
     def test_every_newton_matrix_has_half_order(self, cutoff, monkeypatch):
-        solve = scipy.linalg.solve
+        cho_solve = scipy.linalg.cho_solve
         orders = []
 
-        def spy(a, b, **kwargs):
-            orders.append((a.shape, b.shape))
-            return solve(a, b, **kwargs)
+        def spy(factor, b, **kwargs):
+            orders.append((factor[0].shape, b.shape))
+            return cho_solve(factor, b, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "solve", spy)
+        monkeypatch.setattr(scipy.linalg, "cho_solve", spy)
         res = solve_gp(0.1, 0.5, cutoff)
         half = (cutoff + 1) // 2
         assert len(orders) == res.newton_iters > 0
@@ -324,18 +326,18 @@ class TestOddNewton:
 
     def test_failed_cholesky_falls_back_to_continuation(self, monkeypatch):
         direct = solve_gp(0.1, 0.5, 32)
-        solve = scipy.linalg.solve
+        cho_factor = scipy.linalg.cho_factor
         calls = []
 
-        def fail_first(*args, **kwargs):
-            calls.append(kwargs.get("assume_a"))
+        def fail_first(a, **kwargs):
+            calls.append(a.shape)
             if len(calls) == 1:
                 raise np.linalg.LinAlgError("not positive definite")
-            return solve(*args, **kwargs)
+            return cho_factor(a, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "solve", fail_first)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail_first)
         res = solve_gp(0.1, 0.5, 32)
-        assert calls[0] == "pos"
+        assert calls[0] == (16, 16)
         assert len(calls) > 1  # the continuation ran
         assert res.residual_l2 <= 1e-12
         np.testing.assert_allclose(res.solution.coeffs, direct.solution.coeffs,
@@ -347,10 +349,76 @@ class TestOddNewton:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
 
-        monkeypatch.setattr(scipy.linalg, "solve", fail)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
         with pytest.raises(NonconvergenceError) as info:
             solve_gp(0.1, 0.5, 32)
         assert len(info.value.residual_history) == 1
+
+
+def full_square_newton(epsilon, mu, b, tol, max_iter):
+    """cubic._newton as it was before the mirrored half-row square and the
+    direct Cholesky step: u^2 as the full convolution of the zero-padded
+    beta, each step from scipy.linalg.solve(assume_a="pos").  Returns its
+    last iterate, its residual history, and the square and the step of
+    every iteration."""
+    order = len(b)
+    lin = epsilon * np.arange(1.0, 2 * order, 2) ** 2 + 1.0
+    stop = tol * max(1.0, mu * math.sqrt(math.pi))
+    pad = np.zeros(2 * order - 1)
+    history, squares, steps = [], [], []
+    for _ in range(max_iter + 1):
+        beta = np.concatenate((-b[::-1], b))
+        sq = -_slide(np.concatenate((pad, beta, pad)), beta[::-1]) / SQRT_2PI
+        residual = lin * b + _slide(sq[order:], beta[::-1]) / SQRT_2PI
+        residual[0] += mu * HALF_MODE
+        history.append(norm2((residual, residual)))
+        if history[-1] <= stop:
+            return b, history, squares, steps
+        squares.append(sq)
+        steps.append(scipy.linalg.solve(_half_wave_jacobian(sq, lin), residual,
+                                        assume_a="pos"))
+        b = b - steps[-1]
+    raise AssertionError("reference Newton did not converge")
+
+
+class TestSameBitsAsTheFullSquare:
+    """The mirrored half-row square and the cho_factor/cho_solve step give
+    the bits of the full padded square and of scipy.linalg.solve."""
+
+    @pytest.mark.parametrize("cutoff", [24, 256, 768])
+    @pytest.mark.parametrize("epsilon, mu", [(0.1, 0.5), (0.08, 0.6), (0.05, 1.0)])
+    def test_squares_and_steps_match(self, cutoff, epsilon, mu, monkeypatch):
+        starts, squares, steps = [], [], []
+        newton = stripwave.cubic._newton
+        jacobian = stripwave.cubic._half_wave_jacobian
+        cho_solve = scipy.linalg.cho_solve
+
+        def spy_newton(*args):
+            starts.append(args)
+            return newton(*args)
+
+        def spy_jacobian(sq, lin):
+            squares.append(sq)
+            return jacobian(sq, lin)
+
+        def spy_cho_solve(*args, **kwargs):
+            steps.append(cho_solve(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(stripwave.cubic, "_newton", spy_newton)
+        monkeypatch.setattr(stripwave.cubic, "_half_wave_jacobian", spy_jacobian)
+        monkeypatch.setattr(scipy.linalg, "cho_solve", spy_cho_solve)
+        res = solve_gp(epsilon, mu, cutoff)
+        assert len(starts) == 1  # no continuation
+        b, history, want_squares, want_steps = full_square_newton(*starts[0])
+        assert tuple(history) == res.residual_history
+        assert len(squares) == len(want_squares) == res.newton_iters > 0
+        for got, want in zip(squares, want_squares):
+            assert got.tobytes() == want.tobytes()
+        assert len(steps) == len(want_steps)
+        for got, want in zip(steps, want_steps):
+            assert got.tobytes() == want.tobytes()
+        assert res.solution.coeffs[cutoff + 1::2].imag.tobytes() == b.tobytes()
 
 
 class TestStripOfSolution:

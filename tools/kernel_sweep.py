@@ -7,7 +7,10 @@ Sandybridge, Prescott} x OPENBLAS_NUM_THREADS in {1, 2}, runs the golden
 comparisons (`tests/test_cli.py -k golden`), the linear solve tests
 (`tests/test_linear.py`: the real-block Cholesky solves against the
 complex Hermitian solve, and the double-double residual against its
-exact rational value), the cubic solver tests (`tests/test_cubic.py`),
+exact rational value), the cubic solver tests (`tests/test_cubic.py`, with
+`TestSameBitsAsTheFullSquare`: the mirrored half-row square and the
+`cho_factor`/`cho_solve` Newton step against the full padded square and
+`scipy.linalg.solve(assume_a="pos")`, bit for bit, at N = 24, 256 and 768),
 the eigensolver tests (`tests/test_eigen.py`: the subset eigensolves,
 the bordered refinement and its 60-digit checks), the double-double
 residual tests (`tests/test_extended.py`: the sliced coupling products,
@@ -15,8 +18,10 @@ whose BLAS sums must be exact, against integer row sums; all but
 `test_matches_the_loop_to_double_double`, whose eigenvectors of order 1025
 pass its 1e-12 backward-error premise only on some kernels), the blow-up tests
 (`tests/test_blowup.py`, whose slopes come from `solve_gp` at N = 64 and
-128), the Bloch tests (`tests/test_bloch.py`: the real and complex
-fibers on the same refinement and its 50-digit checks) and acceptance
+128, with `test_trajectory_samples`: the vectorized comparison column
+against the scalar `comparison_solution`, bit for bit), the Bloch
+tests (`tests/test_bloch.py`: the real and complex fibers on the same
+refinement and its 50-digit checks) and acceptance
 criterion 10 (`tests/test_acceptance.py -k criterion_10`: the lattice
 path, on its real form, against the 1D assembly) in fresh
 subprocesses, since OpenBLAS reads both variables once, when it loads.
