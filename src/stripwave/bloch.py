@@ -41,7 +41,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import InvalidParameterError, PreconditionError
-from .eigen import ErrorTable, error_table, fiber_spectrum
+from .eigen import ErrorTable, error_table, fiber_operator
 from .extended import Gather
 from .fourier import FourierSeries1D
 from .galerkin import SQRT2
@@ -323,15 +323,16 @@ class _Rotation:
 
 
 def _time_reversal(V: FourierSeriesD, basis: PlanewaveBasis, diag: np.ndarray):
-    """The fiber as a real symmetric block and its rotation, when 2k is a
-    reciprocal lattice vector K and the basis is closed under m -> -m - K;
-    None otherwise.  That map reverses the lexicographic order of the
-    basis, so planewave j pairs with n - 1 - j, and the middle one of an
-    odd basis, m = -K/2, with itself.  With v_D = V_D / sqrt(|cell|), the
-    pair sum S = m_i + m_j + K and the difference D = m_i - m_j, the
-    cosine and sine columns couple by Re v_D + Re v_S, Re v_D - Re v_S and
-    Im v_S - Im v_D (times sqrt(2) from the self-paired column); a pair's
-    two diagonal entries share the planewave's |G + k|^2 + v_0."""
+    """A callable that assembles the fiber as a real symmetric block, and
+    its rotation, when 2k is a reciprocal lattice vector K and the basis is
+    closed under m -> -m - K; None otherwise.  That map reverses the
+    lexicographic order of the basis, so planewave j pairs with n - 1 - j,
+    and the middle one of an odd basis, m = -K/2, with itself.  With v_D =
+    V_D / sqrt(|cell|), the pair sum S = m_i + m_j + K and the difference
+    D = m_i - m_j, the cosine and sine columns couple by Re v_D + Re v_S,
+    Re v_D - Re v_S and Im v_S - Im v_D (times sqrt(2) from the
+    self-paired column); a pair's two diagonal entries share the
+    planewave's |G + k|^2 + v_0."""
     twice_k = basis.lattice.basis @ basis.k_point / np.pi  # 2k in the b_n
     K = np.rint(twice_k).astype(int)
     ints = basis.int_coords
@@ -339,43 +340,50 @@ def _time_reversal(V: FourierSeriesD, basis: PlanewaveBasis, diag: np.ndarray):
             or not np.array_equal(ints[::-1], -ints - K):
         return None
     n, p = len(ints), len(ints) // 2
-    heads = ints[:n - p]  # the pairs' first planewaves, then the self-paired one
-    coef = V.hermitian * (1.0 / math.sqrt(basis.lattice.unit_cell_volume))
-    v_d = _differences(coef, heads, heads)
-    v_s = _differences(coef, heads, heads, K)
-    cos = v_d.real + v_s.real
-    sin = (v_d.real - v_s.real)[:p, :p]
-    mixed = (v_s.imag - v_d.imag)[:, :p]
-    at = np.arange(p)
-    cos[at, at] = diag[:p] + v_s.real[at, at]
-    sin[at, at] = diag[:p] - v_s.real[at, at]
-    if n > 2 * p:
-        cos[p, :p] = cos[:p, p] = SQRT2 * v_d.real[p, :p]
-        cos[p, p] = diag[p]
-        mixed[p] = -SQRT2 * v_d.imag[p, :p]
-    return np.block([[cos, mixed], [mixed.T, sin]]), _Rotation("time-reversal", pairs=p)
+
+    def build():
+        heads = ints[:n - p]  # the pairs' first planewaves, then the self-paired one
+        coef = V.hermitian * (1.0 / math.sqrt(basis.lattice.unit_cell_volume))
+        v_d = _differences(coef, heads, heads)
+        v_s = _differences(coef, heads, heads, K)
+        cos = v_d.real + v_s.real
+        sin = (v_d.real - v_s.real)[:p, :p]
+        mixed = (v_s.imag - v_d.imag)[:, :p]
+        at = np.arange(p)
+        cos[at, at] = diag[:p] + v_s.real[at, at]
+        sin[at, at] = diag[:p] - v_s.real[at, at]
+        if n > 2 * p:
+            cos[p, :p] = cos[:p, p] = SQRT2 * v_d.real[p, :p]
+            cos[p, p] = diag[p]
+            mixed[p] = -SQRT2 * v_d.imag[p, :p]
+        return np.block([[cos, mixed], [mixed.T, sin]])
+    return build, _Rotation("time-reversal", pairs=p)
 
 
 def _form(V: FourierSeriesD, basis: PlanewaveBasis, diag: np.ndarray):
-    """The fiber block and its _Rotation.  Real and symmetric about an
-    inversion center c of V at any k, in the planewaves exp(-i G . c) e_G;
-    real and symmetric by time reversal at a k with 2k in the reciprocal
-    lattice; otherwise the complex Hermitian fiber itself."""
+    """A callable that assembles the fiber block, and its _Rotation.  Real
+    and symmetric about an inversion center c of V at any k, in the
+    planewaves exp(-i G . c) e_G; real and symmetric by time reversal at a
+    k with 2k in the reciprocal lattice; otherwise the complex Hermitian
+    fiber itself."""
     inversion = V._inversion
     if inversion is None:
         return _time_reversal(V, basis, diag) \
-            or (assemble_bloch(V, basis), _Rotation("complex"))
+            or (partial(assemble_bloch, V, basis), _Rotation("complex"))
     t, about = inversion
-    block = _differences(about, basis.int_coords, basis.int_coords)
-    block *= 1.0 / math.sqrt(basis.lattice.unit_cell_volume)
-    block[np.diag_indices_from(block)] = diag
+
+    def build():
+        block = _differences(about, basis.int_coords, basis.int_coords)
+        block *= 1.0 / math.sqrt(basis.lattice.unit_cell_volume)
+        block[np.diag_indices_from(block)] = diag
+        return block
     phase = np.exp(-1j * (basis.int_coords @ t)) if np.any(t) else None
-    return block, _Rotation("inversion", phase)
+    return build, _Rotation("inversion", phase)
 
 
 def _fiber(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands: int):
-    """The lowest n_bands eigenvalues of the fiber at k on the planewaves
-    within cutoff, and the fiber as an operator, from eigen.fiber_spectrum."""
+    """The fiber at k on the planewaves within cutoff as an operator of
+    eigen.fiber_operator, with its lowest n_bands eigenvalues."""
     basis = basis_set(V.lattice, k, cutoff)
     if basis.dimension < n_bands:
         raise InvalidParameterError(
@@ -384,8 +392,8 @@ def _fiber(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands: int):
     if not V.is_real_valued():
         raise PreconditionError("potential must be real-valued")
     diag = _diagonal(V, basis)
-    return fiber_spectrum(*_form(V, basis, diag), diag, partial(_coupling, V, basis),
-                          n_bands)
+    return fiber_operator(*_form(V, basis, diag), diag, partial(_coupling, V, basis),
+                          basis.int_coords, n_bands)
 
 
 @dataclass(frozen=True)
@@ -398,7 +406,7 @@ def band_structure(V: FourierSeriesD, k_path, cutoff: float,
                    n_bands: int) -> BandStructure:
     """Lowest n_bands Bloch eigenvalues at each k of the path."""
     k_path = np.atleast_2d(np.asarray(k_path, dtype=float))
-    bands = [_fiber(V, k, cutoff, n_bands)[0] for k in k_path]
+    bands = [_fiber(V, k, cutoff, n_bands).eigenvalues for k in k_path]
     deltas = np.linalg.norm(np.diff(k_path, axis=0), axis=1)
     param = np.concatenate([[0.0], np.cumsum(deltas)])
     return BandStructure(path_parameter=param, bands=np.asarray(bands))
@@ -406,8 +414,9 @@ def band_structure(V: FourierSeriesD, k_path, cutoff: float,
 
 def bz_convergence(V: FourierSeriesD, k_samples, cutoffs, reference_cutoff: float,
                    band: int) -> ErrorTable:
-    """eigen.error_table of band `band` (1-based) over the k samples."""
-    return error_table(lambda k, n, _: _fiber(V, k, n, band)[1],
+    """eigen.error_table of band `band` (1-based) over the k samples.  A
+    pilot's basis at k is the part of the reference's within its cutoff."""
+    return error_table(lambda k, n, _: _fiber(V, k, n, band),
                        np.atleast_2d(np.asarray(k_samples, dtype=float)),
                        cutoffs, reference_cutoff, band)
 

@@ -332,9 +332,18 @@ def _run_eig_convergence(cfg: dict, out):
         "fitted_rate_eigenvector": table.fitted_rate_eigenvector,
     })
     out.diagnostics["refinement"] = [
-        {"N": r.cutoff, "matrix_order": sum(r.block_orders),
-         "block_orders": list(r.block_orders), "newton_steps": r.steps,
-         "cluster_size": r.cluster_size} for r in table.refinements]
+        {"N": r.cutoff, **_refinement_record(r)} for r in table.refinements]
+
+
+def _refinement_record(r) -> dict:
+    """One eigen.Refinement for the manifest: the refined matrix's order,
+    the blocks factored, the Newton steps and cluster size, and the cutoffs
+    tried, the one accepted, with an accepted pilot's certificate."""
+    return {"matrix_order": r.order, "block_orders": list(r.block_orders),
+            "newton_steps": r.steps, "cluster_size": r.cluster_size,
+            "tried": list(r.tried), "accepted": r.source,
+            "r_outside": r.outside_residual, "delta": r.gap_bound,
+            "kato_temple": r.kato_temple}
 
 
 def _newton_record(result) -> dict:
@@ -472,9 +481,7 @@ def _run_bz(cfg: dict, out):
         "k_samples": samples.tolist(),
     })
     out.diagnostics["refinement"] = [
-        {"k": k.tolist(), "N": r.cutoff, "matrix_order": sum(r.block_orders),
-         "block_orders": list(r.block_orders), "form": r.form,
-         "newton_steps": r.steps, "cluster_size": r.cluster_size}
+        {"k": k.tolist(), "N": r.cutoff, "form": r.form, **_refinement_record(r)}
         for k, records in zip(samples, table.refinements) for r in records]
 
 

@@ -23,13 +23,24 @@ eigensolver, and the eigenvalue difference is rounded to double once.
 The residuals use the complex matrix itself and only the corrections
 use its blocks, so the rounding of a real block does not reach the
 refined eigenvalue.
+
+The reference solve is mostly wasted on an analytic potential: its
+eigenvectors vanish to double precision a few dozen modes in.  So
+error_table first tries pilots, the same operator at smaller cutoffs
+with the other modes zero.  A pilot's eigenpairs are refined on the
+reference's own double-double residual with the pilot's factors, and
+they stand in for the reference's only under a certificate: an inertia
+count that no mode outside the pilot enters below its pairs, and a
+Kato-Temple bound (Kato, J. Phys. Soc. Japan 4, 1949) on the distance
+from the refined value to the reference's eigenvalue.  Where no pilot
+passes, the reference is its own last pilot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -47,21 +58,26 @@ RATE_FIT_FLOOR = 1e-12
 # (2**-104) with a margin for the length of the residual sums.
 EXTENDED_EPS = 2.0**-100
 _REFINE_STEPS = 12  # refinement stops earlier once its corrections stall
+# relative eigenvalue change below which refinement stops, and below
+# which a pilot's Kato-Temple bound must fall
+_SETTLED = 2.0**-110
 _MP_PREC = 128  # bits for the cluster's Ritz values, above double-double
 
 
 @dataclass(frozen=True)
 class _Operator:
-    """One assembled Hermitian matrix H as the eigen path reads it.
+    """One Hermitian matrix H as the eigen path reads it.
 
     blocks() builds its diagonal blocks in an orthonormal basis, one after
     the other: the real cosine/sine blocks of galerkin.real_blocks in 1D,
-    the complex fiber on a lattice; to_modes and from_modes rotate columns
-    from that basis to the coefficients and back.  diag is H's diagonal
-    and coupling() its off-diagonal part for the double-double residual,
-    an extended.Band in 1D and an extended.Gather on a lattice.  pairs[b]
-    holds the lowest eigenvalues of block b, ascending, with eigenvectors
-    (all of them for a block of fewer rows than were asked for)."""
+    the fiber on a lattice; to_modes and from_modes rotate columns from
+    that basis to the coefficients and back.  diag is H's diagonal and
+    coupling() its off-diagonal part for the double-double residual, an
+    extended.Band in 1D and an extended.Gather on a lattice.  modes holds
+    the integer coordinates of the coefficients, one row each in
+    lexicographic order (k in 1D, G in the reciprocal basis on a
+    lattice), so that a smaller cutoff's modes are found among a larger
+    one's.  Nothing is assembled or solved until `solved` is first read."""
 
     blocks: Callable[[], list[np.ndarray]]
     to_modes: Callable[[np.ndarray], np.ndarray]
@@ -69,28 +85,67 @@ class _Operator:
     diag: np.ndarray
     coupling: Callable[[], object]
     form: str  # the symmetry that makes the blocks real, or "complex"
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    modes: np.ndarray
+    count: int = 0  # the eigenpairs a caller reads
+
+    @cached_property
+    def solved(self):
+        """The lowest count + 1 eigenpairs of each block, ascending (all of
+        them for a smaller block; the one above the last of the lowest
+        count shows the gap above it), the lowest count eigenvalues
+        polished and ascending, and their (block, column) positions."""
+        blocks = self.blocks()
+        pairs = _lowest_pairs(blocks, self.count + 1)
+        lowest = _ascending(pairs)[0][:self.count]
+        polished = np.array([rayleigh_polish(blocks[b], pairs[b][1][:, j])
+                             for b, j in lowest])
+        ranked = np.argsort(polished, kind="stable")
+        return pairs, polished[ranked], [lowest[i] for i in ranked]
+
+    @property
+    def pairs(self):
+        return self.solved[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.solved[1]
+
+    @cached_property
+    def offdiag(self):
+        return self.coupling()
 
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Ascending eigenvalues, L2-normalized coefficient-space eigenvectors
-    and the solved operator, which convergence_study refines."""
+    """Ascending eigenvalues and L2-normalized coefficient-space
+    eigenvectors."""
 
     eigenvalues: np.ndarray
     eigenvectors: list[FourierSeries1D]
-    _operator: _Operator | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class Refinement:
-    """What the extended-precision refinement of one assembled matrix did."""
+    """What the extended-precision refinement of one matrix did.  A
+    reference's eigenpairs may come from a pilot, the same operator at a
+    smaller cutoff: `tried` lists the pilot cutoffs tried and then, where
+    none passed, the matrix's own; `source` is the cutoff whose blocks
+    were solved and factored.  An accepted pilot's certificate comes with
+    it: the residual norm on the modes the pilot leaves out, the lower
+    bound delta on the distance to the rest of the spectrum, and the
+    Kato-Temple bound ||r||^2 / delta on the eigenvalue's error."""
 
-    cutoff: int
-    block_orders: tuple[int, ...]  # orders of the blocks
-    form: str  # the operator's: "time-reversal", "inversion" or "complex"
+    cutoff: float  # of the refined matrix
+    order: int  # of the refined matrix
+    block_orders: tuple[int, ...]  # of the blocks solved and factored
+    form: str  # the source's: "time-reversal", "inversion" or "complex"
     steps: int  # Newton corrections applied
     cluster_size: int  # eigenpairs refined together
+    source: float
+    tried: tuple[float, ...]
+    outside_residual: float = 0.0
+    gap_bound: float | None = None
+    kato_temple: float | None = None
 
 
 @dataclass(frozen=True)
@@ -158,43 +213,39 @@ def _block_columns(pairs, where) -> np.ndarray:
     return out
 
 
-def _lowest(op: _Operator, n_pairs: int):
-    """The operator with the lowest n_pairs + 1 pairs of each block (the
-    one above the last returned pair shows the gap above it), its lowest
-    n_pairs eigenvalues polished and ascending, and their (block, column)
-    positions."""
-    blocks = op.blocks()
-    pairs = _lowest_pairs(blocks, n_pairs + 1)
-    lowest = _ascending(pairs)[0][:n_pairs]
-    polished = np.array([rayleigh_polish(blocks[b], pairs[b][1][:, j])
-                         for b, j in lowest])
-    ranked = np.argsort(polished, kind="stable")
-    return replace(op, pairs=pairs), polished[ranked], [lowest[i] for i in ranked]
-
-
-def fiber_spectrum(block: np.ndarray, rotation, diag: np.ndarray,
-                   coupling: Callable[[], object], n_pairs: int):
-    """The lowest n_pairs eigenvalues of a Bloch fiber, polished and
-    ascending, and the fiber as an operator that error_table refines.
-    block is the fiber in the orthonormal basis of rotation, whose
+def fiber_operator(build: Callable[[], np.ndarray], rotation, diag: np.ndarray,
+                   coupling: Callable[[], object], modes: np.ndarray,
+                   n_pairs: int) -> _Operator:
+    """A Bloch fiber as an operator that error_table refines, with its
+    lowest n_pairs eigenvalues, polished and ascending, in `eigenvalues`.
+    build() assembles the fiber in the orthonormal basis of rotation, whose
     to_modes and from_modes rotate columns to the planewaves and back and
     whose form names it; diag and coupling(), an extended.Gather, are the
-    complex fiber's diagonal and off-diagonal part."""
-    op, values, _ = _lowest(_Operator(lambda: [block], rotation.to_modes,
-                                      rotation.from_modes, diag, coupling,
-                                      rotation.form), n_pairs)
-    return values, op
+    complex fiber's diagonal and off-diagonal part, and modes holds the
+    planewaves' integer coordinates."""
+    return _Operator(lambda: [build()], rotation.to_modes, rotation.from_modes, diag,
+                     coupling, rotation.form, modes, n_pairs)
 
 
-def operator_1d(V: FourierSeries1D, cutoff: int) -> _Operator:
+def operator_1d(V: FourierSeries1D, cutoff: int, count: int = 0) -> _Operator:
     """The Galerkin operator of the real V on the modes |k| <= cutoff, as
     solve_eig and linear.solve_linear read it: real blocks, the cosine/sine
-    rotation, and the diagonal and Toeplitz band of the complex matrix."""
-    column = coefficient_column(V, cutoff)
+    rotation, and the diagonal and Toeplitz band of the complex matrix;
+    `solved` holds its lowest `count` eigenpairs."""
+    column, k = coefficient_column(V, cutoff), np.arange(-cutoff, cutoff + 1)
     return _Operator(partial(real_blocks, column), to_modes, from_modes,
-                     column[0].real + np.arange(-cutoff, cutoff + 1) ** 2,
+                     column[0].real + k ** 2,
                      partial(Band, column[1:V.cutoff + 1], 2 * cutoff + 1),
-                     "time-reversal")
+                     "time-reversal", k[:, None], count)
+
+
+def _eigen_result(op: _Operator) -> EigenResult:
+    """The solved pairs of a 1D operator, rotated back to the exponentials."""
+    pairs, values, where = op.solved
+    modes = op.to_modes(_block_columns(pairs, where))
+    cutoff = (len(op.diag) - 1) // 2
+    series = [FourierSeries1D(cutoff, u / np.linalg.norm(u)) for u in modes.T]
+    return EigenResult(eigenvalues=values, eigenvectors=series)
 
 
 def solve_eig(V: FourierSeries1D, cutoff: int, n_pairs: int) -> EigenResult:
@@ -207,10 +258,7 @@ def solve_eig(V: FourierSeries1D, cutoff: int, n_pairs: int) -> EigenResult:
     if n_pairs < 1 or n_pairs > dim:
         raise InvalidParameterError(
             f"n_pairs must lie in 1..{dim} for cutoff {cutoff}")
-    op, values, where = _lowest(operator_1d(V, cutoff), n_pairs)
-    modes = to_modes(_block_columns(op.pairs, where))
-    series = [FourierSeries1D(cutoff, u / np.linalg.norm(u)) for u in modes.T]
-    return EigenResult(eigenvalues=values, eigenvectors=series, _operator=op)
+    return _eigen_result(operator_1d(V, cutoff, n_pairs))
 
 
 def _cluster(op: _Operator, index: int, gap: float):
@@ -255,52 +303,73 @@ def _bordered_factors(op: _Operator, pairs, where, shifts):
     return factors
 
 
-def _extended_eigenvalue(op: _Operator, index: int, gap: float):
-    """Eigenvalue `index` (0-based, ascending) of the assembled matrix as
-    a double-double pair (hi, lo), with the number of Newton corrections
-    and the size of the refined cluster.
+def _embedding(small: np.ndarray, large: np.ndarray) -> np.ndarray:
+    """The rows of `large` that hold the rows of `small`, both integer
+    coordinates in lexicographic order, small's among large's."""
+    base = 2 * int(np.abs(large).max(initial=0)) + 1
+    weights = base ** np.arange(large.shape[1] - 1, -1, -1)
+    return np.searchsorted(large @ weights, small @ weights)
+
+
+def _extended_eigenvalue(op: _Operator, ref: _Operator, index: int, gap: float):
+    """Eigenvalue `index` (0-based, ascending) of the matrix of `ref` as a
+    double-double pair (hi, lo), from the eigenpairs and blocks of `op`:
+    ref itself, or a pilot whose modes are some of ref's and whose matrix
+    is ref's on them.  Also returns the number of Newton corrections, the
+    size of the refined cluster, and the last residual with the vectors
+    it was formed from, both on ref's modes.
 
     The eigenvectors of the cluster around `index` (neighbours closer
     than `gap`) are refined together by Newton's method on the bordered
-    system: each step forms r = (H - lambda_k) x_k in double-double
-    (rounded to double) and solves [[H_b - sigma, -X_b], [X_b^H, 0]]
-    [d; m] = [r; 0] on the block b of x_k, bordered by its double cluster
-    eigenvectors X_b and factored once; x_k moves by -d and lambda_k by
-    minus the real part of x_k's own multiplier.  The refined cluster's
-    eigenvalues are the Ritz values Lambda + G^-1 X^H R (G = X^H X), for
-    several taken with mpmath at _MP_PREC bits.
+    system: each step forms r = (H - lambda_k) x_k on ref's modes in
+    double-double (rounded to double) and solves [[H_b - sigma, -X_b],
+    [X_b^H, 0]] [d; m] = [r; 0] on op's modes, on the block b of x_k,
+    bordered by its double cluster eigenvectors X_b and factored once;
+    x_k moves by -d (zero beyond op's modes) and lambda_k by minus the
+    real part of x_k's own multiplier.  The refined cluster's eigenvalues
+    are the Ritz values Lambda + G^-1 X^H R (G = X^H X), for several taken
+    with mpmath at _MP_PREC bits.
     """
     from scipy.linalg import lu_solve  # deferred, as in _lowest_pairs
+    rows = None if op is ref else _embedding(op.modes, ref.modes)
+
+    def padded(v):  # op's modes among ref's
+        if rows is None:
+            return v
+        out = np.zeros((len(ref.diag),) + v.shape[1:], dtype=v.dtype)
+        out[rows] = v
+        return out
+
     pairs, first, where, values = _cluster(op, index, gap)
-    x_hi = op.to_modes(_block_columns(pairs, where))
+    x_hi = padded(op.to_modes(_block_columns(pairs, where)))
     x_lo, lam_hi, lam_lo = np.zeros_like(x_hi), values.copy(), np.zeros_like(values)
     factors = _bordered_factors(op, pairs, where, lam_hi)
-    offdiag = op.coupling()
+    offdiag = ref.offdiag
     previous, steps = math.inf, 0
     for step in range(_REFINE_STEPS + 1):
-        r = band_residual(op.diag, offdiag, lam_hi, lam_lo, x_hi, x_lo)
+        r = band_residual(ref.diag, offdiag, lam_hi, lam_lo, x_hi, x_lo)
         if step == _REFINE_STEPS:
             break
-        rhs = op.from_modes(r)
+        rhs = op.from_modes(r if rows is None else r[rows])
         delta, shift = np.zeros_like(rhs), np.zeros_like(lam_hi)
-        for rows, cols, lu in factors:
-            order = rows.stop - rows.start
+        for block, cols, lu in factors:
+            order = block.stop - block.start
             bordered = np.zeros((order + len(cols), len(cols)), dtype=rhs.dtype)
-            bordered[:order] = rhs[rows, cols]
+            bordered[:order] = rhs[block, cols]
             if np.iscomplexobj(bordered) and not np.iscomplexobj(lu[0]):
                 # real factors: the real and imaginary parts as columns
                 solution = np.ascontiguousarray(lu_solve(
                     lu, bordered.view(float), check_finite=False)).view(complex)
             else:
                 solution = lu_solve(lu, bordered, check_finite=False)
-            delta[rows, cols] = solution[:order]
+            delta[block, cols] = solution[:order]
             shift[cols] = -np.diagonal(solution[order:]).real
         # bounds the eigenvalue shift this correction would still bring,
         # sum_j |q_j^H r|^2 / |mu_j - lambda|, by Cauchy-Schwarz
         pending = np.linalg.norm(r, axis=0) * np.linalg.norm(delta, axis=0)
-        correction = op.to_modes(delta)
+        correction = padded(op.to_modes(delta))
         size = float(np.max(np.abs(correction)))
-        if np.all(pending <= 2.0**-110 * np.abs(lam_hi)) or size > 0.5 * previous:
+        if np.all(pending <= _SETTLED * np.abs(lam_hi)) or size > 0.5 * previous:
             break
         previous, steps = size, steps + 1
         x_hi, x_lo = dd_add(x_hi, x_lo, -correction)
@@ -308,7 +377,7 @@ def _extended_eigenvalue(op: _Operator, index: int, gap: float):
     gram = np.conj(x_hi.T) @ x_hi
     coupling = np.linalg.solve(gram, np.conj(x_hi.T) @ r)
     if len(where) == 1:
-        return dd_add(lam_hi[0], lam_lo[0], coupling[0, 0].real), steps, 1
+        return dd_add(lam_hi[0], lam_lo[0], coupling[0, 0].real), steps, 1, r, x_hi
     import mpmath  # deferred: only clusters of several eigenvalues need it
     ctx = mpmath.MPContext()
     ctx.prec = _MP_PREC
@@ -317,7 +386,138 @@ def _extended_eigenvalue(op: _Operator, index: int, gap: float):
         ritz[k, k] += ctx.mpf(lam_hi[k]) + ctx.mpf(lam_lo[k])
     roots = sorted(ctx.re(z) for z in ctx.eig(ritz, left=False, right=False))
     hi = float(roots[index - first])
-    return (hi, float(roots[index - first] - hi)), steps, len(where)
+    return (hi, float(roots[index - first] - hi)), steps, len(where), r, x_hi
+
+
+def _pilots(cutoffs, reference_cutoff):
+    """The pilot cutoffs of a reference: twice, four times, ... the
+    largest study cutoff, below the reference cutoff."""
+    pilot = 2 * max(cutoffs)
+    while pilot < reference_cutoff:
+        yield pilot
+        pilot *= 2
+
+
+def _window(pilot: _Operator, values: np.ndarray, index: int, spread: float,
+            outside: np.ndarray):
+    """The count check of a pilot's certificate: (alpha, beta) such that
+    eigenvalue `index` of the reference H is H's only one in (alpha,
+    beta), or None where the bounds below cannot show it.  values are the
+    pilot's lowest eigenvalues from eigh, ascending; spread is sum |coef|
+    of H's off-diagonal part and outside H's diagonal on the modes the
+    pilot leaves out.
+
+    Split ref's matrix by the modes P that the pilot holds and the others
+    O, H = [[A, B^H], [B, C]], so that A is the pilot's matrix.  Every row
+    of H's off-diagonal part sums at most spread in absolute value, so
+    lambda_min(C) >= c = min_O diag - spread (Gershgorin), and ||B|| <=
+    sqrt(||B||_1 ||B||_inf) <= spread.  Take t between mu_m, the last of
+    the m = count eigenvalues the pilot returns, and mu_{m+1}, the one
+    above it.  If c > t, C - t is positive definite, and Haynsworth's
+    inertia formula counts H's eigenvalues below t as the negative ones of
+    the Schur complement S(t) = A - t - B^H (C - t)^-1 B.  As 0 <= B^H
+    (C - t)^-1 B <= eta = spread^2 / (c - t), Weyl puts the i-th
+    eigenvalue of S(t) in [mu_i - t - eta, mu_i - t]; so if also mu_{m+1}
+    > t + eta, H has exactly m eigenvalues below t.  The same count at
+    every s <= t puts H's i-th eigenvalue, i <= m, in [mu_i - eta, mu_i]
+    (the upper end by Cauchy interlacing) and its (m+1)-th at t or above.
+    So for the target i, alpha = mu_{i-1} (-inf for i = 1) and beta =
+    mu_{i+1} - eta (t for i = m), once mu_i - eta > alpha and mu_i <
+    beta.  Each mu carries the rounding margin 32 n 2**-53 (max |diag| +
+    spread) of eigh on the pilot's rounded blocks of order at most n
+    (p(n) eps ||A|| in Demmel, Applied Numerical Linear Algebra, 1997,
+    sec. 5.2, with p(n) = 32 n), which c and eta carry as well."""
+    m = pilot.count
+    slack = 2.0**-48 * len(pilot.diag) * (float(np.max(np.abs(pilot.diag))) + spread)
+    t = 0.5 * (values[m - 1] + values[m])
+    floor = float(np.min(outside, initial=math.inf)) - spread - slack
+    if not floor > t:
+        return None
+    eta = spread * spread / (floor - t) + slack
+    if not values[m - 1] + slack < t < values[m] - eta - slack:
+        return None
+    alpha = values[index - 1] + slack if index else -math.inf
+    beta = values[index + 1] - eta - slack if index + 1 < m else t
+    if not alpha < values[index] - eta - slack and values[index] + slack < beta:
+        return None
+    return alpha, beta
+
+
+def _certified(residual: float, delta: float, value: float) -> bool:
+    """Whether the Kato-Temple bound residual^2 / delta, on the distance
+    from value to the eigenvalue it approximates, is settled: at most
+    _SETTLED |value|."""
+    return delta > 0 and residual * residual <= _SETTLED * abs(value) * delta
+
+
+def _residual_bound(ref: _Operator, r: np.ndarray, x: np.ndarray, value: float,
+                    spread: float) -> float:
+    """An upper bound on ||(H - rho) x|| / ||x|| for the Rayleigh quotient
+    rho of the column x, which minimizes it over shifts, from the last
+    double-double residual r = (H - lambda) x rounded to double.
+    band_residual adds exact products, whose absolute values sum to at
+    most twice the row of (|diag - value| + |H_off|) |x|, by two_sum
+    cascades; for up to 128 of them Sum2's bound (Ogita, Rump & Oishi,
+    SIAM J. Sci. Comput. 26, 2005) puts each entry within 2**-53 of itself
+    and 2**-91 of that row of the exact one.  And || (|diag - value| +
+    |H_off|) |x| || <= || |diag - value| |x| || + spread ||x||; 2**-50 and
+    2**-90 leave room for the norms' own rounding."""
+    size = np.linalg.norm(x)
+    weight = np.linalg.norm(np.abs(ref.diag - value) * np.abs(x[:, 0])) + spread * size
+    return float((np.linalg.norm(r) * (1 + 2.0**-50) + 2.0**-90 * weight) / size)
+
+
+def _refined(op: _Operator, index: int, gap: float, tried: tuple):
+    """The value of _extended_eigenvalue on op alone, and its Refinement."""
+    value, steps, size, _, _ = _extended_eigenvalue(op, op, index, gap)
+    return value, Refinement(tried[-1], len(op.diag), tuple(len(v) for _, v in op.pairs),
+                             op.form, steps, size, tried[-1], tried)
+
+
+def _reference(solve: Callable, sample, cutoffs, reference_cutoff: float, index: int,
+               gap: float):
+    """Eigenvalue `index` (0-based) of the reference at `sample` as a
+    double-double pair, and its Refinement.
+
+    Each pilot of _pilots is solved through solve(sample, pilot, True) and
+    stands in for the reference once its certificate holds: the count of
+    _window, then the Kato-Temple bound of _certified, first in double on
+    the reference rows outside the pilot for the pilot's own eigenvector,
+    then on the last double-double residual of its refinement with delta
+    = min(beta - rho, rho - alpha) for the refined value rho.  A target
+    that is not alone in its cluster takes the reference itself, as does a
+    reference no pilot certifies."""
+    ref, tried = solve(sample, reference_cutoff, True), []
+    for cutoff in _pilots(cutoffs, reference_cutoff):
+        tried.append(cutoff)
+        pilot = solve(sample, cutoff, True)
+        where, values, _ = _ascending(pilot.pairs)
+        if len(values) <= pilot.count:  # no pair above the pilot's to show a gap
+            continue
+        if (index and values[index] - values[index - 1] <= gap) \
+                or values[index + 1] - values[index] <= gap:
+            break
+        rows, outside = _embedding(pilot.modes, ref.modes), np.ones(len(ref.diag), dtype=bool)
+        outside[rows] = False
+        spread = math.fsum(np.abs(ref.offdiag.coef).tolist())
+        window = _window(pilot, values, index, spread, ref.diag[outside])
+        if window is None:
+            continue
+        (alpha, beta), guess = window, values[index]
+        x = np.zeros((len(ref.diag), 1), dtype=complex)
+        x[rows] = pilot.to_modes(_block_columns(pilot.pairs, [where[index]]))
+        if not _certified(float(np.linalg.norm(ref.offdiag.product(x)[outside])),
+                          min(beta - guess, guess - alpha), guess):
+            continue
+        (hi, lo), steps, size, r, x = _extended_eigenvalue(pilot, ref, index, gap)
+        delta = float(min(beta - hi, hi - alpha))
+        residual = _residual_bound(ref, r, x, hi, spread)
+        if _certified(residual, delta, hi):
+            return (hi, lo), Refinement(
+                reference_cutoff, len(ref.diag), tuple(len(v) for _, v in pilot.pairs),
+                pilot.form, steps, size, cutoff, tuple(tried),
+                float(np.linalg.norm(r[outside])), delta, residual * residual / delta)
+    return _refined(ref, index, gap, (*tried, reference_cutoff))
 
 
 def h1_distance(u: FourierSeries1D, basis: list[FourierSeries1D]) -> float:
@@ -367,11 +567,16 @@ def error_table(solve: Callable, samples, cutoffs, reference_cutoff: float,
     the reference cutoff (at least twice the largest), at each sample,
     with the rate of the worst over the samples.
 
-    solve(sample, cutoff, reference) returns the solved _Operator there.
-    Each eigenvalue is refined to double-double (clusters within `gap`
-    together) and each error, a difference of two, is rounded to double
-    once; as every study matrix is a principal submatrix of the reference
-    matrix, the exact errors are nonnegative.  The rate is fitted above
+    solve(sample, cutoff, reference) returns the _Operator there, solved
+    on first use.  Each eigenvalue is refined to double-double (clusters
+    within `gap` together) and each error, a difference of two, is
+    rounded to double once; as every study matrix is a principal
+    submatrix of the reference matrix, the exact errors are nonnegative,
+    and one that rounds below zero (two equal eigenvalues) reads 0.
+    The reference eigenvalue comes from the first certified pilot of
+    _reference, where one passes, and then lies within EXTENDED_EPS *
+    |lambda_ref| of the reference's own refinement; a reference of twice
+    the largest study cutoff tries none.  The rate is fitted above
     EXTENDED_EPS * |lambda_ref|, the largest over the samples.
     """
     if reference_cutoff < 2 * max(cutoffs):
@@ -380,17 +585,16 @@ def error_table(solve: Callable, samples, cutoffs, reference_cutoff: float,
     errors = np.empty((len(cutoffs), len(samples)))
     refinements, scale = [], 0.0
     for s, sample in enumerate(samples):
-        records = []
-        for i, cutoff in enumerate([reference_cutoff, *cutoffs]):
-            op = solve(sample, cutoff, i == 0)
-            (hi, lo), steps, size = _extended_eigenvalue(op, band - 1, gap)
-            records.append(Refinement(cutoff, tuple(len(v) for _, v in op.pairs),
-                                      op.form, steps, size))
-            if i == 0:
-                ref_hi, ref_lo, scale = hi, lo, max(scale, abs(hi))
-            else:
-                diff, diff_lo = dd_add(hi, lo - ref_lo, -ref_hi)
-                errors[i - 1, s] = diff + diff_lo
+        (ref_hi, ref_lo), record = _reference(solve, sample, cutoffs, reference_cutoff,
+                                              band - 1, gap)
+        records, scale = [record], max(scale, abs(ref_hi))
+        for i, cutoff in enumerate(cutoffs):
+            op = solve(sample, cutoff, False)
+            (hi, lo), record = _refined(op, band - 1, gap, (cutoff,))
+            records.append(record)
+            diff, diff_lo = dd_add(hi, lo - ref_lo, -ref_hi)
+            error = diff + diff_lo
+            errors[i, s] = 0.0 if error < 0 else error
         refinements.append(tuple(records))
     worst = errors.max(axis=1)
     return ErrorTable(errors, worst, fit_log_rate(cutoffs, worst, EXTENDED_EPS * scale),
@@ -402,7 +606,10 @@ def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
     """Eigenvalue errors (error_table) and H1 eigenvector errors against
     a reference solve, `band` 1-based.  The reference eigenspace is the
     cluster of reference eigenpairs within cluster_gap of the target
-    eigenvalue; the eigenvector rate is fitted above RATE_FIT_FLOOR."""
+    eigenvalue; the eigenvector rate is fitted above RATE_FIT_FLOOR.  The
+    reference eigenvalues and eigenvectors are those of the cutoff whose
+    pairs error_table accepted for the reference, a certified pilot's
+    vectors standing for themselves padded with zeros."""
     cutoffs = [int(n) for n in cutoffs]
     if band < 1:
         raise InvalidParameterError("band index is 1-based")
@@ -410,19 +617,19 @@ def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
         raise InvalidParameterError(
             f"band {band} exceeds the {2 * min(cutoffs) + 1} pairs of the "
             "smallest study cutoff")
-    solved = []  # the reference's, then one per study cutoff
+    solved = {}  # cutoff -> operator
 
     def solve(_, cutoff, reference):
         pairs = min(2 * cutoff + 1, band + 8) if reference else band
-        solved.append(solve_eig(V, cutoff, pairs))
-        return solved[-1]._operator
+        solved[cutoff] = operator_1d(V, cutoff, pairs)
+        return solved[cutoff]
 
     table = error_table(solve, [None], cutoffs, reference_cutoff, band, cluster_gap)
-    ref = solved[0]
+    ref = _eigen_result(solved[table.refinements[0][0].source])
     in_cluster = np.abs(ref.eigenvalues - ref.eigenvalues[band - 1]) <= cluster_gap
     space = [v for v, keep in zip(ref.eigenvectors, in_cluster) if keep]
-    vec_err = np.array([h1_distance(res.eigenvectors[band - 1], space)
-                        for res in solved[1:]])
+    vec_err = np.array([h1_distance(_eigen_result(solved[n]).eigenvectors[band - 1], space)
+                        for n in cutoffs])
     return ConvergenceTable(
         eigenvalue_errors=table.errors[:, 0],
         eigenvector_errors=vec_err,

@@ -9,6 +9,8 @@ double in any order: no result depends on the BLAS kernel or threads.
 
 Consumers: the correctly rounded L2 norm, the residuals of `eigen` and `linear`
 on the 1D Toeplitz band (Band) or a Bloch fiber (Gather), and the exact fits.
+Band and Gather also multiply in plain double, for the quick check of a pilot
+in `eigen`.
 """
 
 from __future__ import annotations
@@ -228,6 +230,12 @@ class Band(Coupling):
                              strides=(padded.strides[0],) + padded.strides[1:] * 2)
         return lambda rows: lambda cols: windows[cols, rows].copy()
 
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """The band times the (n, m) x in double, a convolution per column."""
+        kernel = self.coef[::-1]
+        return np.stack([np.convolve(column, kernel)[self.reach:self.reach + self.n]
+                         for column in x.T], axis=1)
+
 
 class Gather(Coupling):
     """Offsets on a flat-numbered box of lattice points: offset t joins row i to
@@ -247,3 +255,14 @@ class Gather(Coupling):
             index = self.index[self.flat - self.step[rows, None]]
             return lambda cols: np.take(padded[cols], index, axis=1)
         return near
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """The offsets times the (n, m) x in double, a chunk at a time."""
+        padded = np.concatenate((x, np.zeros((1, x.shape[1]))))
+        out = np.zeros(x.shape, dtype=complex)
+        chunk = max(1, _BUDGET // (len(self.flat) * x.shape[1]))
+        for start in range(0, len(self.coef), chunk):
+            rows = slice(start, start + chunk)
+            near = padded[self.index[self.flat - self.step[rows, None]]]
+            out += np.einsum("t,tnm->nm", self.coef[rows], near)
+        return out

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -15,7 +16,7 @@ from stripwave.bloch import (FourierSeriesD, Lattice, PlanewaveBasis, _coupling,
                              assemble_bloch, band_structure, basis_set,
                              bz_convergence, bz_sample_grid, gaussian_potential,
                              reciprocal, series1d_to_lattice)
-from stripwave.eigen import convergence_study
+from stripwave.eigen import _embedding, convergence_study
 from stripwave.errors import InvalidParameterError
 from stripwave.extended import band_residual
 from stripwave.galerkin import assemble_dense
@@ -363,6 +364,10 @@ class TestZoneErrorsExact:
     @pytest.mark.parametrize("cutoffs, reference, potential_cutoff", [
         ([3, 4, 5], 10, 30),  # the bz-convergence golden config
         ([4, 5, 6, 7, 8], 16, 40),  # criterion 10's table
+        # pilots at 10 and 20, both refused: the reference's own solve
+        ([3, 4, 5], 40, 30),
+        # pilots at 10, 20 and 40, the last accepted
+        ([3, 4, 5], 80, 30),
     ])
     def test_1d_at_k0_is_the_1d_study(self, cutoffs, reference, potential_cutoff):
         V = poisson_kernel(2.0, shift=2.0, cutoff=potential_cutoff)
@@ -370,6 +375,44 @@ class TestZoneErrorsExact:
                                [float(n) for n in cutoffs], float(reference), 1)
         study = convergence_study(V, cutoffs, reference, 1)
         assert table.errors[:, 0].tobytes() == study.eigenvalue_errors.tobytes()
+        source = {10: 10, 16: 16, 40: 40, 80: 40}[reference]
+        assert table.refinements[0][0].source == study.refinements[0].source == source
+        assert table.refinements[0][0].tried == study.refinements[0].tried
+
+    def test_complex_fiber_from_a_pilot(self, monkeypatch):
+        # no inversion center and 2k off the lattice: complex fibers, whose
+        # pilot at 20 (order 40) stands in for the reference of order 48
+        V = FourierSeriesD(TWO_PI_LINE, {(0,): 0.4, **mirrored({
+            (1,): 0.15 + 0.1j, (2,): 0.05 - 0.03j})})
+        k, cutoffs = [0.13], [1.5, 2.0, 2.5]
+        orders = eigh_orders(monkeypatch)
+        table = bz_convergence(V, [k], cutoffs, 24.0, 1)
+        record = table.refinements[0][0]
+        assert (record.tried, record.source, record.form) == ((5.0, 10.0, 20.0), 20.0,
+                                                             "complex")
+        assert record.order == 48 and max(orders) == 41
+        mp = mpmath.MPContext()
+        mp.dps = 50
+
+        def eigenvalue(cutoff):
+            H = assemble_bloch(V, basis_set(V.lattice, np.asarray(k), cutoff))
+            return min(mp.eighe(mp.matrix(H.tolist()), eigvals_only=True))
+
+        ref = eigenvalue(24.0)
+        for n, err in zip(cutoffs, table.errors[:, 0]):
+            exact = float(eigenvalue(n) - ref)
+            assert abs(err - exact) <= np.spacing(exact)
+
+    @pytest.mark.parametrize("lattice, k", [
+        (OBLIQUE, [0.13, -0.29]),
+        (Lattice(2.0 * np.pi * np.eye(3)), [0.1, 0.2, -0.3]),
+    ])
+    def test_pilot_basis_sits_in_the_reference_basis(self, lattice, k):
+        small, large = (basis_set(lattice, np.asarray(k), cutoff).int_coords
+                        for cutoff in (1.5, 3.0))
+        rows = _embedding(small, large)
+        assert np.array_equal(large[rows], small)
+        assert len(small) < len(large) and np.all(np.diff(rows) > 0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_coupling_is_the_fiber_off_its_diagonal(self, d):
@@ -568,7 +611,7 @@ def form_at(V, k, cutoff):
 
 
 def complex_form(V, basis, diag):
-    return assemble_bloch(V, basis), _Rotation("complex")
+    return partial(assemble_bloch, V, basis), _Rotation("complex")
 
 
 def eigh_dtypes(monkeypatch):
@@ -583,6 +626,19 @@ def eigh_dtypes(monkeypatch):
     return seen
 
 
+def eigh_orders(monkeypatch):
+    """The orders of the matrices that scipy.linalg.eigh and lu_factor
+    receive from now on."""
+    seen = []
+    for name in ("eigh", "lu_factor"):
+        def spy(mat, *args, _solver=getattr(scipy.linalg, name), **kwargs):
+            seen.append(len(mat))
+            return _solver(mat, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, spy)
+    return seen
+
+
 class TestRealForms:
     @pytest.mark.parametrize("V, k, form", [
         (TWO_GAUSSIANS, [0.0, 0.0], "time-reversal"),  # odd order: G = 0 is self-paired
@@ -593,7 +649,8 @@ class TestRealForms:
     ])
     def test_rotation_is_orthonormal_and_makes_the_block(self, V, k, form):
         basis = basis_set(V.lattice, np.asarray(k), 3.0)
-        block, rotation = _form(V, basis, _diagonal(V, basis))
+        build, rotation = _form(V, basis, _diagonal(V, basis))
+        block = build()
         assert rotation.form == form
         assert block.dtype == (complex if form == "complex" else float)
         assert np.array_equal(block, np.conj(block.T))
@@ -615,8 +672,8 @@ class TestRealForms:
         free = FourierSeriesD(lat, {})
         basis = basis_set(lat, 0.5 * reciprocal(lat).basis.sum(axis=0), 3.0)
         diag = _diagonal(free, basis)
-        block, rotation = _time_reversal(free, basis, diag)
-        p = rotation.pairs
+        build, rotation = _time_reversal(free, basis, diag)
+        block, p = build(), rotation.pairs
         assert np.any(diag[:p] != diag[::-1][:p])
         assert np.array_equal(block, np.diag(np.concatenate((diag[:p], diag[:p]))))
 

@@ -607,7 +607,11 @@ def test_bz_convergence_manifest_diagnostics(tmp_path):
     assert [r["matrix_order"] for r in records] == [21, 7, 9, 11, 20, 6, 8, 10]
     for r in records:
         assert set(r) == {"k", "N", "matrix_order", "block_orders", "form",
-                          "newton_steps", "cluster_size"}
+                          "newton_steps", "cluster_size", "tried", "accepted",
+                          "r_outside", "delta", "kato_temple"}
+        # N_ref is twice the largest study cutoff: no pilot is tried
+        assert r["tried"] == [r["N"]] and r["accepted"] == r["N"]
+        assert r["r_outside"] == 0.0 and r["delta"] is r["kato_temple"] is None
         # the even Poisson kernel has its inversion center at 0: one real block
         assert r["block_orders"] == [r["matrix_order"]]
         assert r["form"] == "inversion"
@@ -1023,3 +1027,78 @@ def test_fuzzed_configs_end_in_a_documented_exit(case):
     else:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == ("config" if code == 2 else "numeric")
+
+
+POTENTIAL_1D = st.one_of(
+    st.builds(lambda c, mu, cutoff: {"name": "poisson-kernel", "c": c, "mu": mu,
+                                     "cutoff": cutoff},
+              st.floats(1.02, 4.0), st.floats(-2.0, 2.0), st.integers(0, 60)),
+    st.builds(lambda amplitude, width, center: {
+        "name": "gaussian-sum", "amplitude": amplitude, "width": width,
+        "center": center, "cutoff": 30},
+        st.floats(-2.0, 2.0), st.floats(0.3, 1.5), st.floats(-1.0, 1.0)),
+    st.builds(lambda q: {"name": "mathieu", "q": q}, st.floats(-3.0, 3.0)),
+    st.builds(lambda amplitude, mean: {"name": "cosine", "amplitude": amplitude,
+                                       "mean": mean},
+              st.floats(-2.0, 2.0), st.floats(-1.0, 3.0)))
+
+
+@st.composite
+def convergence_configs(draw):
+    """An eig-convergence or bz-convergence config with a reference of 2
+    to 16 times the largest study cutoff: at most 64 in 1D and 4 on a
+    lattice, so that a run takes milliseconds.  The band may lie beyond
+    the smallest basis (exit 2)."""
+    if draw(st.booleans()):
+        cutoffs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+        largest = max(cutoffs)
+        return "eig-convergence", {
+            "potential": draw(POTENTIAL_1D), "N_list": sorted(cutoffs),
+            "N_ref": draw(st.integers(2 * largest, min(16 * largest, 64))),
+            "j": draw(st.integers(1, 2 * min(cutoffs) + 2)), "A_claim": 1.0}
+    largest = draw(st.floats(0.25, 2.0))
+    cutoffs = sorted({largest, *draw(st.lists(st.floats(0.1, largest), max_size=2))})
+    dimension = draw(st.integers(1, 2))
+    if dimension == 1:
+        lattice = {"rows": [[2.0 * math.pi]]}
+        potential = {"name": "embed-1d", "potential": draw(POTENTIAL_1D)}
+    else:
+        lattice = {"cubic": {"dimension": 2, "a": 2.0 * math.pi}}
+        potential = {"name": "gaussian-sum",
+                     "centers": [draw(st.lists(st.floats(-0.5, 0.5), min_size=2,
+                                               max_size=2))],
+                     "widths": [draw(st.floats(0.5, 1.0))],
+                     "amplitudes": [draw(st.floats(-2.0, 2.0))], "cutoff": 3.0}
+    k = draw(st.lists(st.floats(-0.5, 0.5), min_size=dimension, max_size=dimension))
+    return "bz-convergence", {
+        "lattice": lattice, "potential": potential, "N_list": cutoffs,
+        "N_ref": draw(st.floats(2.0 * largest, min(16.0 * largest, 4.0))),
+        "n": draw(st.integers(1, 2)), "A_claim": 1.0, "k_samples": [k]}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(convergence_configs())
+def test_fuzzed_convergence_configs_end_in_a_documented_exit(case):
+    """Every generated eig-convergence and bz-convergence config, pilots
+    tried or not, exits 0, 2 or 3; a nonzero exit leaves one JSON line on
+    stderr (no traceback: an escaping exception fails the test), and every
+    eigenvalue error of a run that exits 0 is nonnegative."""
+    experiment, config = case
+    with tempfile.TemporaryDirectory() as root:
+        cfg_path, out = Path(root, "config.json"), Path(root, "out")
+        cfg_path.write_text(json.dumps(config))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([experiment, "--config", str(cfg_path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        lines = stderr.getvalue().splitlines()
+        if code:
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == ("config" if code == 2 else "numeric")
+            return
+        assert lines == []
+        name, column = (("convergence.csv", "lambda_err") if experiment == "eig-convergence"
+                        else ("bz.csv", "max_lambda_err"))
+        with open(out / name, newline="") as fh:
+            errors = [float(row[column]) for row in csv.DictReader(fh)]
+    assert errors and all(err >= 0.0 for err in errors)

@@ -2,19 +2,23 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
+from stripwave import eigen
 from stripwave.errors import InvalidParameterError
-from stripwave.eigen import (convergence_study, eigenvector_strip_check,
-                             fit_log_rate, h1_distance, solve_eig)
+from stripwave.eigen import (EXTENDED_EPS, _extended_eigenvalue, _Operator, _reference,
+                             convergence_study, eigenvector_strip_check, error_table,
+                             fit_log_rate, h1_distance, operator_1d, solve_eig)
+from stripwave.extended import Gather, band_residual
 from stripwave.fourier import (FourierSeries1D, h1_norm, l2_norm, strip_norm,
                                strip_weight)
-from stripwave.galerkin import (assemble_dense, from_modes, rayleigh_polish,
-                                to_modes)
+from stripwave.galerkin import (assemble_dense, coefficient_column, from_modes,
+                                rayleigh_polish, to_modes)
 from stripwave.potentials import (constant, cosine, gaussian_bump, mathieu,
                                   poisson_kernel, sine)
 
@@ -337,6 +341,194 @@ class TestConvergenceStudy:
             exact = float(eigenvalue(n) - ref)
             assert err >= 0.0
             assert abs(err - exact) <= np.spacing(exact), (n, err, exact)
+
+
+def dense_operator(H, count):
+    """The small real symmetric H as one block on the modes 0..n-1, its
+    off-diagonal part a Gather whose row i sits at the flat position
+    2**n + 2**i, so that a difference of positions names one entry."""
+    n = len(H)
+    at = 2 ** np.arange(n) + 2 ** n
+    i, j = np.nonzero(H - np.diag(np.diag(H)))
+    index = np.full(3 * 2 ** n + 1, n)
+    index[at] = np.arange(n)
+    return _Operator(lambda: [H], lambda q: q, lambda r: r, np.diag(H).copy(),
+                     partial(Gather, H[i, j].astype(complex), index, at, at[i] - at[j]),
+                     "complex", np.arange(n)[:, None], count)
+
+
+def dense_table(H):
+    """error_table of band 1 on the leading blocks of H: order 2 for the
+    study cutoff 1, order 3 for the pilot at cutoff 2, all of H's 5 for
+    the reference at cutoff 4.  The pilot returns 2 pairs."""
+    def solve(_, cutoff, reference):
+        return dense_operator(H[:cutoff + 1, :cutoff + 1], 2 if reference else 1)
+    return error_table(solve, [None], [1], 4, 1)
+
+
+def symmetric(diagonal, entries):
+    H = np.diag(np.asarray(diagonal, dtype=float))
+    for (i, j), value in entries.items():
+        H[i, j] = H[j, i] = value
+    return H
+
+
+# the eig-convergence workload's potential family and table
+SPECTRAL_CUTOFFS, SPECTRAL_REFERENCE = [4, 8, 12, 16, 20], 512
+
+
+def spectral_potential(c):
+    return poisson_kernel(c, mu=1.0, shift=2.0, cutoff=120)
+
+
+class TestPilotReference:
+    @pytest.mark.parametrize("c", [1.25, 1.4])
+    def test_agrees_with_the_full_reference(self, c):
+        V = spectral_potential(c)
+        ops = {}
+
+        def solve(_, cutoff, reference):
+            ops[cutoff] = operator_1d(V, cutoff, 9 if reference else 1)
+            return ops[cutoff]
+
+        (hi, lo), record = _reference(solve, None, SPECTRAL_CUTOFFS, SPECTRAL_REFERENCE,
+                                      0, 1e-8)
+        assert record.tried == (40, 80) and record.source == 80
+        assert record.block_orders == (81, 80) and record.order == 1025
+        assert 0.0 < record.outside_residual
+        assert record.kato_temple <= 2.0**-110 * abs(hi)
+        ref = ops[SPECTRAL_REFERENCE]
+        (full_hi, full_lo), _, _, _, _ = _extended_eigenvalue(ref, ref, 0, 1e-8)
+        assert abs((hi - full_hi) + (lo - full_lo)) <= EXTENDED_EPS * abs(full_hi)
+
+    def test_no_reference_block_is_assembled_solved_or_factored(self, monkeypatch):
+        orders = []
+
+        def spy(name, module, function):
+            def spied(a, *args, **kwargs):
+                orders.append((name, len(a)))
+                return function(a, *args, **kwargs)
+            monkeypatch.setattr(module, name, spied)
+
+        spy("real_blocks", eigen, eigen.real_blocks)
+        spy("band_residual", eigen, eigen.band_residual)
+        spy("eigh", scipy.linalg, scipy.linalg.eigh)
+        spy("lu_factor", scipy.linalg, scipy.linalg.lu_factor)
+        table = convergence_study(spectral_potential(1.3), SPECTRAL_CUTOFFS,
+                                  SPECTRAL_REFERENCE, 1)
+        assert table.refinements[0].tried == (40, 80)
+        # real_blocks sees the coefficient column of order 2N + 1
+        assert max(n for name, n in orders if name == "real_blocks") == 2 * 80 + 1
+        assert max(n for name, n in orders if name in ("eigh", "lu_factor")) == 82
+        # the residuals at the reference's order are the accepted pilot's
+        # two; the double check refused the pilot at 40 before any
+        assert [n for name, n in orders if name == "band_residual" and n == 1025] == \
+            [1025] * (table.refinements[0].steps + 1)
+
+    def test_matches_60_digit_eigenvalues(self):
+        V = poisson_kernel(10.0, cutoff=40)
+        table = convergence_study(V, [2, 3, 4], 32, 1)
+        assert table.refinements[0].tried == (8, 16)
+        mp = mpmath.MPContext()
+        mp.dps = 60
+
+        def eigenvalue(cutoff):
+            # the lowest of assemble_dense's, from the cosine and sine
+            # blocks of the even V, rotated in mp arithmetic; the diagonal
+            # holds the doubles t_0 + k^2
+            column = coefficient_column(V, cutoff).real.tolist()
+            a, n = [mp.mpf(v) for v in column], cutoff
+            cos, sin = mp.matrix(n + 1), mp.matrix(n)
+            for j in range(n + 1):
+                for k in range(n + 1):
+                    diagonal = mp.mpf(column[0] + k * k) - a[0] if j == k else 0
+                    cos[j, k] = a[abs(k - j)] + a[k + j] + diagonal
+                    if j and k:
+                        sin[j - 1, k - 1] = cos[j, k] - 2 * a[k + j]
+            for k in range(1, n + 1):
+                cos[0, k] = cos[k, 0] = mp.sqrt(2) * a[k]
+            cos[0, 0] = a[0]
+            return min(min(mp.eigsy(block, eigvals_only=True)) for block in (cos, sin))
+
+        assert abs(eigenvalue(4) - min(mp.eighe(mp.matrix(assemble_dense(V, 4).tolist()),
+                                                eigvals_only=True))) < mp.mpf(10)**-55
+        ref = eigenvalue(32)
+        for n, err in zip([2, 3, 4], table.eigenvalue_errors):
+            exact = float(eigenvalue(n) - ref)
+            assert abs(err - exact) <= np.spacing(exact), (n, err, exact)
+
+    def test_slow_decay_takes_the_full_path(self, monkeypatch):
+        # V's coefficients fall by 0.82 per mode: no pilot below 128 settles
+        V = poisson_kernel(1.02, mu=1.0, shift=2.0, cutoff=120)
+        got = convergence_study(V, [4, 8, 12, 16], 128, 1)
+        assert got.refinements[0].tried == (32, 64, 128)
+        assert got.refinements[0].source == 128
+        monkeypatch.setattr(eigen, "_pilots", lambda *args: iter(()))
+        want = convergence_study(V, [4, 8, 12, 16], 128, 1)
+        assert want.refinements[0].tried == (128,)
+        for field in ("eigenvalue_errors", "eigenvector_errors"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        for field in ("fitted_rate_eigenvalue", "fitted_rate_eigenvector"):
+            assert getattr(got, field) == getattr(want, field)
+
+    def test_count_refuses_an_outside_mode_below_the_pairs(self):
+        # mode 3, outside the pilot's modes 0..2, lies below all of them
+        H = symmetric([1.0, 3.0, 5.0, 0.5, 40.0], {(3, 4): 0.1})
+        table = dense_table(H)
+        assert table.refinements[0][0].tried == (2, 4)
+        assert table.errors[0, 0] == pytest.approx(1.0 - np.linalg.eigvalsh(H)[0],
+                                                   rel=1e-14)
+
+    @pytest.mark.parametrize("diagonal, coupling, accepted", [
+        # mode 2 of the pilot couples to the outside mode 3: eta = 1 / 0.9
+        # leaves no room between t = 4 and the pilot's third eigenvalue 5
+        (5.9, 0.5, False),
+        (6.5, 0.5, True),  # eta = 1 / 1.5
+        # eta = 288: the pair drops to 0.17, below the target 1
+        (30.0, 12.0, False),
+    ])
+    def test_eta_bounds_the_pull_of_the_outside_modes(self, diagonal, coupling, accepted):
+        H = symmetric([1.0, 3.0, 5.0, diagonal, 40.0], {(2, 3): coupling})
+        table = dense_table(H)
+        assert table.refinements[0][0].source == (2 if accepted else 4)
+        assert table.errors[0, 0] == pytest.approx(1.0 - np.linalg.eigvalsh(H)[0],
+                                                   rel=1e-14, abs=1e-300)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-20, 1e-8])
+    def test_residual_bound_holds_the_rayleigh_residual(self, noise):
+        # ||(H - rho) x|| / ||x|| for the exact Rayleigh quotient rho of x,
+        # against the bound from the double-double residual at the shift
+        # lambda, which it exceeds by no more than rounding
+        V, cutoff = poisson_kernel(2.0, shift=2.0, cutoff=30), 8
+        op = operator_1d(V, cutoff, 1)
+        res = solve_eig(V, cutoff, 1)
+        rng = np.random.default_rng(4)
+        x = res.eigenvectors[0].coeffs[:, None] * (1 + noise * rng.standard_normal((17, 1)))
+        shift = np.array([res.eigenvalues[0]])
+        r = band_residual(op.diag, op.offdiag, shift, np.zeros(1), x, np.zeros_like(x))
+        spread = math.fsum(np.abs(op.offdiag.coef).tolist())
+        bound = eigen._residual_bound(op, r, x, float(shift[0]), spread)
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        H, v = mp.matrix(assemble_dense(V, cutoff).tolist()), mp.matrix(x[:, 0].tolist())
+        norm2 = (v.H * v)[0].real
+        rho = (v.H * H * v)[0].real / norm2
+        at_rho, at_shift = (mp.norm(H * v - mu * v) / mp.sqrt(norm2)
+                            for mu in (rho, mp.mpf(shift[0])))
+        assert at_rho <= bound <= (1 + 1e-14) * at_shift + 1e-26
+
+    @pytest.mark.parametrize("coupling, accepted", [(2.0**-54, False), (2.0**-56, True)])
+    def test_kato_temple_bound_settles_the_target(self, coupling, accepted):
+        # the target mode 0 couples to the outside mode 3: ||r|| = coupling
+        # and delta is about 2, so ||r||^2 / delta sits at 2 and 1/8 of
+        # 2**-110 |lambda|
+        H = symmetric([1.0, 3.0, 5.0, 30.0, 40.0], {(0, 3): coupling})
+        record = dense_table(H).refinements[0][0]
+        assert record.source == (2 if accepted else 4)
+        if accepted:
+            assert record.outside_residual == coupling
+            assert 1.9 < record.gap_bound < 2.0
+            assert record.kato_temple == pytest.approx(coupling**2 / record.gap_bound)
 
 
 class TestFitLogRate:

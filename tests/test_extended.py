@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stripwave.bloch import FourierSeriesD, Lattice, _coupling, basis_set, gaussian_potential
-from stripwave.eigen import solve_eig
+from stripwave.bloch import (FourierSeriesD, Lattice, _coupling, assemble_bloch, basis_set,
+                             gaussian_potential)
+from stripwave.eigen import operator_1d, solve_eig
 from stripwave.extended import Band, band_residual, exact_lstsq, two_prod, two_sum
 from stripwave.galerkin import assemble_dense, coefficient_column
 from stripwave.potentials import poisson_kernel, sine
@@ -51,7 +52,7 @@ CASES = {"even": EVEN, "coupled": EVEN + sine(0.5, 2)}
 def test_matches_the_loop_to_double_double(name, near_eigenvector):
     V, cutoff = CASES[name], 512
     res = solve_eig(V, cutoff, 2)
-    op = res._operator
+    op = operator_1d(V, cutoff)
     # the operator's band is trimmed to V's 120 modes
     coupling = op.coupling()
     assert coupling.reach == 120
@@ -91,6 +92,25 @@ def test_small_orders_and_zero_parts():
                 want = loop_band_residual(diag, coefficients, *args)
                 scale = np.abs(x).sum() * (np.abs(coefficients).sum() + n * n + 2)
                 np.testing.assert_allclose(got, want, rtol=0, atol=2.0**-100 * scale)
+
+
+@pytest.mark.parametrize("case", ["band", "gather"])
+def test_double_product_is_the_off_diagonal_part(case):
+    # the plain double product of the pilots' quick check, against the
+    # dense matrix off its diagonal
+    rng = np.random.default_rng(9)
+    if case == "band":
+        V, n = poisson_kernel(1.3, mu=1.0, shift=2.0, cutoff=40) + sine(0.5, 2), 30
+        H, coupling = assemble_dense(V, n), operator_1d(V, n).coupling()
+    else:
+        lattice = Lattice(2.0 * np.pi * np.eye(2))
+        V = gaussian_potential(lattice, [[0.1, -0.2]], [0.6], [-1.5], 6.0)
+        basis = basis_set(lattice, np.array([0.13, -0.29]), 4.0)
+        H, coupling = assemble_bloch(V, basis), _coupling(V, basis)
+    x = rng.standard_normal((len(H), 3)) + 1j * rng.standard_normal((len(H), 3))
+    np.fill_diagonal(H, 0.0)
+    np.testing.assert_allclose(coupling.product(x), H @ x, rtol=0,
+                               atol=1e-13 * np.abs(H).sum(axis=1).max())
 
 
 def test_rhs_is_subtracted_inside_the_sum():

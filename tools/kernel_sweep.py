@@ -12,7 +12,11 @@ exact rational value), the cubic solver tests (`tests/test_cubic.py`, with
 `cho_factor`/`cho_solve` Newton step against the full padded square and
 `scipy.linalg.solve(assume_a="pos")`, bit for bit, at N = 24, 256 and 768),
 the eigensolver tests (`tests/test_eigen.py`: the subset eigensolves,
-the bordered refinement and its 60-digit checks), the double-double
+the bordered refinement and its 60-digit checks, and `TestPilotReference`:
+a certified pilot's reference eigenvalue against the full reference's
+refinement and against 60-digit eigenvalues, the fallback to the full
+reference bit for bit, and the count, eta and Kato-Temple edges of the
+certificate), the double-double
 residual tests (`tests/test_extended.py`: the sliced coupling products,
 whose BLAS sums must be exact, against integer row sums; all but
 `test_matches_the_loop_to_double_double`, whose eigenvectors of order 1025
@@ -21,7 +25,9 @@ pass its 1e-12 backward-error premise only on some kernels), the blow-up tests
 128, with `test_trajectory_samples`: the vectorized comparison column
 against the scalar `comparison_solution`, bit for bit), the Bloch
 tests (`tests/test_bloch.py`: the real and complex fibers on the same
-refinement and its 50-digit checks) and acceptance
+refinement and its 50-digit checks, with `test_complex_fiber_from_a_pilot`
+and the pilot cases of `test_1d_at_k0_is_the_1d_study`, whose zone errors
+equal the 1D study's bit for bit) and acceptance
 criterion 10 (`tests/test_acceptance.py -k criterion_10`: the lattice
 path, on its real form, against the 1D assembly) in fresh
 subprocesses, since OpenBLAS reads both variables once, when it loads.
