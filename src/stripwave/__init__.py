@@ -15,13 +15,13 @@ from .blowup import (AxisRealnessReport, BlowupReport, EnergyDriftReport,
                      verify_lower_bound)
 from .bloch import (BandStructure, FourierSeriesD, Lattice,
                     PlanewaveBasis, assemble_bloch, band_structure, basis_set,
-                    bz_convergence, bz_sample_grid, gaussian_potential,
-                    reciprocal, series1d_to_lattice)
+                    bz_sample_grid, gaussian_potential, reciprocal,
+                    series1d_to_lattice)
 from .cubic import (GpSolveResult, branch_point_height, cardano_discriminant,
                     cardano_root, estimate_solution_strip, solve_gp)
 from .eigen import (ConvergenceTable, EigenResult, ErrorTable, StripBoundCheck,
-                    convergence_study, eigenvector_strip_check, fit_log_rate,
-                    h1_distance, solve_eig)
+                    bz_convergence, convergence_study, eigenvector_strip_check,
+                    fit_log_rate, h1_distance, solve_eig)
 from .errors import (BranchPointWarning, ConfigError, InsufficientDataError,
                      InvalidParameterError, NoCrossingError,
                      NonconvergenceError, PreconditionError,

@@ -4,22 +4,23 @@ The Bloch fiber at quasimomentum k is the operator (-i*grad + k)^2 + V
 on lattice-periodic functions; its Galerkin matrix on the planewave set
 {G in the reciprocal lattice : |G + k| <= N} has entries
 
-    |G + k|^2 delta_{GG'} + V_{G-G'} / sqrt(|cell|),
+    |G + k|^2 delta_{GG'} + V_{G-G'} / sqrt(|cell|).
 
-so the d = 1 pipeline on the lattice 2*pi*Z at k = 0 reproduces the
-one-dimensional eigensolver.  Fibers are solved on the path of `eigen`:
-subset eigensolves for band structures along a k path, and for the
-Brillouin-zone convergence table also the double-double refinement,
-whose residual sums over the offsets of V.
+_fiber is the one operator constructor: a 1D potential is the d = 1 case
+on the lattice 2*pi*Z at k = 0 (series1d_to_lattice).  Fibers are solved
+on the path of `eigen`: subset eigensolves, and for convergence tables
+also the double-double refinement, whose residual sums over the offsets
+of V (the Toeplitz band at d = 1).
 
-An antiunitary symmetry that fixes k makes the fiber a real symmetric
-matrix, solved at a third of the cost of the complex one.  Inversion
-about a center c of V does so at every k, in the planewaves
-exp(-i G.c) e_G; without a center, time reversal does so at a k with 2k
-in the reciprocal lattice (such as Gamma, X and M), in the cosine and
-sine combinations of e_G and e_{-G-2k}, which at d = 1, k = 0 are the 1D
-basis of `galerkin`.  Any other fiber stays complex.  The refinement's
-diagonal and off-diagonal part stay those of the complex fiber.
+An antiunitary symmetry that fixes k makes the fiber real symmetric,
+solved at a third of the cost of the complex one.  Inversion about a
+center c of V does so at every k, in the planewaves exp(-i G.c) e_G;
+time reversal does so at a k with 2k in the reciprocal lattice (such as
+Gamma, X and M), in the cosine and sine combinations of e_G and
+e_{-G-2k}.  Where both hold, the real fiber splits into an even and an
+odd block, at d = 1, k = 0 the classical cosine and sine blocks.  Any
+other fiber stays complex.  The refinement's diagonal and off-diagonal
+part stay those of the complex fiber.
 
 A potential stores its coefficients as one dense complex array on the
 symmetric integer box [-reach, reach]^d.  The fiber matrix takes all of
@@ -37,14 +38,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParameterError, PreconditionError
-from .eigen import ErrorTable, error_table, fiber_operator
-from .extended import Gather
+from .extended import Band, Gather
 from .fourier import FourierSeries1D
-from .galerkin import SQRT2
+from .galerkin import SQRT2, rayleigh_polish
 
 # Relative size below which a symmetry counts as exact: 2k off the
 # reciprocal lattice, or an imaginary part of V about an inversion center.
@@ -75,7 +76,7 @@ class Lattice:
     def dimension(self) -> int:
         return self.basis.shape[0]
 
-    @property
+    @cached_property
     def unit_cell_volume(self) -> float:
         return float(abs(np.linalg.det(self.basis)))
 
@@ -110,8 +111,8 @@ class PlanewaveBasis:
 
 def basis_set(lattice: Lattice, k_point, cutoff: float) -> PlanewaveBasis:
     """Enumerate the reciprocal-lattice vectors with |G + k| <= cutoff."""
-    if not (cutoff > 0 and math.isfinite(cutoff)):
-        raise InvalidParameterError("cutoff must be positive and finite")
+    if not (cutoff >= 0 and math.isfinite(cutoff)):
+        raise InvalidParameterError("cutoff must be nonnegative and finite")
     k = np.asarray(k_point, dtype=float)
     d = lattice.dimension
     if k.shape != (d,):
@@ -155,23 +156,23 @@ class FourierSeriesD:
     def __init__(self, lattice: Lattice, coeffs: dict):
         self.lattice = lattice
         d = lattice.dimension
-        entries = {tuple(int(i) for i in key): complex(val)
-                   for key, val in coeffs.items()}
-        for key in entries:
+        for key in coeffs:
             if len(key) != d:
                 raise InvalidParameterError(
                     f"coefficient key {key} does not match dimension")
-        keys = np.array(list(entries), dtype=int).reshape(len(entries), d)
+        keys = np.array(list(coeffs), dtype=int).reshape(len(coeffs), d)
         self.reach = int(np.abs(keys).max(initial=0))
         dense = np.zeros((2 * self.reach + 1,) * d, dtype=complex)
-        dense[tuple((keys + self.reach).T)] = list(entries.values())
+        dense[tuple((keys + self.reach).T)] = np.array(list(coeffs.values()), dtype=complex)
         dense.flags.writeable = False
         self.dense = dense
 
     @cached_property
     def hermitian(self) -> np.ndarray:
-        """(c_G + conj c_{-G}) / 2: both triangles of a fiber hold these."""
-        return 0.5 * (self.dense + np.conj(np.flip(self.dense)))
+        """(c_G + conj c_{-G}) / 2: both triangles of a fiber hold these;
+        infinite where the sum overflows, which _fiber refuses."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 0.5 * (self.dense + np.conj(np.flip(self.dense)))
 
     def coefficient(self, key) -> complex:
         idx = tuple(int(i) + self.reach for i in key)
@@ -222,8 +223,9 @@ def series1d_to_lattice(u: FourierSeries1D) -> tuple[Lattice, FourierSeriesD]:
     """Embed a 2*pi-periodic 1D series on the lattice 2*pi*Z (identical
     normalization, so coefficients carry over unchanged)."""
     lattice = Lattice(np.array([[2.0 * np.pi]]))
-    coeffs = {(int(k),): c for k, c in zip(u.wavenumbers(), u.coeffs) if c != 0.0}
-    return lattice, FourierSeriesD(lattice, coeffs)
+    nonzero = np.flatnonzero(u.coeffs)
+    keys = [(k,) for k in (nonzero - u.cutoff).tolist()]
+    return lattice, FourierSeriesD(lattice, dict(zip(keys, u.coeffs[nonzero].tolist())))
 
 
 def _differences(box: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -247,11 +249,15 @@ def _differences(box: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return padded.ravel()[np.add.outer(first + shift @ strides, cols @ strides)]
 
 
+def _kinetic(basis: PlanewaveBasis) -> np.ndarray:
+    """|G + k|^2 for each planewave of the basis."""
+    shifted = basis.wavevectors + basis.k_point
+    return np.sum(shifted * shifted, axis=1)
+
+
 def _diagonal(V: FourierSeriesD, basis: PlanewaveBasis) -> np.ndarray:
     """The fiber's diagonal |G + k|^2 + V_0 / sqrt(|cell|)."""
-    shifted = basis.wavevectors + basis.k_point
-    return np.sum(shifted * shifted, axis=1) \
-        + 1.0 / math.sqrt(basis.lattice.unit_cell_volume) \
+    return _kinetic(basis) + 1.0 / math.sqrt(basis.lattice.unit_cell_volume) \
         * np.real(V.coefficient((0,) * basis.lattice.dimension))
 
 
@@ -269,12 +275,16 @@ def assemble_bloch(V: FourierSeriesD, basis: PlanewaveBasis) -> np.ndarray:
     return H
 
 
-def _coupling(V: FourierSeriesD, basis: PlanewaveBasis) -> Gather:
+def _coupling(V: FourierSeriesD, basis: PlanewaveBasis) -> Band | Gather:
     """assemble_bloch's fiber off its diagonal: row i couples to G_i - D by
-    V_D / sqrt(|cell|), rounded as there, for each offset D != 0 of V."""
+    V_D / sqrt(|cell|), rounded as there, for each offset D != 0 of V.  A
+    d = 1 basis is a run of consecutive integers, whose offsets are the
+    diagonals of a Toeplitz band: its windows cost less than an index."""
     d, n, ints = basis.lattice.dimension, basis.dimension, basis.int_coords
-    reach = int(np.abs(ints).max(initial=0))
     coef = V.hermitian * (1.0 / math.sqrt(basis.lattice.unit_cell_volume))
+    if d == 1:
+        return Band(coef[V.reach + 1:], n)
+    reach = int(np.abs(ints).max(initial=0))
     offsets = np.argwhere(coef != 0) - V.reach
     offsets = offsets[np.all(np.abs(offsets) <= 2 * reach, axis=1)
                       & np.any(offsets != 0, axis=1)]
@@ -322,24 +332,65 @@ class _Rotation:
                                -1j * (top - bottom) / SQRT2))
 
 
-def _time_reversal(V: FourierSeriesD, basis: PlanewaveBasis, diag: np.ndarray):
-    """A callable that assembles the fiber as a real symmetric block, and
-    its rotation, when 2k is a reciprocal lattice vector K and the basis is
-    closed under m -> -m - K; None otherwise.  That map reverses the
-    lexicographic order of the basis, so planewave j pairs with n - 1 - j,
-    and the middle one of an odd basis, m = -K/2, with itself.  With v_D =
-    V_D / sqrt(|cell|), the pair sum S = m_i + m_j + K and the difference
-    D = m_i - m_j, the cosine and sine columns couple by Re v_D + Re v_S,
-    Re v_D - Re v_S and Im v_S - Im v_D (times sqrt(2) from the
-    self-paired column); a pair's two diagonal entries share the
-    planewave's |G + k|^2 + v_0."""
+class _Outward(_Rotation):
+    """_Rotation's columns from the middle of the basis outward: the
+    self-paired planewave, if any, then the cosine columns of pairs
+    pairs - 1, ..., 0, then their sine columns.  At d = 1 that grades a
+    block by |G + k|, which keeps eigh's lowest eigenvectors accurate entry
+    by entry.  Real columns are real functions (about the center, with a
+    phase), so from_modes keeps the real part of the adjoint, all that a
+    real block can correct."""
+
+    def to_modes(self, q: np.ndarray) -> np.ndarray:
+        """Q q for real columns q: u_m = q_0 at the middle and (q_c -+ i
+        q_s) / sqrt(2) at a pair's second and first planewave."""
+        p, n = self.pairs, len(q)
+        c, s = q[n - 2 * p:n - p] / SQRT2, q[n - p:] / SQRT2
+        u = np.empty(q.shape, dtype=complex)
+        u.real[p:n - p], u.imag[p:n - p] = q[:n - 2 * p], 0.0
+        u.real[n - p:], u.imag[n - p:] = c, -s
+        u.real[:p], u.imag[:p] = c[::-1], s[::-1]
+        return u if self.phase is None else self.phase[:, None] * u
+
+    def from_modes(self, r: np.ndarray) -> np.ndarray:
+        """The real part of Q^H r."""
+        if self.phase is not None:
+            r = np.conj(self.phase)[:, None] * r
+        p, n = self.pairs, len(r)
+        up, down = r[n - p:], r[:p][::-1]  # each pair's second and first planewave
+        return np.concatenate((r[p:n - p].real, (up.real + down.real) / SQRT2,
+                               (down.imag - up.imag) / SQRT2))
+
+
+def _pairing(basis: PlanewaveBasis):
+    """(K, pairs) when 2k is a reciprocal lattice vector K and the basis is
+    closed under m -> -m - K, which time reversal maps k to; None
+    otherwise.  That map reverses the lexicographic order of the basis, so
+    planewave j pairs with n - 1 - j, and the middle one of an odd basis,
+    m = -K/2, with itself."""
     twice_k = basis.lattice.basis @ basis.k_point / np.pi  # 2k in the b_n
     K = np.rint(twice_k).astype(int)
     ints = basis.int_coords
     if np.any(np.abs(twice_k - K) > _ROUNDING) \
             or not np.array_equal(ints[::-1], -ints - K):
         return None
-    n, p = len(ints), len(ints) // 2
+    return K, len(ints) // 2
+
+
+def _time_reversal(V: FourierSeriesD, basis: PlanewaveBasis, diag: np.ndarray):
+    """A callable that assembles the fiber as one real symmetric block, in
+    the cosine and sine combinations of the pairs of _pairing, and its
+    rotation; None where the basis has no pairing.  With v_D = V_D /
+    sqrt(|cell|), the pair sum S = m_i + m_j + K and the difference D =
+    m_i - m_j, the cosine and sine columns couple by Re v_D + Re v_S,
+    Re v_D - Re v_S and Im v_S - Im v_D (times sqrt(2) from the
+    self-paired column); a pair's two diagonal entries share the
+    planewave's |G + k|^2 + v_0.  At d = 1 the block is in _Outward's order."""
+    pairing = _pairing(basis)
+    if pairing is None:
+        return None
+    (K, p), ints, n = pairing, basis.int_coords, basis.dimension
+    graded = basis.lattice.dimension == 1
 
     def build():
         heads = ints[:n - p]  # the pairs' first planewaves, then the self-paired one
@@ -356,34 +407,152 @@ def _time_reversal(V: FourierSeriesD, basis: PlanewaveBasis, diag: np.ndarray):
             cos[p, :p] = cos[:p, p] = SQRT2 * v_d.real[p, :p]
             cos[p, p] = diag[p]
             mixed[p] = -SQRT2 * v_d.imag[p, :p]
-        return np.block([[cos, mixed], [mixed.T, sin]])
-    return build, _Rotation("time-reversal", pairs=p)
+        block = np.block([[cos, mixed], [mixed.T, sin]])
+        if graded:
+            outward = np.r_[p:n - p, p - 1:-1:-1, n - 1:n - p - 1:-1]
+            block = block[np.ix_(outward, outward)]
+        return [block]
+    return build, (_Outward if graded else _Rotation)("time-reversal", pairs=p)
+
+
+def _parity(about: np.ndarray, basis: PlanewaveBasis, diag: np.ndarray, K, p: int):
+    """A callable that assembles the fiber's even and odd blocks (_Outward
+    order) for V with an inversion center and the pairing (K, p).  About
+    the center V's coefficients a_D are real and even, so the cosine and
+    sine columns of the pairs decouple.  With v_D = a_D / sqrt(|cell|), the
+    sum S = m_i + m_j + K and difference D = m_i - m_j of two pairs' first
+    planewaves, the blocks are Toeplitz plus and minus Hankel terms
+
+        even  (v_D + v_S) + |G + k|^2 delta   (self-paired row sqrt(2) v_D,
+                                               diagonal |G + k|^2 + v_0)
+        odd   (v_D - v_S) + |G + k|^2 delta,
+
+    a pair sharing its first planewave's |G + k|^2.  At d = 1, k = 0 and c
+    = 0 these are the blocks of phi_0 = e_0, c_k = (e_k + e_{-k}) / sqrt(2)
+    and s_k = -i (e_k - e_{-k}) / sqrt(2), k = 1..N (Boyd, Chebyshev and
+    Fourier Spectral Methods, 2nd ed., 2001, ch. 8)."""
+    ints, n = basis.int_coords, basis.dimension
+    middle = n - 2 * p  # 1 with a self-paired planewave, else 0
+
+    def build():
+        heads = ints[:n - p][::-1]  # the self-paired planewave first
+        coef = about * (1.0 / math.sqrt(basis.lattice.unit_cell_volume))
+        v_d = _differences(coef, heads, heads)
+        v_s = _differences(coef, heads, heads, K)
+        odd = v_d[middle:, middle:] - v_s[middle:, middle:]
+        edge = SQRT2 * v_d[0, 1:]
+        even = np.add(v_d, v_s, out=v_d)
+        kinetic, at = _kinetic(basis)[:p][::-1], np.arange(p)
+        even[at + middle, at + middle] += kinetic
+        odd[at, at] += kinetic
+        if middle:
+            even[0, 1:] = even[1:, 0] = edge
+            even[0, 0] = diag[p]
+        return [even, odd] if p else [even]
+    return build
 
 
 def _form(V: FourierSeriesD, basis: PlanewaveBasis, diag: np.ndarray):
-    """A callable that assembles the fiber block, and its _Rotation.  Real
-    and symmetric about an inversion center c of V at any k, in the
-    planewaves exp(-i G . c) e_G; real and symmetric by time reversal at a
-    k with 2k in the reciprocal lattice; otherwise the complex Hermitian
-    fiber itself."""
+    """A callable that assembles the fiber's blocks, and their _Rotation.
+    About an inversion center c of V, in the planewaves exp(-i G . c) e_G:
+    the even and odd blocks of _parity where also 2k is in the reciprocal
+    lattice, one real symmetric block at any other k.  Without a center,
+    one real block by time reversal at a k with 2k in the reciprocal
+    lattice, and otherwise the complex Hermitian fiber itself."""
     inversion = V._inversion
     if inversion is None:
         return _time_reversal(V, basis, diag) \
-            or (partial(assemble_bloch, V, basis), _Rotation("complex"))
+            or ((lambda: [assemble_bloch(V, basis)]), _Rotation("complex"))
     t, about = inversion
+    phase = np.exp(-1j * (basis.int_coords @ t)) if np.any(t) else None
+    pairing = _pairing(basis)
+    if pairing is not None:
+        return _parity(about, basis, diag, *pairing), _Outward("parity", phase, pairing[1])
 
     def build():
         block = _differences(about, basis.int_coords, basis.int_coords)
         block *= 1.0 / math.sqrt(basis.lattice.unit_cell_volume)
         block[np.diag_indices_from(block)] = diag
-        return block
-    phase = np.exp(-1j * (basis.int_coords @ t)) if np.any(t) else None
+        return [block]
     return build, _Rotation("inversion", phase)
 
 
-def _fiber(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands: int):
-    """The fiber at k on the planewaves within cutoff as an operator of
-    eigen.fiber_operator, with its lowest n_bands eigenvalues."""
+def _lowest_pairs(blocks, count: int):
+    """The lowest `count` eigenpairs of each Hermitian block (every pair of
+    a smaller block), from a subset eigensolve."""
+    from scipy.linalg import eigh  # deferred: importing the CLI stays scipy-free
+    return tuple(eigh(mat, subset_by_index=[0, min(count, len(mat)) - 1],
+                      check_finite=False) for mat in blocks)
+
+
+def _ascending(pairs):
+    """The computed block eigenpairs in ascending order: their (block,
+    column) positions, their values, and how many of them are the lowest
+    of the whole spectrum.  Past the highest value a block computed, its
+    left-out pairs may hide among the others."""
+    values = np.concatenate([w for w, _ in pairs])
+    where = [(b, j) for b, (w, _) in enumerate(pairs) for j in range(len(w))]
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    bound = min((w[-1] for w, v in pairs if len(w) < len(v)), default=math.inf)
+    return ([where[i] for i in order], values,
+            int(np.searchsorted(values, bound, side="right")))
+
+
+@dataclass(frozen=True)
+class _Operator:
+    """One fiber as the eigen path reads it: build() assembles its blocks
+    in the basis of `rotation`, and `blocks` keeps them from their first
+    reader to release(); diag and coupling() are the complex fiber's
+    diagonal and off-diagonal part, for the double-double residual; modes
+    are the planewaves' integer coordinates in lexicographic order.
+    Nothing is assembled or solved until `solved` is first read."""
+
+    build: Callable[[], list[np.ndarray]]
+    rotation: _Rotation
+    diag: np.ndarray
+    coupling: Callable[[], object]
+    modes: np.ndarray
+    count: int = 0  # the eigenpairs a caller reads
+
+    @cached_property
+    def blocks(self) -> list[np.ndarray]:
+        return self.build()
+
+    def release(self):
+        """Drop the blocks; a later reader assembles them again."""
+        vars(self).pop("blocks", None)
+
+    @cached_property
+    def solved(self):
+        """The lowest count + 1 eigenpairs of each block, ascending (all of
+        them for a smaller block; the one above the last of the lowest
+        count shows the gap above it), the lowest count eigenvalues
+        polished and ascending, and their (block, column) positions."""
+        pairs = _lowest_pairs(self.blocks, self.count + 1)
+        lowest = _ascending(pairs)[0][:self.count]
+        polished = np.array([rayleigh_polish(self.blocks[b], pairs[b][1][:, j])
+                             for b, j in lowest])
+        ranked = np.argsort(polished, kind="stable")
+        return pairs, polished[ranked], [lowest[i] for i in ranked]
+
+    @property
+    def pairs(self):
+        return self.solved[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.solved[1]
+
+    @cached_property
+    def offdiag(self):
+        return self.coupling()
+
+
+def _fiber(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands: int) -> _Operator:
+    """The fiber at k on the planewaves within cutoff, with its lowest
+    n_bands eigenvalues, polished and ascending, in `eigenvalues`: the one
+    operator constructor, a 1D V's on the lattice of series1d_to_lattice."""
     basis = basis_set(V.lattice, k, cutoff)
     if basis.dimension < n_bands:
         raise InvalidParameterError(
@@ -391,9 +560,11 @@ def _fiber(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands: int):
             f"planewaves; cannot produce {n_bands} bands")
     if not V.is_real_valued():
         raise PreconditionError("potential must be real-valued")
+    if not np.all(np.isfinite(V.hermitian)):
+        raise PreconditionError("potential coefficients overflow when symmetrized")
     diag = _diagonal(V, basis)
-    return fiber_operator(*_form(V, basis, diag), diag, partial(_coupling, V, basis),
-                          basis.int_coords, n_bands)
+    return _Operator(*_form(V, basis, diag), diag, partial(_coupling, V, basis),
+                     basis.int_coords, n_bands)
 
 
 @dataclass(frozen=True)
@@ -410,15 +581,6 @@ def band_structure(V: FourierSeriesD, k_path, cutoff: float,
     deltas = np.linalg.norm(np.diff(k_path, axis=0), axis=1)
     param = np.concatenate([[0.0], np.cumsum(deltas)])
     return BandStructure(path_parameter=param, bands=np.asarray(bands))
-
-
-def bz_convergence(V: FourierSeriesD, k_samples, cutoffs, reference_cutoff: float,
-                   band: int) -> ErrorTable:
-    """eigen.error_table of band `band` (1-based) over the k samples.  A
-    pilot's basis at k is the part of the reference's within its cutoff."""
-    return error_table(lambda k, n, _: _fiber(V, k, n, band),
-                       np.atleast_2d(np.asarray(k_samples, dtype=float)),
-                       cutoffs, reference_cutoff, band)
 
 
 def gaussian_potential(lattice: Lattice, centers, widths, amplitudes,

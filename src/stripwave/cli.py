@@ -34,10 +34,9 @@ import numpy as np
 from . import __version__
 from .blowup import blowup_report, trajectory_diagnostics, trajectory_samples
 from .bloch import (FourierSeriesD, Lattice, band_structure, basis_box,
-                    bz_convergence, bz_sample_grid, gaussian_potential,
-                    series1d_to_lattice)
+                    bz_sample_grid, gaussian_potential, series1d_to_lattice)
 from .cubic import estimate_solution_strip, solve_gp
-from .eigen import convergence_study
+from .eigen import bz_convergence, convergence_study
 from .errors import ConfigError, InvalidParameterError, StripwaveError
 from .fourier import series_from_json
 from .linear import refinement_study
@@ -299,7 +298,7 @@ def _run_linsolve(cfg: dict, out):
                               "N_list": "int_list", "N_ref": "int"}, {}, "config")
     _validate_range(cfg, N_list=_ascending_cutoffs,
                     N_ref=lambda n: n >= 2 * max(cfg["N_list"]))
-    for key in ("N_list", "N_ref"):  # real, one block when V has an odd part
+    for key in ("N_list", "N_ref"):  # real, one block when V has no inversion center
         _guard(cfg, key, _dense(lambda n: 2 * n + 1, 8))
     V = build_potential_1d(cfg["potential"], "config.potential")
     f = build_potential_1d(cfg["source"], "config.source")
@@ -318,7 +317,7 @@ def _run_eig_convergence(cfg: dict, out):
                     j=lambda j: 1 <= j <= 2 * min(cfg["N_list"]) + 1,
                     A_claim=lambda a: a > 0,
                     N_ref=lambda n: n >= 2 * max(cfg["N_list"]))
-    for key in ("N_list", "N_ref"):  # real, one block when V has an odd part
+    for key in ("N_list", "N_ref"):  # real, one block when V has no inversion center
         _guard(cfg, key, _dense(lambda n: 2 * n + 1, 8))
     V = build_potential_1d(cfg["potential"], "config.potential")
     table = convergence_study(V, cfg["N_list"], cfg["N_ref"], cfg["j"])

@@ -1,15 +1,12 @@
 """Planewave Galerkin eigenproblems and convergence studies, for
 -d2/dx2 + V in 1D and for the Bloch fibers of `bloch`.
 
-In 1D the Galerkin matrix, k^2 delta_{kk'} + V_{k-k'} / sqrt(2*pi) in
-the exponentials, is real symmetric in the cosine/sine basis of
-`galerkin` for real V, and for even V it splits there into a cosine and
-a sine block.  A Bloch fiber is one block: real symmetric in the basis
-that `bloch` builds from an antiunitary symmetry fixing k (time reversal
-or inversion), complex Hermitian where there is none.  Either way the
-eigenpairs come from subset eigensolves of the blocks, which compute
-only their lowest pairs, and the eigenvalues are polished by an exactly
-summed Rayleigh quotient.
+Both solve the fibers of bloch._fiber, a 1D V as the d = 1 case: embedded
+once per call on the lattice 2*pi*Z, at k = 0, where the fiber is the 1D
+Galerkin matrix k^2 delta_{kk'} + V_{k-k'} / sqrt(2*pi).  The eigenpairs
+come from subset eigensolves of the fiber's real or complex blocks, which
+compute only their lowest pairs, and the eigenvalues are polished by an
+exactly summed Rayleigh quotient.
 
 Convergence tables measure eigenvalue errors against a reference solve
 at a much larger cutoff and fit exponential decay rates.  For analytic
@@ -40,16 +37,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
+from .bloch import (FourierSeriesD, _ascending, _fiber, _lowest_pairs, _Operator,
+                    series1d_to_lattice)
 from .errors import InvalidParameterError
-from .extended import Band, band_residual, dd_add, exact_lstsq
+from .extended import band_residual, dd_add, exact_lstsq
 from .fourier import FourierSeries1D, multiplier_norm_bound, strip_norm, strip_weight
-from .galerkin import (coefficient_column, from_modes, rayleigh_polish,
-                       real_blocks, to_modes)
 
 # Fit floor for errors computed in double precision, the H1 eigenvector
 # distances; refined eigenvalue errors have one set by EXTENDED_EPS.
@@ -62,57 +58,6 @@ _REFINE_STEPS = 12  # refinement stops earlier once its corrections stall
 # which a pilot's Kato-Temple bound must fall
 _SETTLED = 2.0**-110
 _MP_PREC = 128  # bits for the cluster's Ritz values, above double-double
-
-
-@dataclass(frozen=True)
-class _Operator:
-    """One Hermitian matrix H as the eigen path reads it.
-
-    blocks() builds its diagonal blocks in an orthonormal basis, one after
-    the other: the real cosine/sine blocks of galerkin.real_blocks in 1D,
-    the fiber on a lattice; to_modes and from_modes rotate columns from
-    that basis to the coefficients and back.  diag is H's diagonal and
-    coupling() its off-diagonal part for the double-double residual, an
-    extended.Band in 1D and an extended.Gather on a lattice.  modes holds
-    the integer coordinates of the coefficients, one row each in
-    lexicographic order (k in 1D, G in the reciprocal basis on a
-    lattice), so that a smaller cutoff's modes are found among a larger
-    one's.  Nothing is assembled or solved until `solved` is first read."""
-
-    blocks: Callable[[], list[np.ndarray]]
-    to_modes: Callable[[np.ndarray], np.ndarray]
-    from_modes: Callable[[np.ndarray], np.ndarray]
-    diag: np.ndarray
-    coupling: Callable[[], object]
-    form: str  # the symmetry that makes the blocks real, or "complex"
-    modes: np.ndarray
-    count: int = 0  # the eigenpairs a caller reads
-
-    @cached_property
-    def solved(self):
-        """The lowest count + 1 eigenpairs of each block, ascending (all of
-        them for a smaller block; the one above the last of the lowest
-        count shows the gap above it), the lowest count eigenvalues
-        polished and ascending, and their (block, column) positions."""
-        blocks = self.blocks()
-        pairs = _lowest_pairs(blocks, self.count + 1)
-        lowest = _ascending(pairs)[0][:self.count]
-        polished = np.array([rayleigh_polish(blocks[b], pairs[b][1][:, j])
-                             for b, j in lowest])
-        ranked = np.argsort(polished, kind="stable")
-        return pairs, polished[ranked], [lowest[i] for i in ranked]
-
-    @property
-    def pairs(self):
-        return self.solved[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.solved[1]
-
-    @cached_property
-    def offdiag(self):
-        return self.coupling()
 
 
 @dataclass(frozen=True)
@@ -138,7 +83,7 @@ class Refinement:
     cutoff: float  # of the refined matrix
     order: int  # of the refined matrix
     block_orders: tuple[int, ...]  # of the blocks solved and factored
-    form: str  # the source's: "time-reversal", "inversion" or "complex"
+    form: str  # the source's: "parity", "time-reversal", "inversion" or "complex"
     steps: int  # Newton corrections applied
     cluster_size: int  # eigenpairs refined together
     source: float
@@ -181,28 +126,6 @@ class StripBoundCheck:
         return self.norm <= self.bound
 
 
-def _lowest_pairs(blocks, count: int):
-    """The lowest `count` eigenpairs of each Hermitian block (every pair of
-    a smaller block), from a subset eigensolve."""
-    from scipy.linalg import eigh  # deferred: importing the CLI stays scipy-free
-    return tuple(eigh(mat, subset_by_index=[0, min(count, len(mat)) - 1],
-                      check_finite=False) for mat in blocks)
-
-
-def _ascending(pairs):
-    """The computed block eigenpairs in ascending order: their (block,
-    column) positions, their values, and how many of them are the lowest
-    of the whole spectrum.  Past the highest value a block computed, its
-    left-out pairs may hide among the others."""
-    values = np.concatenate([w for w, _ in pairs])
-    where = [(b, j) for b, (w, _) in enumerate(pairs) for j in range(len(w))]
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    bound = min((w[-1] for w, v in pairs if len(w) < len(v)), default=math.inf)
-    return ([where[i] for i in order], values,
-            int(np.searchsorted(values, bound, side="right")))
-
-
 def _block_columns(pairs, where) -> np.ndarray:
     """Block eigenvectors at (block, column) positions as columns in the
     basis of the blocks."""
@@ -213,36 +136,10 @@ def _block_columns(pairs, where) -> np.ndarray:
     return out
 
 
-def fiber_operator(build: Callable[[], np.ndarray], rotation, diag: np.ndarray,
-                   coupling: Callable[[], object], modes: np.ndarray,
-                   n_pairs: int) -> _Operator:
-    """A Bloch fiber as an operator that error_table refines, with its
-    lowest n_pairs eigenvalues, polished and ascending, in `eigenvalues`.
-    build() assembles the fiber in the orthonormal basis of rotation, whose
-    to_modes and from_modes rotate columns to the planewaves and back and
-    whose form names it; diag and coupling(), an extended.Gather, are the
-    complex fiber's diagonal and off-diagonal part, and modes holds the
-    planewaves' integer coordinates."""
-    return _Operator(lambda: [build()], rotation.to_modes, rotation.from_modes, diag,
-                     coupling, rotation.form, modes, n_pairs)
-
-
-def operator_1d(V: FourierSeries1D, cutoff: int, count: int = 0) -> _Operator:
-    """The Galerkin operator of the real V on the modes |k| <= cutoff, as
-    solve_eig and linear.solve_linear read it: real blocks, the cosine/sine
-    rotation, and the diagonal and Toeplitz band of the complex matrix;
-    `solved` holds its lowest `count` eigenpairs."""
-    column, k = coefficient_column(V, cutoff), np.arange(-cutoff, cutoff + 1)
-    return _Operator(partial(real_blocks, column), to_modes, from_modes,
-                     column[0].real + k ** 2,
-                     partial(Band, column[1:V.cutoff + 1], 2 * cutoff + 1),
-                     "time-reversal", k[:, None], count)
-
-
 def _eigen_result(op: _Operator) -> EigenResult:
     """The solved pairs of a 1D operator, rotated back to the exponentials."""
     pairs, values, where = op.solved
-    modes = op.to_modes(_block_columns(pairs, where))
+    modes = op.rotation.to_modes(_block_columns(pairs, where))
     cutoff = (len(op.diag) - 1) // 2
     series = [FourierSeries1D(cutoff, u / np.linalg.norm(u)) for u in modes.T]
     return EigenResult(eigenvalues=values, eigenvectors=series)
@@ -250,15 +147,14 @@ def _eigen_result(op: _Operator) -> EigenResult:
 
 def solve_eig(V: FourierSeries1D, cutoff: int, n_pairs: int) -> EigenResult:
     """Lowest n_pairs eigenpairs of the Galerkin operator, ascending, from
-    subset eigensolves of the blocks of galerkin.real_blocks.  Only the
-    returned pairs are rotated back to the exponentials.  Eigenvectors are
-    L2-normalized; their sign and the basis of degenerate clusters are
-    whatever the backend returns."""
+    subset eigensolves of its fiber's real blocks; only these pairs are
+    rotated back to the exponentials.  Eigenvectors are L2-normalized; their
+    sign and the basis of degenerate clusters are whatever eigh returns."""
     dim = 2 * cutoff + 1
     if n_pairs < 1 or n_pairs > dim:
         raise InvalidParameterError(
             f"n_pairs must lie in 1..{dim} for cutoff {cutoff}")
-    return _eigen_result(operator_1d(V, cutoff, n_pairs))
+    return _eigen_result(_fiber(series1d_to_lattice(V)[1], np.zeros(1), cutoff, n_pairs))
 
 
 def _cluster(op: _Operator, index: int, gap: float):
@@ -276,7 +172,7 @@ def _cluster(op: _Operator, index: int, gap: float):
             stop += 1
         if stop < known or known == dim:
             return pairs, first, where[first:stop], values[first:stop]
-        pairs = _lowest_pairs(op.blocks(), 2 * max(len(w) for w, _ in pairs))
+        pairs = _lowest_pairs(op.blocks, 2 * max(len(w) for w, _ in pairs))
 
 
 def _bordered_factors(op: _Operator, pairs, where, shifts):
@@ -287,7 +183,7 @@ def _bordered_factors(op: _Operator, pairs, where, shifts):
     from scipy.linalg import lu_factor  # deferred, as in _lowest_pairs
     offsets = np.cumsum([0] + [len(vecs) for _, vecs in pairs])
     factors = []
-    for b, mat in enumerate(op.blocks()):
+    for b, mat in enumerate(op.blocks):
         cols = [k for k, (owner, _) in enumerate(where) if owner == b]
         if not cols:
             continue
@@ -341,16 +237,17 @@ def _extended_eigenvalue(op: _Operator, ref: _Operator, index: int, gap: float):
         return out
 
     pairs, first, where, values = _cluster(op, index, gap)
-    x_hi = padded(op.to_modes(_block_columns(pairs, where)))
+    x_hi = padded(op.rotation.to_modes(_block_columns(pairs, where)))
     x_lo, lam_hi, lam_lo = np.zeros_like(x_hi), values.copy(), np.zeros_like(values)
     factors = _bordered_factors(op, pairs, where, lam_hi)
+    op.release()  # the factors were the blocks' last readers
     offdiag = ref.offdiag
     previous, steps = math.inf, 0
     for step in range(_REFINE_STEPS + 1):
         r = band_residual(ref.diag, offdiag, lam_hi, lam_lo, x_hi, x_lo)
         if step == _REFINE_STEPS:
             break
-        rhs = op.from_modes(r if rows is None else r[rows])
+        rhs = op.rotation.from_modes(r if rows is None else r[rows])
         delta, shift = np.zeros_like(rhs), np.zeros_like(lam_hi)
         for block, cols, lu in factors:
             order = block.stop - block.start
@@ -367,7 +264,7 @@ def _extended_eigenvalue(op: _Operator, ref: _Operator, index: int, gap: float):
         # bounds the eigenvalue shift this correction would still bring,
         # sum_j |q_j^H r|^2 / |mu_j - lambda|, by Cauchy-Schwarz
         pending = np.linalg.norm(r, axis=0) * np.linalg.norm(delta, axis=0)
-        correction = padded(op.to_modes(delta))
+        correction = padded(op.rotation.to_modes(delta))
         size = float(np.max(np.abs(correction)))
         if np.all(pending <= _SETTLED * np.abs(lam_hi)) or size > 0.5 * previous:
             break
@@ -471,7 +368,7 @@ def _refined(op: _Operator, index: int, gap: float, tried: tuple):
     """The value of _extended_eigenvalue on op alone, and its Refinement."""
     value, steps, size, _, _ = _extended_eigenvalue(op, op, index, gap)
     return value, Refinement(tried[-1], len(op.diag), tuple(len(v) for _, v in op.pairs),
-                             op.form, steps, size, tried[-1], tried)
+                             op.rotation.form, steps, size, tried[-1], tried)
 
 
 def _reference(solve: Callable, sample, cutoffs, reference_cutoff: float, index: int,
@@ -491,32 +388,35 @@ def _reference(solve: Callable, sample, cutoffs, reference_cutoff: float, index:
     for cutoff in _pilots(cutoffs, reference_cutoff):
         tried.append(cutoff)
         pilot = solve(sample, cutoff, True)
-        where, values, _ = _ascending(pilot.pairs)
-        if len(values) <= pilot.count:  # no pair above the pilot's to show a gap
-            continue
-        if (index and values[index] - values[index - 1] <= gap) \
-                or values[index + 1] - values[index] <= gap:
-            break
-        rows, outside = _embedding(pilot.modes, ref.modes), np.ones(len(ref.diag), dtype=bool)
-        outside[rows] = False
-        spread = math.fsum(np.abs(ref.offdiag.coef).tolist())
-        window = _window(pilot, values, index, spread, ref.diag[outside])
-        if window is None:
-            continue
-        (alpha, beta), guess = window, values[index]
-        x = np.zeros((len(ref.diag), 1), dtype=complex)
-        x[rows] = pilot.to_modes(_block_columns(pilot.pairs, [where[index]]))
-        if not _certified(float(np.linalg.norm(ref.offdiag.product(x)[outside])),
-                          min(beta - guess, guess - alpha), guess):
-            continue
-        (hi, lo), steps, size, r, x = _extended_eigenvalue(pilot, ref, index, gap)
-        delta = float(min(beta - hi, hi - alpha))
-        residual = _residual_bound(ref, r, x, hi, spread)
-        if _certified(residual, delta, hi):
-            return (hi, lo), Refinement(
-                reference_cutoff, len(ref.diag), tuple(len(v) for _, v in pilot.pairs),
-                pilot.form, steps, size, cutoff, tuple(tried),
-                float(np.linalg.norm(r[outside])), delta, residual * residual / delta)
+        try:  # a refused pilot drops its blocks
+            where, values, _ = _ascending(pilot.pairs)
+            if len(values) <= pilot.count:  # no pair above the pilot's to show a gap
+                continue
+            if (index and values[index] - values[index - 1] <= gap) \
+                    or values[index + 1] - values[index] <= gap:
+                break
+            rows, outside = _embedding(pilot.modes, ref.modes), np.ones(len(ref.diag), dtype=bool)
+            outside[rows] = False
+            spread = math.fsum(np.abs(ref.offdiag.coef).tolist())
+            window = _window(pilot, values, index, spread, ref.diag[outside])
+            if window is None:
+                continue
+            (alpha, beta), guess = window, values[index]
+            x = np.zeros((len(ref.diag), 1), dtype=complex)
+            x[rows] = pilot.rotation.to_modes(_block_columns(pilot.pairs, [where[index]]))
+            if not _certified(float(np.linalg.norm(ref.offdiag.product(x)[outside])),
+                              min(beta - guess, guess - alpha), guess):
+                continue
+            (hi, lo), steps, size, r, x = _extended_eigenvalue(pilot, ref, index, gap)
+            delta = float(min(beta - hi, hi - alpha))
+            residual = _residual_bound(ref, r, x, hi, spread)
+            if _certified(residual, delta, hi):
+                return (hi, lo), Refinement(
+                    reference_cutoff, len(ref.diag), tuple(len(v) for _, v in pilot.pairs),
+                    pilot.rotation.form, steps, size, cutoff, tuple(tried),
+                    float(np.linalg.norm(r[outside])), delta, residual * residual / delta)
+        finally:
+            pilot.release()
     return _refined(ref, index, gap, (*tried, reference_cutoff))
 
 
@@ -601,6 +501,16 @@ def error_table(solve: Callable, samples, cutoffs, reference_cutoff: float,
                       tuple(refinements))
 
 
+def bz_convergence(V: FourierSeriesD, k_samples, cutoffs, reference_cutoff: float,
+                   band: int) -> ErrorTable:
+    """error_table of band `band` (1-based) of the Bloch fibers of V over
+    the k samples.  A pilot's basis at k is the part of the reference's
+    within its cutoff."""
+    return error_table(lambda k, n, _: _fiber(V, k, n, band),
+                       np.atleast_2d(np.asarray(k_samples, dtype=float)),
+                       cutoffs, reference_cutoff, band)
+
+
 def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
                       band: int, cluster_gap: float = 1e-8) -> ConvergenceTable:
     """Eigenvalue errors (error_table) and H1 eigenvector errors against
@@ -617,11 +527,11 @@ def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
         raise InvalidParameterError(
             f"band {band} exceeds the {2 * min(cutoffs) + 1} pairs of the "
             "smallest study cutoff")
-    solved = {}  # cutoff -> operator
+    solved, embedded = {}, series1d_to_lattice(V)[1]  # cutoff -> operator
 
     def solve(_, cutoff, reference):
         pairs = min(2 * cutoff + 1, band + 8) if reference else band
-        solved[cutoff] = operator_1d(V, cutoff, pairs)
+        solved[cutoff] = _fiber(embedded, np.zeros(1), cutoff, pairs)
         return solved[cutoff]
 
     table = error_table(solve, [None], cutoffs, reference_cutoff, band, cluster_gap)

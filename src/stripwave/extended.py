@@ -8,9 +8,9 @@ the coupling product of the residuals, sums integer slices exactly in
 double in any order: no result depends on the BLAS kernel or threads.
 
 Consumers: the correctly rounded L2 norm, the residuals of `eigen` and `linear`
-on the 1D Toeplitz band (Band) or a Bloch fiber (Gather), and the exact fits.
-Band and Gather also multiply in plain double, for the quick check of a pilot
-in `eigen`.
+on a Bloch fiber's offsets (the Toeplitz band, Band, at d = 1; Gather above),
+and the exact fits.  Band and Gather also multiply in plain double, for the
+quick check of a pilot in `eigen`.
 """
 
 from __future__ import annotations

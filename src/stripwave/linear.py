@@ -1,7 +1,9 @@
 """Fourier-Galerkin solution of the source problem -u'' + V u = f.
 
-Each real block of eigen.operator_1d (positive definite as V >= 1) is
-Cholesky-factored once for both function parts of f.  Alongside the
+The operator is V's fiber at k = 0 on the lattice 2*pi*Z (bloch._fiber),
+whose real blocks (positive definite as V >= 1) map the coefficients of
+real functions to those of real functions: each block is
+Cholesky-factored once for both real-function parts of f.  Alongside the
 solution the module evaluates the low/high-frequency tail bounds that
 control the strip norm of the solution: splitting u = u_low + u_high at
 a cutoff M with M^2 above ||V||, the weighted l1 norm that bounds
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bloch import FourierSeriesD, _fiber, series1d_to_lattice
 from .errors import PreconditionError, SolverFailureError
-from .eigen import operator_1d, solve_eig
+from .eigen import solve_eig
 from .extended import band_residual, norm2
 from .fourier import (FourierSeries1D, grid_values, h1_norm, l2_norm, multiply,
                       multiplier_norm_bound, project, strip_norm, strip_weight)
@@ -56,8 +59,15 @@ def solve_linear(V: FourierSeries1D, f: FourierSeries1D, cutoff: int) -> Fourier
     The right-hand side is projected onto the trial space; it may be
     complex-valued.
     """
+    return _solve(V, series1d_to_lattice(V)[1], f, cutoff)[0]
+
+
+def _solve(V: FourierSeries1D, embedded: FourierSeriesD, f: FourierSeries1D,
+           cutoff: int):
+    """solve_linear with V's embedding on the lattice 2*pi*Z, and the
+    fiber whose blocks it factored."""
     from scipy.linalg import LinAlgError, cho_factor, cho_solve  # deferred, as in eigen
-    op = operator_1d(V, cutoff)
+    op = _fiber(embedded, np.zeros(1), cutoff, 0)
     vmin = float(np.min(grid_values(V, max(4 * cutoff + 1, 2 * V.cutoff + 1)).real))
     if vmin < 1.0 - 1e-12:  # grid transform rounding must not reject V = 1
         raise PreconditionError(
@@ -65,9 +75,9 @@ def solve_linear(V: FourierSeries1D, f: FourierSeries1D, cutoff: int) -> Fourier
             "the invertibility condition V >= 1 fails"
         )
     rhs = project(f, cutoff)._padded(cutoff)
-    blocks = op.blocks()
+    blocks = op.build()  # factored in place
     # the real-function and imaginary-function parts g, h of f = g + i h
-    parts = np.split(op.from_modes(np.stack((rhs, -1j * rhs), axis=1)),
+    parts = np.split(op.rotation.from_modes(np.stack((rhs, -1j * rhs), axis=1)),
                      np.cumsum([len(block) for block in blocks[:-1]]))
     try:
         factors = [cho_factor(block, overwrite_a=True, check_finite=False) for block in blocks]
@@ -76,8 +86,8 @@ def solve_linear(V: FourierSeries1D, f: FourierSeries1D, cutoff: int) -> Fourier
     q = np.concatenate([cho_solve(c, b, check_finite=False) for c, b in zip(factors, parts)])
     if not np.all(np.isfinite(q)):
         raise SolverFailureError("Galerkin solve produced non-finite values")
-    g, h = op.to_modes(q).T
-    return FourierSeries1D(cutoff, g + 1j * h)
+    g, h = op.rotation.to_modes(q).T
+    return FourierSeries1D(cutoff, g + 1j * h), op
 
 
 def tail_bound_check(V: FourierSeries1D, f: FourierSeries1D, solve_cutoff: int,
@@ -127,14 +137,16 @@ def refinement_study(V: FourierSeries1D, f: FourierSeries1D, cutoffs,
     """Errors of the Galerkin solution against a finer reference solve.
 
     Returns rows (N, residual_l2, err_vs_ref_l2, err_vs_ref_h1); each
-    residual H u - f is summed in double-double on the Toeplitz band.
+    residual H u - f is summed in double-double on the fiber's diagonal and
+    coupling.  V is embedded on the lattice once for all the solves.
     """
-    ref = solve_linear(V, f, reference_cutoff)
+    embedded = series1d_to_lattice(V)[1]
+    ref, _ = _solve(V, embedded, f, reference_cutoff)
     rows = []
     for n in cutoffs:
-        u = solve_linear(V, f, n)
-        op, x, zero = operator_1d(V, n), u.coeffs[:, None], np.zeros(1)
-        residual = band_residual(op.diag, op.coupling(), zero, zero, x, np.zeros_like(x),
+        u, op = _solve(V, embedded, f, n)
+        x, zero = u.coeffs[:, None], np.zeros(1)
+        residual = band_residual(op.diag, op.offdiag, zero, zero, x, np.zeros_like(x),
                                  project(f, n)._padded(n)[:, None])
         diff = u - ref
         rows.append((int(n), norm2(residual), l2_norm(diff), h1_norm(diff)))

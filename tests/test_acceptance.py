@@ -15,11 +15,10 @@ from stripwave.blowup import (axis_decoupling_check, blowup_report,
                               integrate_comparison, integrate_psi,
                               locate_crossings)
 from stripwave.bloch import (FourierSeriesD, Lattice, assemble_bloch,
-                             band_structure, basis_set, bz_convergence,
-                             series1d_to_lattice)
+                             band_structure, basis_set, series1d_to_lattice)
 from stripwave.cubic import (branch_point_height, cardano_discriminant,
                              cardano_root, estimate_solution_strip, solve_gp)
-from stripwave.eigen import convergence_study, solve_eig
+from stripwave.eigen import bz_convergence, convergence_study, solve_eig
 from stripwave.fourier import (FourierSeries1D, grid_values, l2_norm, multiply,
                                project)
 from stripwave.galerkin import assemble_dense

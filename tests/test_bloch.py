@@ -3,7 +3,6 @@
 import itertools
 import math
 import tracemalloc
-from functools import partial
 
 import mpmath
 import numpy as np
@@ -14,11 +13,11 @@ from stripwave import bloch
 from stripwave.bloch import (FourierSeriesD, Lattice, PlanewaveBasis, _coupling,
                              _diagonal, _form, _Rotation, _time_reversal,
                              assemble_bloch, band_structure, basis_set,
-                             bz_convergence, bz_sample_grid, gaussian_potential,
+                             bz_sample_grid, gaussian_potential,
                              reciprocal, series1d_to_lattice)
-from stripwave.eigen import _embedding, convergence_study
+from stripwave.eigen import _embedding, bz_convergence, convergence_study
 from stripwave.errors import InvalidParameterError
-from stripwave.extended import band_residual
+from stripwave.extended import Band, band_residual
 from stripwave.galerkin import assemble_dense
 from stripwave.potentials import cosine, poisson_kernel, sine
 
@@ -427,9 +426,16 @@ class TestZoneErrorsExact:
         H = assemble_bloch(V, basis)
         coupling = _coupling(V, basis)
         n = basis.dimension
+        rows = np.arange(n)
+        if d == 1:  # a run of consecutive integers: the Toeplitz band
+            assert isinstance(coupling, Band)
+            neighbours = rows[:, None] + np.arange(len(coupling.coef)) - coupling.reach
+            neighbours[(neighbours < 0) | (neighbours >= n)] = n
+        else:
+            neighbours = coupling.index[coupling.flat[:, None] - coupling.step]
         rebuilt = np.zeros((n, n + 1), dtype=complex)
-        for coef, step in zip(coupling.coef, coupling.step):
-            rebuilt[np.arange(n), coupling.index[coupling.flat - step]] += coef
+        for coef, near in zip(coupling.coef, neighbours.T):
+            rebuilt[rows, near] += coef
         np.fill_diagonal(H, 0.0)
         assert np.array_equal(rebuilt[:, :n], H)
 
@@ -603,6 +609,10 @@ TWO_GAUSSIANS = gaussian_potential(CUBIC_2D, [[0.3, -0.2], [-0.4, 0.1]], [0.6, 0
 GAMMA_X_M = [[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]]
 CUBE = Lattice(2.0 * np.pi * np.eye(3))
 ONE_GAUSSIAN = gaussian_potential(CUBE, [[0.31, -0.22, 0.17]], [0.8], [-2.0], 4.0)
+# two equal Gaussians, centrosymmetric about (0.1, 0.2): inversion and time
+# reversal both fix Gamma, X and M
+MIRRORED_PAIR = gaussian_potential(CUBIC_2D, [[0.5, -0.1], [-0.3, 0.5]], [0.6, 0.6],
+                                   [-1.5, -1.5], 8.0)
 
 
 def form_at(V, k, cutoff):
@@ -611,7 +621,7 @@ def form_at(V, k, cutoff):
 
 
 def complex_form(V, basis, diag):
-    return partial(assemble_bloch, V, basis), _Rotation("complex")
+    return (lambda: [assemble_bloch(V, basis)]), _Rotation("complex")
 
 
 def eigh_dtypes(monkeypatch):
@@ -646,11 +656,16 @@ class TestRealForms:
         (TWO_GAUSSIANS, [0.5, 0.5], "time-reversal"),
         (ONE_GAUSSIAN, [0.1, 0.2, 0.3], "inversion"),
         (SKEW, [0.13, -0.29], "complex"),
+        (MIRRORED_PAIR, [0.0, 0.0], "parity"),
+        (MIRRORED_PAIR, [0.5, 0.0], "parity"),
+        (MIRRORED_PAIR, [0.5, 0.5], "parity"),
+        # d = 1, no inversion center: from the middle outward
+        (series1d_to_lattice(cosine(0.5, 1, 3.0) + sine(0.5, 2))[1], [0.5], "time-reversal"),
     ])
     def test_rotation_is_orthonormal_and_makes_the_block(self, V, k, form):
         basis = basis_set(V.lattice, np.asarray(k), 3.0)
         build, rotation = _form(V, basis, _diagonal(V, basis))
-        block = build()
+        block = scipy.linalg.block_diag(*build())
         assert rotation.form == form
         assert block.dtype == (complex if form == "complex" else float)
         assert np.array_equal(block, np.conj(block.T))
@@ -661,7 +676,11 @@ class TestRealForms:
         H = assemble_bloch(V, basis)
         np.testing.assert_allclose(np.conj(Q.T) @ H @ Q, block, rtol=0, atol=1e-13)
         r = np.random.default_rng(1).standard_normal((n, 2)) + 1j
-        np.testing.assert_allclose(rotation.from_modes(r), np.conj(Q.T) @ r, atol=1e-15)
+        adjoint = np.conj(Q.T) @ r
+        if form == "parity" or V.lattice.dimension == 1:
+            # the real part: the real blocks' columns are real functions
+            adjoint = adjoint.real
+        np.testing.assert_allclose(rotation.from_modes(r), adjoint, atol=1e-15)
 
     def test_free_pairs_share_the_diagonal(self):
         # the free fiber's cosine and sine entries of a pair are one double
@@ -673,7 +692,7 @@ class TestRealForms:
         basis = basis_set(lat, 0.5 * reciprocal(lat).basis.sum(axis=0), 3.0)
         diag = _diagonal(free, basis)
         build, rotation = _time_reversal(free, basis, diag)
-        block, p = build(), rotation.pairs
+        (block,), p = build(), rotation.pairs
         assert np.any(diag[:p] != diag[::-1][:p])
         assert np.array_equal(block, np.diag(np.concatenate((diag[:p], diag[:p]))))
 
@@ -698,6 +717,26 @@ class TestRealForms:
         assert [r.form for r in want.refinements[0]] == ["complex"] * 4
         assert got.errors.tobytes() == want.errors.tobytes()
         assert got.fitted_rate == want.fitted_rate
+
+    @pytest.mark.parametrize("k", GAMMA_X_M, ids=["gamma", "x", "m"])
+    def test_parity_zone_errors_bit_identical_to_the_inversion_block(self, monkeypatch, k):
+        args = ([k], [2.0, 3.0, 4.0], 8.0, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(bloch, "_pairing", lambda basis: None)  # one inversion block
+            want = bz_convergence(MIRRORED_PAIR, *args)
+        orders = eigh_orders(monkeypatch)
+        got = bz_convergence(MIRRORED_PAIR, *args)
+        assert [r.form for r in want.refinements[0]] == ["inversion"] * 4
+        assert [r.form for r in got.refinements[0]] == ["parity"] * 4
+        assert got.errors.tobytes() == want.errors.tobytes()
+        assert got.fitted_rate == want.fitted_rate
+        # eigh sees the even and the odd block of each fiber, never the whole
+        sizes = [basis_set(CUBIC_2D, np.asarray(k), n).dimension for n in (8.0, 2.0, 3.0, 4.0)]
+        assert [r.block_orders for r in got.refinements[0]] == \
+            [(n - n // 2, n // 2) for n in sizes]
+        solved = {n for n in orders if n not in sizes}
+        assert {m for n in sizes for m in (n - n // 2, n // 2)} <= solved
+        assert not set(orders) & set(sizes)
 
     def test_gaussian_center_found_and_a_quarter_shift_rejected(self):
         t, _ = ONE_GAUSSIAN._inversion

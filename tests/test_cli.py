@@ -22,7 +22,7 @@ from stripwave.blowup import blowup_report
 from stripwave.cli import _OutputDir, main, write_csv
 from stripwave.cubic import estimate_solution_strip, solve_gp
 from stripwave.fourier import estimate_strip
-from stripwave.potentials import poisson_kernel
+from stripwave.potentials import constant, gaussian_bump, poisson_kernel
 
 GOLDEN_ROOT = Path(__file__).parent / "golden"
 
@@ -612,9 +612,11 @@ def test_bz_convergence_manifest_diagnostics(tmp_path):
         # N_ref is twice the largest study cutoff: no pilot is tried
         assert r["tried"] == [r["N"]] and r["accepted"] == r["N"]
         assert r["r_outside"] == 0.0 and r["delta"] is r["kato_temple"] is None
-        # the even Poisson kernel has its inversion center at 0: one real block
-        assert r["block_orders"] == [r["matrix_order"]]
-        assert r["form"] == "inversion"
+        # the even Poisson kernel has its inversion center at 0, and 2k is in
+        # the reciprocal lattice at k = 0 and 0.5: an even and an odd block
+        order = r["matrix_order"]
+        assert r["block_orders"] == [order - order // 2, order // 2]
+        assert r["form"] == "parity"
         assert 1 <= r["newton_steps"] <= 2
         assert r["cluster_size"] == 1
     # run records stay out of the byte-compared artifacts
@@ -1102,3 +1104,69 @@ def test_fuzzed_convergence_configs_end_in_a_documented_exit(case):
         with open(out / name, newline="") as fh:
             errors = [float(row[column]) for row in csv.DictReader(fh)]
     assert errors and all(err >= 0.0 for err in errors)
+
+
+def _raised_gaussian(center, width):
+    """1.5 plus a unit Gaussian bump about center, as a series file's JSON:
+    V >= 1 holds, so a linsolve on it solves."""
+    V = constant(1.5) + gaussian_bump(1.0, width, center, 20)
+    return {"cutoff": V.cutoff, "re": V.coeffs.real.tolist(), "im": V.coeffs.imag.tolist()}
+
+
+CENTRE = st.sampled_from([0.0, math.pi]) | st.floats(-3.0, 3.0)
+RAISED_GAUSSIAN = st.builds(lambda center, width: {"series": _raised_gaussian(center, width)},
+                            CENTRE, st.floats(0.3, 1.5))
+LINSOLVE_POTENTIAL = st.one_of(
+    st.builds(lambda amplitude, harmonic, mean: {"name": "cosine", "amplitude": amplitude,
+                                                 "harmonic": harmonic, "mean": mean},
+              st.floats(-1.0, 1.0), st.integers(1, 3), st.floats(0.5, 4.0)),
+    st.builds(lambda c, mu, shift, cutoff: {"name": "poisson-kernel", "c": c, "mu": mu,
+                                            "shift": shift, "cutoff": cutoff},
+              st.floats(1.02, 4.0), st.floats(-1.0, 2.0), st.floats(0.0, 3.0),
+              st.integers(0, 60)),
+    # a bare bump dips below 1 (exit 3); a raised one solves
+    st.builds(lambda amplitude, width, center: {
+        "name": "gaussian-sum", "amplitude": amplitude, "width": width, "center": center,
+        "cutoff": 20}, st.floats(0.5, 3.0), st.floats(0.3, 1.5), CENTRE),
+    RAISED_GAUSSIAN, RAISED_GAUSSIAN)
+
+
+@st.composite
+def linsolve_configs(draw):
+    """A linsolve config on a cosine, Poisson-kernel or Gaussian potential,
+    the Gaussian centred or off-centre, with cutoffs of at most 8 and a
+    reference of at most 32, so that a run takes milliseconds."""
+    cutoffs = sorted(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True)))
+    source = draw(st.sampled_from(["sine", "cosine"]))
+    return {"potential": draw(LINSOLVE_POTENTIAL),
+            "source": {"name": source, "amplitude": draw(st.floats(0.1, 2.0)),
+                       "harmonic": draw(st.integers(1, 3))},
+            "N_list": cutoffs, "N_ref": draw(st.integers(2 * cutoffs[-1], 32))}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(linsolve_configs())
+def test_fuzzed_linsolve_configs_end_in_a_documented_exit(config):
+    """Every generated linsolve config exits 0, 2 or 3; a nonzero exit
+    leaves one JSON line on stderr (no traceback: an escaping exception
+    fails the test), and a run that exits 0 writes finite residuals."""
+    with tempfile.TemporaryDirectory() as root:
+        cfg_path, out = Path(root, "config.json"), Path(root, "out")
+        if "series" in config["potential"]:
+            Path(root, "series.json").write_text(json.dumps(config["potential"]["series"]))
+            config = dict(config, potential={"file": str(Path(root, "series.json"))})
+        cfg_path.write_text(json.dumps(config))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["linsolve", "--config", str(cfg_path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        lines = stderr.getvalue().splitlines()
+        if code:
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == ("config" if code == 2 else "numeric")
+            return
+        assert lines == []
+        with open(out / "linsolve.csv", newline="") as fh:
+            residuals = [float(row["residual_l2"]) for row in csv.DictReader(fh)]
+    assert len(residuals) == len(config["N_list"])
+    assert all(math.isfinite(r) and r >= 0.0 for r in residuals)

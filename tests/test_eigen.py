@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stripwave import eigen
+from stripwave import bloch, eigen
+from stripwave.bloch import _fiber, _Operator, _Rotation, series1d_to_lattice
 from stripwave.errors import InvalidParameterError
-from stripwave.eigen import (EXTENDED_EPS, _extended_eigenvalue, _Operator, _reference,
+from stripwave.eigen import (EXTENDED_EPS, _extended_eigenvalue, _reference,
                              convergence_study, eigenvector_strip_check, error_table,
-                             fit_log_rate, h1_distance, operator_1d, solve_eig)
+                             fit_log_rate, h1_distance, solve_eig)
 from stripwave.extended import Gather, band_residual
 from stripwave.fourier import (FourierSeries1D, h1_norm, l2_norm, strip_norm,
                                strip_weight)
-from stripwave.galerkin import (assemble_dense, coefficient_column, from_modes,
-                                rayleigh_polish, to_modes)
+from stripwave.galerkin import assemble_dense, rayleigh_polish
 from stripwave.potentials import (constant, cosine, gaussian_bump, mathieu,
                                   poisson_kernel, sine)
 
@@ -26,6 +26,11 @@ ZERO = constant(0.0)
 # Known characteristic value of the Mathieu operator -u'' + 2 cos(2x) u
 # at coupling q = 1 (standard tables).
 MATHIEU_A0_Q1 = -0.455138604
+
+
+def fiber_1d(V, cutoff, count=0):
+    """The operator the 1D solvers build: V's fiber at k = 0 on 2*pi*Z."""
+    return _fiber(series1d_to_lattice(V)[1], np.zeros(1), cutoff, count)
 
 
 class TestAssemble:
@@ -111,8 +116,9 @@ REAL_PATH_CASES = {
     "cosine": cosine(amplitude=1.5, mean=2.0),
     # exactly degenerate cos/sin pairs, one in each block
     "constant": constant(0.7),
-    # V with an odd part: one coupled real matrix
+    # even about its center 0.7: the two blocks about the center
     "off-centre-gaussian": gaussian_bump(1.0, 0.5, 0.7, 20),
+    # no inversion center: one coupled real matrix
     "imaginary-coefficients": cosine(mean=3.0) + sine(0.5, 2),
 }
 
@@ -168,6 +174,9 @@ class TestRealBlocks:
         assert seen == [("f", (1, 1), [0, 0], 1)]
         seen.clear()
         solve_eig(REAL_PATH_CASES["off-centre-gaussian"], 12, 3)
+        assert seen == [("f", (13, 13), [0, 3], 4), ("f", (12, 12), [0, 3], 4)]
+        seen.clear()
+        solve_eig(REAL_PATH_CASES["imaginary-coefficients"], 12, 3)
         assert seen == [("f", (25, 25), [0, 3], 4)]
         seen.clear()
         convergence_study(even, [2, 3, 4], 8, 1)
@@ -183,10 +192,11 @@ class TestRealBlocks:
     def test_rotation_round_trip(self):
         rng = np.random.default_rng(5)
         q = rng.standard_normal((2 * 6 + 1, 3))
-        u = to_modes(q)
+        rotation = fiber_1d(REAL_PATH_CASES["cosine"], 6).rotation
+        u = rotation.to_modes(q)
         # conjugate-symmetric coefficients: real functions
         np.testing.assert_array_equal(u[::-1], np.conj(u))
-        np.testing.assert_allclose(from_modes(u), q, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rotation.from_modes(u), q, rtol=0, atol=1e-15)
         np.testing.assert_allclose(np.linalg.norm(u, axis=0),
                                    np.linalg.norm(q, axis=0), rtol=1e-15)
 
@@ -287,9 +297,14 @@ class TestConvergenceStudy:
         wide = convergence_study(V, [2, 3, 4], 8, 1, cluster_gap=1.1)
         assert {r.cluster_size for r in wide.refinements} == {3}
         assert max(r.steps for r in wide.refinements) <= 2
-        coupled = convergence_study(REAL_PATH_CASES["off-centre-gaussian"],
+        centred = convergence_study(REAL_PATH_CASES["off-centre-gaussian"],
+                                    [2, 3], 6, 1)
+        assert [r.block_orders for r in centred.refinements] == [(7, 6), (3, 2), (4, 3)]
+        assert {r.form for r in centred.refinements} == {"parity"}
+        coupled = convergence_study(REAL_PATH_CASES["imaginary-coefficients"],
                                     [2, 3], 6, 1)
         assert [r.block_orders for r in coupled.refinements] == [(13,), (5,), (7,)]
+        assert {r.form for r in coupled.refinements} == {"time-reversal"}
 
     def test_reference_must_dominate(self):
         with pytest.raises(InvalidParameterError):
@@ -352,9 +367,9 @@ def dense_operator(H, count):
     i, j = np.nonzero(H - np.diag(np.diag(H)))
     index = np.full(3 * 2 ** n + 1, n)
     index[at] = np.arange(n)
-    return _Operator(lambda: [H], lambda q: q, lambda r: r, np.diag(H).copy(),
+    return _Operator(lambda: [H], _Rotation("complex"), np.diag(H).copy(),
                      partial(Gather, H[i, j].astype(complex), index, at, at[i] - at[j]),
-                     "complex", np.arange(n)[:, None], count)
+                     np.arange(n)[:, None], count)
 
 
 def dense_table(H):
@@ -388,7 +403,7 @@ class TestPilotReference:
         ops = {}
 
         def solve(_, cutoff, reference):
-            ops[cutoff] = operator_1d(V, cutoff, 9 if reference else 1)
+            ops[cutoff] = fiber_1d(V, cutoff, 9 if reference else 1)
             return ops[cutoff]
 
         (hi, lo), record = _reference(solve, None, SPECTRAL_CUTOFFS, SPECTRAL_REFERENCE,
@@ -404,21 +419,24 @@ class TestPilotReference:
     def test_no_reference_block_is_assembled_solved_or_factored(self, monkeypatch):
         orders = []
 
-        def spy(name, module, function):
-            def spied(a, *args, **kwargs):
-                orders.append((name, len(a)))
-                return function(a, *args, **kwargs)
+        def spy(name, module, function, sized=0):
+            def spied(*args, **kwargs):
+                orders.append((name, len(args[sized])))
+                return function(*args, **kwargs)
             monkeypatch.setattr(module, name, spied)
 
-        spy("real_blocks", eigen, eigen.real_blocks)
+        spy("_differences", bloch, bloch._differences, sized=1)  # the rows
         spy("band_residual", eigen, eigen.band_residual)
         spy("eigh", scipy.linalg, scipy.linalg.eigh)
         spy("lu_factor", scipy.linalg, scipy.linalg.lu_factor)
         table = convergence_study(spectral_potential(1.3), SPECTRAL_CUTOFFS,
                                   SPECTRAL_REFERENCE, 1)
         assert table.refinements[0].tried == (40, 80)
-        # real_blocks sees the coefficient column of order 2N + 1
-        assert max(n for name, n in orders if name == "real_blocks") == 2 * 80 + 1
+        # the blocks are assembled on the N + 1 first planewaves of pairs,
+        # once per solved matrix (two gathers each): the five study cutoffs
+        # and the pilots at 40 and 80
+        gathers = [n for name, n in orders if name == "_differences"]
+        assert sorted(gathers) == sorted(2 * [n + 1 for n in (*SPECTRAL_CUTOFFS, 40, 80)])
         assert max(n for name, n in orders if name in ("eigh", "lu_factor")) == 82
         # the residuals at the reference's order are the accepted pilot's
         # two; the double check refused the pilot at 40 before any
@@ -436,7 +454,8 @@ class TestPilotReference:
             # the lowest of assemble_dense's, from the cosine and sine
             # blocks of the even V, rotated in mp arithmetic; the diagonal
             # holds the doubles t_0 + k^2
-            column = coefficient_column(V, cutoff).real.tolist()
+            dense = assemble_dense(V, cutoff).real
+            column = [dense[cutoff, cutoff]] + dense[1:, 0].tolist()
             a, n = [mp.mpf(v) for v in column], cutoff
             cos, sin = mp.matrix(n + 1), mp.matrix(n)
             for j in range(n + 1):
@@ -500,7 +519,7 @@ class TestPilotReference:
         # against the bound from the double-double residual at the shift
         # lambda, which it exceeds by no more than rounding
         V, cutoff = poisson_kernel(2.0, shift=2.0, cutoff=30), 8
-        op = operator_1d(V, cutoff, 1)
+        op = fiber_1d(V, cutoff, 1)
         res = solve_eig(V, cutoff, 1)
         rng = np.random.default_rng(4)
         x = res.eigenvectors[0].coeffs[:, None] * (1 + noise * rng.standard_normal((17, 1)))

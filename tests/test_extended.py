@@ -8,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stripwave.bloch import (FourierSeriesD, Lattice, _coupling, assemble_bloch, basis_set,
-                             gaussian_potential)
-from stripwave.eigen import operator_1d, solve_eig
+from stripwave.bloch import (FourierSeriesD, Lattice, _coupling, _fiber, assemble_bloch,
+                             basis_set, gaussian_potential, series1d_to_lattice)
+from stripwave.eigen import solve_eig
 from stripwave.extended import Band, band_residual, exact_lstsq, two_prod, two_sum
-from stripwave.galerkin import assemble_dense, coefficient_column
+from stripwave.galerkin import assemble_dense
 from stripwave.potentials import poisson_kernel, sine
 
 
@@ -52,12 +52,12 @@ CASES = {"even": EVEN, "coupled": EVEN + sine(0.5, 2)}
 def test_matches_the_loop_to_double_double(name, near_eigenvector):
     V, cutoff = CASES[name], 512
     res = solve_eig(V, cutoff, 2)
-    op = operator_1d(V, cutoff)
+    op = _fiber(series1d_to_lattice(V)[1], np.zeros(1), cutoff, 0)
     # the operator's band is trimmed to V's 120 modes
     coupling = op.coupling()
-    assert coupling.reach == 120
+    assert isinstance(coupling, Band) and coupling.reach == 120
     assert np.any(coupling.coef.imag) == (name == "coupled")
-    lower = coefficient_column(V, cutoff)[1:121]
+    lower = assemble_dense(V, cutoff)[1:121, 0]
     rng = np.random.default_rng(7)
     x_hi = np.column_stack([v.coeffs for v in res.eigenvectors])
     if not near_eigenvector:
@@ -74,6 +74,15 @@ def test_matches_the_loop_to_double_double(name, near_eigenvector):
         # the double-double sums
         assert np.max(np.abs(want)) < 1e-12 * np.max(scale)
     assert np.all(np.abs(got - want) <= 2.0**-100 * scale + 2.0**-52 * np.abs(want))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_blocks_follow_the_inversion_center(name):
+    # the even V splits into its cosine and sine blocks; with sin 2x added
+    # it has no inversion center and stays one block of order 2N + 1
+    op = _fiber(series1d_to_lattice(CASES[name])[1], np.zeros(1), 40, 1)
+    assert [len(block) for block in op.build()] == ([41, 40] if name == "even" else [81])
+    assert op.rotation.form == ("parity" if name == "even" else "time-reversal")
 
 
 def test_small_orders_and_zero_parts():
@@ -101,7 +110,8 @@ def test_double_product_is_the_off_diagonal_part(case):
     rng = np.random.default_rng(9)
     if case == "band":
         V, n = poisson_kernel(1.3, mu=1.0, shift=2.0, cutoff=40) + sine(0.5, 2), 30
-        H, coupling = assemble_dense(V, n), operator_1d(V, n).coupling()
+        lattice, embedded = series1d_to_lattice(V)
+        H, coupling = assemble_dense(V, n), _coupling(embedded, basis_set(lattice, [0.0], n))
     else:
         lattice = Lattice(2.0 * np.pi * np.eye(2))
         V = gaussian_potential(lattice, [[0.1, -0.2]], [0.6], [-1.5], 6.0)

@@ -1,4 +1,5 @@
-"""Tests for the Galerkin matrix assembly: complex Toeplitz and real blocks."""
+"""Tests for the Galerkin matrix assembly: the complex Toeplitz reference,
+and the real blocks of the 1D fiber that the solvers build from it."""
 
 import math
 import warnings
@@ -6,13 +7,16 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
+from stripwave.bloch import _fiber, series1d_to_lattice
 from stripwave.errors import PreconditionError
 from stripwave.fourier import SQRT_2PI, FourierSeries1D
-from stripwave.galerkin import assemble_dense, coefficient_column, real_blocks
+from stripwave.galerkin import assemble_dense
 from stripwave.potentials import (constant, cosine, gaussian_bump, mathieu,
                                   poisson_kernel, sine)
 
+# V with an inversion center: even about 0, or about its center
 EVEN = {
     "poisson-kernel": poisson_kernel(2.0, shift=2.0, cutoff=30),
     "cosine": cosine(mean=3.0),
@@ -23,8 +27,14 @@ EVEN = {
 }
 ODD = {
     "off-centre-gaussian": gaussian_bump(1.0, 0.5, 0.7, 20),
+    # no inversion center: one coupled block
     "imaginary-coefficients": cosine(mean=3.0) + sine(0.5, 2),
 }
+
+
+def fiber_1d(V, cutoff):
+    """The operator the 1D solvers build: V's fiber at k = 0 on 2*pi*Z."""
+    return _fiber(series1d_to_lattice(V)[1], np.zeros(1), cutoff, 0)
 
 
 def toeplitz_reference(V, cutoff):
@@ -63,27 +73,36 @@ def test_assembly_is_bit_identical_to_scipy_toeplitz(name, cutoff):
 
 @pytest.mark.parametrize("cutoff", [0, 1, 5, 40])
 def test_coefficient_column_is_first_column(cutoff):
+    # the fiber's band holds assemble_dense's first column below the
+    # diagonal, and its diagonal is assemble_dense's, bit for bit
     V = ODD["imaginary-coefficients"]
-    column = coefficient_column(V, cutoff)
-    dense = assemble_dense(V, cutoff)
-    assert column[1:].tobytes() == dense[1:, 0].tobytes()
-    assert column[0] + cutoff**2 == dense[0, 0]
+    op, dense = fiber_1d(V, cutoff), assemble_dense(V, cutoff)
+    band = op.offdiag
+    column = np.zeros(2 * cutoff, dtype=complex)
+    column[:band.reach] = band.coef[:band.reach][::-1]
+    assert column.tobytes() == dense[1:, 0].tobytes()
+    assert op.diag.tobytes() == dense.diagonal().real.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted({**EVEN, **ODD}))
 @pytest.mark.parametrize("cutoff", [0, 1, 3, 12])
 def test_real_blocks_are_the_rotated_matrix(name, cutoff):
     V = {**EVEN, **ODD}[name]
-    blocks = real_blocks(coefficient_column(V, cutoff))
+    op = fiber_1d(V, cutoff)
+    blocks = op.build()
     for block in blocks:
         assert block.dtype == np.float64
         assert np.array_equal(block, block.T)
-    if name in EVEN:
+    if name != "imaginary-coefficients":
         assert [len(b) for b in blocks] == ([cutoff + 1, cutoff] if cutoff
                                             else [1])
     else:
         assert [len(b) for b in blocks] == [2 * cutoff + 1]
-    w = rotation(cutoff)
+    # the even V's blocks are in the basis [phi_0, c_1..c_N, s_1..s_N]; the
+    # off-centre one's in that basis about its center
+    w = op.rotation.to_modes(np.eye(2 * cutoff + 1))
+    if name in EVEN:
+        assert np.array_equal(w, rotation(cutoff))
     H = assemble_dense(V, cutoff)
     rotated = np.conj(w.T) @ H @ w
     scale = 1.0 + np.max(np.abs(H))
@@ -92,14 +111,36 @@ def test_real_blocks_are_the_rotated_matrix(name, cutoff):
                                rtol=0, atol=4e-15 * scale)
 
 
-def test_odd_part_beyond_the_matrix_is_even():
-    # sin(5x) has no coefficient inside |k - k'| <= 2 for cutoff 1
-    V = cosine(mean=3.0) + sine(0.5, 5)
-    assert [len(b) for b in real_blocks(coefficient_column(V, 1))] == [2, 1]
-    assert [len(b) for b in real_blocks(coefficient_column(V, 3))] == [7]
+def cosine_sine_reference(V, cutoff):
+    """The cosine block [phi_0, c_1..c_N] and the sine block [s_1..s_N] of
+    an even V as the 1D real-block assembly built them: strided Toeplitz
+    a_{k-j} and Hankel a_{k+j} views of assemble_dense's first column t_d
+    = a_d, each diagonal summed as (a_0 + a_2k) + k^2."""
+    n = cutoff
+    a = assemble_dense(V, n)[:, 0].real.copy()
+    a[0] = assemble_dense(V, n)[n, n].real  # t_0, without the k^2 of row -N
+    toeplitz = sliding_window_view(np.concatenate((a[n:0:-1], a[:n + 1])), n + 1)[:, ::-1]
+    hankel = sliding_window_view(a, n + 1)
+    square = np.arange(n + 1) ** 2.0
+    cos = toeplitz + hankel
+    cos.flat[::n + 2] += square
+    cos[0, 0] = a[0]
+    cos[0, 1:] = cos[1:, 0] = math.sqrt(2.0) * a[1:n + 1]
+    sin = toeplitz[1:, 1:] - hankel[1:, 1:]
+    sin.flat[::n + 1] += square[1:]
+    return [cos, sin] if n else [cos]
 
 
-@pytest.mark.parametrize("build", [assemble_dense, coefficient_column])
+@pytest.mark.parametrize("name", sorted(EVEN))
+@pytest.mark.parametrize("cutoff", [0, 1, 3, 12, 40])
+def test_parity_blocks_are_the_cosine_and_sine_blocks_bit_for_bit(name, cutoff):
+    got = fiber_1d(EVEN[name], cutoff).build()
+    want = cosine_sine_reference(EVEN[name], cutoff)
+    assert [block.tobytes() for block in got] == [block.tobytes() for block in want]
+    assert all(block.flags.c_contiguous for block in got)
+
+
+@pytest.mark.parametrize("build", [assemble_dense, fiber_1d])
 def test_overflowing_coefficients_are_rejected(build):
     # real-valued, but V_0 + conj(V_0) overflows in the symmetrization
     V = FourierSeries1D(2, np.array([0.0, 1.0, 1e308, 1.0, 0.0]))

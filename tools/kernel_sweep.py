@@ -25,7 +25,8 @@ pass its 1e-12 backward-error premise only on some kernels), the blow-up tests
 128, with `test_trajectory_samples`: the vectorized comparison column
 against the scalar `comparison_solution`, bit for bit), the Bloch
 tests (`tests/test_bloch.py`: the real and complex fibers on the same
-refinement and its 50-digit checks, with `test_complex_fiber_from_a_pilot`
+refinement and its 50-digit checks, the parity split's zone errors against
+the one inversion block's at Gamma, X and M, with `test_complex_fiber_from_a_pilot`
 and the pilot cases of `test_1d_at_k0_is_the_1d_study`, whose zone errors
 equal the 1D study's bit for bit) and acceptance
 criterion 10 (`tests/test_acceptance.py -k criterion_10`: the lattice
