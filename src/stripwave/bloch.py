@@ -47,8 +47,7 @@ from .extended import Band, Gather
 from .fourier import FourierSeries1D
 from .galerkin import SQRT2, rayleigh_polish
 
-# Relative size below which a symmetry counts as exact: 2k off the
-# reciprocal lattice, or an imaginary part of V about an inversion center.
+# Relative size below which 2k off the reciprocal lattice counts as zero.
 _ROUNDING = 2.0**-40
 
 
@@ -80,10 +79,14 @@ class Lattice:
     def unit_cell_volume(self) -> float:
         return float(abs(np.linalg.det(self.basis)))
 
+    @cached_property
+    def _reciprocal(self) -> Lattice:
+        return Lattice(2.0 * np.pi * np.linalg.inv(self.basis).T)
+
 
 def reciprocal(lattice: Lattice) -> Lattice:
     """Reciprocal lattice: rows b_n with a_m . b_n = 2*pi*delta_{mn}."""
-    return Lattice(2.0 * np.pi * np.linalg.inv(lattice.basis).T)
+    return lattice._reciprocal
 
 
 def basis_box(lattice: Lattice, reach: float) -> list[int]:
@@ -169,10 +172,16 @@ class FourierSeriesD:
 
     @cached_property
     def hermitian(self) -> np.ndarray:
-        """(c_G + conj c_{-G}) / 2: both triangles of a fiber hold these;
-        infinite where the sum overflows, which _fiber refuses."""
+        """(c_G + conj c_{-G}) / 2, which both triangles of a fiber hold, so
+        a V real to 1e-10 of 1 + max |c| passes, as in assemble_dense;
+        checked once per V: PreconditionError for any other V or overflow."""
+        if not self.is_real_valued(1e-10):
+            raise PreconditionError("potential must be real-valued")
         with np.errstate(over="ignore", invalid="ignore"):
-            return 0.5 * (self.dense + np.conj(np.flip(self.dense)))
+            hermitian = 0.5 * (self.dense + np.conj(np.flip(self.dense)))
+        if not np.all(np.isfinite(hermitian)):
+            raise PreconditionError("potential coefficients overflow when symmetrized")
+        return hermitian
 
     def coefficient(self, key) -> complex:
         idx = tuple(int(i) + self.reach for i in key)
@@ -183,12 +192,13 @@ class FourierSeriesD:
     def _about(self, t: np.ndarray):
         """Re(V_D exp(i D . t)) on the box, made exactly even: V's
         coefficients about the point c with b_n . c = t_n for the
-        reciprocal basis vectors b_n, when each is real to _ROUNDING of
-        the largest, so that c is an inversion center of the real V;
-        None otherwise."""
+        reciprocal basis vectors b_n, when each is real to 2^-46 (64 ulps)
+        of the largest, so that c is an inversion center of the real V;
+        None otherwise.  The phases exp(-i G . c) of a center some cells
+        out leave about 30 ulps."""
         offsets = [axis - self.reach for axis in np.indices(self.dense.shape)]
         about = self.hermitian * np.exp(1j * sum(tn * dn for tn, dn in zip(t, offsets)))
-        tol = _ROUNDING * float(np.abs(self.hermitian).max(initial=0.0))
+        tol = 2.0**-46 * float(np.abs(self.hermitian).max(initial=0.0))
         if np.any(np.abs(about.imag) > tol):
             return None
         return 0.5 * (about.real + np.flip(about.real))
@@ -263,8 +273,6 @@ def _diagonal(V: FourierSeriesD, basis: PlanewaveBasis) -> np.ndarray:
 
 def assemble_bloch(V: FourierSeriesD, basis: PlanewaveBasis) -> np.ndarray:
     """Hermitian fiber |G+k|^2 delta + V_{G-G'}/sqrt(|cell|), V as V.hermitian."""
-    if not V.is_real_valued():
-        raise PreconditionError("potential must be real-valued")
     H = _differences(V.hermitian, basis.int_coords, basis.int_coords)
     H *= 1.0 / math.sqrt(basis.lattice.unit_cell_volume)
     H[np.tri(len(H), k=-1, dtype=bool)] = 0.0
@@ -385,7 +393,7 @@ def _time_reversal(V: FourierSeriesD, basis: PlanewaveBasis, diag: np.ndarray):
     m_i - m_j, the cosine and sine columns couple by Re v_D + Re v_S,
     Re v_D - Re v_S and Im v_S - Im v_D (times sqrt(2) from the
     self-paired column); a pair's two diagonal entries share the
-    planewave's |G + k|^2 + v_0.  At d = 1 the block is in _Outward's order."""
+    planewave's |G + k|^2 + v_0.  At d = 1 in _Outward's order: parts reversed."""
     pairing = _pairing(basis)
     if pairing is None:
         return None
@@ -407,11 +415,9 @@ def _time_reversal(V: FourierSeriesD, basis: PlanewaveBasis, diag: np.ndarray):
             cos[p, :p] = cos[:p, p] = SQRT2 * v_d.real[p, :p]
             cos[p, p] = diag[p]
             mixed[p] = -SQRT2 * v_d.imag[p, :p]
-        block = np.block([[cos, mixed], [mixed.T, sin]])
-        if graded:
-            outward = np.r_[p:n - p, p - 1:-1:-1, n - 1:n - p - 1:-1]
-            block = block[np.ix_(outward, outward)]
-        return [block]
+        if graded:  # views: np.block copies them once
+            cos, sin, mixed = cos[::-1, ::-1], sin[::-1, ::-1], mixed[::-1, ::-1]
+        return [np.block([[cos, mixed], [mixed.T, sin]])]
     return build, (_Outward if graded else _Rotation)("time-reversal", pairs=p)
 
 
@@ -558,10 +564,6 @@ def _fiber(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands: int) -> _Op
         raise InvalidParameterError(
             f"basis at k = {k.tolist()}, cutoff {cutoff} has only {basis.dimension} "
             f"planewaves; cannot produce {n_bands} bands")
-    if not V.is_real_valued():
-        raise PreconditionError("potential must be real-valued")
-    if not np.all(np.isfinite(V.hermitian)):
-        raise PreconditionError("potential coefficients overflow when symmetrized")
     diag = _diagonal(V, basis)
     return _Operator(*_form(V, basis, diag), diag, partial(_coupling, V, basis),
                      basis.int_coords, n_bands)

@@ -443,6 +443,32 @@ class TestPilotReference:
         assert [n for name, n in orders if name == "band_residual" and n == 1025] == \
             [1025] * (table.refinements[0].steps + 1)
 
+    @pytest.mark.parametrize("study", ["pilot", "full", "bloch"])
+    def test_no_blocks_outlive_the_study(self, monkeypatch, study):
+        # each operator drops its blocks after its factorization, or when
+        # its pilot is refused: none is kept alive by the study
+        built = []
+
+        def recorded(*args):
+            built.append(_fiber(*args))
+            return built[-1]
+
+        monkeypatch.setattr(eigen, "_fiber", recorded)
+        if study == "pilot":  # the pilot at 40 refused, the one at 80 accepted
+            record = convergence_study(spectral_potential(1.3), SPECTRAL_CUTOFFS,
+                                       SPECTRAL_REFERENCE, 1).refinements[0]
+            assert record.tried == (40, 80) and record.source == 80
+        elif study == "full":  # both pilots refused: the reference is refined
+            V = poisson_kernel(1.02, mu=1.0, shift=2.0, cutoff=120)
+            record = convergence_study(V, [4, 8], 64, 1).refinements[0]
+            assert record.tried == (16, 32, 64) and record.source == 64
+        else:
+            lattice = bloch.Lattice(2.0 * np.pi * np.eye(2))
+            V = bloch.gaussian_potential(lattice, [[0.1, -0.2]], [0.6], [-1.5], 6.0)
+            eigen.bz_convergence(V, [[0.0, 0.0], [0.2, 0.1]], [1.5, 2.0], 8.0, 1)
+        assert sum("solved" in vars(op) for op in built) > 3
+        assert [op for op in built if "blocks" in vars(op)] == []
+
     def test_matches_60_digit_eigenvalues(self):
         V = poisson_kernel(10.0, cutoff=40)
         table = convergence_study(V, [2, 3, 4], 32, 1)

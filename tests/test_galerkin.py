@@ -29,7 +29,10 @@ ODD = {
     "off-centre-gaussian": gaussian_bump(1.0, 0.5, 0.7, 20),
     # no inversion center: one coupled block
     "imaginary-coefficients": cosine(mean=3.0) + sine(0.5, 2),
+    # an odd part far below the coefficients but far above their rounding
+    "faint-odd-part": cosine(mean=3.0) + sine(1e-12, 2),
 }
+NO_CENTER = {"imaginary-coefficients", "faint-odd-part"}
 
 
 def fiber_1d(V, cutoff):
@@ -93,7 +96,7 @@ def test_real_blocks_are_the_rotated_matrix(name, cutoff):
     for block in blocks:
         assert block.dtype == np.float64
         assert np.array_equal(block, block.T)
-    if name != "imaginary-coefficients":
+    if name not in NO_CENTER:
         assert [len(b) for b in blocks] == ([cutoff + 1, cutoff] if cutoff
                                             else [1])
     else:
@@ -147,4 +150,18 @@ def test_overflowing_coefficients_are_rejected(build):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PreconditionError, match="overflow"):
+            build(V, 3)
+
+
+@pytest.mark.parametrize("build", [assemble_dense, fiber_1d])
+@pytest.mark.parametrize("defect", [5e-11, 5e-10])
+def test_both_builds_take_the_same_realness_tolerance(build, defect):
+    # V_1 - conj(V_-1) = 4 * defect against 1 + max |V_k| = 4: conjugate
+    # symmetric to within 1e-10 of that scale counts as real, since both
+    # builds hold the symmetrized coefficients
+    V = FourierSeries1D(1, np.array([1.0, 3.0, 1.0 + 4 * defect]))
+    if defect < 1e-10:
+        build(V, 3)
+    else:
+        with pytest.raises(PreconditionError, match="real-valued"):
             build(V, 3)

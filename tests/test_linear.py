@@ -54,11 +54,12 @@ def exact_residual_norm(V, f, u):
             return root
 
 
-# real potentials with V >= 1: even (a cosine and a sine block) and
-# off-centre (the two blocks about its center); a real and a
-# complex-valued source
+# real potentials with V >= 1: even (a cosine and a sine block),
+# off-centre (the two blocks about its center) and with no center (one
+# coupled block); a real and a complex-valued source
 POTENTIALS = {"even": cosine(mean=2.0),
-              "off-centre": constant(1.0) + gaussian_bump(center=1.0)}
+              "off-centre": constant(1.0) + gaussian_bump(center=1.0),
+              "no-center": cosine(mean=3.0) + sine(0.5, 2)}
 RNG = np.random.default_rng(5)
 SOURCES = {"real": sine(),
            "complex": FourierSeries1D(3, RNG.standard_normal(7)
@@ -88,6 +89,8 @@ class TestRealBlocks:
         monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
         solve_linear(POTENTIALS[potential], SOURCES["complex"], cutoff)
         orders = [cutoff + 1, cutoff] if cutoff else [1]
+        if potential == "no-center":
+            orders = [2 * cutoff + 1]
         assert factored == [(np.dtype(float), (n, n)) for n in orders]
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
