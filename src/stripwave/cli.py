@@ -32,7 +32,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .blowup import blowup_report, trajectory_diagnostics, trajectory_samples
+from .blowup import (THRESHOLD, Y_MAX, blowup_report, resolvable_threshold,
+                     trajectory_diagnostics, trajectory_samples)
 from .bloch import (FourierSeriesD, Lattice, band_structure, basis_box,
                     bz_sample_grid, gaussian_potential, series1d_to_lattice)
 from .cubic import estimate_solution_strip, solve_gp
@@ -410,6 +411,14 @@ def _run_blowup(cfg: dict, out):
                     eta=lambda e: e > 0, N=lambda n: n >= 16,
                     rtol=lambda r: r >= 1e-13, threshold=lambda t: t > 1,
                     y_max=lambda y: y > 0, tol=lambda t: t > 0)
+    # psi meets the threshold sqrt(2 eps)/threshold before its pole, which
+    # double steps must resolve; the bound also holds for the default
+    limit = resolvable_threshold(cfg["epsilon"], Y_MAX if cfg["y_max"] is None
+                                 else cfg["y_max"])
+    threshold = THRESHOLD if cfg["threshold"] is None else cfg["threshold"]
+    if threshold > limit:
+        raise ConfigError(f"'threshold' = {threshold!r} is above {limit!r}, the largest "
+                          "|psi| resolvable before the pole", location="config.threshold")
     _guard(cfg, "N", _dense(lambda n: -(-n // 2), 8))  # the Newton Jacobian
     gp = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], **_given(cfg, "tol"))
     report = blowup_report(cfg["epsilon"], cfg["mu"], cfg["eta"],

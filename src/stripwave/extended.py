@@ -11,6 +11,14 @@ Consumers: the correctly rounded L2 norm, the residuals of `eigen` and `linear`
 on a Bloch fiber's offsets (the Toeplitz band, Band, at d = 1; Gather above),
 and the exact fits.  Band and Gather also multiply in plain double, for the
 quick check of a pilot in `eigen`.
+
+A residual is computed only on the rows its live rows (where x or the rhs is
+nonzero) reach through the coupling: a band reaches `reach` rows either side
+of them, so a pilot's vector padded into a larger reference costs its own
+rows and their neighbours, not the reference's order.  Every other row is an
+exact zero.  The computed rows round exactly as in the full order: the
+products are the same exact sums, and the cascade keeps the full order's
+block size.
 """
 
 from __future__ import annotations
@@ -116,15 +124,31 @@ def band_residual(diag: np.ndarray, coupling, shift_hi: np.ndarray,
     """(H - shift) x - rhs, column by column, for the Hermitian H with real diagonal
     `diag` and off-diagonal part `coupling`, the (n, m) complex double-double x = x_hi
     + x_lo, one real double-double shift per column and an optional (n, m) rhs: exact
-    products added largest first by two_sum cascades (Ogita, Rump & Oishi's Sum2)."""
-    xh, xl, rhs = (None if z is None else np.ascontiguousarray(z, complex).view(float)
-                   .reshape(z.shape + (2,)) for z in (x_hi, x_lo, rhs))
-    d_hi, d_lo = two_sum(diag[:, None, None], -shift_hi[:, None])  # diag - shift_hi, exactly
+    products added largest first by two_sum cascades (Ogita, Rump & Oishi's Sum2).
+
+    Only the rows that the live rows (x or rhs nonzero, in any column) reach through
+    the coupling are computed; the others are exact zeros.  The cascade adds blocks
+    of the full order's size, so each computed row rounds as it would in the full
+    order."""
+    out = np.zeros(x_hi.shape, dtype=complex)
+    live = x_hi.any(axis=1) | x_lo.any(axis=1)
+    if rhs is not None:
+        live |= rhs.any(axis=1)
+    live = np.flatnonzero(live)
+    if not len(live):
+        return out
+    rows = coupling.reached(int(live[0]), int(live[-1]))
+    step = max(1, _BUDGET // (2 * x_hi.size))  # the full order's block
+    xh, xl, rhs = (None if z is None else  # as (rows, m, 2) real pairs
+                   np.ascontiguousarray(z[rows, :, None], complex).view(float)
+                   for z in (x_hi, x_lo, rhs))
+    # diag - shift_hi, exactly
+    d_hi, d_lo = two_sum(diag[rows, None, None], -shift_hi[:, None])
     acc, err = two_prod(d_hi, xh)
     err += d_hi * xl + (d_lo - shift_lo[:, None]) * xh
     acc, t = (acc, 0.0) if rhs is None else two_sum(acc, -rhs)
     err += t
-    terms, step = coupling.terms(*two_sum(xh, xl)), max(1, _BUDGET // acc.size)
+    terms = coupling.terms(*two_sum(xh, xl))
     for first in range(0, len(terms), step):  # a block of terms at a time
         block = np.concatenate((acc[None], terms[first:first + step]))
         partial = np.cumsum(block, axis=0)
@@ -133,7 +157,8 @@ def band_residual(diag: np.ndarray, coupling, shift_hi: np.ndarray,
         np.subtract(partial[:-1], np.subtract(partial[1:], bb, out=bb), out=bb)
         bb += block[1:]
         acc, err = partial[-1], err + bb.sum(axis=0)
-    return (acc + err).view(complex)[..., 0]
+    out[rows] = (acc + err).view(complex)[..., 0]
+    return out
 
 
 def _digits(v: np.ndarray, lo: np.ndarray, bits: int):
@@ -176,6 +201,10 @@ class Coupling:
         digits = digits.reshape(len(digits), 2, len(coef))
         self.parts = [p for p in (0, 1) if digits[:, p].any()]
         self.slices = digits[:, self.parts]
+
+    def reached(self, first: int, last: int) -> slice:
+        """The rows that x on rows first..last can reach: all of them here."""
+        return slice(0, self.n)
 
     def terms(self, x_hi: np.ndarray, x_lo: np.ndarray):
         """H x for the real double-double (n, m, 2) x = x_hi + x_lo, |x_lo| <=
@@ -222,11 +251,18 @@ class Band(Coupling):
         self.reach = len(band := lower[:n - 1])
         super().__init__(np.concatenate((band[::-1], [0.0], np.conj(band))), n)
 
+    def reached(self, first: int, last: int) -> slice:
+        """Rows first..last and `reach` rows either side, within the order."""
+        return slice(max(0, first - self.reach), min(self.n, last + 1 + self.reach))
+
     def shifted(self, sources: np.ndarray):
-        """Copies of windows of one zero-padded copy, a window per offset."""
-        padded = np.zeros((len(sources), self.n + len(self.coef) - 1))
-        padded[:, self.reach:self.reach + self.n] = sources
-        windows = np.ndarray((len(sources), len(self.coef), self.n), buffer=padded,
+        """Copies of windows of one zero-padded copy, a window per offset.  The
+        sources may be any run of rows reached() returned: the band is the same
+        Toeplitz band on it, and x is zero beyond it."""
+        n = sources.shape[1]
+        padded = np.zeros((len(sources), n + len(self.coef) - 1))
+        padded[:, self.reach:self.reach + n] = sources
+        windows = np.ndarray((len(sources), len(self.coef), n), buffer=padded,
                              strides=(padded.strides[0],) + padded.strides[1:] * 2)
         return lambda rows: lambda cols: windows[cols, rows].copy()
 

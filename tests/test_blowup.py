@@ -8,12 +8,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from stripwave.blowup import (OdeTrajectory, axis_decoupling_check,
+from stripwave.blowup import (MIN_STEP, OdeTrajectory, axis_decoupling_check,
                               blowup_report, comparison_blowup_time,
                               comparison_solution, energy_drift_check,
                               integrate_comparison, integrate_psi,
-                              locate_crossings, trajectory_samples,
-                              verify_lower_bound)
+                              locate_crossings, resolvable_threshold,
+                              trajectory_samples, verify_lower_bound)
 from stripwave.cubic import branch_point_height, solve_gp
 from stripwave.errors import (InvalidParameterError, NoCrossingError,
                               PreconditionError)
@@ -101,6 +101,20 @@ class TestIntegratePsi:
             integrate_psi(-1.0, 0.5, 0.4, y_max=1.0)
         with pytest.raises(InvalidParameterError):
             integrate_psi(0.1, 0.5, 0.4, y_max=1.0, rtol=1e-14)
+
+    @pytest.mark.parametrize("y_max", [10.0, 100.0])
+    def test_largest_resolvable_threshold(self, gp_slope, y_max):
+        # the bound is met without step underflow, and its crossing lies
+        # four of the smallest steps before the pole; above it, the
+        # parameter is refused before any step
+        limit = resolvable_threshold(EPS, y_max)
+        assert limit == math.sqrt(2 * EPS) / (4 * max(MIN_STEP, math.ulp(y_max)))
+        traj = integrate_psi(EPS, MU, gp_slope, y_max=y_max, threshold=limit)
+        assert traj.pole_estimate - traj.blowup_time == pytest.approx(
+            4 * max(MIN_STEP, math.ulp(y_max)), rel=0.05)
+        with pytest.raises(InvalidParameterError, match="resolvable"):
+            integrate_psi(EPS, MU, gp_slope, y_max=y_max,
+                          threshold=math.nextafter(limit, math.inf))
 
 
 Y_SWITCH = 1.3  # psi ~ 1.2 there; the pole of psi is near 1.75

@@ -343,6 +343,25 @@ def test_out_of_range_optional_key_exits_2(tmp_path, capsys, experiment, key):
     assert err["location"] == f"config.{key}"
 
 
+@pytest.mark.parametrize("threshold, y_max, code", [
+    (1e13, None, 0), (1e14, None, 2), (1e300, None, 2),
+    # y_max = 100: one ulp of y (1.4e-14) outgrows MIN_STEP, so 1e13 is refused
+    (1e13, 100.0, 2), (5e12, 100.0, 0),
+])
+def test_blowup_threshold_within_the_resolvable_bound(tmp_path, capsys, threshold,
+                                                      y_max, code):
+    # psi reaches 1e14 only sqrt(2 eps)/1e14 = 4.5e-15 before its pole at
+    # eps = 0.1: below the smallest step, so such a run used to end in a
+    # StiffnessError (exit 3)
+    cfg = {"epsilon": 0.1, "mu": 0.5, "eta": 0.5, "N": 64, "threshold": threshold}
+    if y_max is not None:
+        cfg["y_max"] = y_max
+    assert run_cli(tmp_path, "blowup", cfg)[0] == code
+    if code == 2:
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["location"] == "config.threshold"
+
+
 def test_blowup_report_content(tmp_path):
     _, out_dir = run_cli(tmp_path, "blowup", CONFIGS["blowup"])
     report = json.loads((out_dir / "report.json").read_text())

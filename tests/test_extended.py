@@ -1,6 +1,7 @@
 """Tests for the double-double band residual of the eigenvalue refinement
 and the linear solve, and for the exact least-squares fit."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -11,7 +12,8 @@ import pytest
 from stripwave.bloch import (FourierSeriesD, Lattice, _coupling, _fiber, assemble_bloch,
                              basis_set, gaussian_potential, series1d_to_lattice)
 from stripwave.eigen import solve_eig
-from stripwave.extended import Band, band_residual, exact_lstsq, two_prod, two_sum
+from stripwave.extended import (Band, band_residual, dd_add, exact_lstsq, two_prod,
+                                two_sum)
 from stripwave.galerkin import assemble_dense
 from stripwave.potentials import poisson_kernel, sine
 
@@ -286,13 +288,29 @@ CASES_WIDE = {
 }
 
 
+def sparse(x_hi, x_lo):
+    """The sources on the middle third of the rows only, with a gap of two
+    zero rows inside: a band of reach 12 on 40 rows then leaves a row
+    unreached at either end."""
+    n = len(x_hi)
+    keep = np.zeros(n, dtype=bool)
+    keep[n // 3:2 * n // 3] = True
+    keep[n // 2:n // 2 + 2] = False
+    return x_hi * keep[:, None], x_lo * keep[:, None]
+
+
+CASES_WIDE.update({f"{name}-sparse": CASES_WIDE[name] for name in ("band", "cube")})
+
+
 @pytest.mark.parametrize("name", sorted(CASES_WIDE))
 def test_sliced_products_are_exact(name):
     make, lowest = CASES_WIDE[name]
-    rng = np.random.default_rng(sorted(CASES_WIDE).index(name))
+    rng = np.random.default_rng(list(CASES_WIDE).index(name))
     coupling = make(rng, 40)
     n = coupling.n
     x_hi, x_lo = wide_sources(rng, n, lowest)
+    if name.endswith("-sparse"):
+        x_hi, x_lo = sparse(x_hi, x_lo)
     exact = exact_coupling(coupling, x_hi, x_lo)
     # the terms add up to H x exactly
     xh, xl = (np.ascontiguousarray(x).view(float).reshape(n, 3, 2) for x in (x_hi, x_lo))
@@ -307,6 +325,140 @@ def test_sliced_products_are_exact(name):
             err = abs(integer((value.real, value.imag)[part]) * 2**SCALE - want[part])
             assert err <= abs(integer((old.real, old.imag)[part]) * 2**SCALE - want[part])
     assert not np.any(got[:, 1])
+
+
+def snapped(v, bits):
+    """v on the grid of 2**-bits of its largest part: what LAPACK returns on
+    any kernel lands on the same doubles."""
+    grid = np.frexp(max(np.abs(v.real).max(), np.abs(v.imag).max()))[1] - bits
+
+    def part(w):
+        return np.ldexp(np.round(np.ldexp(w, -grid)), grid)
+    return part(v.real) + 1j * part(v.imag) if np.iscomplexobj(v) else part(v)
+
+
+def eliminated(a, b):
+    """a^-1 b by Gaussian elimination with partial pivoting, in elementwise
+    numpy only: the same bits on every BLAS kernel."""
+    a, b = a.copy(), b.copy()
+    for k in range(len(a)):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        a[[k, p]], b[[k, p]] = a[[p, k]], b[[p, k]]
+        factor = a[k + 1:, k:k + 1] / a[k, k]
+        a[k + 1:, k:] -= factor * a[k, k:]
+        b[k + 1:] -= factor * b[k]
+    for k in range(len(a) - 1, -1, -1):
+        b[k] = (b[k] - (a[k, k + 1:, None] * b[k + 1:]).sum(axis=0)) / a[k, k]
+    return b
+
+
+def pilot_columns():
+    """The spectral-1d pilot case: eigenpair 1 of the cutoff-80 pilot of EVEN,
+    zero-padded into the order-1025 reference (rows 432 to 592), in double and
+    after one bordered Newton correction on the pilot's modes.  The pilot's
+    pair is snapped, every pilot row given a tail of 53 bits of its own, and one
+    correction makes it the double pair; the corrections are solved without
+    BLAS."""
+    pilot = solve_eig(EVEN, 80, 2)
+    tail = np.random.default_rng(80).uniform(-1.0, 1.0, (161, 2)) @ [[1.0], [1j]]
+    x = snapped(pilot.eigenvectors[1].coeffs[:, None], 24) \
+        + tail * 2.0 ** (-40 - np.abs(np.arange(-80, 81))[:, None])
+    op = _fiber(series1d_to_lattice(EVEN)[1], np.zeros(1), 512, 0)
+    coupling, dense, rows = op.coupling(), assemble_dense(EVEN, 80), slice(432, 593)
+
+    def padded(v):
+        out = np.zeros((1025, 1), dtype=complex)
+        out[rows] = v
+        return out
+
+    def corrected(x_hi, x_lo, lam_hi, lam_lo):
+        r = band_residual(op.diag, coupling, lam_hi, lam_lo, x_hi, x_lo)[rows]
+        bordered = np.block([[dense - lam_hi * np.eye(161), -x_hi[rows]],
+                             [np.conj(x_hi[rows].T), np.zeros((1, 1))]])
+        solution = eliminated(bordered, np.concatenate((r, [[0.0]])))
+        return (*dd_add(x_hi, x_lo, -padded(solution[:161])),
+                *dd_add(lam_hi, lam_lo, -solution[161].real))
+
+    zero = np.zeros((1025, 1)), np.zeros(1)
+    x_hi, _, lam_hi, _ = corrected(padded(x), zero[0], snapped(pilot.eigenvalues[1:], 30),
+                                   zero[1])
+    before = (op.diag, coupling, lam_hi, zero[1], x_hi, zero[0])
+    x_hi, x_lo, lam_hi, lam_lo = corrected(x_hi, zero[0], lam_hi, zero[1])
+    return before, (op.diag, coupling, lam_hi, lam_lo, x_hi, x_lo)
+
+
+def pinned_cases():
+    """Residual inputs: the pilot case, and on a band of reach 12 and order
+    300 sources and rhs on a few runs of rows; and one Gather."""
+    before, after = pilot_columns()
+    rng = np.random.default_rng(21)
+    band = band_coupling(rng, 300, False)
+    diag = rng.standard_normal(300) + np.arange(300.0) ** 2
+    shifts = np.array([3.5, -1.25]), np.array([1e-17, -2e-18])
+
+    def on(*runs):
+        """Two columns of sources, nonzero on rows a to b of one run each."""
+        x_hi, x_lo = wide_sources(rng, 300, -60)
+        keep = np.zeros((300, 2), dtype=bool)
+        for column, (a, b) in enumerate(runs):
+            keep[a:b + 1, column] = True
+        return x_hi[:, ::2] * keep, x_lo[:, ::2] * keep
+
+    cases = {"pilot-before": before, "pilot-after": after}
+    rhs = np.zeros((300, 2), dtype=complex)
+    rhs[40:61] = rng.standard_normal((21, 2)) + 1j * rng.standard_normal((21, 2))
+    cases["rhs"] = (diag, band, *shifts, *on((100, 150), (100, 150)), rhs)
+    cases["two-supports"] = (diag, band, *shifts, *on((50, 80), (200, 230)))
+    cases["first-row"] = (diag, band, *shifts, *on((0, 20), (3, 9)))
+    cases["last-row"] = (diag, band, *shifts, *on((280, 299), (290, 299)))
+    cases["zero"] = (diag, band, *shifts, np.zeros((300, 2), complex), np.zeros((300, 2)))
+    cube = cube_coupling(True)
+    x_hi, x_lo = wide_sources(rng, cube.n, -60)
+    cases["gather"] = (rng.standard_normal(cube.n), cube, *shifts, x_hi[:, ::2], x_lo[:, ::2])
+    return cases
+
+
+# sha256 of each residual's bytes, as the residual gave them when it summed
+# every row of the order
+PINNED = {
+    "pilot-before": "aa92ca9ad3c6c89fb61d9a5213a19579dfc1ebb70a03595c5cc4768d3c363765",
+    "pilot-after": "665427e6a519e5089ffed516320d1bee650bc5f905cc9c527d75035e801e74ba",
+    "rhs": "9bb296d28d695d0f27f91aaa9379ff931e47dce352d1ef0746b57963c3b8c395",
+    "two-supports": "3e3ab1139120ebf02698ae36fdd55fdb723060631262eb1aad2077bf1334485e",
+    "first-row": "5059a719941a41a7cf98c2b5cbf9798f3188aa66422f58e9fe4056e61c231b4b",
+    "last-row": "e248272c21c44d04463eacb53f3ecdb0e804443a0ab720d098695eb85b7d8970",
+    "zero": "e9a15a094703faaea3fdf53af7e04da21717008ab4bb228799712b2fced03c65",
+    "gather": "2cd3c568bf384c60330e13643e1eec019f82b8d4110df5862dae60cddf7f9067",
+}
+
+
+def test_terms_are_formed_on_the_reached_rows_only(monkeypatch):
+    # the pilot's 161 rows reach 401 of the reference's 1025; the terms are
+    # formed on those rows only, and a Gather forms them on all of its rows
+    seen = []
+    terms = Band.terms
+
+    def spied(self, x_hi, x_lo):
+        seen.append(len(x_hi))
+        return terms(self, x_hi, x_lo)
+
+    cases = pinned_cases()
+    monkeypatch.setattr(Band, "terms", spied)
+    band = cases["rhs"][1]
+    assert band.reach == 12 and band.reached(40, 150) == slice(28, 163)
+    assert band.reached(3, 9) == slice(0, 22) and band.reached(290, 299) == slice(278, 300)
+    assert cases["gather"][1].reached(5, 6) == slice(0, cases["gather"][1].n)
+    for name in ("pilot-before", "rhs", "zero", "first-row"):
+        band_residual(*cases[name])
+    assert seen == [401, 135, 33]
+
+
+def test_residual_bytes_are_pinned():
+    # the residual computes only the rows its live rows reach; those bytes
+    # and the exact zeros beyond them are the ones the full order gave
+    got = {name: hashlib.sha256(np.ascontiguousarray(band_residual(*args)).tobytes())
+           .hexdigest() for name, args in pinned_cases().items()}
+    assert got == PINNED
 
 
 def test_sums_at_their_bound():
