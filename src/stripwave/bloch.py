@@ -18,9 +18,11 @@ center c of V does so at every k, in the planewaves exp(-i G.c) e_G;
 time reversal does so at a k with 2k in the reciprocal lattice (such as
 Gamma, X and M), in the cosine and sine combinations of e_G and
 e_{-G-2k}.  Where both hold, the real fiber splits into an even and an
-odd block, at d = 1, k = 0 the classical cosine and sine blocks.  Any
-other fiber stays complex.  The refinement's diagonal and off-diagonal
-part stay those of the complex fiber.
+odd block, at d = 1, k = 0 the classical cosine and sine blocks.  One
+builder (_paired) forms both paired forms, in one order from the middle
+of the basis outward at every d.  Any other fiber stays complex.  The
+refinement's diagonal and off-diagonal part stay those of the complex
+fiber.
 
 A potential stores its coefficients as one dense complex array on the
 symmetric integer box [-reach, reach]^d.  The fiber matrix takes all of
@@ -307,47 +309,33 @@ def _coupling(V: FourierSeriesD, basis: PlanewaveBasis) -> Band | Gather:
 
 @dataclass(frozen=True)
 class _Rotation:
-    """The orthonormal basis Q of a fiber block as planewave coefficients,
-    with at most two nonzeros per column: for j < pairs, column j is
-    (e_j + e_{n-1-j}) / sqrt(2) and column n - pairs + j is
-    i (e_j - e_{n-1-j}) / sqrt(2); a middle planewave paired with itself
-    is its own column; then each row is multiplied by its phase.  form
-    names the symmetry that makes the block real."""
+    """The orthonormal basis Q of a fiber block as planewave coefficients:
+    each planewave times its phase.  form names the symmetry that makes
+    the block real."""
 
     form: str
     phase: np.ndarray | None = None  # one unit phase per planewave; None is 1
-    pairs: int = 0
 
     def to_modes(self, q: np.ndarray) -> np.ndarray:
-        """Q q: columns in the real basis as planewave coefficients."""
-        if self.pairs:
-            p, n = self.pairs, len(q)
-            c, s = q[:p] / SQRT2, 1j * q[n - p:] / SQRT2
-            u = np.empty(q.shape, dtype=complex)
-            u[:p], u[n - p:], u[p:n - p] = c + s, (c - s)[::-1], q[p:n - p]
-            q = u
+        """Q q: columns in the block's basis as planewave coefficients."""
         return q if self.phase is None else self.phase[:, None] * q
 
     def from_modes(self, r: np.ndarray) -> np.ndarray:
         """Q^H r, the adjoint of to_modes."""
-        if self.phase is not None:
-            r = np.conj(self.phase)[:, None] * r
-        if not self.pairs:
-            return r
-        p, n = self.pairs, len(r)
-        top, bottom = r[:p], r[::-1][:p]  # each planewave and its partner
-        return np.concatenate(((top + bottom) / SQRT2, r[p:n - p],
-                               -1j * (top - bottom) / SQRT2))
+        return r if self.phase is None else np.conj(self.phase)[:, None] * r
 
 
+@dataclass(frozen=True)
 class _Outward(_Rotation):
-    """_Rotation's columns from the middle of the basis outward: the
-    self-paired planewave, if any, then the cosine columns of pairs
-    pairs - 1, ..., 0, then their sine columns.  At d = 1 that grades a
-    block by |G + k|, which keeps eigh's lowest eigenvectors accurate entry
-    by entry.  Real columns are real functions (about the center, with a
-    phase), so from_modes keeps the real part of the adjoint, all that a
-    real block can correct."""
+    """_pairing's columns times the phase, from the middle of the basis
+    outward: the self-paired planewave, if any, then (e_j + e_{n-1-j}) /
+    sqrt(2) for j = pairs - 1, ..., 0, then i (e_j - e_{n-1-j}) / sqrt(2).
+    At d = 1 that grades a block by |G + k|, which keeps eigh's lowest
+    eigenvectors accurate entry by entry.  Real columns are real functions
+    (about the center, with a phase), so from_modes keeps the real part of
+    the adjoint, all that a real block can correct."""
+
+    pairs: int = 0
 
     def to_modes(self, q: np.ndarray) -> np.ndarray:
         """Q q for real columns q: u_m = q_0 at the middle and (q_c -+ i
@@ -358,12 +346,11 @@ class _Outward(_Rotation):
         u.real[p:n - p], u.imag[p:n - p] = q[:n - 2 * p], 0.0
         u.real[n - p:], u.imag[n - p:] = c, -s
         u.real[:p], u.imag[:p] = c[::-1], s[::-1]
-        return u if self.phase is None else self.phase[:, None] * u
+        return super().to_modes(u)
 
     def from_modes(self, r: np.ndarray) -> np.ndarray:
         """The real part of Q^H r."""
-        if self.phase is not None:
-            r = np.conj(self.phase)[:, None] * r
+        r = super().from_modes(r)
         p, n = self.pairs, len(r)
         up, down = r[n - p:], r[:p][::-1]  # each pair's second and first planewave
         return np.concatenate((r[p:n - p].real, (up.real + down.real) / SQRT2,
@@ -385,98 +372,69 @@ def _pairing(basis: PlanewaveBasis):
     return K, len(ints) // 2
 
 
-def _time_reversal(V: FourierSeriesD, basis: PlanewaveBasis, diag: np.ndarray):
-    """A callable that assembles the fiber as one real symmetric block, in
-    the cosine and sine combinations of the pairs of _pairing, and its
-    rotation; None where the basis has no pairing.  With v_D = V_D /
-    sqrt(|cell|), the pair sum S = m_i + m_j + K and the difference D =
-    m_i - m_j, the cosine and sine columns couple by Re v_D + Re v_S,
-    Re v_D - Re v_S and Im v_S - Im v_D (times sqrt(2) from the
-    self-paired column); a pair's two diagonal entries share the
-    planewave's |G + k|^2 + v_0.  At d = 1 in _Outward's order: parts reversed."""
-    pairing = _pairing(basis)
-    if pairing is None:
-        return None
-    (K, p), ints, n = pairing, basis.int_coords, basis.dimension
-    graded = basis.lattice.dimension == 1
-
-    def build():
-        heads = ints[:n - p]  # the pairs' first planewaves, then the self-paired one
-        coef = V.hermitian * (1.0 / math.sqrt(basis.lattice.unit_cell_volume))
-        v_d = _differences(coef, heads, heads)
-        v_s = _differences(coef, heads, heads, K)
-        cos = v_d.real + v_s.real
-        sin = (v_d.real - v_s.real)[:p, :p]
-        mixed = (v_s.imag - v_d.imag)[:, :p]
-        at = np.arange(p)
-        cos[at, at] = diag[:p] + v_s.real[at, at]
-        sin[at, at] = diag[:p] - v_s.real[at, at]
-        if n > 2 * p:
-            cos[p, :p] = cos[:p, p] = SQRT2 * v_d.real[p, :p]
-            cos[p, p] = diag[p]
-            mixed[p] = -SQRT2 * v_d.imag[p, :p]
-        if graded:  # views: np.block copies them once
-            cos, sin, mixed = cos[::-1, ::-1], sin[::-1, ::-1], mixed[::-1, ::-1]
-        return [np.block([[cos, mixed], [mixed.T, sin]])]
-    return build, (_Outward if graded else _Rotation)("time-reversal", pairs=p)
-
-
-def _parity(about: np.ndarray, basis: PlanewaveBasis, diag: np.ndarray, K, p: int):
-    """A callable that assembles the fiber's even and odd blocks (_Outward
-    order) for V with an inversion center and the pairing (K, p).  About
-    the center V's coefficients a_D are real and even, so the cosine and
-    sine columns of the pairs decouple.  With v_D = a_D / sqrt(|cell|), the
-    sum S = m_i + m_j + K and difference D = m_i - m_j of two pairs' first
-    planewaves, the blocks are Toeplitz plus and minus Hankel terms
+def _paired(coeffs: np.ndarray, basis: PlanewaveBasis, diag: np.ndarray, K, p: int):
+    """A callable that assembles the fiber in _Outward's columns for the
+    pairing (K, p) and V's coefficients `coeffs` on its box: V_D about an
+    inversion center (real and even), or V.hermitian.  With v_D = V_D /
+    sqrt(|cell|), the sum S = m_i + m_j + K and difference D = m_i - m_j of
+    two pairs' first planewaves, the cosine and sine columns couple by
+    Toeplitz plus and minus Hankel terms
 
         even  (v_D + v_S) + |G + k|^2 delta   (self-paired row sqrt(2) v_D,
                                                diagonal |G + k|^2 + v_0)
         odd   (v_D - v_S) + |G + k|^2 delta,
 
-    a pair sharing its first planewave's |G + k|^2.  At d = 1, k = 0 and c
-    = 0 these are the blocks of phi_0 = e_0, c_k = (e_k + e_{-k}) / sqrt(2)
-    and s_k = -i (e_k - e_{-k}) / sqrt(2), k = 1..N (Boyd, Chebyshev and
-    Fourier Spectral Methods, 2nd ed., 2001, ch. 8)."""
+    real parts taken, a pair sharing its first planewave's |G + k|^2.  Real
+    coefficients decouple them into an even and an odd block; otherwise
+    they make one block, coupled by Im v_S - Im v_D (-sqrt(2) Im v_D from
+    the self-paired row).  At d = 1, k = 0 and c = 0 the even and odd
+    blocks are those of phi_0 = e_0, c_k = (e_k + e_{-k}) / sqrt(2) and s_k
+    = -i (e_k - e_{-k}) / sqrt(2), k = 1..N (Boyd, Chebyshev and Fourier
+    Spectral Methods, 2nd ed., 2001, ch. 8)."""
     ints, n = basis.int_coords, basis.dimension
     middle = n - 2 * p  # 1 with a self-paired planewave, else 0
 
     def build():
         heads = ints[:n - p][::-1]  # the self-paired planewave first
-        coef = about * (1.0 / math.sqrt(basis.lattice.unit_cell_volume))
+        coef = coeffs * (1.0 / math.sqrt(basis.lattice.unit_cell_volume))
         v_d = _differences(coef, heads, heads)
         v_s = _differences(coef, heads, heads, K)
-        odd = v_d[middle:, middle:] - v_s[middle:, middle:]
+        mixed = None if np.isrealobj(coef) else (v_s.imag - v_d.imag)[:, middle:]
+        odd = v_d.real[middle:, middle:] - v_s.real[middle:, middle:]
         edge = SQRT2 * v_d[0, 1:]
-        even = np.add(v_d, v_s, out=v_d)
+        even = np.add(v_d.real, v_s.real, out=v_d if mixed is None else None)
         kinetic, at = _kinetic(basis)[:p][::-1], np.arange(p)
         even[at + middle, at + middle] += kinetic
         odd[at, at] += kinetic
         if middle:
-            even[0, 1:] = even[1:, 0] = edge
+            even[0, 1:] = even[1:, 0] = edge.real
             even[0, 0] = diag[p]
+            if mixed is not None:
+                mixed[0] = -edge.imag
+        if mixed is not None:
+            return [np.block([[even, mixed], [mixed.T, odd]])]
         return [even, odd] if p else [even]
     return build
 
 
 def _form(V: FourierSeriesD, basis: PlanewaveBasis, diag: np.ndarray):
     """A callable that assembles the fiber's blocks, and their _Rotation.
-    About an inversion center c of V, in the planewaves exp(-i G . c) e_G:
-    the even and odd blocks of _parity where also 2k is in the reciprocal
-    lattice, one real symmetric block at any other k.  Without a center,
-    one real block by time reversal at a k with 2k in the reciprocal
-    lattice, and otherwise the complex Hermitian fiber itself."""
-    inversion = V._inversion
-    if inversion is None:
-        return _time_reversal(V, basis, diag) \
-            or ((lambda: [assemble_bloch(V, basis)]), _Rotation("complex"))
-    t, about = inversion
+    Where 2k is in the reciprocal lattice, the blocks of _paired: about an
+    inversion center c of V, in the planewaves exp(-i G . c) e_G, the even
+    and odd blocks (form "parity"); without a center, one real block
+    (form "time-reversal").  At any other k, about a center one real
+    symmetric block, and otherwise the complex Hermitian fiber itself."""
+    inversion, pairing = V._inversion, _pairing(basis)
+    if inversion is None and pairing is None:
+        return (lambda: [assemble_bloch(V, basis)]), _Rotation("complex")
+    t, coeffs = inversion or (0.0, V.hermitian)  # no center: time reversal alone
     phase = np.exp(-1j * (basis.int_coords @ t)) if np.any(t) else None
-    pairing = _pairing(basis)
     if pairing is not None:
-        return _parity(about, basis, diag, *pairing), _Outward("parity", phase, pairing[1])
+        form = "time-reversal" if inversion is None else "parity"
+        return _paired(coeffs, basis, diag, *pairing), _Outward(form, phase, pairing[1])
 
     def build():
-        block = _differences(about, basis.int_coords, basis.int_coords)
+        block = _differences(coeffs, basis.int_coords, basis.int_coords)
         block *= 1.0 / math.sqrt(basis.lattice.unit_cell_volume)
         block[np.diag_indices_from(block)] = diag
         return [block]

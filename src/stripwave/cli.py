@@ -38,7 +38,8 @@ from .bloch import (FourierSeriesD, Lattice, band_structure, basis_box,
                     bz_sample_grid, gaussian_potential, series1d_to_lattice)
 from .cubic import estimate_solution_strip, solve_gp
 from .eigen import bz_convergence, convergence_study
-from .errors import ConfigError, InvalidParameterError, StripwaveError
+from .errors import (ConfigError, InsufficientDataError, InvalidParameterError,
+                     StripwaveError)
 from .fourier import series_from_json
 from .linear import refinement_study
 from . import potentials
@@ -358,6 +359,18 @@ def _decay_columns(u):
     return u.wavenumbers(), np.abs(u.coeffs)
 
 
+def _strip_fit(fit, out):
+    """fit(), a strip estimate, or None where the coefficients give too
+    little to fit (InsufficientDataError: fewer than 8 above the noise
+    floor, or no decay), with the estimator's message in the manifest
+    diagnostics as `strip_estimate`."""
+    try:
+        return fit()
+    except InsufficientDataError as exc:
+        out.diagnostics["strip_estimate"] = str(exc)
+        return None
+
+
 @_experiment("gp-solve")
 def _run_gp_solve(cfg: dict, out):
     cfg = _require_keys(cfg, {"epsilon": "float", "mu": "float", "N": "int"},
@@ -368,7 +381,8 @@ def _run_gp_solve(cfg: dict, out):
                     noise_floor=lambda f: f > 0)
     _guard(cfg, "N", _dense(lambda n: -(-n // 2), 8))  # the Newton Jacobian
     result = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], **_given(cfg, "tol"))
-    strip = estimate_solution_strip(result, **_given(cfg, "noise_floor"))
+    strip = _strip_fit(lambda: estimate_solution_strip(result, **_given(cfg, "noise_floor")),
+                       out)
     write_csv(out, "decay.csv", ["k", "abs_coeff"], _decay_columns(result.solution))
     write_json(out, "report.json", {
         "epsilon": result.epsilon,
@@ -377,7 +391,7 @@ def _run_gp_solve(cfg: dict, out):
         "newton_iters": result.newton_iters,
         "residual": result.residual_l2,
         "u_prime_at_zero": result.u_prime_at_zero,
-        "B_eps_estimate": strip.half_width,
+        "B_eps_estimate": None if strip is None else strip.half_width,
     })
     out.diagnostics["newton"] = _newton_record(result)
 
@@ -389,9 +403,10 @@ def _run_strip_estimate(cfg: dict, out):
                         {"noise_floor": ("float", None)}, "config")
     _validate_range(cfg, noise_floor=lambda f: f > 0)
     series = build_potential_1d(cfg["potential"], "config.potential")
-    est = estimate_strip(series, **_given(cfg, "noise_floor"))
+    est = _strip_fit(lambda: estimate_strip(series, **_given(cfg, "noise_floor")), out)
     write_csv(out, "decay.csv", ["k", "abs_coeff"], _decay_columns(series))
-    write_json(out, "estimate.json", {
+    write_json(out, "estimate.json", dict.fromkeys(
+        ("half_width", "prefactor", "fit_window", "residual", "stride")) if est is None else {
         "half_width": est.half_width,
         "prefactor": est.prefactor,
         "fit_window": list(est.fit_window),

@@ -1,24 +1,33 @@
 """Tests for lattices, planewave bases, Bloch fibers and band structures."""
 
+import contextlib
+import csv
+import hashlib
+import io
 import itertools
+import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from stripwave import bloch
 from stripwave.bloch import (FourierSeriesD, Lattice, PlanewaveBasis, _coupling,
-                             _diagonal, _form, _Rotation, _time_reversal,
+                             _diagonal, _form, _Rotation,
                              assemble_bloch, band_structure, basis_set,
                              bz_sample_grid, gaussian_potential,
                              reciprocal, series1d_to_lattice)
+from stripwave.cli import _build_lattice_potential, main
 from stripwave.eigen import _embedding, bz_convergence, convergence_study
 from stripwave.errors import InvalidParameterError
 from stripwave.extended import Band, band_residual
-from stripwave.galerkin import assemble_dense
+from stripwave.galerkin import assemble_dense, rayleigh_polish
 from stripwave.potentials import cosine, poisson_kernel, sine
 
 CUBIC_2D = Lattice(2.0 * np.pi * np.eye(2))
@@ -677,7 +686,7 @@ class TestRealForms:
         np.testing.assert_allclose(np.conj(Q.T) @ H @ Q, block, rtol=0, atol=1e-13)
         r = np.random.default_rng(1).standard_normal((n, 2)) + 1j
         adjoint = np.conj(Q.T) @ r
-        if form == "parity" or V.lattice.dimension == 1:
+        if form in ("parity", "time-reversal"):
             # the real part: the real blocks' columns are real functions
             adjoint = adjoint.real
         np.testing.assert_allclose(rotation.from_modes(r), adjoint, atol=1e-15)
@@ -691,10 +700,12 @@ class TestRealForms:
         free = FourierSeriesD(lat, {})
         basis = basis_set(lat, 0.5 * reciprocal(lat).basis.sum(axis=0), 3.0)
         diag = _diagonal(free, basis)
-        build, rotation = _time_reversal(free, basis, diag)
-        (block,), p = build(), rotation.pairs
+        build, rotation = _form(free, basis, diag)
+        p = rotation.pairs
         assert np.any(diag[:p] != diag[::-1][:p])
-        assert np.array_equal(block, np.diag(np.concatenate((diag[:p], diag[:p]))))
+        outward = diag[:p][::-1]  # from the middle of the basis outward
+        assert np.array_equal(scipy.linalg.block_diag(*build()),
+                              np.diag(np.concatenate((diag[p:-p], outward, outward))))
 
     def test_gamma_x_m_bands_are_real_solves(self, monkeypatch):
         with monkeypatch.context() as patch:
@@ -769,3 +780,150 @@ class TestRealForms:
         assert not np.array_equal(ints[::-1], -ints - [1, 0])
         assert form_at(V, k, cutoff)[1].form == "complex"
         assert form_at(V, k, cutoff + 0.01)[1].form == "time-reversal"
+
+
+# The bands.csv contract (README, "Reproducibility"): a cell is the exactly
+# summed Rayleigh quotient of eigh's vector through a BLAS H @ vec, so its
+# last bits follow the kernel, the thread count and the fiber's form.  Each
+# polished band lies within BANDS_ULPS ulps of max(1, the largest |band| at
+# its k) of the complex fiber's.  Measured over the eight settings of
+# tools/kernel_sweep.py: at most 5 such ulps here (TWO_GAUSSIANS, Prescott)
+# and on the bloch-bands benchmark configs, a margin of 3.
+BANDS_ULPS = 16
+
+
+def complex_bands(V, k, cutoff, n_bands):
+    """The lowest n_bands polished bands of the complex Hermitian fiber."""
+    H = assemble_bloch(V, basis_set(V.lattice, np.asarray(k, dtype=float), cutoff))
+    _, vecs = scipy.linalg.eigh(H, subset_by_index=[0, n_bands - 1])
+    return np.sort([rayleigh_polish(H, v) for v in vecs.T])
+
+
+def contract_ulps(bands, reference):
+    """|bands - reference| in ulps of max(1, the row's largest |reference|)."""
+    reference = np.atleast_2d(reference)
+    scale = np.maximum(np.abs(reference).max(axis=1, keepdims=True), 1.0)
+    return np.abs(bands - reference) / np.spacing(scale)
+
+
+@pytest.mark.parametrize("V, form", [(TWO_GAUSSIANS, "time-reversal"),
+                                     (MIRRORED_PAIR, "parity")])
+def test_real_bands_within_the_contract_of_the_complex_fiber(V, form):
+    assert {form_at(V, k, 10.0)[1].form for k in GAMMA_X_M} == {form}
+    got = band_structure(V, GAMMA_X_M, 10.0, 6).bands
+    want = [complex_bands(V, k, 10.0, 6) for k in GAMMA_X_M]
+    assert contract_ulps(got, want).max() <= BANDS_ULPS
+
+
+def block_digest(V, k, cutoff):
+    """The fiber's form and the sha256 of its blocks' bytes, in order."""
+    op = bloch._fiber(V, np.asarray(k, dtype=float), cutoff, 1)
+    blocks = b"".join(np.ascontiguousarray(block).tobytes() for block in op.blocks)
+    return op.rotation.form, hashlib.sha256(blocks).hexdigest()
+
+
+# Parity blocks, pinned: the 1D goldens, the 1D benchmark artifacts and the
+# bands golden (the zero potential) rest on these bytes.
+POISSON_13 = series1d_to_lattice(poisson_kernel(1.3, mu=1, shift=2, cutoff=120))[1]
+PARITY_BYTES = {
+    (4, "53576621d2755f6b166baa1335ba4a59ace94f9308aeb46998fdbaa6554e9ff7"),
+    (20, "3a2cd6b263df06568bc41ec1095e16e524a3bec7dc61d3a78dcad333530bc503"),
+    (80, "acc5f5b8124e3111e66e5e84a112e2eb72bcf8b7b18a2e3937340122de366e3e"),
+    (256, "1f60df6d8293ad2e88016a75ff76b561f58bd371c690cee701a1536b4b5b5e19"),
+}
+FREE_BYTES = {
+    ((0.0, 0.0), "2158e6fb70d775acf048ee2aff2955b5f1c1a501c3ee457233846f8234cd4faf"),
+    ((0.5, 0.0), "3d83cb7ef0355b0e8e647a0e85511358e2452dfa6d28d8bdab9f5af9b1f9ec8b"),
+}
+# gaussian_potential's G . x0 is a BLAS ddot, an FMA chain on SkylakeX and a
+# plain sum on Haswell, Sandybridge and Prescott, so MIRRORED_PAIR has two
+# sets of coefficients (keyed by their sha256); each pins its blocks at
+# Gamma, X and M (cutoff 10)
+MIRRORED_BYTES = {
+    "d30e0f204570505ed82dd800e1102c68f801febec4c625caacc4c65bbb9b858b": (
+        "5caf85b6d620fdc8d261b18029de17f1e24e90574b481ed8f66f086a4ecd4d84",
+        "a9e37b44df2af8564a982289d290fe0b991bed804903efdcb28ed531bf40539d",
+        "879b7a4fbccf25b79f94e27ad6209b9a98439b5a2aed2f0d9ec228ce085ab213"),
+    "96d0dd270de42efa19ba262f91b7c38977b0bd31e025646489eb324e2119667a": (
+        "2f8848dc23de561a9cef33133f83a04cfafec0589d60d3996b8a69723280a115",
+        "44c923c04e679f32b8f9604fe6b78f21ab23f17198a4258cf639d5f4493d4e64",
+        "4b2cd006bc071bb95f8b5df94146c0a0a9ea42c83ec00ce9f649a0ded27f558b"),
+}
+
+
+class TestParityBytes:
+    @pytest.mark.parametrize("cutoff, digest", sorted(PARITY_BYTES))
+    def test_1d_blocks(self, cutoff, digest):
+        assert block_digest(POISSON_13, [0.0], cutoff) == ("parity", digest)
+
+    @pytest.mark.parametrize("k, digest", sorted(FREE_BYTES))
+    def test_free_blocks(self, k, digest):
+        assert block_digest(FourierSeriesD(CUBIC_2D, {}), k, 2.5) == ("parity", digest)
+
+    def test_mirrored_pair_blocks(self):
+        coefficients = hashlib.sha256(MIRRORED_PAIR.dense.tobytes()).hexdigest()
+        assert coefficients in MIRRORED_BYTES, \
+            "this BLAS rounds MIRRORED_PAIR unlike SkylakeX, Haswell, Sandybridge, Prescott"
+        assert [block_digest(MIRRORED_PAIR, k, 10.0) for k in GAMMA_X_M] == \
+            [("parity", digest) for digest in MIRRORED_BYTES[coefficients]]
+
+
+@st.composite
+def bands_configs(draw):
+    """A small bands config: a cubic lattice of dimension 1-3 or an
+    oblique 2D one; the zero potential, one Gaussian or two unequal ones;
+    k points on the zone edge (2k in the reciprocal lattice) or off it.
+    Together they reach the parity, inversion, time-reversal and complex
+    forms; n_bands may pass the smallest basis (exit 3)."""
+    d = draw(st.integers(1, 3))
+    oblique = d == 2 and draw(st.booleans())
+    rows = (OBLIQUE.basis if oblique else 2.0 * np.pi * np.eye(d)).tolist()
+    recip = reciprocal(Lattice(np.array(rows))).basis
+    edge = st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0]), min_size=d, max_size=d) \
+        .map(lambda m: (np.array(m) @ recip).tolist())
+    off = st.lists(st.floats(-0.5, 0.5), min_size=d, max_size=d)
+    count = draw(st.integers(0, 2))
+    potential = {"name": "zero"} if count == 0 else {
+        "name": "gaussian-sum",
+        "centers": draw(st.lists(st.lists(st.floats(-0.5, 0.5), min_size=d, max_size=d),
+                                 min_size=count, max_size=count)),
+        "widths": draw(st.lists(st.floats(0.5, 0.8), min_size=count, max_size=count)),
+        "amplitudes": draw(st.lists(st.floats(-2.0, 2.0), min_size=count,
+                                    max_size=count)),
+        "cutoff": 3.0}
+    return {"lattice": {"rows": rows} if oblique else
+            {"cubic": {"dimension": d, "a": 2.0 * np.pi}},
+            "potential": potential,
+            "k_path": draw(st.lists(edge | off, min_size=1, max_size=3)),
+            "N": draw(st.floats(0.5, {1: 8.0, 2: 4.0, 3: 2.5}[d])),
+            "n_bands": draw(st.integers(1, 4))}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(bands_configs())
+def test_fuzzed_bands_configs_end_in_a_documented_exit(config):
+    """Every generated bands config exits 0, 2 or 3; a nonzero exit leaves
+    one JSON line on stderr (no traceback: an escaping exception fails the
+    test), and on exit 0 each row of bands.csv ascends and lies within the
+    contract (BANDS_ULPS) of the complex fiber's polished bands."""
+    with tempfile.TemporaryDirectory() as root:
+        cfg_path, out = Path(root, "config.json"), Path(root, "out")
+        cfg_path.write_text(json.dumps(config))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["bands", "--config", str(cfg_path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        lines = stderr.getvalue().splitlines()
+        if code:
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == ("config" if code == 2 else "numeric")
+            return
+        assert lines == []
+        with open(out / "bands.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    n = config["n_bands"]
+    got = np.array([[float(row[f"band{j + 1}"]) for j in range(n)] for row in rows])
+    assert np.all(np.diff(got, axis=1) >= 0.0)
+    _, V = _build_lattice_potential(config, "config")
+    want = [complex_bands(V, k, config["N"], n) for k in config["k_path"]]
+    assert contract_ulps(got, want).max() <= BANDS_ULPS

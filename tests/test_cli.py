@@ -788,6 +788,35 @@ def test_strip_estimate_recovers_kernel_width(tmp_path):
     assert est["half_width"] == pytest.approx(math.acosh(2.0), rel=1e-9)
 
 
+def _null_estimate_run(tmp_path, experiment, config):
+    """Run a config whose coefficients give the strip fit too little: it
+    exits 0, writes decay.csv, and the manifest carries the estimator's
+    message.  Returns the run directory."""
+    code, out_dir = run_cli(tmp_path, experiment, config)
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert "decay.csv" in manifest["outputs"] and (out_dir / "decay.csv").exists()
+    assert "above the noise floor" in manifest["diagnostics"]["strip_estimate"]
+    return out_dir
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-12, 1e-6, 1e-3])
+def test_gp_solve_with_too_few_coefficients_writes_a_null_estimate(tmp_path, mu):
+    # Newton converges; 0-2 odd coefficients rise above the 1e-13 floor
+    out_dir = _null_estimate_run(tmp_path, "gp-solve", {"epsilon": 0.1, "mu": mu, "N": 64})
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["B_eps_estimate"] is None and report["residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("potential", [
+    {"name": "cosine"}, {"name": "mathieu"}, {"name": "constant", "value": 1.0},
+    {"name": "poisson-kernel", "c": 30.0}])
+def test_strip_estimate_with_too_few_coefficients_is_null(tmp_path, potential):
+    out_dir = _null_estimate_run(tmp_path, "strip-estimate", {"potential": potential})
+    assert json.loads((out_dir / "estimate.json").read_text()) == dict.fromkeys(
+        ["fit_window", "half_width", "prefactor", "residual", "stride"])
+
+
 SQUARE = {"cubic": {"dimension": 2, "a": 6.283185307179586}}
 
 
@@ -1189,3 +1218,55 @@ def test_fuzzed_linsolve_configs_end_in_a_documented_exit(config):
             residuals = [float(row["residual_l2"]) for row in csv.DictReader(fh)]
     assert len(residuals) == len(config["N_list"])
     assert all(math.isfinite(r) and r >= 0.0 for r in residuals)
+
+
+STRIP_POTENTIAL = st.one_of(
+    st.builds(lambda value: {"name": "constant", "value": value}, st.floats(-3.0, 3.0)),
+    st.builds(lambda amplitude, harmonic, mean: {"name": "cosine", "amplitude": amplitude,
+                                                 "harmonic": harmonic, "mean": mean},
+              st.floats(-2.0, 2.0), st.integers(0, 4), st.floats(-1.0, 3.0)),
+    st.builds(lambda q: {"name": "mathieu", "q": q}, st.floats(-3.0, 3.0)),
+    # c <= 1 is out of range (exit 2); a large c or a small cutoff leaves
+    # too few coefficients above the floor (a null estimate)
+    st.builds(lambda c, mu, shift, cutoff: {"name": "poisson-kernel", "c": c, "mu": mu,
+                                            "shift": shift, "cutoff": cutoff},
+              st.floats(1.05, 40.0) | st.just(0.5), st.floats(-2.0, 2.0),
+              st.floats(-1.0, 3.0), st.sampled_from([4, 30, 60, 120])),
+    st.builds(lambda amplitude, width, center, cutoff: {
+        "name": "gaussian-sum", "amplitude": amplitude, "width": width, "center": center,
+        "cutoff": cutoff}, st.floats(-2.0, 2.0), st.floats(0.1, 1.5), st.floats(-3.0, 3.0),
+        st.sampled_from([4, 30, 60])))
+NOISE_FLOOR = st.sampled_from([MISSING, MISSING, 1e-15, 1e-13, 1e-10, 1e-6, 0.0, -1.0])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(STRIP_POTENTIAL, NOISE_FLOOR)
+def test_fuzzed_strip_estimate_configs_end_in_a_documented_exit(potential, noise_floor):
+    """Every generated strip-estimate config exits 0, 2 or 3; a nonzero
+    exit leaves one JSON line on stderr (no traceback: an escaping
+    exception fails the test).  On exit 0 decay.csv is written and the
+    estimate is either a positive half-width or, with the estimator's
+    message in the manifest, null in every field."""
+    config = {"potential": potential}
+    if noise_floor is not MISSING:
+        config["noise_floor"] = noise_floor
+    with tempfile.TemporaryDirectory() as root:
+        cfg_path, out = Path(root, "config.json"), Path(root, "out")
+        cfg_path.write_text(json.dumps(config))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["strip-estimate", "--config", str(cfg_path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        lines = stderr.getvalue().splitlines()
+        if code:
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == ("config" if code == 2 else "numeric")
+            return
+        assert lines == []
+        assert (out / "decay.csv").exists()
+        estimate = json.loads((out / "estimate.json").read_text())
+        diagnostics = json.loads((out / "manifest.json").read_text()).get("diagnostics", {})
+    if estimate["half_width"] is None:
+        assert set(estimate.values()) == {None} and diagnostics["strip_estimate"]
+    else:
+        assert estimate["half_width"] > 0.0 and "strip_estimate" not in diagnostics

@@ -26,7 +26,10 @@ pass its 1e-12 backward-error premise only on some kernels), the blow-up tests
 against the scalar `comparison_solution`, bit for bit), the Bloch
 tests (`tests/test_bloch.py`: the real and complex fibers on the same
 refinement and its 50-digit checks, the parity split's zone errors against
-the one inversion block's at Gamma, X and M, with `test_complex_fiber_from_a_pilot`
+the one inversion block's at Gamma, X and M, the bands.csv contract (the
+real fibers' polished bands within 16 ulps of the complex fiber's, on two
+potentials and on fuzzed configs), the parity blocks' pinned sha256
+digests, with `test_complex_fiber_from_a_pilot`
 and the pilot cases of `test_1d_at_k0_is_the_1d_study`, whose zone errors
 equal the 1D study's bit for bit) and acceptance
 criterion 10 (`tests/test_acceptance.py -k criterion_10`: the lattice
