@@ -466,11 +466,11 @@ def _ascending(pairs):
 @dataclass(frozen=True)
 class _Operator:
     """One fiber as the eigen path reads it: build() assembles its blocks
-    in the basis of `rotation`, and `blocks` keeps them from their first
-    reader to release(); diag and coupling() are the complex fiber's
-    diagonal and off-diagonal part, for the double-double residual; modes
-    are the planewaves' integer coordinates in lexicographic order.
-    Nothing is assembled or solved until `solved` is first read."""
+    in the basis of `rotation`, and `blocks` keeps them as long as the
+    operator lives; diag and coupling() are the complex fiber's diagonal
+    and off-diagonal part, for the double-double residual; modes are the
+    planewaves' integer coordinates in lexicographic order.  Nothing is
+    assembled or solved until `pairs` is first read."""
 
     build: Callable[[], list[np.ndarray]]
     rotation: _Rotation
@@ -483,30 +483,26 @@ class _Operator:
     def blocks(self) -> list[np.ndarray]:
         return self.build()
 
-    def release(self):
-        """Drop the blocks; a later reader assembles them again."""
-        vars(self).pop("blocks", None)
+    @cached_property
+    def pairs(self):
+        """The lowest count + 1 eigenpairs of each block, ascending (all of
+        them for a smaller block; the one above the last of the lowest
+        count shows the gap above it)."""
+        return _lowest_pairs(self.blocks, self.count + 1)
 
     @cached_property
     def solved(self):
-        """The lowest count + 1 eigenpairs of each block, ascending (all of
-        them for a smaller block; the one above the last of the lowest
-        count shows the gap above it), the lowest count eigenvalues
-        polished and ascending, and their (block, column) positions."""
-        pairs = _lowest_pairs(self.blocks, self.count + 1)
-        lowest = _ascending(pairs)[0][:self.count]
-        polished = np.array([rayleigh_polish(self.blocks[b], pairs[b][1][:, j])
+        """The lowest count eigenvalues, polished and ascending, and their
+        (block, column) positions in `pairs`."""
+        lowest = _ascending(self.pairs)[0][:self.count]
+        polished = np.array([rayleigh_polish(self.blocks[b], self.pairs[b][1][:, j])
                              for b, j in lowest])
         ranked = np.argsort(polished, kind="stable")
-        return pairs, polished[ranked], [lowest[i] for i in ranked]
-
-    @property
-    def pairs(self):
-        return self.solved[0]
+        return polished[ranked], [lowest[i] for i in ranked]
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self.solved[1]
+        return self.solved[0]
 
     @cached_property
     def offdiag(self):

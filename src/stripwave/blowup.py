@@ -56,9 +56,6 @@ class OdeTrajectory:
     the pole the last step's coefficients point to.
     """
 
-    epsilon: float
-    mu: float
-    initial_slope: float
     nodes: np.ndarray
     psi: np.ndarray
     psi_prime: np.ndarray
@@ -86,9 +83,6 @@ class OdeTrajectory:
 class BlowupReport:
     """Crossing points, blow-up times and bound verdicts for one parameter set."""
 
-    epsilon: float
-    mu: float
-    eta: float
     branch_height: float          # strip half-width of the eps = 0 closed form
     psi_at_branch: float
     psi_prime_at_branch: float
@@ -291,7 +285,6 @@ def _integrate(epsilon, mu, y_start, y_end, value, slope, threshold, rtol,
         pole = nodes[-2] + scales[-1] * abs(rows[-1][-2] / rows[-1][-1])
     nodes = np.array(nodes)
     return OdeTrajectory(
-        epsilon=epsilon, mu=mu, initial_slope=slopes[0],
         nodes=nodes, psi=np.array(values), psi_prime=np.array(slopes),
         blowup_time=blowup, blowup_threshold=threshold,
         interpolant=TaylorDense(nodes, np.array(scales), np.array(rows)),
@@ -512,7 +505,6 @@ def blowup_report(epsilon: float, mu: float, eta: float, initial_slope: float,
 
     bound = verify_lower_bound(traj, epsilon, eta, y_level)
     return BlowupReport(
-        epsilon=epsilon, mu=mu, eta=eta,
         branch_height=b0,
         psi_at_branch=psi_b0,
         psi_prime_at_branch=dpsi_b0,

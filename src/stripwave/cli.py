@@ -39,7 +39,7 @@ from .bloch import (FourierSeriesD, Lattice, band_structure, basis_box,
 from .cubic import estimate_solution_strip, solve_gp
 from .eigen import bz_convergence, convergence_study
 from .errors import (ConfigError, InsufficientDataError, InvalidParameterError,
-                     StripwaveError)
+                     NonconvergenceError, StiffnessError, StripwaveError)
 from .fourier import series_from_json
 from .linear import refinement_study
 from . import potentials
@@ -385,8 +385,8 @@ def _run_gp_solve(cfg: dict, out):
                        out)
     write_csv(out, "decay.csv", ["k", "abs_coeff"], _decay_columns(result.solution))
     write_json(out, "report.json", {
-        "epsilon": result.epsilon,
-        "mu": result.mu,
+        "epsilon": cfg["epsilon"],
+        "mu": cfg["mu"],
         "N": result.solution.cutoff,
         "newton_iters": result.newton_iters,
         "residual": result.residual_l2,
@@ -440,9 +440,9 @@ def _run_blowup(cfg: dict, out):
                            gp.u_prime_at_zero,
                            **_given(cfg, "y_max", "threshold", "rtol"))
     write_json(out, "report.json", {
-        "epsilon": report.epsilon,
-        "mu": report.mu,
-        "eta": report.eta,
+        "epsilon": cfg["epsilon"],
+        "mu": cfg["mu"],
+        "eta": cfg["eta"],
         "B0": report.branch_height,
         "psi_at_B0": report.psi_at_branch,
         "psi_prime_at_B0": report.psi_prime_at_branch,
@@ -574,11 +574,19 @@ def write_json(out: _OutputDir, name: str, payload: dict) -> None:
 
 
 def _error_json(kind: str, exc: Exception) -> str:
+    """The stderr object of a failed run, with a failed solver's record
+    under `diagnostics`: Newton's residual history, or the ODE's last
+    step."""
     payload = {"error": kind, "type": type(exc).__name__, "message": str(exc)}
     location = getattr(exc, "location", None)
     if location is not None:
         payload["location"] = location
-    return json.dumps(payload, sort_keys=True)
+    record = ({"residual_history": exc.residual_history}
+              if isinstance(exc, NonconvergenceError) else
+              exc.diagnostics if isinstance(exc, StiffnessError) else None)
+    if record is not None:  # NaN and Infinity as null: strict JSON
+        payload["diagnostics"] = json.loads(json.dumps(record), parse_constant=lambda _: None)
+    return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
 @functools.cache

@@ -45,8 +45,6 @@ from .potentials import HALF_MODE
 
 @dataclass(frozen=True)
 class GpSolveResult:
-    epsilon: float
-    mu: float
     solution: FourierSeries1D
     newton_iters: int
     residual_l2: float
@@ -213,8 +211,6 @@ def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12,
     k = series.wavenumbers()
     slope = complex(np.sum(1j * k * u)) / SQRT_2PI
     return GpSolveResult(
-        epsilon=epsilon,
-        mu=mu,
         solution=series,
         newton_iters=iters,
         residual_l2=history[-1],

@@ -88,6 +88,9 @@ class Refinement:
     cluster_size: int  # eigenpairs refined together
     source: float
     tried: tuple[float, ...]
+    # the refined cluster's x_hi on the refined matrix's modes, the
+    # target's column first: convergence_study's H1 distances
+    vectors: np.ndarray = field(repr=False, compare=False)
     outside_residual: float = 0.0
     gap_bound: float | None = None
     kato_temple: float | None = None
@@ -136,15 +139,6 @@ def _block_columns(pairs, where) -> np.ndarray:
     return out
 
 
-def _eigen_result(op: _Operator) -> EigenResult:
-    """The solved pairs of a 1D operator, rotated back to the exponentials."""
-    pairs, values, where = op.solved
-    modes = op.rotation.to_modes(_block_columns(pairs, where))
-    cutoff = (len(op.diag) - 1) // 2
-    series = [FourierSeries1D(cutoff, u / np.linalg.norm(u)) for u in modes.T]
-    return EigenResult(eigenvalues=values, eigenvectors=series)
-
-
 def solve_eig(V: FourierSeries1D, cutoff: int, n_pairs: int) -> EigenResult:
     """Lowest n_pairs eigenpairs of the Galerkin operator, ascending, from
     subset eigensolves of its fiber's real blocks; only these pairs are
@@ -154,7 +148,11 @@ def solve_eig(V: FourierSeries1D, cutoff: int, n_pairs: int) -> EigenResult:
     if n_pairs < 1 or n_pairs > dim:
         raise InvalidParameterError(
             f"n_pairs must lie in 1..{dim} for cutoff {cutoff}")
-    return _eigen_result(_fiber(series1d_to_lattice(V)[1], np.zeros(1), cutoff, n_pairs))
+    op = _fiber(series1d_to_lattice(V)[1], np.zeros(1), cutoff, n_pairs)
+    values, where = op.solved
+    modes = op.rotation.to_modes(_block_columns(op.pairs, where))
+    return EigenResult(eigenvalues=values, eigenvectors=[
+        FourierSeries1D(cutoff, u / np.linalg.norm(u)) for u in modes.T])
 
 
 def _cluster(op: _Operator, index: int, gap: float):
@@ -211,9 +209,10 @@ def _extended_eigenvalue(op: _Operator, ref: _Operator, index: int, gap: float):
     """Eigenvalue `index` (0-based, ascending) of the matrix of `ref` as a
     double-double pair (hi, lo), from the eigenpairs and blocks of `op`:
     ref itself, or a pilot whose modes are some of ref's and whose matrix
-    is ref's on them.  Also returns the number of Newton corrections, the
-    size of the refined cluster, and the last residual with the vectors
-    it was formed from, both on ref's modes.
+    is ref's on them.  Also returns the number of Newton corrections, and
+    the last residual with the refined cluster's vectors x_hi it was
+    formed from, both on ref's modes, one column per eigenpair of the
+    cluster, the target's first.
 
     The eigenvectors of the cluster around `index` (neighbours closer
     than `gap`) are refined together by Newton's method on the bordered
@@ -240,7 +239,6 @@ def _extended_eigenvalue(op: _Operator, ref: _Operator, index: int, gap: float):
     x_hi = padded(op.rotation.to_modes(_block_columns(pairs, where)))
     x_lo, lam_hi, lam_lo = np.zeros_like(x_hi), values.copy(), np.zeros_like(values)
     factors = _bordered_factors(op, pairs, where, lam_hi)
-    op.release()  # the factors were the blocks' last readers
     offdiag = ref.offdiag
     previous, steps = math.inf, 0
     for step in range(_REFINE_STEPS + 1):
@@ -274,7 +272,7 @@ def _extended_eigenvalue(op: _Operator, ref: _Operator, index: int, gap: float):
     gram = np.conj(x_hi.T) @ x_hi
     coupling = np.linalg.solve(gram, np.conj(x_hi.T) @ r)
     if len(where) == 1:
-        return dd_add(lam_hi[0], lam_lo[0], coupling[0, 0].real), steps, 1, r, x_hi
+        return dd_add(lam_hi[0], lam_lo[0], coupling[0, 0].real), steps, r, x_hi
     import mpmath  # deferred: only clusters of several eigenvalues need it
     ctx = mpmath.MPContext()
     ctx.prec = _MP_PREC
@@ -282,8 +280,9 @@ def _extended_eigenvalue(op: _Operator, ref: _Operator, index: int, gap: float):
     for k in range(len(where)):
         ritz[k, k] += ctx.mpf(lam_hi[k]) + ctx.mpf(lam_lo[k])
     roots = sorted(ctx.re(z) for z in ctx.eig(ritz, left=False, right=False))
-    hi = float(roots[index - first])
-    return (hi, float(roots[index - first] - hi)), steps, len(where), r, x_hi
+    target = index - first
+    hi, order = float(roots[target]), [target, *(k for k in range(len(where)) if k != target)]
+    return (hi, float(roots[target] - hi)), steps, r[:, order], x_hi[:, order]
 
 
 def _pilots(cutoffs, reference_cutoff):
@@ -366,9 +365,9 @@ def _residual_bound(ref: _Operator, r: np.ndarray, x: np.ndarray, value: float,
 
 def _refined(op: _Operator, index: int, gap: float, tried: tuple):
     """The value of _extended_eigenvalue on op alone, and its Refinement."""
-    value, steps, size, _, _ = _extended_eigenvalue(op, op, index, gap)
+    value, steps, _, x = _extended_eigenvalue(op, op, index, gap)
     return value, Refinement(tried[-1], len(op.diag), tuple(len(v) for _, v in op.pairs),
-                             op.rotation.form, steps, size, tried[-1], tried)
+                             op.rotation.form, steps, x.shape[1], tried[-1], tried, x)
 
 
 def _reference(solve: Callable, sample, cutoffs, reference_cutoff: float, index: int,
@@ -376,47 +375,46 @@ def _reference(solve: Callable, sample, cutoffs, reference_cutoff: float, index:
     """Eigenvalue `index` (0-based) of the reference at `sample` as a
     double-double pair, and its Refinement.
 
-    Each pilot of _pilots is solved through solve(sample, pilot, True) and
+    Each pilot of _pilots is solved through solve(sample, pilot) and
     stands in for the reference once its certificate holds: the count of
     _window, then the Kato-Temple bound of _certified, first in double on
     the reference rows outside the pilot for the pilot's own eigenvector,
     then on the last double-double residual of its refinement with delta
     = min(beta - rho, rho - alpha) for the refined value rho.  A target
     that is not alone in its cluster takes the reference itself, as does a
-    reference no pilot certifies."""
-    ref, tried = solve(sample, reference_cutoff, True), []
+    reference no pilot certifies.  A refused pilot is dropped before the
+    reference assembles its own blocks."""
+    ref, tried = solve(sample, reference_cutoff), []
     for cutoff in _pilots(cutoffs, reference_cutoff):
         tried.append(cutoff)
-        pilot = solve(sample, cutoff, True)
-        try:  # a refused pilot drops its blocks
-            where, values, _ = _ascending(pilot.pairs)
-            if len(values) <= pilot.count:  # no pair above the pilot's to show a gap
-                continue
-            if (index and values[index] - values[index - 1] <= gap) \
-                    or values[index + 1] - values[index] <= gap:
-                break
-            rows, outside = _embedding(pilot.modes, ref.modes), np.ones(len(ref.diag), dtype=bool)
-            outside[rows] = False
-            spread = math.fsum(np.abs(ref.offdiag.coef).tolist())
-            window = _window(pilot, values, index, spread, ref.diag[outside])
-            if window is None:
-                continue
-            (alpha, beta), guess = window, values[index]
-            x = np.zeros((len(ref.diag), 1), dtype=complex)
-            x[rows] = pilot.rotation.to_modes(_block_columns(pilot.pairs, [where[index]]))
-            if not _certified(float(np.linalg.norm(ref.offdiag.product(x)[outside])),
-                              min(beta - guess, guess - alpha), guess):
-                continue
-            (hi, lo), steps, size, r, x = _extended_eigenvalue(pilot, ref, index, gap)
-            delta = float(min(beta - hi, hi - alpha))
-            residual = _residual_bound(ref, r, x, hi, spread)
-            if _certified(residual, delta, hi):
-                return (hi, lo), Refinement(
-                    reference_cutoff, len(ref.diag), tuple(len(v) for _, v in pilot.pairs),
-                    pilot.rotation.form, steps, size, cutoff, tuple(tried),
-                    float(np.linalg.norm(r[outside])), delta, residual * residual / delta)
-        finally:
-            pilot.release()
+        pilot = solve(sample, cutoff)
+        where, values, _ = _ascending(pilot.pairs)
+        if len(values) <= pilot.count:  # no pair above the pilot's to show a gap
+            continue
+        if (index and values[index] - values[index - 1] <= gap) \
+                or values[index + 1] - values[index] <= gap:
+            break
+        rows, outside = _embedding(pilot.modes, ref.modes), np.ones(len(ref.diag), dtype=bool)
+        outside[rows] = False
+        spread = math.fsum(np.abs(ref.offdiag.coef).tolist())
+        window = _window(pilot, values, index, spread, ref.diag[outside])
+        if window is None:
+            continue
+        (alpha, beta), guess = window, values[index]
+        x = np.zeros((len(ref.diag), 1), dtype=complex)
+        x[rows] = pilot.rotation.to_modes(_block_columns(pilot.pairs, [where[index]]))
+        if not _certified(float(np.linalg.norm(ref.offdiag.product(x)[outside])),
+                          min(beta - guess, guess - alpha), guess):
+            continue
+        (hi, lo), steps, r, x = _extended_eigenvalue(pilot, ref, index, gap)
+        delta = float(min(beta - hi, hi - alpha))
+        residual = _residual_bound(ref, r, x, hi, spread)
+        if _certified(residual, delta, hi):
+            return (hi, lo), Refinement(
+                reference_cutoff, len(ref.diag), tuple(len(v) for _, v in pilot.pairs),
+                pilot.rotation.form, steps, x.shape[1], cutoff, tuple(tried), x,
+                float(np.linalg.norm(r[outside])), delta, residual * residual / delta)
+    pilot = None  # a refused pilot's blocks go before the reference builds its own
     return _refined(ref, index, gap, (*tried, reference_cutoff))
 
 
@@ -467,8 +465,8 @@ def error_table(solve: Callable, samples, cutoffs, reference_cutoff: float,
     the reference cutoff (at least twice the largest), at each sample,
     with the rate of the worst over the samples.
 
-    solve(sample, cutoff, reference) returns the _Operator there, solved
-    on first use.  Each eigenvalue is refined to double-double (clusters
+    solve(sample, cutoff) returns the _Operator there, solved on first
+    use.  Each eigenvalue is refined to double-double (clusters
     within `gap` together) and each error, a difference of two, is
     rounded to double once; as every study matrix is a principal
     submatrix of the reference matrix, the exact errors are nonnegative,
@@ -489,8 +487,7 @@ def error_table(solve: Callable, samples, cutoffs, reference_cutoff: float,
                                               band - 1, gap)
         records, scale = [record], max(scale, abs(ref_hi))
         for i, cutoff in enumerate(cutoffs):
-            op = solve(sample, cutoff, False)
-            (hi, lo), record = _refined(op, band - 1, gap, (cutoff,))
+            (hi, lo), record = _refined(solve(sample, cutoff), band - 1, gap, (cutoff,))
             records.append(record)
             diff, diff_lo = dd_add(hi, lo - ref_lo, -ref_hi)
             error = diff + diff_lo
@@ -506,7 +503,7 @@ def bz_convergence(V: FourierSeriesD, k_samples, cutoffs, reference_cutoff: floa
     """error_table of band `band` (1-based) of the Bloch fibers of V over
     the k samples.  A pilot's basis at k is the part of the reference's
     within its cutoff."""
-    return error_table(lambda k, n, _: _fiber(V, k, n, band),
+    return error_table(lambda k, n: _fiber(V, k, n, band),
                        np.atleast_2d(np.asarray(k_samples, dtype=float)),
                        cutoffs, reference_cutoff, band)
 
@@ -514,12 +511,12 @@ def bz_convergence(V: FourierSeriesD, k_samples, cutoffs, reference_cutoff: floa
 def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
                       band: int, cluster_gap: float = 1e-8) -> ConvergenceTable:
     """Eigenvalue errors (error_table) and H1 eigenvector errors against
-    a reference solve, `band` 1-based.  The reference eigenspace is the
-    cluster of reference eigenpairs within cluster_gap of the target
-    eigenvalue; the eigenvector rate is fitted above RATE_FIT_FLOOR.  The
-    reference eigenvalues and eigenvectors are those of the cutoff whose
-    pairs error_table accepted for the reference, a certified pilot's
-    vectors standing for themselves padded with zeros."""
+    a reference solve, `band` 1-based.  The H1 distances are from each
+    study cutoff's refined target vector, normalized, to the reference's
+    refined cluster (an accepted pilot's, padded with zeros): neighbours
+    closer than cluster_gap, chained, so a near-degenerate chain may reach
+    further than cluster_gap from the target.  The eigenvector rate is
+    fitted above RATE_FIT_FLOOR."""
     cutoffs = [int(n) for n in cutoffs]
     if band < 1:
         raise InvalidParameterError("band index is 1-based")
@@ -527,19 +524,15 @@ def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
         raise InvalidParameterError(
             f"band {band} exceeds the {2 * min(cutoffs) + 1} pairs of the "
             "smallest study cutoff")
-    solved, embedded = {}, series1d_to_lattice(V)[1]  # cutoff -> operator
-
-    def solve(_, cutoff, reference):
-        pairs = min(2 * cutoff + 1, band + 8) if reference else band
-        solved[cutoff] = _fiber(embedded, np.zeros(1), cutoff, pairs)
-        return solved[cutoff]
-
-    table = error_table(solve, [None], cutoffs, reference_cutoff, band, cluster_gap)
-    ref = _eigen_result(solved[table.refinements[0][0].source])
-    in_cluster = np.abs(ref.eigenvalues - ref.eigenvalues[band - 1]) <= cluster_gap
-    space = [v for v, keep in zip(ref.eigenvectors, in_cluster) if keep]
-    vec_err = np.array([h1_distance(_eigen_result(solved[n]).eigenvectors[band - 1], space)
-                        for n in cutoffs])
+    embedded = series1d_to_lattice(V)[1]
+    table = error_table(lambda _, n: _fiber(embedded, np.zeros(1), n, band), [None],
+                        cutoffs, reference_cutoff, band, cluster_gap)
+    reference, *study = table.refinements[0]
+    space = [FourierSeries1D(int(reference_cutoff), v) for v in reference.vectors.T]
+    vec_err = np.empty(len(study))
+    for i, record in enumerate(study):
+        u = record.vectors[:, 0]
+        vec_err[i] = h1_distance(FourierSeries1D(record.cutoff, u / np.linalg.norm(u)), space)
     return ConvergenceTable(
         eigenvalue_errors=table.errors[:, 0],
         eigenvector_errors=vec_err,

@@ -33,8 +33,6 @@ def trajectory_from_callable(value, slope, y_grid, blowup_time=None,
                          np.asarray(slope(y), dtype=float)])
 
     return OdeTrajectory(
-        epsilon=math.nan, mu=math.nan,
-        initial_slope=float(slope(y_grid[0])),
         nodes=y_grid,
         psi=np.asarray(value(y_grid), dtype=float),
         psi_prime=np.asarray(slope(y_grid), dtype=float),

@@ -428,8 +428,7 @@ class TestStripOfSolution:
         for k in range(1, n + 1, 2):
             c[n + k] = 1j * math.exp(-0.5 * k)
             c[n - k] = -1j * math.exp(-0.5 * k)
-        fake = GpSolveResult(epsilon=0.1, mu=0.5,
-                             solution=FourierSeries1D(n, c), newton_iters=0,
+        fake = GpSolveResult(solution=FourierSeries1D(n, c), newton_iters=0,
                              residual_l2=0.0, u_prime_at_zero=1.0,
                              residual_history=(0.0,))
         est = estimate_solution_strip(fake, noise_floor=1e-13)

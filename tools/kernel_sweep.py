@@ -12,7 +12,10 @@ exact rational value), the cubic solver tests (`tests/test_cubic.py`, with
 `cho_factor`/`cho_solve` Newton step against the full padded square and
 `scipy.linalg.solve(assume_a="pos")`, bit for bit, at N = 24, 256 and 768),
 the eigensolver tests (`tests/test_eigen.py`: the subset eigensolves,
-the bordered refinement and its 60-digit checks, and `TestPilotReference`:
+the bordered refinement and its 60-digit checks,
+`test_eigenvector_errors_match_50_digit_h1_distances`: the H1 distances
+from the refined vectors against those between 50-digit eigenvectors,
+and `TestPilotReference`:
 a certified pilot's reference eigenvalue against the full reference's
 refinement and against 60-digit eigenvalues, the fallback to the full
 reference bit for bit, and the count, eta and Kato-Temple edges of the
