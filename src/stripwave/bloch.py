@@ -6,7 +6,7 @@ on lattice-periodic functions; its Galerkin matrix on the planewave set
 
     |G + k|^2 delta_{GG'} + V_{G-G'} / sqrt(|cell|).
 
-_fiber is the one operator constructor: a 1D potential is the d = 1 case
+_cuts is the one operator constructor: a 1D potential is the d = 1 case
 on the lattice 2*pi*Z at k = 0 (series1d_to_lattice).  Fibers are solved
 on the path of `eigen`: subset eigensolves, and for convergence tables
 also the double-double refinement, whose residual sums over the offsets
@@ -31,7 +31,9 @@ difference range, and keeps the arithmetic of the entrywise definition,
 so it is bit-identical to an entry-by-entry assembly.  The basis
 enumeration tests the whole integer box at once and settles the points
 within rounding of the sphere with the single-point test, so it selects
-the same planewaves in the same order as a point-by-point scan.
+the same planewaves in the same order as a point-by-point scan.  The same
+test cuts a smaller cutoff's basis from a larger one: a study enumerates
+one basis per k and solves each cutoff on a cut of it.
 """
 
 from __future__ import annotations
@@ -113,9 +115,28 @@ class PlanewaveBasis:
     def dimension(self) -> int:
         return self.int_coords.shape[0]
 
+    def within(self, cutoff: float) -> tuple[PlanewaveBasis, np.ndarray]:
+        """Its planewaves with |G + k| <= cutoff, in its order, and their
+        rows in it.  The points within rounding of the sphere take the
+        per-row test, where a batched product may round unlike one row's,
+        so the cut is basis_set's at that cutoff from any basis holding it."""
+        if cutoff >= self.cutoff:
+            return self, np.arange(self.dimension)
+        recip, k, ints = reciprocal(self.lattice).basis, self.k_point, self.int_coords
+        norms = np.linalg.norm(self.wavevectors + k, axis=1)
+        inside = norms <= cutoff
+        slack = 1e-10 * (cutoff + np.abs(ints) @ np.abs(recip).sum(axis=1)
+                         + np.abs(k).sum())
+        for i in np.flatnonzero(np.abs(norms - cutoff) <= slack):
+            inside[i] = np.linalg.norm(ints[i].astype(float) @ recip + k) <= cutoff
+        rows = np.flatnonzero(inside)
+        cut = ints[rows]
+        return PlanewaveBasis(self.lattice, k, float(cutoff), cut,
+                              cut.astype(float) @ recip), rows
+
 
 def basis_set(lattice: Lattice, k_point, cutoff: float) -> PlanewaveBasis:
-    """Enumerate the reciprocal-lattice vectors with |G + k| <= cutoff."""
+    """The reciprocal-lattice vectors with |G + k| <= cutoff: a cut of the box."""
     if not (cutoff >= 0 and math.isfinite(cutoff)):
         raise InvalidParameterError("cutoff must be nonnegative and finite")
     k = np.asarray(k_point, dtype=float)
@@ -124,28 +145,12 @@ def basis_set(lattice: Lattice, k_point, cutoff: float) -> PlanewaveBasis:
         raise InvalidParameterError(f"k point must have {d} components")
     if not np.all(np.isfinite(k)):
         raise InvalidParameterError(f"k point {k.tolist()} must be finite")
-    recip = reciprocal(lattice)
     box = basis_box(lattice, cutoff + float(np.linalg.norm(k)))
     # the box in lexicographic order, last coordinate fastest
     grids = np.meshgrid(*[np.arange(-b, b + 1) for b in box], indexing="ij")
     candidates = np.stack(grids, axis=-1).reshape(-1, d)
-    norms = np.linalg.norm(candidates @ recip.basis + k, axis=1)
-    inside = norms <= cutoff
-    # A batched product may round differently from a single row's, so the
-    # points within rounding of the sphere are decided by the per-row test.
-    slack = 1e-10 * (cutoff + np.abs(candidates) @ np.abs(recip.basis).sum(axis=1)
-                     + np.abs(k).sum())
-    for i in np.flatnonzero(np.abs(norms - cutoff) <= slack):
-        G = candidates[i].astype(float) @ recip.basis
-        inside[i] = np.linalg.norm(G + k) <= cutoff
-    ints = candidates[inside]
-    return PlanewaveBasis(
-        lattice=lattice,
-        k_point=k,
-        cutoff=float(cutoff),
-        int_coords=ints,
-        wavevectors=ints.astype(float) @ recip.basis,
-    )
+    return PlanewaveBasis(lattice, k, math.inf, candidates,
+                          candidates @ reciprocal(lattice).basis).within(cutoff)[0]
 
 
 class FourierSeriesD:
@@ -468,15 +473,15 @@ class _Operator:
     """One fiber as the eigen path reads it: build() assembles its blocks
     in the basis of `rotation`, and `blocks` keeps them as long as the
     operator lives; diag and coupling() are the complex fiber's diagonal
-    and off-diagonal part, for the double-double residual; modes are the
-    planewaves' integer coordinates in lexicographic order.  Nothing is
-    assembled or solved until `pairs` is first read."""
+    and off-diagonal part, for the double-double residual; rows are its
+    planewaves' rows in the basis it was cut from.  Nothing is assembled
+    or solved until `pairs` is first read."""
 
     build: Callable[[], list[np.ndarray]]
     rotation: _Rotation
     diag: np.ndarray
     coupling: Callable[[], object]
-    modes: np.ndarray
+    rows: np.ndarray
     count: int = 0  # the eigenpairs a caller reads
 
     @cached_property
@@ -500,27 +505,33 @@ class _Operator:
         ranked = np.argsort(polished, kind="stable")
         return polished[ranked], [lowest[i] for i in ranked]
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.solved[0]
-
     @cached_property
     def offdiag(self):
         return self.coupling()
 
 
+def _cuts(V: FourierSeriesD, k: np.ndarray, reference: float, n_bands: int):
+    """The one operator constructor, a 1D V's on series1d_to_lattice's
+    lattice: a callable from a cutoff to the fiber at k on that cut of one
+    basis, enumerated within `reference`, with its lowest n_bands
+    eigenvalues, polished and ascending, in `solved`."""
+    whole = basis_set(V.lattice, k, reference)
+
+    def fiber(cutoff: float) -> _Operator:
+        basis, rows = whole.within(cutoff)
+        if basis.dimension < n_bands:
+            raise InvalidParameterError(
+                f"basis at k = {k.tolist()}, cutoff {cutoff} has only {basis.dimension} "
+                f"planewaves; cannot produce {n_bands} bands")
+        diag = _diagonal(V, basis)
+        return _Operator(*_form(V, basis, diag), diag, partial(_coupling, V, basis),
+                         rows, n_bands)
+    return fiber
+
+
 def _fiber(V: FourierSeriesD, k: np.ndarray, cutoff: float, n_bands: int) -> _Operator:
-    """The fiber at k on the planewaves within cutoff, with its lowest
-    n_bands eigenvalues, polished and ascending, in `eigenvalues`: the one
-    operator constructor, a 1D V's on the lattice of series1d_to_lattice."""
-    basis = basis_set(V.lattice, k, cutoff)
-    if basis.dimension < n_bands:
-        raise InvalidParameterError(
-            f"basis at k = {k.tolist()}, cutoff {cutoff} has only {basis.dimension} "
-            f"planewaves; cannot produce {n_bands} bands")
-    diag = _diagonal(V, basis)
-    return _Operator(*_form(V, basis, diag), diag, partial(_coupling, V, basis),
-                     basis.int_coords, n_bands)
+    """The fiber at k on the planewaves within cutoff (_cuts)."""
+    return _cuts(V, k, cutoff, n_bands)(cutoff)
 
 
 @dataclass(frozen=True)
@@ -533,7 +544,7 @@ def band_structure(V: FourierSeriesD, k_path, cutoff: float,
                    n_bands: int) -> BandStructure:
     """Lowest n_bands Bloch eigenvalues at each k of the path."""
     k_path = np.atleast_2d(np.asarray(k_path, dtype=float))
-    bands = [_fiber(V, k, cutoff, n_bands).eigenvalues for k in k_path]
+    bands = [_fiber(V, k, cutoff, n_bands).solved[0] for k in k_path]
     deltas = np.linalg.norm(np.diff(k_path, axis=0), axis=1)
     param = np.concatenate([[0.0], np.cumsum(deltas)])
     return BandStructure(path_parameter=param, bands=np.asarray(bands))

@@ -234,6 +234,9 @@ def build_potential_1d(spec: dict, location: str = "potential"):
     cfg = _require_keys(spec, {"name": "str", **required},
                         {key: (kind, None) for key, kind in optional.items()},
                         location)
+    # the series and its lattice embedding take 244 bytes a coefficient (measured)
+    if cfg.get("cutoff") is not None:
+        _guard(cfg, "cutoff", lambda n: (2 * n + 1) * 256, location)
     try:
         return getattr(potentials, factory)(**_given(cfg, *required, *optional))
     except InvalidParameterError as exc:

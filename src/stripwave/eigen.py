@@ -1,7 +1,7 @@
 """Planewave Galerkin eigenproblems and convergence studies, for
 -d2/dx2 + V in 1D and for the Bloch fibers of `bloch`.
 
-Both solve the fibers of bloch._fiber, a 1D V as the d = 1 case: embedded
+Both solve the fibers of bloch._cuts, a 1D V as the d = 1 case: embedded
 once per call on the lattice 2*pi*Z, at k = 0, where the fiber is the 1D
 Galerkin matrix k^2 delta_{kk'} + V_{k-k'} / sqrt(2*pi).  The eigenpairs
 come from subset eigensolves of the fiber's real or complex blocks, which
@@ -23,14 +23,15 @@ refined eigenvalue.
 
 The reference solve is mostly wasted on an analytic potential: its
 eigenvectors vanish to double precision a few dozen modes in.  So
-error_table first tries pilots, the same operator at smaller cutoffs
-with the other modes zero.  A pilot's eigenpairs are refined on the
-reference's own double-double residual with the pilot's factors, and
-they stand in for the reference's only under a certificate: an inertia
-count that no mode outside the pilot enters below its pairs, and a
-Kato-Temple bound (Kato, J. Phys. Soc. Japan 4, 1949) on the distance
-from the refined value to the reference's eigenvalue.  Where no pilot
-passes, the reference is its own last pilot.
+error_table first tries pilots, the same operator on cuts of the
+reference's basis at smaller cutoffs, with the other modes zero.  A
+pilot's eigenpairs are refined on the reference's own double-double
+residual with the pilot's factors, and they stand in for the
+reference's only under a certificate: an inertia count that no mode
+outside the pilot enters below its pairs, and a Kato-Temple bound
+(Kato, J. Phys. Soc. Japan 4, 1949) on the distance from the refined
+value to the reference's eigenvalue.  Where no pilot passes, the
+reference is its own last pilot.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import (FourierSeriesD, _ascending, _fiber, _lowest_pairs, _Operator,
-                    series1d_to_lattice)
+from .bloch import (FourierSeriesD, _ascending, _cuts, _fiber, _lowest_pairs,
+                    _Operator, series1d_to_lattice)
 from .errors import InvalidParameterError
 from .extended import band_residual, dd_add, exact_lstsq
 from .fourier import FourierSeries1D, multiplier_norm_bound, strip_norm, strip_weight
@@ -197,19 +198,11 @@ def _bordered_factors(op: _Operator, pairs, where, shifts):
     return factors
 
 
-def _embedding(small: np.ndarray, large: np.ndarray) -> np.ndarray:
-    """The rows of `large` that hold the rows of `small`, both integer
-    coordinates in lexicographic order, small's among large's."""
-    base = 2 * int(np.abs(large).max(initial=0)) + 1
-    weights = base ** np.arange(large.shape[1] - 1, -1, -1)
-    return np.searchsorted(large @ weights, small @ weights)
-
-
 def _extended_eigenvalue(op: _Operator, ref: _Operator, index: int, gap: float):
     """Eigenvalue `index` (0-based, ascending) of the matrix of `ref` as a
     double-double pair (hi, lo), from the eigenpairs and blocks of `op`:
-    ref itself, or a pilot whose modes are some of ref's and whose matrix
-    is ref's on them.  Also returns the number of Newton corrections, and
+    ref itself, or a pilot cut from ref's basis, whose matrix is ref's on
+    the pilot's rows.  Also returns the number of Newton corrections, and
     the last residual with the refined cluster's vectors x_hi it was
     formed from, both on ref's modes, one column per eigenpair of the
     cluster, the target's first.
@@ -226,7 +219,7 @@ def _extended_eigenvalue(op: _Operator, ref: _Operator, index: int, gap: float):
     with mpmath at _MP_PREC bits.
     """
     from scipy.linalg import lu_solve  # deferred, as in _lowest_pairs
-    rows = None if op is ref else _embedding(op.modes, ref.modes)
+    rows = None if op is ref else op.rows
 
     def padded(v):  # op's modes among ref's
         if rows is None:
@@ -370,39 +363,38 @@ def _refined(op: _Operator, index: int, gap: float, tried: tuple):
                              op.rotation.form, steps, x.shape[1], tried[-1], tried, x)
 
 
-def _reference(solve: Callable, sample, cutoffs, reference_cutoff: float, index: int,
-               gap: float):
-    """Eigenvalue `index` (0-based) of the reference at `sample` as a
-    double-double pair, and its Refinement.
+def _reference(cut: Callable, cutoffs, reference_cutoff: float, index: int, gap: float):
+    """Eigenvalue `index` (0-based) of the reference cut(reference_cutoff)
+    as a double-double pair, and its Refinement.
 
-    Each pilot of _pilots is solved through solve(sample, pilot) and
-    stands in for the reference once its certificate holds: the count of
-    _window, then the Kato-Temple bound of _certified, first in double on
-    the reference rows outside the pilot for the pilot's own eigenvector,
-    then on the last double-double residual of its refinement with delta
+    Each pilot of _pilots, the cut at its cutoff, stands in for the
+    reference once its certificate holds: the count of _window, then the
+    Kato-Temple bound of _certified, first in double on the reference
+    rows outside the pilot's for the pilot's own eigenvector, then on the
+    last double-double residual of its refinement with delta
     = min(beta - rho, rho - alpha) for the refined value rho.  A target
     that is not alone in its cluster takes the reference itself, as does a
     reference no pilot certifies.  A refused pilot is dropped before the
     reference assembles its own blocks."""
-    ref, tried = solve(sample, reference_cutoff), []
+    ref, tried = cut(reference_cutoff), []
     for cutoff in _pilots(cutoffs, reference_cutoff):
         tried.append(cutoff)
-        pilot = solve(sample, cutoff)
+        pilot = cut(cutoff)
         where, values, _ = _ascending(pilot.pairs)
         if len(values) <= pilot.count:  # no pair above the pilot's to show a gap
             continue
         if (index and values[index] - values[index - 1] <= gap) \
                 or values[index + 1] - values[index] <= gap:
             break
-        rows, outside = _embedding(pilot.modes, ref.modes), np.ones(len(ref.diag), dtype=bool)
-        outside[rows] = False
+        outside = np.ones(len(ref.diag), dtype=bool)
+        outside[pilot.rows] = False
         spread = math.fsum(np.abs(ref.offdiag.coef).tolist())
         window = _window(pilot, values, index, spread, ref.diag[outside])
         if window is None:
             continue
         (alpha, beta), guess = window, values[index]
         x = np.zeros((len(ref.diag), 1), dtype=complex)
-        x[rows] = pilot.rotation.to_modes(_block_columns(pilot.pairs, [where[index]]))
+        x[pilot.rows] = pilot.rotation.to_modes(_block_columns(pilot.pairs, [where[index]]))
         if not _certified(float(np.linalg.norm(ref.offdiag.product(x)[outside])),
                           min(beta - guess, guess - alpha), guess):
             continue
@@ -465,10 +457,11 @@ def error_table(solve: Callable, samples, cutoffs, reference_cutoff: float,
     the reference cutoff (at least twice the largest), at each sample,
     with the rate of the worst over the samples.
 
-    solve(sample, cutoff) returns the _Operator there, solved on first
-    use.  Each eigenvalue is refined to double-double (clusters
-    within `gap` together) and each error, a difference of two, is
-    rounded to double once; as every study matrix is a principal
+    solve(sample, reference_cutoff) enumerates the sample's basis and
+    returns a callable from a cutoff to the _Operator on that cut of it,
+    solved on first use.  Each eigenvalue is refined to double-double
+    (clusters within `gap` together) and each error, a difference of two,
+    is rounded to double once; as every study matrix is a principal
     submatrix of the reference matrix, the exact errors are nonnegative,
     and one that rounds below zero (two equal eigenvalues) reads 0.
     The reference eigenvalue comes from the first certified pilot of
@@ -483,11 +476,11 @@ def error_table(solve: Callable, samples, cutoffs, reference_cutoff: float,
     errors = np.empty((len(cutoffs), len(samples)))
     refinements, scale = [], 0.0
     for s, sample in enumerate(samples):
-        (ref_hi, ref_lo), record = _reference(solve, sample, cutoffs, reference_cutoff,
-                                              band - 1, gap)
+        cut = solve(sample, reference_cutoff)
+        (ref_hi, ref_lo), record = _reference(cut, cutoffs, reference_cutoff, band - 1, gap)
         records, scale = [record], max(scale, abs(ref_hi))
         for i, cutoff in enumerate(cutoffs):
-            (hi, lo), record = _refined(solve(sample, cutoff), band - 1, gap, (cutoff,))
+            (hi, lo), record = _refined(cut(cutoff), band - 1, gap, (cutoff,))
             records.append(record)
             diff, diff_lo = dd_add(hi, lo - ref_lo, -ref_hi)
             error = diff + diff_lo
@@ -501,9 +494,8 @@ def error_table(solve: Callable, samples, cutoffs, reference_cutoff: float,
 def bz_convergence(V: FourierSeriesD, k_samples, cutoffs, reference_cutoff: float,
                    band: int) -> ErrorTable:
     """error_table of band `band` (1-based) of the Bloch fibers of V over
-    the k samples.  A pilot's basis at k is the part of the reference's
-    within its cutoff."""
-    return error_table(lambda k, n: _fiber(V, k, n, band),
+    the k samples, each one basis enumerated at the reference cutoff."""
+    return error_table(lambda k, n: _cuts(V, k, n, band),
                        np.atleast_2d(np.asarray(k_samples, dtype=float)),
                        cutoffs, reference_cutoff, band)
 
@@ -525,7 +517,7 @@ def convergence_study(V: FourierSeries1D, cutoffs, reference_cutoff: int,
             f"band {band} exceeds the {2 * min(cutoffs) + 1} pairs of the "
             "smallest study cutoff")
     embedded = series1d_to_lattice(V)[1]
-    table = error_table(lambda _, n: _fiber(embedded, np.zeros(1), n, band), [None],
+    table = error_table(lambda _, n: _cuts(embedded, np.zeros(1), n, band), [None],
                         cutoffs, reference_cutoff, band, cluster_gap)
     reference, *study = table.refinements[0]
     space = [FourierSeries1D(int(reference_cutoff), v) for v in reference.vectors.T]

@@ -256,22 +256,16 @@ def estimate_strip(u: FourierSeries1D, noise_floor: float = 1e-13) -> Analyticit
     if noise_floor <= 0:
         raise InvalidParameterError("noise_floor must be positive")
     n = u.cutoff
-    mid = n
     ks = np.arange(1, n + 1)
-    mags = np.maximum(np.abs(u.coeffs[mid + 1:]), np.abs(u.coeffs[mid - 1::-1]))
+    mags = np.maximum(np.abs(u.coeffs[n + 1:]), np.abs(u.coeffs[n - 1::-1]))
     usable = ks[mags > noise_floor]
     if len(usable) < 8:
         raise InsufficientDataError(
             f"only {len(usable)} coefficients above the noise floor; need at least 8"
         )
-    diffs = np.diff(usable)
-    stride = int(diffs[0])
-    for d in diffs[1:]:
-        stride = math.gcd(stride, int(d))
-    stride = max(stride, 1)
+    stride = math.gcd(*np.diff(usable).tolist())
 
-    skip = len(usable) // 4
-    window = usable[skip:]
+    window = usable[len(usable) // 4:]
     kf = window.astype(float)
     (log_c, rate, _), misfit = exact_lstsq([np.ones_like(kf), -kf, -np.log1p(kf)],
                                            np.log(mags[window - 1]))

@@ -1,6 +1,6 @@
 """Fourier-Galerkin solution of the source problem -u'' + V u = f.
 
-The operator is V's fiber at k = 0 on the lattice 2*pi*Z (bloch._fiber),
+The operator is V's fiber at k = 0 on the lattice 2*pi*Z (bloch._cuts),
 whose real blocks (positive definite as V >= 1) map the coefficients of
 real functions to those of real functions: each block is
 Cholesky-factored once for both real-function parts of f.  Alongside the
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import FourierSeriesD, _fiber, series1d_to_lattice
+from .bloch import _cuts, series1d_to_lattice
 from .errors import PreconditionError, SolverFailureError
 from .eigen import solve_eig
 from .extended import band_residual, norm2
@@ -59,15 +59,15 @@ def solve_linear(V: FourierSeries1D, f: FourierSeries1D, cutoff: int) -> Fourier
     The right-hand side is projected onto the trial space; it may be
     complex-valued.
     """
-    return _solve(V, series1d_to_lattice(V)[1], f, cutoff)[0]
+    return _solve(V, _cuts(series1d_to_lattice(V)[1], np.zeros(1), cutoff, 0), f,
+                  cutoff)[0]
 
 
-def _solve(V: FourierSeries1D, embedded: FourierSeriesD, f: FourierSeries1D,
-           cutoff: int):
-    """solve_linear with V's embedding on the lattice 2*pi*Z, and the
-    fiber whose blocks it factored."""
+def _solve(V: FourierSeries1D, cut, f: FourierSeries1D, cutoff: int):
+    """solve_linear on the fiber cut(cutoff) of V's embedding on the
+    lattice 2*pi*Z (bloch._cuts), and that fiber, whose blocks it factored."""
     from scipy.linalg import LinAlgError, cho_factor, cho_solve  # deferred, as in eigen
-    op = _fiber(embedded, np.zeros(1), cutoff, 0)
+    op = cut(cutoff)
     vmin = float(np.min(grid_values(V, max(4 * cutoff + 1, 2 * V.cutoff + 1)).real))
     if vmin < 1.0 - 1e-12:  # grid transform rounding must not reject V = 1
         raise PreconditionError(
@@ -138,13 +138,13 @@ def refinement_study(V: FourierSeries1D, f: FourierSeries1D, cutoffs,
 
     Returns rows (N, residual_l2, err_vs_ref_l2, err_vs_ref_h1); each
     residual H u - f is summed in double-double on the fiber's diagonal and
-    coupling.  V is embedded on the lattice once for all the solves.
+    coupling.  Every solve is on a cut of one basis of V's embedding.
     """
-    embedded = series1d_to_lattice(V)[1]
-    ref, _ = _solve(V, embedded, f, reference_cutoff)
+    cut = _cuts(series1d_to_lattice(V)[1], np.zeros(1), reference_cutoff, 0)
+    ref, _ = _solve(V, cut, f, reference_cutoff)
     rows = []
     for n in cutoffs:
-        u, op = _solve(V, embedded, f, n)
+        u, op = _solve(V, cut, f, n)
         x, zero = u.coeffs[:, None], np.zeros(1)
         residual = band_residual(op.diag, op.offdiag, zero, zero, x, np.zeros_like(x),
                                  project(f, n)._padded(n)[:, None])

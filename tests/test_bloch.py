@@ -24,7 +24,7 @@ from stripwave.bloch import (FourierSeriesD, Lattice, PlanewaveBasis, _coupling,
                              bz_sample_grid, gaussian_potential,
                              reciprocal, series1d_to_lattice)
 from stripwave.cli import _build_lattice_potential, main
-from stripwave.eigen import _embedding, bz_convergence, convergence_study
+from stripwave.eigen import bz_convergence, convergence_study
 from stripwave.errors import InvalidParameterError
 from stripwave.extended import Band, band_residual
 from stripwave.galerkin import assemble_dense, rayleigh_polish
@@ -411,16 +411,34 @@ class TestZoneErrorsExact:
             exact = float(eigenvalue(n) - ref)
             assert abs(err - exact) <= np.spacing(exact)
 
-    @pytest.mark.parametrize("lattice, k", [
-        (OBLIQUE, [0.13, -0.29]),
-        (Lattice(2.0 * np.pi * np.eye(3)), [0.1, 0.2, -0.3]),
-    ])
-    def test_pilot_basis_sits_in_the_reference_basis(self, lattice, k):
-        small, large = (basis_set(lattice, np.asarray(k), cutoff).int_coords
-                        for cutoff in (1.5, 3.0))
-        rows = _embedding(small, large)
-        assert np.array_equal(large[rows], small)
-        assert len(small) < len(large) and np.all(np.diff(rows) > 0)
+    @pytest.mark.parametrize("lattice", [
+        TWO_PI_LINE, CUBIC_2D, Lattice(2.0 * np.pi * np.eye(3)), OBLIQUE,
+        Lattice(2.0 * np.pi * np.array([[1.0, 0.0, 0.0], [0.4, 1.1, 0.0],
+                                        [0.2, -0.3, 0.9]])),
+    ], ids=["line", "square", "cube", "oblique", "skew-3d"])
+    def test_cut_is_basis_set(self, lattice):
+        # a study cuts every cutoff from one basis: each cut must be
+        # basis_set's own basis there, bit for bit, also at cutoffs that
+        # equal some planewave's per-row |G + k|, where the batched norm
+        # may round either way
+        rng = np.random.default_rng(7)
+        d, recip = lattice.dimension, reciprocal(lattice).basis
+        V = FourierSeriesD(lattice, {(0,) * d: 0.7})
+        reference = {1: 24.0, 2: 4.0, 3: 2.5}[d]
+        for _ in range(6):
+            k = rng.uniform(-0.5, 0.5, d) @ recip
+            whole = basis_set(lattice, k, reference)
+            edges = [float(np.linalg.norm(whole.int_coords[i].astype(float) @ recip + k))
+                     for i in rng.choice(whole.dimension, 4, replace=False)]
+            for cutoff in [*rng.uniform(0.0, reference, 3), *edges, reference]:
+                cut, rows = whole.within(cutoff)
+                want = basis_set(lattice, k, cutoff)
+                assert np.all(np.diff(rows) > 0)
+                assert np.array_equal(whole.int_coords[rows], cut.int_coords)
+                assert cut.int_coords.tobytes() == want.int_coords.tobytes()
+                assert cut.wavevectors.tobytes() == want.wavevectors.tobytes()
+                assert _diagonal(V, cut).tobytes() == _diagonal(V, want).tobytes()
+                assert cut.cutoff == want.cutoff
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_coupling_is_the_fiber_off_its_diagonal(self, d):

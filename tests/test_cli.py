@@ -524,6 +524,17 @@ SIZE_GUARDS = [
     ("bands", "band_structure", "N", 43.49, lambda n: {"N": n}),  # 89^2 <= 8192
     ("bz-convergence", "bz_convergence", "N_ref", 4094.49,  # 2 * 4095 + 1
      lambda n: {"N_ref": n}),
+    # a builtin 1D potential's 2 cutoff + 1 coefficients, 256 bytes each to
+    # build and embed on the lattice, stubbed at its factory
+    ("eig-convergence", "potentials.poisson_kernel", "potential.cutoff", 2097151,
+     lambda n: {"potential": dict(CONFIGS["eig-convergence"]["potential"], cutoff=n)}),
+    ("strip-estimate", "potentials.poisson_kernel", "potential.cutoff", 2097151,
+     lambda n: {"potential": dict(CONFIGS["strip-estimate"]["potential"], cutoff=n)}),
+    ("linsolve", "potentials.gaussian_bump", "source.cutoff", 2097151,
+     lambda n: {"source": {"name": "gaussian-sum", "cutoff": n}}),
+    ("bz-convergence", "potentials.poisson_kernel", "potential.potential.cutoff", 2097151,
+     lambda n: {"potential": {"name": "embed-1d", "potential": dict(
+         CONFIGS["bz-convergence"]["potential"]["potential"], cutoff=n)}}),
 ]
 
 

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from stripwave import bloch, eigen
-from stripwave.bloch import _fiber, _Operator, _Rotation, series1d_to_lattice
+from stripwave.bloch import _cuts, _fiber, _Operator, _Rotation, series1d_to_lattice
 from stripwave.errors import InvalidParameterError
 from stripwave.eigen import (EXTENDED_EPS, _extended_eigenvalue, _reference,
                              convergence_study, eigenvector_strip_check, error_table,
@@ -21,6 +21,7 @@ from stripwave.extended import Gather, band_residual
 from stripwave.fourier import (FourierSeries1D, h1_norm, l2_norm, strip_norm,
                                strip_weight)
 from stripwave.galerkin import assemble_dense, rayleigh_polish
+from stripwave.linear import refinement_study
 from stripwave.potentials import (constant, cosine, gaussian_bump, mathieu,
                                   poisson_kernel, sine)
 
@@ -401,7 +402,7 @@ def dense_operator(H, count):
     index[at] = np.arange(n)
     return _Operator(lambda: [H], _Rotation("complex"), np.diag(H).copy(),
                      partial(Gather, H[i, j].astype(complex), index, at, at[i] - at[j]),
-                     np.arange(n)[:, None], count)
+                     np.arange(n), count)
 
 
 def dense_table(H):
@@ -409,8 +410,9 @@ def dense_table(H):
     study cutoff 1, order 3 for the pilot at cutoff 2, all of H's 5 for
     the reference at cutoff 4.  The pilot returns 3 pairs, two and the
     one above them."""
-    def solve(_, cutoff):
-        return dense_operator(H[:cutoff + 1, :cutoff + 1], 2)
+    def solve(_, reference):
+        assert reference == 4
+        return lambda cutoff: dense_operator(H[:cutoff + 1, :cutoff + 1], 2)
     return error_table(solve, [None], [1], 4, 1)
 
 
@@ -435,12 +437,13 @@ class TestPilotReference:
         V = spectral_potential(c)
         ops = {}
 
-        def solve(_, cutoff):
-            ops[cutoff] = fiber_1d(V, cutoff, 1)
+        fiber = _cuts(series1d_to_lattice(V)[1], np.zeros(1), SPECTRAL_REFERENCE, 1)
+
+        def cut(cutoff):
+            ops[cutoff] = fiber(cutoff)
             return ops[cutoff]
 
-        (hi, lo), record = _reference(solve, None, SPECTRAL_CUTOFFS, SPECTRAL_REFERENCE,
-                                      0, 1e-8)
+        (hi, lo), record = _reference(cut, SPECTRAL_CUTOFFS, SPECTRAL_REFERENCE, 0, 1e-8)
         assert record.tried == (40, 80) and record.source == 80
         assert record.block_orders == (81, 80) and record.order == 1025
         assert 0.0 < record.outside_residual
@@ -481,35 +484,44 @@ class TestPilotReference:
         # no operator holds blocks while another assembles its own (a
         # refused pilot's are gone before the reference's), and the study
         # keeps no operator alive; weak references, so that the test holds
-        # none either
-        alive, holders = [], []
+        # none either.  Every operator is watched: the reference, each
+        # pilot and each study cut of every sample's basis
+        alive, holders, cuts = [], [], []
 
         def recorded(*args):
-            op = _fiber(*args)
-            build = op.build
+            fiber = _cuts(*args)
 
-            def checked():  # refers to no operator, so no cycle keeps one
-                holders.append(sum("blocks" in vars(o) for o in (r() for r in alive)
-                                   if o is not None))
-                return build()
+            def cut(cutoff):
+                op = fiber(cutoff)
+                build = op.build
 
-            op = dataclasses.replace(op, build=checked)
-            alive.append(weakref.ref(op))
-            return op
+                def checked():  # refers to no operator, so no cycle keeps one
+                    holders.append(sum("blocks" in vars(o) for o in (r() for r in alive)
+                                       if o is not None))
+                    return build()
 
-        monkeypatch.setattr(eigen, "_fiber", recorded)
+                op = dataclasses.replace(op, build=checked)
+                alive.append(weakref.ref(op))
+                cuts.append(cutoff)
+                return op
+            return cut
+
+        monkeypatch.setattr(eigen, "_cuts", recorded)
         if study == "pilot":  # the pilot at 40 refused, the one at 80 accepted
             record = convergence_study(spectral_potential(1.3), SPECTRAL_CUTOFFS,
                                        SPECTRAL_REFERENCE, 1).refinements[0]
             assert record.tried == (40, 80) and record.source == 80
+            assert cuts == [SPECTRAL_REFERENCE, 40, 80, *SPECTRAL_CUTOFFS]
         elif study == "full":  # both pilots refused: the reference is refined
             V = poisson_kernel(1.02, mu=1.0, shift=2.0, cutoff=120)
             record = convergence_study(V, [4, 8], 64, 1).refinements[0]
             assert record.tried == (16, 32, 64) and record.source == 64
+            assert cuts == [64, 16, 32, 4, 8]
         else:
             lattice = bloch.Lattice(2.0 * np.pi * np.eye(2))
             V = bloch.gaussian_potential(lattice, [[0.1, -0.2]], [0.6], [-1.5], 6.0)
             eigen.bz_convergence(V, [[0.0, 0.0], [0.2, 0.1]], [1.5, 2.0], 8.0, 1)
+            assert cuts == 2 * [8.0, 4.0, 1.5, 2.0]
         assert len(holders) > 3 and set(holders) == {0}, holders
         assert [r for r in alive if r() is not None] == []
 
@@ -618,6 +630,78 @@ class TestPilotReference:
             assert record.outside_residual == coupling
             assert 1.9 < record.gap_bound < 2.0
             assert record.kato_temple == pytest.approx(coupling**2 / record.gap_bound)
+
+
+class TestOneBasisPerSample:
+    """A study enumerates one basis per sample, at its reference cutoff, and
+    every operator it solves is a cut of it."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The cutoffs bloch.basis_set is called at, and per sample the
+        operators of eigen's studies by cutoff."""
+        enumerated, samples, basis_set = [], [], bloch.basis_set
+
+        def counted(lattice, k, cutoff):
+            enumerated.append(cutoff)
+            return basis_set(lattice, k, cutoff)
+
+        def recorded(*args):
+            fiber, ops = _cuts(*args), {}
+            samples.append(ops)
+
+            def cut(cutoff):
+                ops[cutoff] = fiber(cutoff)
+                return ops[cutoff]
+            return cut
+
+        monkeypatch.setattr(bloch, "basis_set", counted)
+        monkeypatch.setattr(eigen, "_cuts", recorded)
+        return enumerated, samples
+
+    @staticmethod
+    def assert_cuts_of_the_reference(ops, reference, pilot):
+        # the pilot certificate's premise: a pilot's matrix is the
+        # reference's on its rows, so their diagonals agree bit for bit
+        ref = ops[reference]
+        assert np.array_equal(ref.rows, np.arange(len(ref.diag)))
+        for op in ops.values():
+            assert op.diag.tobytes() == ref.diag[op.rows].tobytes()
+        assert pilot in ops and len(ops[pilot].diag) < len(ref.diag)
+
+    def test_convergence_study(self, monkeypatch):
+        V = spectral_potential(1.3)
+        enumerated, samples = self.spy(monkeypatch)
+        table = convergence_study(V, SPECTRAL_CUTOFFS, SPECTRAL_REFERENCE, 1)
+        assert enumerated == [SPECTRAL_REFERENCE] and table.refinements[0].source == 80
+        assert sorted(samples[0]) == [*SPECTRAL_CUTOFFS, 40, 80, SPECTRAL_REFERENCE]
+        self.assert_cuts_of_the_reference(samples[0], SPECTRAL_REFERENCE, 80)
+
+    def test_bz_convergence(self, monkeypatch):
+        # the complex 1D fiber of test_bloch, whose pilot at 20 is accepted
+        lattice = bloch.Lattice(np.array([[2.0 * np.pi]]))
+        V = bloch.FourierSeriesD(lattice, {(0,): 0.4, (1,): 0.15 + 0.1j, (-1,): 0.15 - 0.1j,
+                                           (2,): 0.05 - 0.03j, (-2,): 0.05 + 0.03j})
+        enumerated, samples = self.spy(monkeypatch)
+        table = eigen.bz_convergence(V, [[0.13], [-0.21]], [1.5, 2.0, 2.5], 24.0, 1)
+        assert enumerated == [24.0, 24.0] and len(samples) == 2
+        for ops, records in zip(samples, table.refinements):
+            assert records[0].source == 20.0
+            self.assert_cuts_of_the_reference(ops, 24.0, 20.0)
+
+    def test_bz_convergence_on_a_lattice(self, monkeypatch):
+        lattice = bloch.Lattice(2.0 * np.pi * np.array([[1.0, 0.0], [0.3, 1.1]]))
+        V = bloch.gaussian_potential(lattice, [[0.1, -0.2]], [0.6], [-1.5], 6.0)
+        enumerated, samples = self.spy(monkeypatch)
+        eigen.bz_convergence(V, [[0.0, 0.0], [0.2, 0.1]], [1.5, 2.0], 8.0, 1)
+        assert enumerated == [8.0, 8.0]
+        for ops in samples:  # the pilot at 4 is refused
+            self.assert_cuts_of_the_reference(ops, 8.0, 4.0)
+
+    def test_refinement_study(self, monkeypatch):
+        enumerated, _ = self.spy(monkeypatch)
+        refinement_study(cosine(mean=2.0), sine(), [4, 6], 12)
+        assert enumerated == [12]
 
 
 class TestFitLogRate:

@@ -19,7 +19,8 @@ and `TestPilotReference`:
 a certified pilot's reference eigenvalue against the full reference's
 refinement and against 60-digit eigenvalues, the fallback to the full
 reference bit for bit, and the count, eta and Kato-Temple edges of the
-certificate), the double-double
+certificate; `TestOneBasisPerSample`: every cut's diagonal the
+reference's on its rows, bit for bit), the double-double
 residual tests (`tests/test_extended.py`: the sliced coupling products,
 whose BLAS sums must be exact, against integer row sums; all but
 `test_matches_the_loop_to_double_double`, whose eigenvectors of order 1025
@@ -32,7 +33,8 @@ refinement and its 50-digit checks, the parity split's zone errors against
 the one inversion block's at Gamma, X and M, the bands.csv contract (the
 real fibers' polished bands within 16 ulps of the complex fiber's, on two
 potentials and on fuzzed configs), the parity blocks' pinned sha256
-digests, with `test_complex_fiber_from_a_pilot`
+digests, `test_cut_is_basis_set` (each cut of one basis against
+`basis_set` at its cutoff, bit for bit), with `test_complex_fiber_from_a_pilot`
 and the pilot cases of `test_1d_at_k0_is_the_1d_study`, whose zone errors
 equal the 1D study's bit for bit) and acceptance
 criterion 10 (`tests/test_acceptance.py -k criterion_10`: the lattice
