@@ -382,7 +382,8 @@ def _run_gp_solve(cfg: dict, out):
     _validate_range(cfg, epsilon=lambda e: e > 0, mu=lambda m: m >= 0,
                     N=lambda n: n >= 16, tol=lambda t: t > 0,
                     noise_floor=lambda f: f > 0)
-    _guard(cfg, "N", _dense(lambda n: -(-n // 2), 8))  # the Newton Jacobian
+    # the Newton Jacobian: its block is the whole order ceil(N/2) at large mu
+    _guard(cfg, "N", _dense(lambda n: -(-n // 2), 8))
     result = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], **_given(cfg, "tol"))
     strip = _strip_fit(lambda: estimate_solution_strip(result, **_given(cfg, "noise_floor")),
                        out)
@@ -437,7 +438,8 @@ def _run_blowup(cfg: dict, out):
     if threshold > limit:
         raise ConfigError(f"'threshold' = {threshold!r} is above {limit!r}, the largest "
                           "|psi| resolvable before the pole", location="config.threshold")
-    _guard(cfg, "N", _dense(lambda n: -(-n // 2), 8))  # the Newton Jacobian
+    # the Newton Jacobian: its block is the whole order ceil(N/2) at large mu
+    _guard(cfg, "N", _dense(lambda n: -(-n // 2), 8))
     gp = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"], **_given(cfg, "tol"))
     report = blowup_report(cfg["epsilon"], cfg["mu"], cfg["eta"],
                            gp.u_prime_at_zero,

@@ -24,8 +24,22 @@ summed by numpy rather than BLAS.  The square is even, s_{-m} = s_m, and
 beta reversed is -beta, so the row of -m sums the same products in the
 same order as the row of m: only the m >= 0 rows are summed, and
 mirrored.  The Jacobian is real symmetric positive definite of order
-ceil(N/2) (multiplication by 3u^2 >= 0 plus eps*k^2 + 1 > 0), so each
-step is one Cholesky factorization and solve.
+ceil(N/2) (multiplication by 3u^2 >= 0 plus eps*k^2 + 1 > 0).
+
+Each Newton step solves only a leading block of it, of order M, by one
+Cholesky factorization, and divides the residual by eps*k^2 + 1 on the
+tail beyond M: the finite-block-plus-diagonal-tail inverse of the
+radii-polynomial method (van den Berg & Lessard, Notices AMS 62, 2015).
+M comes from the eps = 0 root, whose strip the eps > 0 solution keeps
+(B_eps >= B0, criterion 8): the block holds every odd k with
+exp(-B0*k) >= 2^-110, at least 32 modes, and is the whole order once it
+would hold more than half of it.  The Cardano start is computed on the
+odd k <= M alone, about half the block's reach, and is zero beyond: its
+FFT rounding (about 2^-53 of the largest coefficient) is all it holds
+there, and rounding left at the block's edge would reach the diagonal
+tail, which shrinks it only about 10^4-fold a step.  The residual stays
+exact on every mode, so the stopping rule and the residual history keep
+their meaning.
 """
 
 from __future__ import annotations
@@ -41,6 +55,9 @@ from .errors import BranchPointWarning, InvalidParameterError, NonconvergenceErr
 from .extended import norm2
 from .fourier import SQRT_2PI, AnalyticityEstimate, FourierSeries1D, estimate_strip
 from .potentials import HALF_MODE
+
+_REACH = 110 * math.log(2)  # B0*k up to which a mode enters the Newton block
+_MIN_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -135,9 +152,21 @@ def _half_wave_jacobian(sq: np.ndarray, lin: np.ndarray) -> np.ndarray:
     return jac
 
 
+def _block_order(mu: float, order: int) -> int:
+    """Order of the leading block that each Newton step solves: the odd
+    k with B0*k <= _REACH, so exp(-B0*k) >= 2^-110, at least _MIN_BLOCK of
+    them, and the whole order once the block would hold more than half of
+    it, where it saves little and the exact step costs little."""
+    height = branch_point_height(mu) if mu > 0 else math.inf
+    kept = int(np.count_nonzero(np.arange(1, 2 * order, 2) * height <= _REACH))
+    block = max(_MIN_BLOCK, kept)
+    return block if 2 * block <= order else order
+
+
 def _newton(epsilon: float, mu: float, b: np.ndarray, tol: float, max_iter: int):
     import scipy.linalg  # deferred: only the Newton step needs it
     order = len(b)
+    block = _block_order(mu, order)
     lin = epsilon * np.arange(1.0, 2 * order, 2) ** 2 + 1.0
     stop = tol * max(1.0, mu * math.sqrt(math.pi))  # tol * ||mu sin||_L2
     pad = np.zeros(2 * order - 1)
@@ -156,9 +185,13 @@ def _newton(epsilon: float, mu: float, b: np.ndarray, tol: float, max_iter: int)
             return b, it, history
         if it == max_iter or not math.isfinite(rnorm):
             break
+        step = residual / lin  # the tail: the Jacobian's diagonal without 3u^2
         try:
-            step = scipy.linalg.cho_solve(
-                scipy.linalg.cho_factor(_half_wave_jacobian(sq, lin)), residual)
+            # the block's Jacobian reads the s_m at |m| <= 2(2*block - 1)
+            jac = _half_wave_jacobian(sq[2 * (order - block):2 * (order + block) - 1],
+                                      lin[:block])
+            step[:block] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(jac),
+                                                  residual[:block])
         except np.linalg.LinAlgError as exc:
             raise NonconvergenceError(
                 f"Newton Jacobian lost positive definiteness: {exc}",
@@ -184,14 +217,17 @@ def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12,
         raise InvalidParameterError("epsilon must be positive")
     if cutoff < 16:
         raise InvalidParameterError("cutoff must be at least 16")
+    order = (cutoff + 1) // 2
+    block = _block_order(mu, order)
+    top = cutoff if block == order else block  # the odd k <= M, or every one
     # a starting point that overflows shows in Newton's residual history
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", BranchPointWarning)
         c = FourierSeries1D.from_callable(
-            lambda x: np.real(cardano_root(mu, x)), cutoff,
-            n_grid=4 * cutoff + 1).coeffs
-    # its projection onto the half-wave sine subspace
-    guess = 0.5 * (c[cutoff + 1::2].imag - c[cutoff - 1::-2].imag)
+            lambda x: np.real(cardano_root(mu, x)), top, n_grid=4 * top + 1).coeffs
+    # its projection onto the half-wave sine subspace, zero beyond top
+    guess = np.zeros(order)
+    guess[:(top + 1) // 2] = 0.5 * (c[top + 1::2].imag - c[top - 1::-2].imag)
     try:
         b, iters, history = _newton(epsilon, mu, guess, tol, max_iter)
     except NonconvergenceError:

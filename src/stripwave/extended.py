@@ -71,10 +71,14 @@ def norm2(values) -> float:
     against the exact sum at the midpoints to its neighbours.  The result
     is independent of the order of the entries.  Entries more than about
     500 binary orders of magnitude below the largest one are the only
-    ones whose squares are not kept exactly.
+    ones whose squares are not kept exactly.  A real array has no
+    imaginary half to square: its zeros would add nothing to the exact
+    sums.
     """
     x = np.asarray(values)
-    x = np.concatenate((x.real.ravel(), x.imag.ravel())).astype(float)
+    if np.iscomplexobj(x):
+        x = np.concatenate((x.real.ravel(), x.imag.ravel()))
+    x = x.ravel().astype(float)
     top = float(np.max(np.abs(x), initial=0.0))
     if top == 0.0 or not math.isfinite(top):
         return top

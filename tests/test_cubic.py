@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import stripwave.cubic
-from stripwave.cubic import (_cbrt, _half_wave_jacobian, _slide, _sqrt,
+from stripwave.cubic import (_block_order, _cbrt, _half_wave_jacobian, _slide, _sqrt,
                              branch_point_height, cardano_discriminant,
                              cardano_root, estimate_solution_strip, solve_gp)
 from stripwave.errors import (BranchPointWarning, InvalidParameterError,
@@ -355,12 +355,14 @@ class TestOddNewton:
         assert len(info.value.residual_history) == 1
 
 
-def full_square_newton(epsilon, mu, b, tol, max_iter):
-    """cubic._newton as it was before the mirrored half-row square and the
-    direct Cholesky step: u^2 as the full convolution of the zero-padded
-    beta, each step from scipy.linalg.solve(assume_a="pos").  Returns its
-    last iterate, its residual history, and the square and the step of
-    every iteration."""
+def full_square_newton(epsilon, mu, b, tol, max_iter, block=None):
+    """cubic._newton as it was before the mirrored half-row square, the
+    direct Cholesky step and the block: u^2 as the full convolution of the
+    zero-padded beta, each step from scipy.linalg.solve(assume_a="pos").
+    With a block order, each step is instead cho_solve of the leading
+    block x block of _half_wave_jacobian(sq, lin) and residual / lin
+    beyond it.  Returns its last iterate, its residual history, and the
+    square and the step of every iteration."""
     order = len(b)
     lin = epsilon * np.arange(1.0, 2 * order, 2) ** 2 + 1.0
     stop = tol * max(1.0, mu * math.sqrt(math.pi))
@@ -375,15 +377,24 @@ def full_square_newton(epsilon, mu, b, tol, max_iter):
         if history[-1] <= stop:
             return b, history, squares, steps
         squares.append(sq)
-        steps.append(scipy.linalg.solve(_half_wave_jacobian(sq, lin), residual,
-                                        assume_a="pos"))
+        jac = _half_wave_jacobian(sq, lin)
+        if block is None:
+            steps.append(scipy.linalg.solve(jac, residual, assume_a="pos"))
+        else:
+            steps.append(np.concatenate((
+                scipy.linalg.cho_solve(scipy.linalg.cho_factor(jac[:block, :block]),
+                                       residual[:block]),
+                residual[block:] / lin[block:])))
         b = b - steps[-1]
     raise AssertionError("reference Newton did not converge")
 
 
 class TestSameBitsAsTheFullSquare:
-    """The mirrored half-row square and the cho_factor/cho_solve step give
-    the bits of the full padded square and of scipy.linalg.solve."""
+    """The mirrored half-row square gives the bits of the full padded
+    square.  Where the block is the whole order, the cho_factor/cho_solve
+    step gives those of scipy.linalg.solve; above it, each step is
+    cho_solve of the full Jacobian's leading block, bit for bit, and
+    residual / lin on the tail, exactly."""
 
     @pytest.mark.parametrize("cutoff", [24, 256, 768])
     @pytest.mark.parametrize("epsilon, mu", [(0.1, 0.5), (0.08, 0.6), (0.05, 1.0)])
@@ -410,15 +421,143 @@ class TestSameBitsAsTheFullSquare:
         monkeypatch.setattr(scipy.linalg, "cho_solve", spy_cho_solve)
         res = solve_gp(epsilon, mu, cutoff)
         assert len(starts) == 1  # no continuation
-        b, history, want_squares, want_steps = full_square_newton(*starts[0])
+        order = (cutoff + 1) // 2
+        block = _block_order(mu, order)
+        # at mu = 1 the block (101 modes) is the whole order at N = 256
+        assert (block < order) == (cutoff > 256 or (cutoff == 256 and mu < 1.0))
+        monkeypatch.undo()
+        b, history, want_squares, want_steps = full_square_newton(
+            *starts[0], block=None if block == order else block)
         assert tuple(history) == res.residual_history
         assert len(squares) == len(want_squares) == res.newton_iters > 0
         for got, want in zip(squares, want_squares):
-            assert got.tobytes() == want.tobytes()
+            # the block's Jacobian reads the s_m at |m| <= 2(2*block - 1)
+            cut = slice(2 * (order - block), 2 * (order + block) - 1)
+            assert got.tobytes() == want[cut].tobytes()
         assert len(steps) == len(want_steps)
         for got, want in zip(steps, want_steps):
-            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == want[:block].tobytes()
         assert res.solution.coeffs[cutoff + 1::2].imag.tobytes() == b.tobytes()
+
+
+def full_order_start(mu, cutoff):
+    """solve_gp's start before the block: the Cardano root's projection on
+    every odd k <= cutoff."""
+    c = FourierSeries1D.from_callable(lambda x: np.real(cardano_root(mu, x)), cutoff,
+                                      n_grid=4 * cutoff + 1).coeffs
+    return 0.5 * (c[cutoff + 1::2].imag - c[cutoff - 1::-2].imag)
+
+
+def as_result(b, cutoff, history):
+    """b and its residual history as solve_gp's result on |k| <= cutoff."""
+    u = np.zeros(2 * cutoff + 1, dtype=complex)
+    u[cutoff + 1::2], u[cutoff - 1::-2] = 1j * b, -1j * b
+    slope = complex(np.sum(1j * np.arange(-cutoff, cutoff + 1) * u)) / SQRT_2PI
+    return GpSolveResult(solution=FourierSeries1D(cutoff, u), newton_iters=len(history) - 1,
+                         residual_l2=history[-1], u_prime_at_zero=slope.real,
+                         residual_history=tuple(history))
+
+
+def odd_block_count(mu, order):
+    """The odd k = 1..2*order - 1 with exp(-B0*k) >= 2^-110, counted."""
+    height = branch_point_height(mu)
+    return sum(math.exp(-height * k) >= 2.0**-110 for k in range(1, 2 * order, 2))
+
+
+def factor_shapes(monkeypatch):
+    """The shapes of the matrices scipy.linalg.cho_factor is given, as a
+    list that fills while the patch holds."""
+    cho_factor = scipy.linalg.cho_factor
+    shapes = []
+
+    def spy(a, **kwargs):
+        shapes.append(a.shape)
+        return cho_factor(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+    return shapes
+
+
+class TestBlock:
+    """Newton solves a leading block sized by the Cardano branch height and
+    steps by residual / lin on the tail beyond it."""
+
+    @pytest.mark.parametrize("mu, cutoff", [(0.5, 24), (0.5, 32), (0.5, 128),
+                                            (0.6, 128), (0.4, 128), (5.0, 768)])
+    def test_whole_order_at_golden_sizes_and_large_mu(self, mu, cutoff, monkeypatch):
+        # the gp-solve (N = 24) and blowup (N = 32) goldens, criteria 8
+        # and 9 (N = 128), and a branch point near the real axis
+        order = (cutoff + 1) // 2
+        assert _block_order(mu, order) == order
+        shapes = factor_shapes(monkeypatch)
+        res = solve_gp(0.1, mu, cutoff)
+        assert set(shapes) == {(order, order)} and len(shapes) == res.newton_iters
+
+    @pytest.mark.parametrize("mu, block", [(0.4, 45), (0.5, 54), (0.6, 63)])
+    def test_block_holds_the_modes_above_2_to_the_minus_110(self, mu, block, monkeypatch):
+        assert _block_order(mu, 384) == odd_block_count(mu, 384) == block
+        assert _block_order(mu, 128) == block  # the blowup workload's N = 256
+        assert _block_order(mu, 2 * block - 1) == 2 * block - 1
+        # no order x order Jacobian is formed
+        shapes = factor_shapes(monkeypatch)
+        res = solve_gp(0.1, mu, 768)
+        assert set(shapes) == {(block, block)} and len(shapes) == res.newton_iters == 3
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-300, 0.05])
+    def test_at_least_32_modes(self, mu):
+        assert _block_order(mu, 384) == 32
+
+    @pytest.mark.parametrize("epsilon", [0.08, 0.12])
+    @pytest.mark.parametrize("mu", [0.4, 0.5, 0.6])
+    def test_matches_the_full_newton_above_the_block(self, epsilon, mu, monkeypatch):
+        starts = []
+        newton = stripwave.cubic._newton
+
+        def spy_newton(*args):
+            starts.append(args)
+            return newton(*args)
+
+        monkeypatch.setattr(stripwave.cubic, "_newton", spy_newton)
+        cutoff = 768
+        res = solve_gp(epsilon, mu, cutoff)
+        block = _block_order(mu, 384)
+        start = starts[0][2]
+        # the start is the Cardano root on the odd k <= block, zero beyond
+        assert np.all(start[(block + 1) // 2:] == 0.0)
+        b = res.solution.coeffs[cutoff + 1::2].imag
+        top = np.max(np.abs(b))
+        assert np.max(np.abs(b[block:])) <= 2.0**-100 * top
+        want, history, _, _ = full_square_newton(*starts[0])
+        assert tuple(history) == res.residual_history
+        above = np.abs(want) > 2.0**-60 * top
+        assert np.max(np.abs(b - want)[above]) <= 2.0**-80 * top
+        strip = estimate_solution_strip(res, noise_floor=1e-26)
+        want_strip = estimate_solution_strip(as_result(want, cutoff, history),
+                                             noise_floor=1e-26)
+        assert strip.fit_window == want_strip.fit_window
+        assert strip.half_width == pytest.approx(want_strip.half_width, rel=1e-9)
+
+
+class TestContractAboveTheBlock:
+    """README's gp-solve contract above the block, against the full-order
+    Newton from the full-cutoff start."""
+
+    @pytest.mark.parametrize("cutoff", [256, 768])
+    @pytest.mark.parametrize("epsilon, mu", [(0.08, 0.4), (0.1, 0.5), (0.12, 0.6)])
+    def test_within_the_contract(self, cutoff, epsilon, mu):
+        got = solve_gp(epsilon, mu, cutoff)
+        b, history, _, _ = full_square_newton(epsilon, mu, full_order_start(mu, cutoff),
+                                              1e-12, 50)
+        want = as_result(b, cutoff, history)
+        assert got.newton_iters == want.newton_iters
+        assert got.residual_l2 <= 1e-12 * max(1.0, mu * math.sqrt(math.pi))
+        top = np.max(np.abs(b))
+        above = np.abs(b) > 2.0**-60 * top
+        mine = got.solution.coeffs[cutoff + 1::2].imag
+        assert np.max(np.abs(mine - b)[above]) <= 2.0**-50 * top
+        assert got.u_prime_at_zero == pytest.approx(want.u_prime_at_zero, rel=1.8e-15, abs=0)
+        assert estimate_solution_strip(got).half_width == pytest.approx(
+            estimate_solution_strip(want).half_width, rel=5.5e-15, abs=0)
 
 
 class TestStripOfSolution:

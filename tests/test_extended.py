@@ -12,7 +12,7 @@ import pytest
 from stripwave.bloch import (FourierSeriesD, Lattice, _coupling, _fiber, assemble_bloch,
                              basis_set, gaussian_potential, series1d_to_lattice)
 from stripwave.eigen import solve_eig
-from stripwave.extended import (Band, band_residual, dd_add, exact_lstsq, two_prod,
+from stripwave.extended import (Band, band_residual, dd_add, exact_lstsq, norm2, two_prod,
                                 two_sum)
 from stripwave.galerkin import assemble_dense
 from stripwave.potentials import poisson_kernel, sine
@@ -517,3 +517,34 @@ def test_exact_lstsq_of_an_exact_line():
     assert exact_lstsq([np.ones_like(x), x], 0.5 - 0.25 * x) == ([0.5, -0.25], 0.0)
     assert math.isclose(exact_lstsq([np.ones(3), np.array([0.0, 1.0, 2.0])],
                                     np.array([0.0, 1.0, 0.0]))[1], 2 / 9)
+
+
+def adversarial_reals(seed):
+    """Real arrays whose squares are hard to sum: subnormals, spreads over
+    500 binary orders of magnitude, and values within an ulp of 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    one = np.array([1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)])
+    return [
+        np.ldexp(rng.standard_normal(n), rng.integers(-1074, -1020, n)),
+        np.ldexp(rng.standard_normal(n), rng.integers(-250, 250, n)),
+        rng.choice(one, n) * rng.choice([-1.0, 1.0], n),
+        np.concatenate((rng.choice(one, n), [5e-324, 2.0**-600])),
+        np.ldexp(rng.standard_normal(n), rng.integers(-20, 20, n)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_norm2_of_a_real_array_is_that_of_its_complex_cast(seed):
+    # the real path skips the all-zero imaginary half, which adds nothing
+    # to the exact sums: every result keeps its bits
+    for x in adversarial_reals(seed):
+        got = norm2(x)
+        assert got.hex() == norm2(x.astype(complex)).hex()
+        assert got.hex() == norm2(x * 1j).hex()
+        assert got.hex() == norm2(x[::-1]).hex()
+        if np.all(np.abs(x) >= 2.0**-400 * np.max(np.abs(x))):  # squares kept exactly
+            exact = sum(Fraction(v) ** 2 for v in x.tolist())
+            mid_up = (Fraction(got) + Fraction(math.nextafter(got, math.inf))) / 2
+            mid_down = (Fraction(got) + Fraction(math.nextafter(got, 0.0))) / 2
+            assert mid_down ** 2 <= exact <= mid_up ** 2

@@ -8,9 +8,12 @@ comparisons (`tests/test_cli.py -k golden`), the linear solve tests
 (`tests/test_linear.py`: the real-block Cholesky solves against the
 complex Hermitian solve, and the double-double residual against its
 exact rational value), the cubic solver tests (`tests/test_cubic.py`, with
-`TestSameBitsAsTheFullSquare`: the mirrored half-row square and the
-`cho_factor`/`cho_solve` Newton step against the full padded square and
-`scipy.linalg.solve(assume_a="pos")`, bit for bit, at N = 24, 256 and 768),
+`TestSameBitsAsTheFullSquare`: the mirrored half-row square against the
+full padded square at N = 24, 256 and 768, and each Newton step bit for
+bit, against `scipy.linalg.solve(assume_a="pos")` where the block is the
+whole order and, above it, against `cho_solve` of the full Jacobian's
+leading block with residual / lin on the tail; `TestContractAboveTheBlock`:
+README's gp-solve contract against the full-order Newton at N = 256 and 768),
 the eigensolver tests (`tests/test_eigen.py`: the subset eigensolves,
 the bordered refinement and its 60-digit checks,
 `test_eigenvector_errors_match_50_digit_h1_distances`: the H1 distances
