@@ -351,10 +351,13 @@ def _refinement_record(r) -> dict:
 
 
 def _newton_record(result) -> dict:
-    """What Newton did, for the manifest: its iterations and the residual
-    norm before each of them and after the last."""
+    """What Newton did, for the manifest: its iterations, the residual
+    norm before each of them and after the last, the order of the block
+    it solved and the rows its residual summed."""
     return {"iterations": result.newton_iters,
-            "residual_history": list(result.residual_history)}
+            "residual_history": list(result.residual_history),
+            "block_order": result.block_order,
+            "residual_rows": result.residual_rows}
 
 
 def _decay_columns(u):

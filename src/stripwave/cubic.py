@@ -15,31 +15,32 @@ with real b_k on the odd wavenumbers k = 1, 3, 5, ... <= N, and u_k = 0
 for every even k.  That restriction is exact for sine forcing: the map
 u -> -eps*u'' + u + u^3 sends odd real functions with half-wave symmetry
 u(x + pi) = -u(x) to functions of the same kind, mu*sin is one of them,
-and Newton started in the subspace never leaves it.  The real array b is
-Newton's only state.  With beta = (-b reversed, b), so u_k = i*beta_k on
-the odd |k| <= N, the square u^2 = -(beta*beta)/sqrt(2 pi) is real and
-lives on the even m, and u^3 = i*(u^2 * beta)/sqrt(2 pi) on the odd k:
-the residual is two real convolutions of these compressed arrays,
-summed by numpy rather than BLAS.  The square is even, s_{-m} = s_m, and
-beta reversed is -beta, so the row of -m sums the same products in the
-same order as the row of m: only the m >= 0 rows are summed, and
-mirrored.  The Jacobian is real symmetric positive definite of order
-ceil(N/2) (multiplication by 3u^2 >= 0 plus eps*k^2 + 1 > 0).
+and Newton started in the subspace never leaves it.  With
+beta = (-b reversed, b), so u_k = i*beta_k on the odd |k| <= K, the
+square u^2 = -(beta*beta)/sqrt(2 pi) is real and lives on the even m,
+and u^3 = i*(u^2 * beta)/sqrt(2 pi) on the odd k: the residual is two
+real convolutions of these compressed arrays, summed by numpy rather
+than BLAS.  The square is even, s_{-m} = s_m, and beta reversed is
+-beta, so the row of -m sums the same products in the same order as the
+row of m: only the m >= 0 rows are summed, and mirrored.  The Jacobian
+is real symmetric positive definite (multiplication by 3u^2 >= 0 plus
+eps*k^2 + 1 > 0).
 
-Each Newton step solves only a leading block of it, of order M, by one
-Cholesky factorization, and divides the residual by eps*k^2 + 1 on the
-tail beyond M: the finite-block-plus-diagonal-tail inverse of the
-radii-polynomial method (van den Berg & Lessard, Notices AMS 62, 2015).
-M comes from the eps = 0 root, whose strip the eps > 0 solution keeps
-(B_eps >= B0, criterion 8): the block holds every odd k with
-exp(-B0*k) >= 2^-110, at least 32 modes, and is the whole order once it
-would hold more than half of it.  The Cardano start is computed on the
-odd k <= M alone, about half the block's reach, and is zero beyond: its
-FFT rounding (about 2^-53 of the largest coefficient) is all it holds
-there, and rounding left at the block's edge would reach the diagonal
-tail, which shrinks it only about 10^4-fold a step.  The residual stays
-exact on every mode, so the stopping rule and the residual history keep
-their meaning.
+Newton's state is a finite block: b on the first M odd k alone, and
+the solution u-bar is exactly zero beyond it.  M comes from the eps = 0
+root, whose strip the eps > 0 solution keeps (B_eps >= B0, criterion 8):
+the block holds every odd k with exp(-B0*k) >= 2^-110, at least 32
+modes, and is the whole order once it would hold more than half of it.
+The square then lives on |m| <= 2(2M - 1) and the cube on the odd
+k <= 3(2M - 1), the first 3M - 1 rows: the residual is summed on
+min(3M - 1, ceil(N/2)) rows, and the Galerkin residual's other rows are
+exact zeros.  Once 3(2M - 1) <= N it is F(u-bar) itself, untruncated.  Each step is one
+Cholesky solve of the block's M x M Jacobian, and there is no tail step:
+the modes beyond the block are never moved.  The Cardano start is
+computed on the odd k <= M alone, about half the block's reach, and is
+zero beyond: its FFT rounding (about 2^-53 of the largest coefficient)
+is all it holds there.  Where M is the whole order the arithmetic is
+that of the full-order Newton, bit for bit.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class GpSolveResult:
     residual_l2: float
     u_prime_at_zero: float
     residual_history: tuple[float, ...]
+    block_order: int  # M, the odd k <= 2M - 1 that Newton holds
+    residual_rows: int  # the odd k <= 2*residual_rows - 1 its residual sums
 
 
 def cardano_discriminant(mu: float, z) -> np.ndarray | complex:
@@ -153,7 +156,7 @@ def _half_wave_jacobian(sq: np.ndarray, lin: np.ndarray) -> np.ndarray:
 
 
 def _block_order(mu: float, order: int) -> int:
-    """Order of the leading block that each Newton step solves: the odd
+    """Order M of the block that Newton holds and solves: the odd
     k with B0*k <= _REACH, so exp(-B0*k) >= 2^-110, at least _MIN_BLOCK of
     them, and the whole order once the block would hold more than half of
     it, where it saves little and the exact step costs little."""
@@ -163,21 +166,23 @@ def _block_order(mu: float, order: int) -> int:
     return block if 2 * block <= order else order
 
 
-def _newton(epsilon: float, mu: float, b: np.ndarray, tol: float, max_iter: int):
+def _newton(epsilon: float, mu: float, b: np.ndarray, rows: int, tol: float,
+            max_iter: int):
     import scipy.linalg  # deferred: only the Newton step needs it
-    order = len(b)
-    block = _block_order(mu, order)
-    lin = epsilon * np.arange(1.0, 2 * order, 2) ** 2 + 1.0
+    block = len(b)
+    lin = epsilon * np.arange(1.0, 2 * block, 2) ** 2 + 1.0
     stop = tol * max(1.0, mu * math.sqrt(math.pi))  # tol * ||mu sin||_L2
-    pad = np.zeros(2 * order - 1)
+    pad = np.zeros(2 * block - 1)
+    sq_pad = np.zeros(rows - block)  # s_m = 0 beyond 2K, where the rows read it
     history = []
     for it in range(max_iter + 1):
         beta = np.concatenate((-b[::-1], b))  # u_k = i*beta_k, odd |k| <= K
         # u^2 on the even 0 <= m <= 2K, mirrored to |m| <= 2K, and u^3 on
-        # the odd k = 1..K, exactly
+        # the odd k = 1..2*rows - 1, exactly
         half = -_slide(np.concatenate((beta, pad)), beta[::-1]) / SQRT_2PI
         sq = np.concatenate((half[:0:-1], half))
-        residual = lin * b + _slide(sq[order:], beta[::-1]) / SQRT_2PI
+        residual = _slide(np.concatenate((sq[block:], sq_pad)), beta[::-1]) / SQRT_2PI
+        residual[:block] += lin * b
         residual[0] += mu * HALF_MODE  # the forcing, -i*mu*sqrt(pi/2) at k = 1
         rnorm = norm2((residual, residual))  # at k and at -k
         history.append(rnorm)
@@ -185,18 +190,13 @@ def _newton(epsilon: float, mu: float, b: np.ndarray, tol: float, max_iter: int)
             return b, it, history
         if it == max_iter or not math.isfinite(rnorm):
             break
-        step = residual / lin  # the tail: the Jacobian's diagonal without 3u^2
         try:
-            # the block's Jacobian reads the s_m at |m| <= 2(2*block - 1)
-            jac = _half_wave_jacobian(sq[2 * (order - block):2 * (order + block) - 1],
-                                      lin[:block])
-            step[:block] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(jac),
-                                                  residual[:block])
+            factor = scipy.linalg.cho_factor(_half_wave_jacobian(sq, lin))
+            b = b - scipy.linalg.cho_solve(factor, residual[:block])
         except np.linalg.LinAlgError as exc:
             raise NonconvergenceError(
                 f"Newton Jacobian lost positive definiteness: {exc}",
                 residual_history=history) from exc
-        b = b - step
     raise NonconvergenceError(
         f"Newton stopped at residual {rnorm:g} after {it} iterations, "
         f"above {stop:g}", residual_history=history)
@@ -219,6 +219,7 @@ def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12,
         raise InvalidParameterError("cutoff must be at least 16")
     order = (cutoff + 1) // 2
     block = _block_order(mu, order)
+    rows = min(3 * block - 1, order)  # the odd k <= 3(2M - 1) that u^3 reaches
     top = cutoff if block == order else block  # the odd k <= M, or every one
     # a starting point that overflows shows in Newton's residual history
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
@@ -226,10 +227,10 @@ def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12,
         c = FourierSeries1D.from_callable(
             lambda x: np.real(cardano_root(mu, x)), top, n_grid=4 * top + 1).coeffs
     # its projection onto the half-wave sine subspace, zero beyond top
-    guess = np.zeros(order)
+    guess = np.zeros(block)
     guess[:(top + 1) // 2] = 0.5 * (c[top + 1::2].imag - c[top - 1::-2].imag)
     try:
-        b, iters, history = _newton(epsilon, mu, guess, tol, max_iter)
+        b, iters, history = _newton(epsilon, mu, guess, rows, tol, max_iter)
     except NonconvergenceError:
         eps_path = []
         e = max(1.0, epsilon)
@@ -239,8 +240,9 @@ def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12,
         eps_path.append(epsilon)
         b = guess
         for e in eps_path:
-            b, iters, history = _newton(e, mu, b, tol, max_iter)
+            b, iters, history = _newton(e, mu, b, rows, tol, max_iter)
 
+    b = np.concatenate((b, np.zeros(order - block)))  # exact zeros beyond the block
     u = np.zeros(2 * cutoff + 1, dtype=complex)
     u[cutoff + 1::2], u[cutoff - 1::-2] = 1j * b, -1j * b
     series = FourierSeries1D(cutoff, u)
@@ -252,6 +254,8 @@ def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12,
         residual_l2=history[-1],
         u_prime_at_zero=float(slope.real),
         residual_history=tuple(history),
+        block_order=block,
+        residual_rows=rows,
     )
 
 

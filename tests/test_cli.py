@@ -447,12 +447,32 @@ def test_blowup_manifest_diagnostics(tmp_path):
     assert "pole_estimate" not in (out_dir / "report.json").read_text()
 
 
+def newton_record(tmp_path, experiment, cfg):
+    """The manifest's Newton record of one run, after checking that its
+    block order and residual rows are those solve_gp reports."""
+    _, out_dir = run_cli(tmp_path, experiment, cfg)
+    newton = json.loads((out_dir / "manifest.json").read_text())["diagnostics"]["newton"]
+    assert set(newton) == {"iterations", "residual_history", "block_order",
+                           "residual_rows"}
+    gp = solve_gp(cfg["epsilon"], cfg["mu"], cfg["N"])
+    assert (newton["block_order"], newton["residual_rows"]) == (gp.block_order,
+                                                                gp.residual_rows)
+    return out_dir, newton
+
+
+@pytest.mark.parametrize("experiment", ["gp-solve", "blowup"])
+def test_newton_record_above_the_block(tmp_path, experiment):
+    # 54 of the 384 modes at N = 768, whose cube reaches 3 * 54 - 1 rows
+    _, newton = newton_record(tmp_path, experiment, dict(CONFIGS[experiment], N=768))
+    assert (newton["block_order"], newton["residual_rows"]) == (54, 161)
+
+
 @pytest.mark.parametrize("experiment", ["gp-solve", "blowup"])
 def test_newton_record_in_manifest(tmp_path, experiment):
-    _, out_dir = run_cli(tmp_path, experiment, CONFIGS[experiment])
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    newton = manifest["diagnostics"]["newton"]
-    assert set(newton) == {"iterations", "residual_history"}
+    out_dir, newton = newton_record(tmp_path, experiment, CONFIGS[experiment])
+    # the block is the whole order at the test sizes
+    half = (CONFIGS[experiment]["N"] + 1) // 2
+    assert newton["block_order"] == newton["residual_rows"] == half
     history = newton["residual_history"]
     # one residual before each iteration and one after the last
     assert newton["iterations"] == 3 and len(history) == newton["iterations"] + 1

@@ -345,6 +345,34 @@ class TestOddNewton:
         # each continuation stage starts and stays on the odd k
         assert np.all(res.solution.coeffs[even_k(32)] == 0.0)
 
+    @pytest.mark.parametrize("mu", [0.4, 0.5, 0.6])
+    def test_continuation_above_the_block(self, mu, monkeypatch):
+        direct = solve_gp(0.1, mu, 768)
+        cho_factor = scipy.linalg.cho_factor
+        calls = []
+
+        def fail_first(a, **kwargs):
+            calls.append(a.shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cho_factor(a, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail_first)
+        res = solve_gp(0.1, mu, 768)
+        block = _block_order(mu, 384)
+        assert len(calls) > 1 and set(calls) == {(block, block)}
+        assert res.block_order == block
+        assert res.residual_l2 <= 1e-12
+        b = res.solution.coeffs[769::2].imag
+        want = direct.solution.coeffs[769::2].imag
+        assert np.all(b[block:] == 0.0)
+        # F is strongly monotone with constant 1 (J >= I), so two Galerkin
+        # solutions lie within the sum of their residuals, plus the
+        # residuals' own rounding
+        top = np.max(np.abs(want))
+        assert norm2((b - want, b - want)) <= (res.residual_l2 + direct.residual_l2
+                                               + 2.0**-50 * top)
+
     def test_failed_cholesky_raises_nonconvergence(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
@@ -355,24 +383,35 @@ class TestOddNewton:
         assert len(info.value.residual_history) == 1
 
 
+def full_square_residual(epsilon, mu, b):
+    """cubic._newton's residual before the mirrored half-row square and the
+    block: u^2 as the full convolution of the zero-padded beta, and u^3 on
+    every odd k <= 2*len(b) - 1.  Returns the square and the residual."""
+    order = len(b)
+    lin = epsilon * np.arange(1.0, 2 * order, 2) ** 2 + 1.0
+    pad = np.zeros(2 * order - 1)
+    beta = np.concatenate((-b[::-1], b))
+    sq = -_slide(np.concatenate((pad, beta, pad)), beta[::-1]) / SQRT_2PI
+    residual = lin * b + _slide(sq[order:], beta[::-1]) / SQRT_2PI
+    residual[0] += mu * HALF_MODE
+    return sq, residual
+
+
 def full_square_newton(epsilon, mu, b, tol, max_iter, block=None):
     """cubic._newton as it was before the mirrored half-row square, the
-    direct Cholesky step and the block: u^2 as the full convolution of the
-    zero-padded beta, each step from scipy.linalg.solve(assume_a="pos").
-    With a block order, each step is instead cho_solve of the leading
-    block x block of _half_wave_jacobian(sq, lin) and residual / lin
-    beyond it.  Returns its last iterate, its residual history, and the
-    square and the step of every iteration."""
+    direct Cholesky step and the block: the residual of
+    full_square_residual on every mode, each step from
+    scipy.linalg.solve(assume_a="pos").  With a block order, b must be
+    zero beyond it, and each step is instead cho_solve of the leading
+    block x block of _half_wave_jacobian(sq, lin), and zero beyond it, so
+    the iterate stays zero there.  Returns its last iterate, its residual
+    history, and the square and the step of every iteration."""
     order = len(b)
     lin = epsilon * np.arange(1.0, 2 * order, 2) ** 2 + 1.0
     stop = tol * max(1.0, mu * math.sqrt(math.pi))
-    pad = np.zeros(2 * order - 1)
     history, squares, steps = [], [], []
     for _ in range(max_iter + 1):
-        beta = np.concatenate((-b[::-1], b))
-        sq = -_slide(np.concatenate((pad, beta, pad)), beta[::-1]) / SQRT_2PI
-        residual = lin * b + _slide(sq[order:], beta[::-1]) / SQRT_2PI
-        residual[0] += mu * HALF_MODE
+        sq, residual = full_square_residual(epsilon, mu, b)
         history.append(norm2((residual, residual)))
         if history[-1] <= stop:
             return b, history, squares, steps
@@ -381,20 +420,25 @@ def full_square_newton(epsilon, mu, b, tol, max_iter, block=None):
         if block is None:
             steps.append(scipy.linalg.solve(jac, residual, assume_a="pos"))
         else:
-            steps.append(np.concatenate((
-                scipy.linalg.cho_solve(scipy.linalg.cho_factor(jac[:block, :block]),
-                                       residual[:block]),
-                residual[block:] / lin[block:])))
+            steps.append(np.zeros(order))
+            steps[-1][:block] = scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(jac[:block, :block]), residual[:block])
         b = b - steps[-1]
     raise AssertionError("reference Newton did not converge")
+
+
+def zero_padded(b, order):
+    """b followed by exact zeros up to length order."""
+    return np.concatenate((b, np.zeros(order - len(b))))
 
 
 class TestSameBitsAsTheFullSquare:
     """The mirrored half-row square gives the bits of the full padded
     square.  Where the block is the whole order, the cho_factor/cho_solve
-    step gives those of scipy.linalg.solve; above it, each step is
-    cho_solve of the full Jacobian's leading block, bit for bit, and
-    residual / lin on the tail, exactly."""
+    step gives those of scipy.linalg.solve; above it, Newton holds the
+    block alone, and its square, on the block's reach, and each step are
+    those of the full-order Newton whose iterate is zero beyond the
+    block and which steps on the block alone, bit for bit."""
 
     @pytest.mark.parametrize("cutoff", [24, 256, 768])
     @pytest.mark.parametrize("epsilon, mu", [(0.1, 0.5), (0.08, 0.6), (0.05, 1.0)])
@@ -426,8 +470,11 @@ class TestSameBitsAsTheFullSquare:
         # at mu = 1 the block (101 modes) is the whole order at N = 256
         assert (block < order) == (cutoff > 256 or (cutoff == 256 and mu < 1.0))
         monkeypatch.undo()
+        epsilon, mu, start, rows, tol, max_iter = starts[0]
+        assert len(start) == block and rows == min(3 * block - 1, order)
         b, history, want_squares, want_steps = full_square_newton(
-            *starts[0], block=None if block == order else block)
+            epsilon, mu, zero_padded(start, order), tol, max_iter,
+            block=None if block == order else block)
         assert tuple(history) == res.residual_history
         assert len(squares) == len(want_squares) == res.newton_iters > 0
         for got, want in zip(squares, want_squares):
@@ -455,7 +502,8 @@ def as_result(b, cutoff, history):
     slope = complex(np.sum(1j * np.arange(-cutoff, cutoff + 1) * u)) / SQRT_2PI
     return GpSolveResult(solution=FourierSeries1D(cutoff, u), newton_iters=len(history) - 1,
                          residual_l2=history[-1], u_prime_at_zero=slope.real,
-                         residual_history=tuple(history))
+                         residual_history=tuple(history), block_order=len(b),
+                         residual_rows=len(b))
 
 
 def odd_block_count(mu, order):
@@ -479,8 +527,9 @@ def factor_shapes(monkeypatch):
 
 
 class TestBlock:
-    """Newton solves a leading block sized by the Cardano branch height and
-    steps by residual / lin on the tail beyond it."""
+    """Newton holds the leading block sized by the Cardano branch height
+    alone: its iterate is exactly zero beyond it, and its residual is
+    summed on the 3M - 1 rows the block's cube reaches."""
 
     @pytest.mark.parametrize("mu, cutoff", [(0.5, 24), (0.5, 32), (0.5, 128),
                                             (0.6, 128), (0.4, 128), (5.0, 768)])
@@ -507,6 +556,30 @@ class TestBlock:
     def test_at_least_32_modes(self, mu):
         assert _block_order(mu, 384) == 32
 
+    @pytest.mark.parametrize("mu", [0.4, 0.5, 0.6])
+    def test_reported_residual_is_untruncated(self, mu, monkeypatch):
+        slide = stripwave.cubic._slide
+        lengths = []
+
+        def spy_slide(x, y):
+            lengths.append(max(len(x), len(y)))
+            return slide(x, y)
+
+        monkeypatch.setattr(stripwave.cubic, "_slide", spy_slide)
+        epsilon, cutoff, order = 0.1, 768, 384
+        res = solve_gp(epsilon, mu, cutoff)
+        block = _block_order(mu, order)
+        assert res.block_order == block and res.residual_rows == 3 * block - 1
+        # the operands hold the block and its square and cube, never the order
+        assert lengths and max(lengths) < order
+        monkeypatch.undo()
+        # u^3 of the block reaches the odd k <= 3(2M - 1): summed on three
+        # times the order, the full residual is zero from row 3M - 1 on
+        b = res.solution.coeffs[cutoff + 1::2].imag
+        _, residual = full_square_residual(epsilon, mu, zero_padded(b, 3 * order))
+        assert np.all(residual[3 * block - 1:] == 0.0)
+        assert norm2((residual, residual)) == res.residual_l2
+
     @pytest.mark.parametrize("epsilon", [0.08, 0.12])
     @pytest.mark.parametrize("mu", [0.4, 0.5, 0.6])
     def test_matches_the_full_newton_above_the_block(self, epsilon, mu, monkeypatch):
@@ -521,13 +594,14 @@ class TestBlock:
         cutoff = 768
         res = solve_gp(epsilon, mu, cutoff)
         block = _block_order(mu, 384)
-        start = starts[0][2]
+        _, _, start, _, tol, max_iter = starts[0]
         # the start is the Cardano root on the odd k <= block, zero beyond
         assert np.all(start[(block + 1) // 2:] == 0.0)
         b = res.solution.coeffs[cutoff + 1::2].imag
         top = np.max(np.abs(b))
-        assert np.max(np.abs(b[block:])) <= 2.0**-100 * top
-        want, history, _, _ = full_square_newton(*starts[0])
+        assert np.all(b[block:] == 0.0)
+        want, history, _, _ = full_square_newton(epsilon, mu, zero_padded(start, 384),
+                                                 tol, max_iter)
         assert tuple(history) == res.residual_history
         above = np.abs(want) > 2.0**-60 * top
         assert np.max(np.abs(b - want)[above]) <= 2.0**-80 * top
@@ -569,7 +643,8 @@ class TestStripOfSolution:
             c[n - k] = -1j * math.exp(-0.5 * k)
         fake = GpSolveResult(solution=FourierSeries1D(n, c), newton_iters=0,
                              residual_l2=0.0, u_prime_at_zero=1.0,
-                             residual_history=(0.0,))
+                             residual_history=(0.0,), block_order=(n + 1) // 2,
+                             residual_rows=(n + 1) // 2)
         est = estimate_solution_strip(fake, noise_floor=1e-13)
         assert est.stride == 2
         assert est.half_width == pytest.approx(0.5, abs=1e-6)

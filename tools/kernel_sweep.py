@@ -11,9 +11,12 @@ exact rational value), the cubic solver tests (`tests/test_cubic.py`, with
 `TestSameBitsAsTheFullSquare`: the mirrored half-row square against the
 full padded square at N = 24, 256 and 768, and each Newton step bit for
 bit, against `scipy.linalg.solve(assume_a="pos")` where the block is the
-whole order and, above it, against `cho_solve` of the full Jacobian's
-leading block with residual / lin on the tail; `TestContractAboveTheBlock`:
-README's gp-solve contract against the full-order Newton at N = 256 and 768),
+whole order and, above it, against the full-order Newton whose iterate is
+zero beyond the block and which steps by `cho_solve` of the full
+Jacobian's leading block alone; `TestBlock`: the iterate exactly zero
+beyond the block and the reported residual the untruncated one;
+`TestContractAboveTheBlock`: README's gp-solve contract against the
+full-order Newton at N = 256 and 768),
 the eigensolver tests (`tests/test_eigen.py`: the subset eigensolves,
 the bordered refinement and its 60-digit checks,
 `test_eigenvector_errors_match_50_digit_h1_distances`: the H1 distances
