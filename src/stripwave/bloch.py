@@ -516,6 +516,7 @@ def _cuts(V: FourierSeriesD, k: np.ndarray, reference: float, n_bands: int):
     basis, enumerated within `reference`, with its lowest n_bands
     eigenvalues, polished and ascending, in `solved`."""
     whole = basis_set(V.lattice, k, reference)
+    whole_diag = _diagonal(V, whole)  # per planewave: each cut takes its rows
 
     def fiber(cutoff: float) -> _Operator:
         basis, rows = whole.within(cutoff)
@@ -523,7 +524,7 @@ def _cuts(V: FourierSeriesD, k: np.ndarray, reference: float, n_bands: int):
             raise InvalidParameterError(
                 f"basis at k = {k.tolist()}, cutoff {cutoff} has only {basis.dimension} "
                 f"planewaves; cannot produce {n_bands} bands")
-        diag = _diagonal(V, basis)
+        diag = whole_diag[rows]
         return _Operator(*_form(V, basis, diag), diag, partial(_coupling, V, basis),
                          rows, n_bands)
     return fiber

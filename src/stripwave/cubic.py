@@ -41,6 +41,12 @@ computed on the odd k <= M alone, about half the block's reach, and is
 zero beyond: its FFT rounding (about 2^-53 of the largest coefficient)
 is all it holds there.  Where M is the whole order the arithmetic is
 that of the full-order Newton, bit for bit.
+
+A solve is this one Newton run, from the projected Cardano start, with
+no second path: J >= I, so a finite iterate's Jacobian has a Cholesky
+factor.  A factor that fails in rounding, a non-finite residual or a
+residual above the tolerance after _MAX_ITER steps ends the run in
+NonconvergenceError, with the run's own residual history.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from .potentials import HALF_MODE
 
 _REACH = 110 * math.log(2)  # B0*k up to which a mode enters the Newton block
 _MIN_BLOCK = 32
+_MAX_ITER = 50  # Newton steps before NonconvergenceError
 
 
 @dataclass(frozen=True)
@@ -166,8 +173,7 @@ def _block_order(mu: float, order: int) -> int:
     return block if 2 * block <= order else order
 
 
-def _newton(epsilon: float, mu: float, b: np.ndarray, rows: int, tol: float,
-            max_iter: int):
+def _newton(epsilon: float, mu: float, b: np.ndarray, rows: int, tol: float):
     import scipy.linalg  # deferred: only the Newton step needs it
     block = len(b)
     lin = epsilon * np.arange(1.0, 2 * block, 2) ** 2 + 1.0
@@ -175,7 +181,7 @@ def _newton(epsilon: float, mu: float, b: np.ndarray, rows: int, tol: float,
     pad = np.zeros(2 * block - 1)
     sq_pad = np.zeros(rows - block)  # s_m = 0 beyond 2K, where the rows read it
     history = []
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         beta = np.concatenate((-b[::-1], b))  # u_k = i*beta_k, odd |k| <= K
         # u^2 on the even 0 <= m <= 2K, mirrored to |m| <= 2K, and u^3 on
         # the odd k = 1..2*rows - 1, exactly
@@ -188,7 +194,7 @@ def _newton(epsilon: float, mu: float, b: np.ndarray, rows: int, tol: float,
         history.append(rnorm)
         if rnorm <= stop:
             return b, it, history
-        if it == max_iter or not math.isfinite(rnorm):
+        if it == _MAX_ITER or not math.isfinite(rnorm):
             break
         try:
             factor = scipy.linalg.cho_factor(_half_wave_jacobian(sq, lin))
@@ -202,16 +208,15 @@ def _newton(epsilon: float, mu: float, b: np.ndarray, rows: int, tol: float,
         f"above {stop:g}", residual_history=history)
 
 
-def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12,
-             max_iter: int = 50) -> GpSolveResult:
+def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12) -> GpSolveResult:
     """Newton-Galerkin solution of -eps*u'' + u + u^3 = mu*sin on |k| <= cutoff.
 
     Newton stops at a Galerkin residual of L2 norm <= tol * max(1,
     mu*sqrt(pi)): tol is relative to the forcing's norm ||mu sin|| =
     mu*sqrt(pi) once that exceeds 1, as the residual's rounding floor
-    grows with mu.  The initial guess is the projected Cardano root of
-    the eps = 0 problem; if Newton stalls from there, the solver falls
-    back to a continuation that halves eps from 1.0 down to the target.
+    grows with mu.  Newton runs once, from the projected Cardano root of
+    the eps = 0 problem; a run that fails raises NonconvergenceError
+    with the residual history of this eps.
     """
     if epsilon <= 0:
         raise InvalidParameterError("epsilon must be positive")
@@ -229,19 +234,7 @@ def solve_gp(epsilon: float, mu: float, cutoff: int, tol: float = 1e-12,
     # its projection onto the half-wave sine subspace, zero beyond top
     guess = np.zeros(block)
     guess[:(top + 1) // 2] = 0.5 * (c[top + 1::2].imag - c[top - 1::-2].imag)
-    try:
-        b, iters, history = _newton(epsilon, mu, guess, rows, tol, max_iter)
-    except NonconvergenceError:
-        eps_path = []
-        e = max(1.0, epsilon)
-        while e > epsilon:
-            eps_path.append(e)
-            e *= 0.5
-        eps_path.append(epsilon)
-        b = guess
-        for e in eps_path:
-            b, iters, history = _newton(e, mu, b, rows, tol, max_iter)
-
+    b, iters, history = _newton(epsilon, mu, guess, rows, tol)
     b = np.concatenate((b, np.zeros(order - block)))  # exact zeros beyond the block
     u = np.zeros(2 * cutoff + 1, dtype=complex)
     u[cutoff + 1::2], u[cutoff - 1::-2] = 1j * b, -1j * b

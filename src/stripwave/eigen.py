@@ -377,6 +377,7 @@ def _reference(cut: Callable, cutoffs, reference_cutoff: float, index: int, gap:
     reference no pilot certifies.  A refused pilot is dropped before the
     reference assembles its own blocks."""
     ref, tried = cut(reference_cutoff), []
+    spread = math.fsum(np.abs(ref.offdiag.coef).tolist())
     for cutoff in _pilots(cutoffs, reference_cutoff):
         tried.append(cutoff)
         pilot = cut(cutoff)
@@ -388,7 +389,6 @@ def _reference(cut: Callable, cutoffs, reference_cutoff: float, index: int, gap:
             break
         outside = np.ones(len(ref.diag), dtype=bool)
         outside[pilot.rows] = False
-        spread = math.fsum(np.abs(ref.offdiag.coef).tolist())
         window = _window(pilot, values, index, spread, ref.diag[outside])
         if window is None:
             continue

@@ -438,6 +438,8 @@ class TestZoneErrorsExact:
                 assert cut.int_coords.tobytes() == want.int_coords.tobytes()
                 assert cut.wavevectors.tobytes() == want.wavevectors.tobytes()
                 assert _diagonal(V, cut).tobytes() == _diagonal(V, want).tobytes()
+                # _cuts gives each cut the reference's diagonal on its rows
+                assert _diagonal(V, whole)[rows].tobytes() == _diagonal(V, cut).tobytes()
                 assert cut.cutoff == want.cutoff
 
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -800,13 +800,17 @@ def strict_json(text):
 
 
 def test_nonconvergence_keeps_its_residual_history(tmp_path, capsys):
-    # Newton settles at about 1.6e-16, above tol, and stops at max_iter
+    # Newton settles at about 3.7e-26, above tol, and stops after 50
+    # steps: the history is the requested eps's own, from the same start
+    # as the default solve's
     code, _ = run_cli(tmp_path, "gp-solve", dict(CONFIGS["gp-solve"], tol=1e-30))
     assert code == 3
     err = strict_json(capsys.readouterr().err)
     assert err["type"] == "NonconvergenceError"
     history = err["diagnostics"]["residual_history"]
-    assert len(history) == 51 and history[0] > 0.1 and max(history[-5:]) < 1e-15
+    assert len(history) == 51
+    assert history[0] == solve_gp(0.1, 0.5, 24).residual_history[0]
+    assert max(history[-5:]) < 1e-25
 
 
 def test_stiffness_keeps_its_last_step():

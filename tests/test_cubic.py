@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import stripwave.cubic
-from stripwave.cubic import (_block_order, _cbrt, _half_wave_jacobian, _slide, _sqrt,
-                             branch_point_height, cardano_discriminant,
+from stripwave.cubic import (_MAX_ITER, _block_order, _cbrt, _half_wave_jacobian, _slide,
+                             _sqrt, branch_point_height, cardano_discriminant,
                              cardano_root, estimate_solution_strip, solve_gp)
 from stripwave.errors import (BranchPointWarning, InvalidParameterError,
                               NonconvergenceError)
@@ -37,7 +38,7 @@ def complex_jacobian(u, cutoff, lin):
     return jac
 
 
-def complex_newton(epsilon, mu, cutoff, tol=1e-12, max_iter=50):
+def complex_newton(epsilon, mu, cutoff, tol=1e-12):
     """Reference Newton on the full complex system of order 2N+1, started
     from the unprojected Cardano guess, with solve_gp's stopping rule."""
     k = np.arange(-cutoff, cutoff + 1)
@@ -46,7 +47,7 @@ def complex_newton(epsilon, mu, cutoff, tol=1e-12, max_iter=50):
     u = FourierSeries1D.from_callable(
         lambda x: np.real(cardano_root(mu, x)), cutoff,
         n_grid=4 * cutoff + 1).coeffs
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         series = FourierSeries1D(cutoff, u)
         cube = multiply(multiply(series, series, 2 * cutoff), series, cutoff)
         residual = lin * u + cube.coeffs - fhat
@@ -195,19 +196,57 @@ class TestSolveGp:
         with pytest.raises(InvalidParameterError):
             solve_gp(0.1, 0.5, 8)
 
-    def test_nonconvergence_carries_history(self):
+    def test_nonconvergence_carries_history(self, monkeypatch):
+        direct = solve_gp(0.1, 0.5, 32)
+        runs = newton_runs(monkeypatch)
         with pytest.raises(NonconvergenceError) as info:
-            solve_gp(0.1, 0.5, 32, tol=1e-30, max_iter=2)
-        assert len(info.value.residual_history) > 0
+            solve_gp(0.1, 0.5, 32, tol=1e-30)
+        assert len(runs) == 1 and runs[0][:2] == (0.1, 0.5)
+        # the floor is about 3.7e-26: every step is taken, on this eps,
+        # through the same iterates as the converged solve
+        history = info.value.residual_history
+        assert len(history) == _MAX_ITER + 1
+        assert tuple(history[:len(direct.residual_history)]) == direct.residual_history
+        assert 1e-30 < min(history) < 1e-25
 
     @pytest.mark.parametrize("mu", [1e200, 1e300])
-    def test_nonfinite_residual_raises_nonconvergence(self, mu):
+    def test_nonfinite_residual_raises_nonconvergence(self, mu, monkeypatch):
         # mu^2 overflows in the Cardano guess; Newton stops at its first
         # residual instead of handing infs and NaNs to the linear solve
+        runs = newton_runs(monkeypatch)
         with pytest.raises(NonconvergenceError, match="residual nan") as info:
             solve_gp(0.1, mu, 32)
+        assert len(runs) == 1
         assert len(info.value.residual_history) == 1
         assert not math.isfinite(info.value.residual_history[0])
+
+
+def newton_runs(monkeypatch):
+    """The arguments of each cubic._newton call, as a list that fills
+    while the patch holds.  A solve is one Newton run, on success and on
+    every failure: the tests that spy on it check that it ran once."""
+    newton, runs = stripwave.cubic._newton, []
+
+    def spy(*args):
+        runs.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(stripwave.cubic, "_newton", spy)
+    return runs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(epsilon=st.floats(-4.0, 2.0).map(lambda e: 10.0**e),
+       mu=st.one_of(st.just(0.0), st.floats(-6.0, 3.0).map(lambda e: 10.0**e)),
+       cutoff=st.integers(16, 256))
+def test_one_newton_converges(epsilon, mu, cutoff):
+    # no fallback path is left to rescue a solve that stalls: the one
+    # Newton from the Cardano start must converge across the range
+    res = solve_gp(epsilon, mu, cutoff)
+    assert res.residual_l2 <= 1e-12 * max(1.0, mu * math.sqrt(math.pi))
+    assert len(res.residual_history) == res.newton_iters + 1 <= 8
+    c = res.solution.coeffs
+    assert np.all(c.real == 0.0) and np.all(c[even_k(cutoff)] == 0.0)
 
 
 PARAMS =[(0.1, 0.5), (0.2, 2.0), (0.05, 1.0), (1.0, 0.1)]
@@ -324,63 +363,18 @@ class TestOddNewton:
         c = res.solution.coeffs
         assert np.all(c.real == 0.0) and np.all(c[even_k(24)] == 0.0)
 
-    def test_failed_cholesky_falls_back_to_continuation(self, monkeypatch):
-        direct = solve_gp(0.1, 0.5, 32)
-        cho_factor = scipy.linalg.cho_factor
-        calls = []
-
-        def fail_first(a, **kwargs):
-            calls.append(a.shape)
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("not positive definite")
-            return cho_factor(a, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", fail_first)
-        res = solve_gp(0.1, 0.5, 32)
-        assert calls[0] == (16, 16)
-        assert len(calls) > 1  # the continuation ran
-        assert res.residual_l2 <= 1e-12
-        np.testing.assert_allclose(res.solution.coeffs, direct.solution.coeffs,
-                                   rtol=0, atol=1e-13)
-        # each continuation stage starts and stays on the odd k
-        assert np.all(res.solution.coeffs[even_k(32)] == 0.0)
-
-    @pytest.mark.parametrize("mu", [0.4, 0.5, 0.6])
-    def test_continuation_above_the_block(self, mu, monkeypatch):
-        direct = solve_gp(0.1, mu, 768)
-        cho_factor = scipy.linalg.cho_factor
-        calls = []
-
-        def fail_first(a, **kwargs):
-            calls.append(a.shape)
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("not positive definite")
-            return cho_factor(a, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", fail_first)
-        res = solve_gp(0.1, mu, 768)
-        block = _block_order(mu, 384)
-        assert len(calls) > 1 and set(calls) == {(block, block)}
-        assert res.block_order == block
-        assert res.residual_l2 <= 1e-12
-        b = res.solution.coeffs[769::2].imag
-        want = direct.solution.coeffs[769::2].imag
-        assert np.all(b[block:] == 0.0)
-        # F is strongly monotone with constant 1 (J >= I), so two Galerkin
-        # solutions lie within the sum of their residuals, plus the
-        # residuals' own rounding
-        top = np.max(np.abs(want))
-        assert norm2((b - want, b - want)) <= (res.residual_l2 + direct.residual_l2
-                                               + 2.0**-50 * top)
-
     def test_failed_cholesky_raises_nonconvergence(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
 
+        runs = newton_runs(monkeypatch)
         monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
-        with pytest.raises(NonconvergenceError) as info:
-            solve_gp(0.1, 0.5, 32)
-        assert len(info.value.residual_history) == 1
+        for cutoff in (32, 768):
+            runs.clear()
+            with pytest.raises(NonconvergenceError, match="positive definiteness") as info:
+                solve_gp(0.1, 0.5, cutoff)
+            assert len(runs) == 1
+            assert len(info.value.residual_history) == 1
 
 
 def full_square_residual(epsilon, mu, b):
@@ -397,7 +391,7 @@ def full_square_residual(epsilon, mu, b):
     return sq, residual
 
 
-def full_square_newton(epsilon, mu, b, tol, max_iter, block=None):
+def full_square_newton(epsilon, mu, b, tol, block=None):
     """cubic._newton as it was before the mirrored half-row square, the
     direct Cholesky step and the block: the residual of
     full_square_residual on every mode, each step from
@@ -410,7 +404,7 @@ def full_square_newton(epsilon, mu, b, tol, max_iter, block=None):
     lin = epsilon * np.arange(1.0, 2 * order, 2) ** 2 + 1.0
     stop = tol * max(1.0, mu * math.sqrt(math.pi))
     history, squares, steps = [], [], []
-    for _ in range(max_iter + 1):
+    for _ in range(_MAX_ITER + 1):
         sq, residual = full_square_residual(epsilon, mu, b)
         history.append(norm2((residual, residual)))
         if history[-1] <= stop:
@@ -443,14 +437,9 @@ class TestSameBitsAsTheFullSquare:
     @pytest.mark.parametrize("cutoff", [24, 256, 768])
     @pytest.mark.parametrize("epsilon, mu", [(0.1, 0.5), (0.08, 0.6), (0.05, 1.0)])
     def test_squares_and_steps_match(self, cutoff, epsilon, mu, monkeypatch):
-        starts, squares, steps = [], [], []
-        newton = stripwave.cubic._newton
+        squares, steps = [], []
         jacobian = stripwave.cubic._half_wave_jacobian
         cho_solve = scipy.linalg.cho_solve
-
-        def spy_newton(*args):
-            starts.append(args)
-            return newton(*args)
 
         def spy_jacobian(sq, lin):
             squares.append(sq)
@@ -460,20 +449,20 @@ class TestSameBitsAsTheFullSquare:
             steps.append(cho_solve(*args, **kwargs))
             return steps[-1]
 
-        monkeypatch.setattr(stripwave.cubic, "_newton", spy_newton)
+        starts = newton_runs(monkeypatch)
         monkeypatch.setattr(stripwave.cubic, "_half_wave_jacobian", spy_jacobian)
         monkeypatch.setattr(scipy.linalg, "cho_solve", spy_cho_solve)
         res = solve_gp(epsilon, mu, cutoff)
-        assert len(starts) == 1  # no continuation
+        assert len(starts) == 1  # one Newton run
         order = (cutoff + 1) // 2
         block = _block_order(mu, order)
         # at mu = 1 the block (101 modes) is the whole order at N = 256
         assert (block < order) == (cutoff > 256 or (cutoff == 256 and mu < 1.0))
         monkeypatch.undo()
-        epsilon, mu, start, rows, tol, max_iter = starts[0]
+        epsilon, mu, start, rows, tol = starts[0]
         assert len(start) == block and rows == min(3 * block - 1, order)
         b, history, want_squares, want_steps = full_square_newton(
-            epsilon, mu, zero_padded(start, order), tol, max_iter,
+            epsilon, mu, zero_padded(start, order), tol,
             block=None if block == order else block)
         assert tuple(history) == res.residual_history
         assert len(squares) == len(want_squares) == res.newton_iters > 0
@@ -583,25 +572,18 @@ class TestBlock:
     @pytest.mark.parametrize("epsilon", [0.08, 0.12])
     @pytest.mark.parametrize("mu", [0.4, 0.5, 0.6])
     def test_matches_the_full_newton_above_the_block(self, epsilon, mu, monkeypatch):
-        starts = []
-        newton = stripwave.cubic._newton
-
-        def spy_newton(*args):
-            starts.append(args)
-            return newton(*args)
-
-        monkeypatch.setattr(stripwave.cubic, "_newton", spy_newton)
+        starts = newton_runs(monkeypatch)
         cutoff = 768
         res = solve_gp(epsilon, mu, cutoff)
         block = _block_order(mu, 384)
-        _, _, start, _, tol, max_iter = starts[0]
+        _, _, start, _, tol = starts[0]
         # the start is the Cardano root on the odd k <= block, zero beyond
         assert np.all(start[(block + 1) // 2:] == 0.0)
         b = res.solution.coeffs[cutoff + 1::2].imag
         top = np.max(np.abs(b))
         assert np.all(b[block:] == 0.0)
         want, history, _, _ = full_square_newton(epsilon, mu, zero_padded(start, 384),
-                                                 tol, max_iter)
+                                                 tol)
         assert tuple(history) == res.residual_history
         above = np.abs(want) > 2.0**-60 * top
         assert np.max(np.abs(b - want)[above]) <= 2.0**-80 * top
@@ -621,7 +603,7 @@ class TestContractAboveTheBlock:
     def test_within_the_contract(self, cutoff, epsilon, mu):
         got = solve_gp(epsilon, mu, cutoff)
         b, history, _, _ = full_square_newton(epsilon, mu, full_order_start(mu, cutoff),
-                                              1e-12, 50)
+                                              1e-12)
         want = as_result(b, cutoff, history)
         assert got.newton_iters == want.newton_iters
         assert got.residual_l2 <= 1e-12 * max(1.0, mu * math.sqrt(math.pi))

@@ -25,8 +25,7 @@ and `TestPilotReference`:
 a certified pilot's reference eigenvalue against the full reference's
 refinement and against 60-digit eigenvalues, the fallback to the full
 reference bit for bit, and the count, eta and Kato-Temple edges of the
-certificate; `TestOneBasisPerSample`: every cut's diagonal the
-reference's on its rows, bit for bit), the double-double
+certificate), the double-double
 residual tests (`tests/test_extended.py`: the sliced coupling products,
 whose BLAS sums must be exact, against integer row sums; all but
 `test_matches_the_loop_to_double_double`, whose eigenvectors of order 1025
@@ -40,7 +39,9 @@ the one inversion block's at Gamma, X and M, the bands.csv contract (the
 real fibers' polished bands within 16 ulps of the complex fiber's, on two
 potentials and on fuzzed configs), the parity blocks' pinned sha256
 digests, `test_cut_is_basis_set` (each cut of one basis against
-`basis_set` at its cutoff, bit for bit), with `test_complex_fiber_from_a_pilot`
+`basis_set` at its cutoff, and the whole basis's diagonal on the cut's
+rows, which every cut's operator takes, against the cut's own, bit for
+bit), with `test_complex_fiber_from_a_pilot`
 and the pilot cases of `test_1d_at_k0_is_the_1d_study`, whose zone errors
 equal the 1D study's bit for bit) and acceptance
 criterion 10 (`tests/test_acceptance.py -k criterion_10`: the lattice
