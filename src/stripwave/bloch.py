@@ -182,7 +182,7 @@ class FourierSeriesD:
         """(c_G + conj c_{-G}) / 2, which both triangles of a fiber hold, so
         a V real to 1e-10 of 1 + max |c| passes, as in assemble_dense;
         checked once per V: PreconditionError for any other V or overflow."""
-        if not self.is_real_valued(1e-10):
+        if not self.is_real_valued():
             raise PreconditionError("potential must be real-valued")
         with np.errstate(over="ignore", invalid="ignore"):
             hermitian = 0.5 * (self.dense + np.conj(np.flip(self.dense)))
@@ -228,12 +228,12 @@ class FourierSeriesD:
                 return t, about
         return None
 
-    def is_real_valued(self, tol: float = 1e-12) -> bool:
-        """Whether c_{-G} = conj(c_G) for all G, to within tol * (1 + max |c|)."""
+    def is_real_valued(self) -> bool:
+        """Whether c_{-G} = conj(c_G) for all G, to within 1e-10 * (1 + max |c|)."""
         scale = 1.0 + float(np.abs(self.dense).max())
         # flipping every axis of the symmetric box maps G to -G
         mismatch = np.abs(self.dense - np.conj(np.flip(self.dense)))
-        return not np.any(mismatch > tol * scale)
+        return not np.any(mismatch > 1e-10 * scale)
 
 
 def series1d_to_lattice(u: FourierSeries1D) -> tuple[Lattice, FourierSeriesD]:

@@ -57,11 +57,9 @@ class FourierSeries1D:
     # -- basic constructors -------------------------------------------------
 
     @staticmethod
-    def mode(k: int, coeff: complex = 1.0, cutoff: int | None = None) -> "FourierSeries1D":
-        """Single Fourier mode: coefficient `coeff` at wavenumber k."""
-        n = abs(k) if cutoff is None else cutoff
-        if abs(k) > n:
-            raise InvalidParameterError(f"mode {k} outside cutoff {n}")
+    def mode(k: int, coeff: complex = 1.0) -> "FourierSeries1D":
+        """Single Fourier mode: coefficient `coeff` at wavenumber k, cutoff |k|."""
+        n = abs(k)
         c = np.zeros(2 * n + 1, dtype=complex)
         c[k + n] = coeff
         return FourierSeries1D(n, c)
@@ -90,11 +88,12 @@ class FourierSeries1D:
     def wavenumbers(self) -> np.ndarray:
         return np.arange(-self.cutoff, self.cutoff + 1)
 
-    def is_real_valued(self, tol: float = 1e-12) -> bool:
-        """Check the conjugate symmetry u_{-k} = conj(u_k) up to tol."""
+    def is_real_valued(self) -> bool:
+        """Check the conjugate symmetry u_{-k} = conj(u_k) up to
+        1e-10 * (1 + max |u_k|)."""
         sym = self.coeffs - np.conj(self.coeffs[::-1])
         scale = 1.0 + np.max(np.abs(self.coeffs))
-        return bool(np.max(np.abs(sym)) <= tol * scale)
+        return bool(np.max(np.abs(sym)) <= 1e-10 * scale)
 
     # -- algebra -------------------------------------------------------------
 

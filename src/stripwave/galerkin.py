@@ -29,7 +29,7 @@ def assemble_dense(V: FourierSeries1D, cutoff: int) -> np.ndarray:
     potential coefficients are conjugate-symmetrized so the matrix is
     Hermitian by construction.
     """
-    if not V.is_real_valued(tol=1e-10):
+    if not V.is_real_valued():
         raise PreconditionError("potential must be real-valued")
     with np.errstate(over="ignore", invalid="ignore"):
         vsym = 0.5 * (V.coeffs + np.conj(V.coeffs[::-1]))

@@ -257,12 +257,12 @@ class TestFourierSeriesD:
         assert FourierSeriesD(CUBIC_2D, {(1, 0): 0.5j, (-1, 0): -0.5j}).is_real_valued()
 
     def test_real_within_scaled_tolerance(self):
-        # the tolerance is tol * (1 + max |c|): 3e-12 here
-        near = FourierSeriesD(CUBIC_2D, {(1, 0): 2.0, (-1, 0): 2.0 + 1.5e-12})
-        far = FourierSeriesD(CUBIC_2D, {(1, 0): 2.0, (-1, 0): 2.0 + 6e-12})
+        # the tolerance is 1e-10 * (1 + max |c|): 3e-10 here
+        near = FourierSeriesD(CUBIC_2D, {(1, 0): 2.0, (-1, 0): 2.0 + 1.5e-10})
+        far = FourierSeriesD(CUBIC_2D, {(1, 0): 2.0, (-1, 0): 2.0 + 6e-10})
         assert near.is_real_valued()
         assert not far.is_real_valued()
-        tiny = FourierSeriesD(CUBIC_2D, {(1, 0): 0.0, (-1, 0): 5e-13})
+        tiny = FourierSeriesD(CUBIC_2D, {(1, 0): 0.0, (-1, 0): 5e-11})
         assert tiny.is_real_valued()
 
 

@@ -8,7 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from stripwave.blowup import (MIN_STEP, OdeTrajectory, axis_decoupling_check,
+from stripwave.blowup import (MIN_STEP, THRESHOLD, OdeTrajectory,
+                              axis_decoupling_check,
                               blowup_report, comparison_blowup_time,
                               comparison_solution, energy_drift_check,
                               integrate_comparison, integrate_psi,
@@ -21,8 +22,7 @@ from stripwave.errors import (InvalidParameterError, NoCrossingError,
 EPS, MU, ETA = 0.1, 0.5, 0.5
 
 
-def trajectory_from_callable(value, slope, y_grid, blowup_time=None,
-                             blowup_threshold=math.inf) -> OdeTrajectory:
+def trajectory_from_callable(value, slope, y_grid, blowup_time=None) -> OdeTrajectory:
     """Closed-form value/slope callables as a trajectory, for planted
     comparisons."""
     y_grid = np.asarray(y_grid, dtype=float)
@@ -32,14 +32,7 @@ def trajectory_from_callable(value, slope, y_grid, blowup_time=None,
         return np.stack([np.asarray(value(y), dtype=float),
                          np.asarray(slope(y), dtype=float)])
 
-    return OdeTrajectory(
-        nodes=y_grid,
-        psi=np.asarray(value(y_grid), dtype=float),
-        psi_prime=np.asarray(slope(y_grid), dtype=float),
-        blowup_time=blowup_time,
-        blowup_threshold=blowup_threshold,
-        interpolant=interp,
-    )
+    return OdeTrajectory(nodes=y_grid, blowup_time=blowup_time, interpolant=interp)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +49,9 @@ class TestIntegratePsi:
     def test_zero_data_stays_zero(self):
         traj = integrate_psi(0.1, 0.0, 0.0, y_max=2.0)
         assert traj.blowup_time is None
-        assert np.max(np.abs(traj.psi)) == 0.0
+        psi, psi_prime = traj.interpolant(traj.nodes)
+        assert np.max(np.abs(psi)) == 0.0
+        assert np.max(np.abs(psi_prime)) == 0.0
         assert traj.y_end == pytest.approx(2.0)
 
     def test_blowup_detected(self, trajectory):
@@ -64,30 +59,32 @@ class TestIntegratePsi:
         assert 0.0 < trajectory.blowup_time < 10.0
         # |psi| reaches the threshold just before the bracketed time
         val = abs(float(trajectory.value(trajectory.blowup_time - 1e-7)))
-        assert val > 0.01 * trajectory.blowup_threshold
+        assert val > 0.01 * THRESHOLD
 
     def test_initial_conditions(self, trajectory, gp_slope):
-        assert trajectory.psi[0] == 0.0
-        assert trajectory.psi_prime[0] == gp_slope
+        value, slope = trajectory.interpolant(trajectory.nodes[0])
+        assert value == 0.0
+        assert slope == gp_slope
 
     def test_ode_residual_of_dense_output(self):
         # First-order system residual of the interpolant by central finite
         # differences.  The dense output is each step's own Taylor
-        # polynomial; the step cap keeps its truncation error, and so the
+        # polynomial; the step rule keeps its truncation error, and so the
         # jump between neighbouring step polynomials that a difference may
-        # straddle, far below rtol.
-        rtol = 1e-6
-        traj = integrate_psi(EPS, MU, 0.43, y_max=1.2, rtol=rtol, max_step=0.01)
+        # straddle, near the default rtol 1e-11.  The differences' own
+        # error, of order h^2, sets the residual: about 3e-8 over the
+        # three steps this takes, far below the bounds.
+        traj = integrate_psi(EPS, MU, 0.43, y_max=1.2)
         h = 1e-4
         ys = np.linspace(0.1, 1.0, 37)
         for y in ys:
             psi_m, dpsi_m = traj.interpolant(y - h)
             psi_p, dpsi_p = traj.interpolant(y + h)
             psi_0, dpsi_0 = traj.interpolant(y)
-            assert (psi_p - psi_m) / (2 * h) == pytest.approx(dpsi_0, abs=10 * rtol)
+            assert (psi_p - psi_m) / (2 * h) == pytest.approx(dpsi_0, abs=1e-5)
             second = (dpsi_p - dpsi_m) / (2 * h)
             rhs = (MU * math.sinh(y) - psi_0 + psi_0**3) / EPS
-            assert second == pytest.approx(rhs, abs=10 * rtol * max(1.0, abs(rhs)))
+            assert second == pytest.approx(rhs, abs=1e-5 * max(1.0, abs(rhs)))
 
     def test_self_refinement_of_blowup_time(self, gp_slope):
         t1 = integrate_psi(EPS, MU, gp_slope, y_max=10.0, rtol=1e-10)
@@ -165,8 +162,7 @@ class TestMpmathReference:
         gap = traj.blowup_time - y_eta
         ys_psi = [0.2, 0.45, b0]
         ys_w = [y_eta, y_eta + gap / 3.0, y_eta + gap / 2.0]
-        below, above, crossing = mpmath_reference(slope, ys_psi, ys_w,
-                                                  traj.blowup_threshold)
+        below, above, crossing = mpmath_reference(slope, ys_psi, ys_w, THRESHOLD)
         return traj, list(zip(ys_psi + ys_w, below + above)), crossing
 
     def test_values_and_slopes(self, case):
@@ -184,7 +180,7 @@ class TestMpmathReference:
         # psi ~ sqrt(2*eps)/(Y_pole - y) near the simple pole, so it reaches
         # the threshold sqrt(2*eps)/threshold before the pole
         traj, _, _ = case
-        offset = math.sqrt(2.0 * EPS) / traj.blowup_threshold
+        offset = math.sqrt(2.0 * EPS) / THRESHOLD
         assert traj.pole_estimate == pytest.approx(traj.blowup_time + offset,
                                                    abs=1e-10)
 
@@ -262,7 +258,7 @@ class TestVerifyLowerBound:
             lambda y: comparison_solution(EPS, ETA, y0, y),
             lambda y: (comparison_solution(EPS, ETA, y0, y) ** 2 - 1)
             / math.sqrt(2 * EPS),
-            grid, blowup_time=y_max - 1e-6, blowup_threshold=1e8)
+            grid, blowup_time=y_max - 1e-6)
         check = verify_lower_bound(traj, EPS, ETA, y0)
         assert check.verified
         assert abs(check.min_margin) < 1e-8
@@ -275,7 +271,7 @@ class TestVerifyLowerBound:
             lambda y: comparison_solution(EPS, ETA, y0, y) - 0.1,
             lambda y: (comparison_solution(EPS, ETA, y0, y) ** 2 - 1)
             / math.sqrt(2 * EPS),
-            grid, blowup_time=y_max - 1e-6, blowup_threshold=1e8)
+            grid, blowup_time=y_max - 1e-6)
         check = verify_lower_bound(traj, EPS, ETA, y0)
         assert not check.verified
 
@@ -314,17 +310,17 @@ class TestAxisDecoupling:
     def test_zero_data(self):
         rep = axis_decoupling_check(EPS, 0.0, 0.0, y_max=1.0)
         assert rep.max_real_ratio == 0.0
-        assert rep.decoupled
 
     def test_forced_solution_stays_imaginary(self, gp_slope):
+        # exactly: no step of the complex integration makes a zero
+        # imaginary part nonzero
         rep = axis_decoupling_check(EPS, MU, gp_slope, y_max=10.0)
-        assert rep.decoupled
-        assert rep.max_real_ratio <= 1e-9
+        assert rep.max_real_ratio == 0.0
 
     def test_negative_control(self, gp_slope):
         rep = axis_decoupling_check(EPS, MU, gp_slope, y_max=10.0,
                                     initial_real=0.01)
-        assert not rep.decoupled
+        assert rep.max_real_ratio > 1e-9
 
 
 class TestBlowupReport:
@@ -350,7 +346,8 @@ class TestBlowupReport:
         assert rep.trajectory.blowup_time == rep.blowup_time
         # the same integration the standalone call performs
         assert rep.trajectory.nodes.tobytes() == trajectory.nodes.tobytes()
-        assert rep.trajectory.psi.tobytes() == trajectory.psi.tobytes()
+        assert rep.trajectory.interpolant.coeffs.tobytes() \
+            == trajectory.interpolant.coeffs.tobytes()
 
 
 def test_trajectory_samples(trajectory):
